@@ -20,7 +20,6 @@
 //	figures -exp tail -timeline w.json    # window series of any experiment
 //	figures -timeline-window 16384   # window width in simulated cycles
 //	figures -parallel 8              # worker-pool size (0 = GOMAXPROCS)
-//	figures -sched coroutine         # legacy goroutine strand scheduler
 //	figures -no-cache                # recompute every cell
 //	figures -cache-dir /tmp/rc       # result cache location
 //	figures -progress                # per-cell progress/ETA on stderr
@@ -62,6 +61,7 @@ import (
 	"rocktm/internal/obs"
 	"rocktm/internal/obs/timeseries"
 	"rocktm/internal/runner"
+	"rocktm/internal/sim"
 )
 
 // experiment is one runnable entry; exactly one of fig/report/lines is
@@ -136,7 +136,6 @@ type cliFlags struct {
 	noCache  *bool
 	progress *bool
 	cellTime *time.Duration
-	sched    *string
 }
 
 // registerFlags declares the full flag surface on fs.
@@ -161,7 +160,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		noCache:  fs.Bool("no-cache", false, "recompute every cell, ignoring and not writing the cache"),
 		progress: fs.Bool("progress", false, "report per-cell progress and ETA on stderr"),
 		cellTime: fs.Duration("cell-timeout", 0, "per-cell wall-clock budget; an over-budget cell fails alone (0 = none)"),
-		sched:    fs.String("sched", "", "strand scheduler: 'step' (continuation driver) or 'coroutine' (legacy goroutine driver); empty defers to ROCKTM_SCHED, then 'step'"),
 	}
 }
 
@@ -180,21 +178,9 @@ func main() {
 		debug.SetGCPercent(400)
 	}
 
-	threads, err := parseThreads(*fl.threads)
+	threads, err := validate(fl)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(2)
-	}
-
-	// Scheduler selection feeds bench.Options.Sched; validating here turns a
-	// typo into a usage error instead of silently running the default driver.
-	// Either driver produces byte-identical figures (the differential golden
-	// test pins this), so -sched is a performance/debugging knob, not part of
-	// any cell cache key.
-	switch *fl.sched {
-	case "", bench.SchedStep, bench.SchedCoroutine:
-	default:
-		fmt.Fprintf(os.Stderr, "figures: -sched must be %q or %q, got %q\n", bench.SchedStep, bench.SchedCoroutine, *fl.sched)
 		os.Exit(2)
 	}
 
@@ -273,7 +259,7 @@ func main() {
 		}
 	}
 
-	o := bench.Options{Threads: threads, OpsPerThread: *fl.ops, Seed: *fl.seed, Runner: pool, Latency: *fl.latency, TimelineWindow: *fl.tlWindow, Sched: *fl.sched}
+	o := bench.Options{Threads: threads, OpsPerThread: *fl.ops, Seed: *fl.seed, Runner: pool, Latency: *fl.latency, TimelineWindow: *fl.tlWindow}
 	var sink *obs.TraceSink
 	if *fl.trace != "" {
 		sink = &obs.TraceSink{}
@@ -459,12 +445,27 @@ func finishPool(pool *runner.Pool) {
 	}
 }
 
+// validate checks every numeric flag before any cell runs, so out-of-range
+// input is a usage error rather than a panic deep inside a simulated
+// machine or a figure of zeros. It returns the parsed thread counts.
+func validate(fl *cliFlags) ([]int, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"ops", *fl.ops}, {"msf-dim", *fl.msfDim}, {"profile-ops", *fl.profOps}} {
+		if f.v <= 0 {
+			return nil, fmt.Errorf("-%s must be positive, got %d", f.name, f.v)
+		}
+	}
+	return parseThreads(*fl.threads)
+}
+
 func parseThreads(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad thread count %q", part)
+		if err != nil || n <= 0 || n > sim.MaxStrands {
+			return nil, fmt.Errorf("bad thread count %q (want 1..%d)", part, sim.MaxStrands)
 		}
 		out = append(out, n)
 	}

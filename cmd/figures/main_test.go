@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -123,30 +124,48 @@ func TestFlagSurfaceCarriesTimeline(t *testing.T) {
 	}
 }
 
-// The flag surface carries the scheduler selector: -sched parses into
-// cliFlags.sched, and both driver names round-trip.
-func TestFlagSurfaceCarriesSched(t *testing.T) {
-	for _, name := range []string{bench.SchedStep, bench.SchedCoroutine} {
+// Out-of-range numeric flags are usage errors naming the flag, caught
+// before any cell runs: a thread count past sim.MaxStrands used to panic
+// inside a cell, and non-positive sizes used to print empty or all-zero
+// figures. The strand scheduler is not a command-line choice: -sched is an
+// unknown flag.
+func TestInvalidFlagsRejected(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string // substring of the error; "" means valid
+	}{
+		{nil, ""},
+		{[]string{"-threads", "1,64"}, ""},
+		{[]string{"-threads", "65"}, `"65"`},
+		{[]string{"-threads", "2,0"}, `"0"`},
+		{[]string{"-threads", "-3"}, `"-3"`},
+		{[]string{"-threads", "two"}, `"two"`},
+		{[]string{"-ops", "-5"}, "-ops"},
+		{[]string{"-ops", "0"}, "-ops"},
+		{[]string{"-msf-dim", "0"}, "-msf-dim"},
+		{[]string{"-msf-dim", "-4"}, "-msf-dim"},
+		{[]string{"-profile-ops", "0"}, "-profile-ops"},
+		{[]string{"-sched", "step"}, "-sched"},
+	}
+	for _, c := range cases {
 		fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
 		fl := registerFlags(fs)
-		if fs.Lookup("sched") == nil {
-			t.Fatal("flag -sched not registered")
+		var threads []int
+		err := fs.Parse(c.args)
+		if err == nil {
+			threads, err = validate(fl)
 		}
-		if err := fs.Parse([]string{"-sched", name}); err != nil {
-			t.Fatal(err)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%v rejected: %v", c.args, err)
+		case c.want == "" && len(threads) == 0:
+			t.Errorf("%v: no thread counts parsed", c.args)
+		case c.want != "" && err == nil:
+			t.Errorf("%v accepted", c.args)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%v: error %q does not name %s", c.args, err, c.want)
 		}
-		if *fl.sched != name {
-			t.Errorf("parsed sched=%q, want %q", *fl.sched, name)
-		}
-	}
-	// Unset means "defer to ROCKTM_SCHED, then the step default".
-	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
-	fl := registerFlags(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if *fl.sched != "" {
-		t.Errorf("default sched=%q, want empty", *fl.sched)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -73,28 +72,7 @@ type Options struct {
 	// serially inline. Results are merged in submission order either way,
 	// so parallel figures are byte-identical to serial ones.
 	Runner *runner.Pool
-
-	// Sched selects the strand scheduler for workload-driven cells:
-	// SchedStep (the default) runs them on the continuation driver
-	// (sim.Machine.RunStepped, no coroutine handoffs) whenever the cell's
-	// machine design point and synchronization system support it;
-	// SchedCoroutine forces the legacy goroutine driver everywhere. The
-	// choice cannot change results — both drivers produce byte-identical
-	// figures (pinned by the differential golden test) — so it deliberately
-	// stays out of cell cache keys. The empty value defers to the
-	// ROCKTM_SCHED environment variable, then to SchedStep.
-	Sched string
 }
-
-// Scheduler names for Options.Sched / the ROCKTM_SCHED environment variable.
-const (
-	SchedStep      = "step"
-	SchedCoroutine = "coroutine"
-)
-
-// stepSched reports whether the options ask for the continuation driver
-// (individual cells still fall back when machine or system cannot step).
-func (o Options) stepSched() bool { return o.Sched != SchedCoroutine }
 
 // pool returns the pool cells should run on. Tracing and timeline capture
 // force inline serial execution: a cache hit would produce no events, and
@@ -223,12 +201,6 @@ func (o Options) Defaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Sched == "" {
-		o.Sched = os.Getenv("ROCKTM_SCHED")
-	}
-	if o.Sched == "" {
-		o.Sched = SchedStep
 	}
 	return o
 }

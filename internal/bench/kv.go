@@ -24,18 +24,11 @@ type kvStructure interface {
 	NewSession(sys core.System, s *sim.Strand) kvSession
 }
 
-// kvSession is the per-strand view of a kvStructure. The StepXxx methods
-// arm the same operations as continuation machines for the stepped
-// scheduler; they may only be called when the session's system implements
-// core.StepSystem.
+// kvSession is the per-strand view of a kvStructure.
 type kvSession interface {
 	Insert(key uint64, val sim.Word) bool
 	Delete(key uint64) bool
 	Lookup(key uint64) (sim.Word, bool)
-
-	StepInsert(key uint64, val sim.Word) core.StepBlock
-	StepDelete(key uint64) core.StepBlock
-	StepLookup(key uint64) core.StepBlock
 }
 
 // kvConfig describes one key-value experiment cell.
@@ -98,43 +91,23 @@ func runKVSeries(o Options, label string, cfg kvConfig, sb SysBuilder, threads i
 	if capture {
 		rec = attachWindows(m, width)
 	}
-	if o.stepSched() && m.CanRunStepped() && core.CanStep(sys) {
-		m.RunStepped(func(s *sim.Strand) sim.StepFn {
-			ses := st.NewSession(sys, s)
-			d := wl.Driver(s, lat)
-			if rec != nil {
-				d.Observe(rec)
+	m.Run(func(s *sim.Strand) {
+		ses := st.NewSession(sys, s)
+		d := wl.Driver(s, lat)
+		if rec != nil {
+			d.Observe(rec)
+		}
+		d.Run(o.OpsPerThread, func(_, op int, key uint64) {
+			switch op {
+			case workload.OpLookup:
+				ses.Lookup(key)
+			case workload.OpInsert:
+				ses.Insert(key, 1)
+			default:
+				ses.Delete(key)
 			}
-			return (&d).RunStepped(o.OpsPerThread, func(_, op int, key uint64) core.StepBlock {
-				switch op {
-				case workload.OpLookup:
-					return ses.StepLookup(key)
-				case workload.OpInsert:
-					return ses.StepInsert(key, 1)
-				default:
-					return ses.StepDelete(key)
-				}
-			})
 		})
-	} else {
-		m.Run(func(s *sim.Strand) {
-			ses := st.NewSession(sys, s)
-			d := wl.Driver(s, lat)
-			if rec != nil {
-				d.Observe(rec)
-			}
-			d.Run(o.OpsPerThread, func(_, op int, key uint64) {
-				switch op {
-				case workload.OpLookup:
-					ses.Lookup(key)
-				case workload.OpInsert:
-					ses.Insert(key, 1)
-				default:
-					ses.Delete(key)
-				}
-			})
-		})
-	}
+	})
 	o.endTrace(tr, fmt.Sprintf("%s/%s@%dT", label, sb.Name, threads))
 	var series timeseries.Series
 	if rec != nil {

@@ -159,7 +159,11 @@ const (
 // found effective against requester-wins livelock under contention
 // (Section 4).
 func Backoff(s *sim.Strand, attempt int) {
-	s.Advance(BackoffDelay(s, attempt))
+	if attempt > 7 {
+		attempt = 7
+	}
+	window := int64(32) << uint(attempt)
+	s.Advance(16 + int64(s.Rand()%uint64(window)))
 }
 
 // Setup is a zero-cost Ctx over raw memory for pre-run prepopulation and

@@ -146,8 +146,6 @@ func (t *Table) lookupCtx(c core.Ctx, key uint64) (sim.Word, bool) {
 	switch cc := c.(type) {
 	case rock.Ctx:
 		return t.lookupRock(cc, key)
-	case rock.StepCtx:
-		return t.lookupRockStep(cc, key)
 	case *sky.HW:
 		return t.lookupSkyHW(cc, key)
 	case *tl2.Txn:
@@ -156,8 +154,6 @@ func (t *Table) lookupCtx(c core.Ctx, key uint64) (sim.Word, bool) {
 		return t.lookupSky(cc, key)
 	case core.Raw:
 		return t.lookupRaw(cc, key)
-	case core.StepRaw:
-		return t.lookupRawStep(cc, key)
 	default:
 		return t.Lookup(c, key)
 	}
@@ -167,8 +163,6 @@ func (t *Table) insertCtx(c core.Ctx, key uint64, node sim.Addr) bool {
 	switch cc := c.(type) {
 	case rock.Ctx:
 		return t.insertRock(cc, key, node)
-	case rock.StepCtx:
-		return t.insertRockStep(cc, key, node)
 	case *sky.HW:
 		return t.insertSkyHW(cc, key, node)
 	case *tl2.Txn:
@@ -177,8 +171,6 @@ func (t *Table) insertCtx(c core.Ctx, key uint64, node sim.Addr) bool {
 		return t.insertSky(cc, key, node)
 	case core.Raw:
 		return t.insertRaw(cc, key, node)
-	case core.StepRaw:
-		return t.insertRawStep(cc, key, node)
 	default:
 		return t.insert(c, key, node)
 	}
@@ -188,8 +180,6 @@ func (t *Table) deleteCtx(c core.Ctx, key uint64) sim.Addr {
 	switch cc := c.(type) {
 	case rock.Ctx:
 		return t.deleteRock(cc, key)
-	case rock.StepCtx:
-		return t.deleteRockStep(cc, key)
 	case *sky.HW:
 		return t.deleteSkyHW(cc, key)
 	case *tl2.Txn:
@@ -198,8 +188,6 @@ func (t *Table) deleteCtx(c core.Ctx, key uint64) sim.Addr {
 		return t.deleteSky(cc, key)
 	case core.Raw:
 		return t.deleteRaw(cc, key)
-	case core.StepRaw:
-		return t.deleteRawStep(cc, key)
 	default:
 		return t.delete(c, key)
 	}
@@ -270,8 +258,6 @@ type Session struct {
 	lookupFn func(core.Ctx)
 	insertFn func(core.Ctx)
 	deleteFn func(core.Ctx)
-
-	step *opStep // lazily-built continuation machine (StepXxx methods)
 }
 
 // NewSession builds the reusable operation context for strand s under sys.

@@ -67,7 +67,6 @@ type System struct {
 	cfg   Config
 	pol   policy.Policy
 	stats *core.Stats
-	steps core.PerStrand[hyStep]
 }
 
 // New builds a HyTM system over back (which must not be used standalone

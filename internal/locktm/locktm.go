@@ -129,7 +129,6 @@ func (l *RWLock) ReleaseRead(s *sim.Strand) {
 type OneLock struct {
 	lock  *SpinLock
 	stats *core.Stats
-	steps core.PerStrand[oneLockStep]
 }
 
 // NewOneLock builds the system over machine m.
@@ -163,7 +162,6 @@ func (o *OneLock) Stats() *core.Stats { return o.stats }
 type RW struct {
 	lock  *RWLock
 	stats *core.Stats
-	steps core.PerStrand[rwStep]
 }
 
 // NewRW builds the system over machine m.
@@ -203,7 +201,6 @@ func (r *RW) Stats() *core.Stats { return r.stats }
 // threaded.
 type Seq struct {
 	stats *core.Stats
-	steps core.PerStrand[seqStep]
 }
 
 // NewSeq builds the sequential baseline.

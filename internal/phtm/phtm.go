@@ -82,7 +82,6 @@ type System struct {
 	swMode  sim.Addr // software-phase countdown; 0 = hardware phase
 	swCount sim.Addr // active software transactions
 	stats   *core.Stats
-	steps   core.PerStrand[phStep]
 }
 
 // New builds a PhTM system over machine m and back end back.

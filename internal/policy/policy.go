@@ -170,39 +170,22 @@ func (e *Engine) Exhausted() bool { return e.score >= e.pol.Budget() }
 // caller's wait must happen first (the pre-engine loops waited before
 // re-checking their budgets, and cycle-identical replay preserves that).
 func (e *Engine) OnFailure(s *sim.Strand, c cps.Bits) Action {
-	act, delayAttempt, delay := e.DecideFailure(c)
-	if delay {
-		core.Backoff(s, delayAttempt)
-	}
-	return act
-}
-
-// DecideFailure is OnFailure with the simulated delay externalized, for
-// continuation machines that must charge the delay resumably: it applies
-// every host-side effect of one failed attempt (policy decision, score
-// charge, attempt count) and returns the action plus the backoff attempt
-// index the caller must feed core.BackoffDelay / Advance for (delay=false
-// means no delay is owed). The delay is owed even when the returned action
-// is Fallback — OnFailure charges a Backoff/Throttle delay before the
-// budget verdict, and cycle-identical replay preserves that order: charge
-// the delay first, then act on the verdict.
-func (e *Engine) DecideFailure(c cps.Bits) (act Action, delayAttempt int, delay bool) {
 	d := e.pol.Decide(e.site, e.attempt, c)
 	e.score += d.Score
 	switch d.Action {
 	case Backoff:
-		delayAttempt, delay = e.attempt, true
+		core.Backoff(s, e.attempt)
 	case Throttle:
-		delayAttempt, delay = e.attempt+throttleExtra, true
+		core.Backoff(s, e.attempt+throttleExtra)
 	}
 	e.attempt++
 	if d.Action == Wait {
-		return Wait, delayAttempt, delay
+		return Wait
 	}
 	if d.Action == Fallback || e.score >= e.pol.Budget() {
-		return Fallback, delayAttempt, delay
+		return Fallback
 	}
-	return d.Action, delayAttempt, delay
+	return d.Action
 }
 
 // OnCommit notifies the policy that the block committed in hardware.

@@ -394,8 +394,6 @@ func (t *Tree) lookupCtx(c core.Ctx, key uint64) (sim.Word, bool) {
 	switch cc := c.(type) {
 	case rock.Ctx:
 		return t.lookupRock(cc, key)
-	case rock.StepCtx:
-		return t.lookupRockStep(cc, key)
 	case *sky.HW:
 		return t.lookupSkyHW(cc, key)
 	case *tl2.Txn:
@@ -404,8 +402,6 @@ func (t *Tree) lookupCtx(c core.Ctx, key uint64) (sim.Word, bool) {
 		return t.lookupSky(cc, key)
 	case core.Raw:
 		return t.lookupRaw(cc, key)
-	case core.StepRaw:
-		return t.lookupRawStep(cc, key)
 	default:
 		return t.Lookup(c, key)
 	}
@@ -415,8 +411,6 @@ func (t *Tree) insertCtx(c core.Ctx, key uint64, node sim.Addr) bool {
 	switch cc := c.(type) {
 	case rock.Ctx:
 		return t.insertRock(cc, key, node)
-	case rock.StepCtx:
-		return t.insertRockStep(cc, key, node)
 	case *sky.HW:
 		return t.insertSkyHW(cc, key, node)
 	case *tl2.Txn:
@@ -425,8 +419,6 @@ func (t *Tree) insertCtx(c core.Ctx, key uint64, node sim.Addr) bool {
 		return t.insertSky(cc, key, node)
 	case core.Raw:
 		return t.insertRaw(cc, key, node)
-	case core.StepRaw:
-		return t.insertRawStep(cc, key, node)
 	default:
 		return t.insert(c, key, node)
 	}
@@ -436,8 +428,6 @@ func (t *Tree) deleteCtx(c core.Ctx, key uint64) sim.Addr {
 	switch cc := c.(type) {
 	case rock.Ctx:
 		return t.deleteRock(cc, key)
-	case rock.StepCtx:
-		return t.deleteRockStep(cc, key)
 	case *sky.HW:
 		return t.deleteSkyHW(cc, key)
 	case *tl2.Txn:
@@ -446,8 +436,6 @@ func (t *Tree) deleteCtx(c core.Ctx, key uint64) sim.Addr {
 		return t.deleteSky(cc, key)
 	case core.Raw:
 		return t.deleteRaw(cc, key)
-	case core.StepRaw:
-		return t.deleteRawStep(cc, key)
 	default:
 		return t.delete(c, key)
 	}
@@ -518,8 +506,6 @@ type Session struct {
 	lookupFn func(core.Ctx)
 	insertFn func(core.Ctx)
 	deleteFn func(core.Ctx)
-
-	step *opStep // lazily-built continuation machine (StepXxx methods)
 }
 
 // NewSession builds the reusable operation context for strand s under sys.

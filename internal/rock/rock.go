@@ -12,7 +12,6 @@
 package rock
 
 import (
-	"rocktm/internal/core"
 	"rocktm/internal/cps"
 	"rocktm/internal/sim"
 )
@@ -40,38 +39,11 @@ func On(s *sim.Strand) Txn { return Txn{s: s} }
 // Strand returns the underlying strand (for cost accounting helpers).
 func (t Txn) Strand() *sim.Strand { return t.s }
 
-// yieldOrFail converts a failed transactional instruction into the right
-// unwind token: core.YieldSignal when the instruction was merely
-// interrupted by a pending yield under the continuation driver (it never
-// executed; the re-run body re-issues it), txFailed for a real abort.
-// Under the coroutine driver YieldPending is always false. Journaled
-// contexts (StepCtx) never reach this on a yield — they bail their OpLog
-// instead, avoiding the panic; this is the backstop for Txn methods
-// invoked outside a journaling context.
-func (t Txn) yieldOrFail() {
-	if t.s.YieldPending() {
-		panic(core.YieldSignal{})
-	}
-	panic(txFailed{})
-}
-
-// bailOrFail handles a failed transactional instruction under a journaling
-// context: a pending yield bails the log (the body continues poisoned and
-// the attempt machine yields at its boundary — no panic), a real abort
-// unwinds with txFailed exactly as on the coroutine path.
-func (t Txn) bailOrFail(l *core.OpLog) {
-	if t.s.YieldPending() {
-		l.Bail()
-		return
-	}
-	panic(txFailed{})
-}
-
 // Load performs a transactional load.
 func (t Txn) Load(a sim.Addr) sim.Word {
 	w, ok := t.s.TxLoad(a)
 	if !ok {
-		t.yieldOrFail()
+		panic(txFailed{})
 	}
 	return w
 }
@@ -79,7 +51,7 @@ func (t Txn) Load(a sim.Addr) sim.Word {
 // Store performs a transactional store (gated until commit).
 func (t Txn) Store(a sim.Addr, w sim.Word) {
 	if !t.s.TxStore(a, w) {
-		t.yieldOrFail()
+		panic(txFailed{})
 	}
 }
 
@@ -89,7 +61,7 @@ func (t Txn) Store(a sim.Addr, w sim.Word) {
 // with UCTI.
 func (t Txn) Branch(pc uint32, taken bool, dependsOnLoad bool) {
 	if !t.s.TxBranch(pc, taken, dependsOnLoad) {
-		t.yieldOrFail()
+		panic(txFailed{})
 	}
 }
 
@@ -97,51 +69,41 @@ func (t Txn) Branch(pc uint32, taken bool, dependsOnLoad bool) {
 // (ta %xcc, %g0 + 15), explicitly aborting with CPS=TCC.
 func (t Txn) Abort() {
 	t.s.TxAbortTrap()
-	t.yieldOrFail()
+	panic(txFailed{})
 }
 
 // Call models a function call (register-window save/restore), which aborts
 // Rock transactions with CPS=INST.
 func (t Txn) Call() {
 	t.s.TxSaveRestore()
-	t.yieldOrFail()
+	panic(txFailed{})
 }
 
 // Div models a divide instruction (unsupported; CPS=FP).
 func (t Txn) Div() {
 	t.s.TxDiv()
-	t.yieldOrFail()
+	panic(txFailed{})
 }
 
 // Trap models a conditional trap; if taken the transaction aborts (TCC).
 func (t Txn) Trap(taken bool) {
 	if !t.s.TxTrap(taken) {
-		t.yieldOrFail()
+		panic(txFailed{})
 	}
 }
 
 // Exec models executing code from the given page (ITLB misses abort).
 func (t Txn) Exec(codePage int32) {
 	if !t.s.TxExec(codePage) {
-		t.yieldOrFail()
+		panic(txFailed{})
 	}
 }
 
 // StackWrite models a store to the stack (profiled, not store-queued).
-func (t Txn) StackWrite() {
-	t.s.TxStackWrite()
-	if t.s.YieldPending() {
-		panic(core.YieldSignal{})
-	}
-}
+func (t Txn) StackWrite() { t.s.TxStackWrite() }
 
 // Advance charges pure compute cycles inside the transaction.
-func (t Txn) Advance(n int64) {
-	t.s.Advance(n)
-	if t.s.YieldPending() {
-		panic(core.YieldSignal{})
-	}
-}
+func (t Txn) Advance(n int64) { t.s.Advance(n) }
 
 // Try executes body as one hardware transaction attempt on strand s.
 // It returns (true, 0) if the transaction committed, and (false, cps) with

@@ -86,8 +86,6 @@ func goldenRun(c goldenCase) (maxClock int64, digest string) {
 
 // goldenBody is the identity workload for one strand — every simulated
 // operation, OS event and RNG-draw pattern the matrix pins.
-// goldenStepBody (step_golden_test.go) is its continuation-machine
-// transcription; the two must stay op-for-op identical.
 func goldenBody(s *Strand, mem *Memory, arena, shared Addr, codePage int32) {
 	id := s.ID()
 	for i := 0; i < 300; i++ {

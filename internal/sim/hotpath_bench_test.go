@@ -83,43 +83,6 @@ func BenchmarkSchedulerHandoff(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerHandoffStepped is the continuation-driver variant of
-// BenchmarkSchedulerHandoff: quantum-saturating advances driven by
-// Machine.RunStepped, where a handoff is a step-function return plus a
-// heap pick instead of a goroutine park + wake. Each advance charges
-// exactly one quantum (an op overrunning by more than a full quantum can
-// never fit a fresh grant, and the driver's undo-and-re-run discipline
-// would re-run it forever), so in steady state every grant completes one
-// or two advances before the next one trips the yield — ns/op is
-// dominated by one heap handoff, and the ratio to the coroutine variant
-// is the per-handoff cost retired by the continuation scheduler.
-func BenchmarkSchedulerHandoffStepped(b *testing.B) {
-	for _, strands := range []int{2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("strands=%d", strands), func(b *testing.B) {
-			cfg := DefaultConfig(strands)
-			cfg.MemWords = 1 << 16
-			m := New(cfg)
-			per := b.N/strands + 1
-			step := cfg.Quantum // saturate the grant: yield on every following advance
-			b.ReportAllocs()
-			b.ResetTimer()
-			m.RunStepped(func(s *Strand) StepFn {
-				i := 0
-				return func() bool {
-					for i < per {
-						s.Advance(step)
-						if s.YieldPending() {
-							return false
-						}
-						i++
-					}
-					return true
-				}
-			})
-		})
-	}
-}
-
 // ---- Plain loads and stores ----
 
 // benchMachine1 builds a single-strand machine with a small memory.

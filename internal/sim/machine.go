@@ -397,7 +397,8 @@ func (m *Machine) PublishMetrics(reg *obs.Registry) {
 // the Go scheduler (~5x cheaper per handoff on a single-core host). A body
 // panic (e.g. the MaxCycles livelock guard) propagates out of Run on the
 // caller's goroutine; iter.Pull likewise forwards runtime.Goexit (t.Fatal
-// inside a body), so Run never deadlocks on a dead strand.
+// inside a body), so Run never deadlocks on a dead strand. On the way out
+// Run stops every other strand's coroutine, so a failed run leaks none.
 func (m *Machine) Run(body func(*Strand)) {
 	if m.running {
 		panic("sim: Run re-entered")
@@ -412,6 +413,14 @@ func (m *Machine) Run(body func(*Strand)) {
 			body(s)
 		})
 	}
+	defer func() {
+		if m.running { // a body panic or Goexit is unwinding through Run
+			m.running = false
+			for _, s := range m.strands {
+				s.stop()
+			}
+		}
+	}()
 	// Hand the baton to the strand with the lowest clock; keep handing it
 	// to the laggard until every body has returned.
 	c := m.heapPop()
@@ -429,85 +438,6 @@ func (m *Machine) Run(body func(*Strand)) {
 		// c's body returned: retire its coroutine and move on.
 		c.cancel()
 		c.yield = nil
-		if len(m.parked) == 0 {
-			break
-		}
-		c = m.heapPop()
-	}
-	m.running = false
-}
-
-// CanRunStepped reports whether this machine's HTM design point supports
-// the continuation driver. Requester-loses arbitration (committer-wins,
-// timestamp) stalls a NACKed requester *inside* the interrupted memory
-// operation (resolveArb) — a second advance mid-operation that RunStepped's
-// re-invoke-from-entry contract cannot resume — so those design points stay
-// on the coroutine driver.
-func (m *Machine) CanRunStepped() bool { return m.resolve == ResRequesterWins }
-
-// StepFn is one strand's continuation body under RunStepped: each call runs
-// the strand forward until it either finishes (return true) or crosses its
-// yield deadline (return false with Strand.YieldPending() set). A step body
-// that pauses must re-invoke the interrupted simulated operation when next
-// called — the driver has undone the operation's cycle charge, so re-running
-// it from its advance reproduces the coroutine driver's timing exactly.
-type StepFn func() bool
-
-// RunStepped executes a continuation-machine body on every strand
-// concurrently in virtual time — the same scheduling contract as Run (one
-// baton, lowest (clock, id) first, identical handoff decisions and clocks,
-// pinned by the differential golden tests) with no goroutine switch per
-// handoff: a strand that runs a full quantum ahead records a pending yield,
-// its current operation bails out before any side effect, and control
-// returns to this loop through ordinary returns.
-//
-// start is called once per strand to build its continuation; it must not
-// perform simulated work (construct sessions and drivers only). Only step
-// bodies whose yield points all surface through YieldPending-aware
-// operations may run under this driver; arbitrary bodies stay on Run, the
-// general authoring surface.
-func (m *Machine) RunStepped(start func(*Strand) StepFn) {
-	if m.running {
-		panic("sim: Run re-entered")
-	}
-	m.running = true
-	m.parked = m.parked[:0]
-	for _, s := range m.strands {
-		s.parked = true
-		s.stepped = true
-		m.heapPush(s)
-		clk := s.clock
-		s.stepFn = start(s)
-		if s.clock != clk {
-			panic("sim: RunStepped start callback performed simulated work")
-		}
-	}
-	c := m.heapPop()
-	for {
-		c.parked = false
-		m.grant(c)
-		if c.chargeDebt != 0 {
-			// Undo the charge of the operation the pending yield interrupted;
-			// the step body re-invokes that operation from its advance, so
-			// the clock it resumes at — and every heap decision that follows
-			// — is bit-identical to a coroutine resume.
-			c.clock -= c.chargeDebt
-			c.chargeDebt = 0
-		}
-		c.yieldPending = false
-		if !c.stepFn() {
-			if !c.yieldPending {
-				panic("sim: step body paused without a pending yield")
-			}
-			c.parked = true
-			c = m.heapReplaceMin(c)
-			continue
-		}
-		if c.yieldPending {
-			panic("sim: step body finished with a pending yield")
-		}
-		c.stepped = false
-		c.stepFn = nil
 		if len(m.parked) == 0 {
 			break
 		}

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"rocktm/internal/cps"
 )
@@ -410,4 +413,55 @@ func TestAsyncInterrupt(t *testing.T) {
 			t.Error("never observed an ASYNC abort with InterruptEvery=500")
 		}
 	})
+}
+
+// runPanic runs m.Run(body) and returns the value it panicked with (nil if
+// it returned normally).
+func runPanic(m *Machine, body func(*Strand)) (r any) {
+	defer func() { r = recover() }()
+	m.Run(body)
+	return nil
+}
+
+// A body that calls Run on its own machine panics instead of corrupting
+// the scheduler state of the run it is part of.
+func TestRunRejectsReentry(t *testing.T) {
+	m := newTestMachine(1)
+	var inner any
+	m.Run(func(s *Strand) {
+		inner = runPanic(m, func(*Strand) {})
+	})
+	if inner != "sim: Run re-entered" {
+		t.Fatalf("nested Run panicked with %v, want \"sim: Run re-entered\"", inner)
+	}
+}
+
+// A body that trips the MaxCycles livelock guard makes Run panic on the
+// caller's goroutine rather than deadlock, and every other strand's
+// coroutine — parked mid-body or never started — is released, so a failed
+// run leaks no goroutines. The machine is usable for another Run.
+func TestRunLivelockPanicsWithoutLeak(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := DefaultConfig(8)
+	cfg.MemWords = 1 << 16
+	cfg.MaxCycles = 100_000
+	m := New(cfg)
+	r := runPanic(m, func(s *Strand) {
+		for {
+			s.Advance(10) // spins forever in virtual time
+		}
+	})
+	msg, _ := r.(string)
+	if !strings.Contains(msg, "exceeded MaxCycles") {
+		t.Fatalf("Run panicked with %v, want the MaxCycles guard", r)
+	}
+	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines leaked by the failed run", after-before)
+	}
+	if r := runPanic(m, func(*Strand) {}); r != nil {
+		t.Fatalf("Run after a failed run panicked: %v", r)
+	}
 }

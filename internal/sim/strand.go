@@ -56,7 +56,7 @@ type Strand struct {
 	// Coroutine plumbing, owned by Machine.Run: yield suspends this
 	// strand's body and returns control to the driver loop; resume
 	// re-enters the body; cancel retires the coroutine once the body has
-	// returned.
+	// returned, or abandons it when Run unwinds from another strand's panic.
 	yield  func(struct{}) bool
 	resume func() (struct{}, bool)
 	cancel func()
@@ -72,19 +72,6 @@ type Strand struct {
 	// inlined advance fast path is a single compare. advanceSlow sorts out
 	// which deadline actually fired and recomputes the fold.
 	limit int64
-
-	// Continuation-driver state (Machine.RunStepped). stepped marks the
-	// strand as driven by a step body: crossing yieldLimit records a
-	// pending yield and returns to the caller instead of switching stacks.
-	// When a yield fires mid-operation, yieldPending tells the operation to
-	// bail out before any side effect, and chargeDebt remembers the advance
-	// charge the driver must undo before re-invoking the step body — the
-	// re-invoked operation re-charges it, so parking keys and resumed
-	// clocks are bit-identical to the coroutine driver's.
-	stepped      bool
-	yieldPending bool
-	chargeDebt   int64
-	stepFn       StepFn
 
 	rng rng
 	l1  *l1Cache
@@ -187,14 +174,6 @@ func (s *Strand) RandIntn(n int) int { return s.rng.Intn(n) }
 // Advance charges n cycles of pure compute (no memory traffic).
 func (s *Strand) Advance(n int64) { s.advance(n) }
 
-// YieldPending reports whether the last simulated operation was interrupted
-// by a pending yield under the continuation driver (Machine.RunStepped).
-// When true, the operation performed no side effect beyond its (soon to be
-// undone) cycle charge and its zero-value results are meaningless; the step
-// body must return control to the driver and re-invoke the same operation
-// when resumed. Always false under the coroutine driver.
-func (s *Strand) YieldPending() bool { return s.yieldPending }
-
 // advance is the per-event hot path: it is small enough to inline into
 // every memory-operation method, so the common case costs one add and one
 // compare. The checks the old per-advance code did unconditionally
@@ -203,21 +182,13 @@ func (s *Strand) YieldPending() bool { return s.yieldPending }
 func (s *Strand) advance(n int64) {
 	s.clock += n
 	if s.clock > s.limit {
-		s.advanceSlow(n)
+		s.advanceSlow()
 	}
 }
 
 // advanceSlow handles a crossed deadline, in the same order the checks ran
 // when they were unconditional: MaxCycles guard, interrupt delivery, yield.
-// n is the charge the enclosing advance just applied; under the
-// continuation driver a yield records it as chargeDebt so the driver can
-// undo it before re-invoking the interrupted operation.
-func (s *Strand) advanceSlow(n int64) {
-	if s.yieldPending {
-		// Tripwire for a step-body discipline bug: a simulated operation ran
-		// after an earlier operation already recorded a pending yield.
-		panic(fmt.Sprintf("sim: strand %d performed a simulated operation past a pending yield", s.id))
-	}
+func (s *Strand) advanceSlow() {
 	if max := s.m.cfg.MaxCycles; max > 0 && s.clock > max {
 		panic(fmt.Sprintf("sim: strand %d exceeded MaxCycles=%d (virtual livelock?)", s.id, max))
 	}
@@ -228,14 +199,6 @@ func (s *Strand) advanceSlow(n int64) {
 		}
 	}
 	if s.clock > s.yieldLimit {
-		if s.stepped {
-			// Continuation driver: record the yield and the charge to undo;
-			// the interrupted operation bails out before any side effect and
-			// control returns to RunStepped's loop through ordinary returns.
-			s.yieldPending = true
-			s.chargeDebt = n
-			return
-		}
 		// The driver's grant() recomputes the folded limit (after any
 		// nextInterrupt update above) when it resumes us, so there is
 		// nothing left to refresh here.
@@ -261,9 +224,27 @@ func (s *Strand) recomputeLimit() {
 // yieldBaton hands the baton back to Machine.Run's driver loop once we
 // have run a full quantum ahead of the laggard; the driver parks this
 // strand and resumes the laggard. The call returns when the driver next
-// resumes us.
+// resumes us. yield reports false only when Run is unwinding after another
+// strand's panic and has stopped this coroutine; the body is then abandoned.
 func (s *Strand) yieldBaton() {
-	s.yield(struct{}{})
+	if !s.yield(struct{}{}) {
+		panic(strandStopped{})
+	}
+}
+
+// strandStopped unwinds the body of a strand whose coroutine Run stopped.
+type strandStopped struct{}
+
+// stop retires s's coroutine, swallowing the strandStopped unwind of a body
+// parked in yieldBaton. A coroutine that never started returns at once; one
+// that already finished or panicked is unaffected.
+func (s *Strand) stop() {
+	defer func() {
+		if r := recover(); r != nil && r != any(strandStopped{}) {
+			panic(r)
+		}
+	}()
+	s.cancel()
 }
 
 // ---- Translation ----
@@ -502,9 +483,6 @@ func (s *Strand) ntTouch() {
 func (s *Strand) Load(a Addr) Word {
 	s.assertNoTxn("Load")
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return 0
-	}
 	s.stats.Loads++
 	line := LineOf(a)
 	p := PageOf(a)
@@ -529,9 +507,6 @@ func (s *Strand) Load(a Addr) Word {
 func (s *Strand) Store(a Addr, w Word) {
 	s.assertNoTxn("Store")
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return
-	}
 	s.stats.Stores++
 	line := LineOf(a)
 	p := PageOf(a)
@@ -558,9 +533,6 @@ func (s *Strand) Store(a Addr, w Word) {
 func (s *Strand) CAS(a Addr, old, new Word) (Word, bool) {
 	s.assertNoTxn("CAS")
 	s.advance(s.m.cfg.Costs.Op + s.m.cfg.Costs.CASExtra)
-	if s.yieldPending {
-		return 0, false
-	}
 	s.stats.CASes++
 	line := LineOf(a)
 	p := PageOf(a)
@@ -586,9 +558,6 @@ func (s *Strand) CAS(a Addr, old, new Word) (Word, bool) {
 func (s *Strand) Add(a Addr, delta Word) Word {
 	s.assertNoTxn("Add")
 	s.advance(s.m.cfg.Costs.Op + s.m.cfg.Costs.CASExtra)
-	if s.yieldPending {
-		return 0
-	}
 	s.stats.CASes++
 	line := LineOf(a)
 	p := PageOf(a)
@@ -610,9 +579,6 @@ func (s *Strand) Add(a Addr, delta Word) Word {
 // the predictor is wrong.
 func (s *Strand) Branch(pc uint32, taken bool) {
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return
-	}
 	if s.bp.predict(pc, taken) {
 		s.stats.Mispredicts++
 		s.clock += s.m.cfg.Costs.Mispredict
@@ -623,9 +589,6 @@ func (s *Strand) Branch(pc uint32, taken bool) {
 // ITLB on a miss (outside transactions the walk just costs time).
 func (s *Strand) Exec(codePage int32) {
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return
-	}
 	pg := &s.m.mem.pages[codePage]
 	if !s.mmu.itlb.lookup(codePage, pg.gen) {
 		s.clock += s.m.cfg.Costs.TLBWalk

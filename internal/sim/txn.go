@@ -80,9 +80,6 @@ func (s *Strand) TxBegin() {
 		panic("sim: nested TxBegin")
 	}
 	s.advance(s.m.cfg.Costs.Chkpt)
-	if s.yieldPending {
-		return
-	}
 	t := &s.tx
 	t.active = true
 	t.doomed = 0
@@ -186,9 +183,6 @@ func (s *Strand) TxAbortTrap() {
 		panic("sim: TxAbortTrap outside transaction")
 	}
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return
-	}
 	s.txAbort(tccBit)
 }
 
@@ -210,9 +204,6 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 		panic("sim: TxLoad outside transaction")
 	}
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return 0, false
-	}
 	s.stats.Loads++
 	if s.flt != nil {
 		s.flt.onTxAccess(s) // injected ASYNC/COH dooms, delivered below
@@ -340,9 +331,6 @@ func (s *Strand) TxStore(a Addr, w Word) bool {
 		panic("sim: TxStore outside transaction")
 	}
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return false
-	}
 	s.stats.Stores++
 	if s.flt != nil {
 		s.flt.onTxAccess(s) // injected ASYNC/COH dooms, delivered below
@@ -477,9 +465,6 @@ func (s *Strand) TxBranch(pc uint32, taken bool, dependsOnLoad bool) bool {
 		panic("sim: TxBranch outside transaction")
 	}
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return false
-	}
 	if s.checkDoom() {
 		return false
 	}
@@ -517,9 +502,6 @@ func (s *Strand) TxSaveRestore() bool {
 		panic("sim: TxSaveRestore outside transaction")
 	}
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return false
-	}
 	s.txAbort(instBit)
 	return false
 }
@@ -527,9 +509,6 @@ func (s *Strand) TxSaveRestore() bool {
 // TxUnsupported models any other instruction unsupported in transactions.
 func (s *Strand) TxUnsupported() bool {
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return false
-	}
 	s.txAbort(instBit)
 	return false
 }
@@ -539,9 +518,6 @@ func (s *Strand) TxUnsupported() bool {
 // of its hash function (Section 7.2).
 func (s *Strand) TxDiv() bool {
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return false
-	}
 	s.txAbort(fpBit)
 	return false
 }
@@ -550,9 +526,6 @@ func (s *Strand) TxDiv() bool {
 // CPS=TCC; if not taken execution continues.
 func (s *Strand) TxTrap(taken bool) bool {
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return false
-	}
 	if taken {
 		s.txAbort(tccBit)
 		return false
@@ -564,9 +537,6 @@ func (s *Strand) TxTrap(taken bool) bool {
 // ITLB miss takes a precise exception (CPS=PREC).
 func (s *Strand) TxExec(codePage int32) bool {
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return false
-	}
 	if s.checkDoom() {
 		return false
 	}
@@ -583,9 +553,6 @@ func (s *Strand) TxExec(codePage int32) bool {
 // this model, a documented divergence).
 func (s *Strand) TxStackWrite() {
 	s.advance(s.m.cfg.Costs.Op)
-	if s.yieldPending {
-		return
-	}
 	s.tx.stackWrites++
 }
 
@@ -604,9 +571,6 @@ func (s *Strand) TxCommit() bool {
 		commitCost += int64(len(t.storeAddrs)) * s.m.cfg.Costs.CommitPerStore
 	}
 	s.advance(commitCost)
-	if s.yieldPending {
-		return false
-	}
 	if s.checkDoom() {
 		return false
 	}

@@ -42,7 +42,6 @@ type System struct {
 	stats   *core.Stats
 	byID    []*Txn
 	hwByID  []core.Ctx // per-strand pre-boxed *HW (see HWCtx)
-	steps   core.PerStrand[skyStep]
 }
 
 // New builds a Sky system for machine m with the default orec-table size.
@@ -88,11 +87,6 @@ type Txn struct {
 	sys *System
 	s   *sim.Strand
 
-	// log journals the barriers' simulated operations under the
-	// continuation driver (nil on the coroutine path). A system must not
-	// mix drivers within one machine run.
-	log *core.OpLog
-
 	readIdx    []uint32 // orec indices announced by this transaction
 	writeAddrs []sim.Addr
 	writeVals  []sim.Word
@@ -112,7 +106,6 @@ func (y *System) ctxFor(s *sim.Strand) *Txn {
 // Atomic implements core.System.
 func (y *System) Atomic(s *sim.Strand, body func(core.Ctx)) {
 	c := y.ctxFor(s)
-	c.log = nil // coroutine path never journals
 	for attempt := 0; ; attempt++ {
 		c.begin()
 		ok := stm.RunAttempt(body, c)
@@ -155,71 +148,38 @@ func (c *Txn) announced(idx uint32) bool {
 func (c *Txn) Load(a sim.Addr) sim.Word {
 	for i := len(c.writeAddrs) - 1; i >= 0; i-- {
 		if c.writeAddrs[i] == a {
-			c.adv(bookkeepCost)
+			c.s.Advance(bookkeepCost)
 			return c.writeVals[i]
 		}
 	}
 	idx := c.sys.orecs.Index(a)
 	if !c.announced(idx) {
-		c.add(c.sys.shardAddr(idx, c.s.ID()), 1)
+		c.s.Add(c.sys.shardAddr(idx, c.s.ID()), 1)
 		c.readIdx = append(c.readIdx, idx)
 	}
 	orec := c.sys.orecs.OrecOf(a)
-	if stm.Locked(c.ld(orec)) && !c.ownsOrec(orec) {
+	if stm.Locked(c.s.Load(orec)) && !c.ownsOrec(orec) {
 		stm.Abort()
 	}
-	c.adv(bookkeepCost)
-	return c.ld(a)
-}
-
-// ld, add, adv and br route a barrier's simulated operations through the
-// OpLog under the continuation driver, straight to the strand otherwise.
-func (c *Txn) ld(a sim.Addr) sim.Word {
-	if c.log != nil {
-		return c.log.Load(c.s, a)
-	}
+	c.s.Advance(bookkeepCost)
 	return c.s.Load(a)
-}
-
-func (c *Txn) add(a sim.Addr, delta sim.Word) {
-	if c.log != nil {
-		c.log.Add(c.s, a, delta)
-		return
-	}
-	c.s.Add(a, delta)
-}
-
-func (c *Txn) adv(n int64) {
-	if c.log != nil {
-		c.log.Advance(c.s, n)
-		return
-	}
-	c.s.Advance(n)
-}
-
-func (c *Txn) br(pc uint32, taken bool) {
-	if c.log != nil {
-		c.log.Branch(c.s, pc, taken)
-		return
-	}
-	c.s.Branch(pc, taken)
 }
 
 // Store implements core.Ctx: buffer until commit.
 func (c *Txn) Store(a sim.Addr, w sim.Word) {
 	c.writeAddrs = append(c.writeAddrs, a)
 	c.writeVals = append(c.writeVals, w)
-	c.adv(bookkeepCost + 1)
+	c.s.Advance(bookkeepCost + 1)
 }
 
 // Branch implements core.Ctx.
-func (c *Txn) Branch(pc uint32, taken bool, _ bool) { c.br(pc, taken) }
+func (c *Txn) Branch(pc uint32, taken bool, _ bool) { c.s.Branch(pc, taken) }
 
 // Div implements core.Ctx.
-func (c *Txn) Div() { c.adv(core.DivCost) }
+func (c *Txn) Div() { c.s.Advance(core.DivCost) }
 
 // Call implements core.Ctx.
-func (c *Txn) Call() { c.adv(core.CallCost) }
+func (c *Txn) Call() { c.s.Advance(core.CallCost) }
 
 // Strand implements core.Ctx.
 func (c *Txn) Strand() *sim.Strand { return c.s }
@@ -315,106 +275,47 @@ func (c *Txn) cleanup(failed bool) {
 type HW struct {
 	sys *System
 	t   rock.Txn
-
-	// log journals the instrumented accesses under the continuation driver
-	// (nil on the coroutine path); the hybrid's step machine sets it.
-	log *core.OpLog
 }
 
 // HWCtx implements stm.HybridSTM. The rock.Txn value is fully determined by
 // the strand, so the boxed *HW is built once per strand and cached: the
 // hybrid's retry loop re-fetches it allocation-free on every attempt.
 func (y *System) HWCtx(t rock.Txn) core.Ctx {
-	c := y.hwFor(t)
-	c.log = nil // coroutine path never journals
-	return c
-}
-
-// StepHWCtx implements stm.StepHybridSTM: the instrumented hardware
-// context with its accesses journaled in log for continuation-machine
-// body re-runs.
-func (y *System) StepHWCtx(t rock.Txn, log *core.OpLog) core.Ctx {
-	c := y.hwFor(t)
-	c.log = log
-	return c
-}
-
-func (y *System) hwFor(t rock.Txn) *HW {
 	id := t.Strand().ID()
 	c := y.hwByID[id]
 	if c == nil {
 		c = &HW{sys: y, t: t}
 		y.hwByID[id] = c
 	}
-	return c.(*HW)
-}
-
-// tld is the journaled transactional load of the instrumented context:
-// routed through rock.StepCtx under the continuation driver (replay served
-// from the log, yield interruptions bail it), through rock.Txn otherwise.
-func (h *HW) tld(a sim.Addr) sim.Word {
-	if h.log == nil {
-		return h.t.Load(a)
-	}
-	return rock.StepCtx{T: h.t, Log: h.log}.Load(a)
-}
-
-// tst is the journaled transactional store.
-func (h *HW) tst(a sim.Addr, w sim.Word) {
-	if h.log == nil {
-		h.t.Store(a, w)
-		return
-	}
-	rock.StepCtx{T: h.t, Log: h.log}.Store(a, w)
-}
-
-// tbr is the journaled transactional branch.
-func (h *HW) tbr(pc uint32, taken bool, dependsOnLoad bool) {
-	if h.log == nil {
-		h.t.Branch(pc, taken, dependsOnLoad)
-		return
-	}
-	rock.StepCtx{T: h.t, Log: h.log}.Branch(pc, taken, dependsOnLoad)
-}
-
-// tabort raises the explicit conflict abort. Under the continuation driver
-// it may return normally — when the trap was interrupted by a pending
-// yield (log bailed; the poisoned body unwinds by ordinary returns) — so
-// callers must tolerate falling through.
-func (h *HW) tabort() {
-	if h.log == nil {
-		h.t.Abort()
-		return
-	}
-	rock.StepCtx{T: h.t, Log: h.log}.Abort()
+	return c
 }
 
 // Load implements core.Ctx.
 func (h *HW) Load(a sim.Addr) sim.Word {
-	if stm.Locked(h.tld(h.sys.orecs.OrecOf(a))) {
-		h.tabort()
+	if stm.Locked(h.t.Load(h.sys.orecs.OrecOf(a))) {
+		h.t.Abort()
 	}
-	return h.tld(a)
+	return h.t.Load(a)
 }
 
 // Store implements core.Ctx: a hardware store must see no software writer
 // *or reader* on the line.
 func (h *HW) Store(a sim.Addr, w sim.Word) {
-	if stm.Locked(h.tld(h.sys.orecs.OrecOf(a))) {
-		h.tabort()
+	if stm.Locked(h.t.Load(h.sys.orecs.OrecOf(a))) {
+		h.t.Abort()
 	}
 	idx := h.sys.orecs.Index(a)
 	for sh := 0; sh < readerShards; sh++ {
-		if h.tld(h.sys.readers[sh]+sim.Addr(idx)) != 0 {
-			h.tabort()
+		if h.t.Load(h.sys.readers[sh]+sim.Addr(idx)) != 0 {
+			h.t.Abort()
 		}
 	}
-	h.tst(a, w)
+	h.t.Store(a, w)
 }
 
 // Branch implements core.Ctx.
 func (h *HW) Branch(pc uint32, taken bool, dependsOnLoad bool) {
-	h.tbr(pc, taken, dependsOnLoad)
+	h.t.Branch(pc, taken, dependsOnLoad)
 }
 
 // Div implements core.Ctx.

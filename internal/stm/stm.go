@@ -83,15 +83,6 @@ type HybridSTM interface {
 	HWCtx(t rock.Txn) core.Ctx
 }
 
-// StepHybridSTM is a HybridSTM that can also run under the continuation
-// driver: its atomic blocks step (core.StepSystem) and its instrumented
-// hardware context can journal its accesses for body re-runs.
-type StepHybridSTM interface {
-	HybridSTM
-	core.StepSystem
-	StepHWCtx(t rock.Txn, log *core.OpLog) core.Ctx
-}
-
 // retrySignal unwinds an aborted software transaction attempt.
 type retrySignal struct{}
 
@@ -115,31 +106,4 @@ func RunAttempt(body func(core.Ctx), c core.Ctx) (ok bool) {
 	}()
 	body(c)
 	return true
-}
-
-// RunStepAttempt is RunAttempt under the continuation driver: a body
-// interrupted by a pending yield bails its OpLog and returns normally, so
-// the attempt machine can yield and re-run the body against the journal.
-// A bailed log overrides everything else — any abort raised by the
-// poisoned remainder of the body is an artifact of the bail, not a real
-// outcome (the re-run decides). The recover keeps stm.Abort working and
-// core.YieldSignal as a backstop for unjournaled yield unwinds.
-func RunStepAttempt(body func(core.Ctx), c core.Ctx, l *core.OpLog) (ok, yielded bool) {
-	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case retrySignal:
-			ok = false
-		case core.YieldSignal:
-			yielded = true
-		default:
-			panic(r)
-		}
-		if l.Bailed() {
-			ok, yielded = false, true
-		}
-	}()
-	body(c)
-	ok = true
-	return
 }

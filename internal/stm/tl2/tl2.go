@@ -29,7 +29,6 @@ type System struct {
 	clock sim.Addr
 	stats *core.Stats
 	byID  []*Txn
-	steps core.PerStrand[tl2Step]
 }
 
 // New builds a TL2 system for machine m with the default orec-table size.
@@ -62,11 +61,6 @@ type Txn struct {
 	s   *sim.Strand
 	rv  sim.Word
 
-	// log journals the barriers' simulated operations under the
-	// continuation driver (nil on the coroutine path). A system must not
-	// mix drivers within one machine run.
-	log *core.OpLog
-
 	readOrecs  []sim.Addr
 	writeAddrs []sim.Addr
 	writeVals  []sim.Word
@@ -88,7 +82,6 @@ func (y *System) ctxFor(s *sim.Strand) *Txn {
 // until one commits.
 func (y *System) Atomic(s *sim.Strand, body func(core.Ctx)) {
 	c := y.ctxFor(s)
-	c.log = nil // coroutine path never journals
 	for attempt := 0; ; attempt++ {
 		c.begin()
 		ok := stm.RunAttempt(body, c)
@@ -123,7 +116,7 @@ func (c *Txn) Load(a sim.Addr) sim.Word {
 	// Read-own-writes.
 	for i := len(c.writeAddrs) - 1; i >= 0; i-- {
 		if c.writeAddrs[i] == a {
-			c.adv(bookkeepCost)
+			c.s.Advance(bookkeepCost)
 			return c.writeVals[i]
 		}
 	}
@@ -133,61 +126,36 @@ func (c *Txn) Load(a sim.Addr) sim.Word {
 	// enough — a write serialized before our snapshot may have *applied*
 	// after we loaded the data.
 	orec := c.sys.orecs.OrecOf(a)
-	o1 := c.ld(orec)
+	o1 := c.s.Load(orec)
 	if stm.Locked(o1) || stm.Version(o1) > c.rv {
 		stm.Abort()
 	}
-	val := c.ld(a)
-	o2 := c.ld(orec)
+	val := c.s.Load(a)
+	o2 := c.s.Load(orec)
 	if o2 != o1 {
 		stm.Abort()
 	}
 	c.readOrecs = append(c.readOrecs, orec)
-	c.adv(bookkeepCost)
+	c.s.Advance(bookkeepCost)
 	return val
-}
-
-// ld, adv and br route a barrier's simulated operations through the
-// OpLog under the continuation driver, straight to the strand otherwise.
-func (c *Txn) ld(a sim.Addr) sim.Word {
-	if c.log != nil {
-		return c.log.Load(c.s, a)
-	}
-	return c.s.Load(a)
-}
-
-func (c *Txn) adv(n int64) {
-	if c.log != nil {
-		c.log.Advance(c.s, n)
-		return
-	}
-	c.s.Advance(n)
-}
-
-func (c *Txn) br(pc uint32, taken bool) {
-	if c.log != nil {
-		c.log.Branch(c.s, pc, taken)
-		return
-	}
-	c.s.Branch(pc, taken)
 }
 
 // Store implements core.Ctx: buffer the write until commit.
 func (c *Txn) Store(a sim.Addr, w sim.Word) {
 	c.writeAddrs = append(c.writeAddrs, a)
 	c.writeVals = append(c.writeVals, w)
-	c.adv(bookkeepCost + 1)
+	c.s.Advance(bookkeepCost + 1)
 }
 
 // Branch implements core.Ctx (outside a hardware transaction a mispredict
 // just costs cycles).
-func (c *Txn) Branch(pc uint32, taken bool, _ bool) { c.br(pc, taken) }
+func (c *Txn) Branch(pc uint32, taken bool, _ bool) { c.s.Branch(pc, taken) }
 
 // Div implements core.Ctx.
-func (c *Txn) Div() { c.adv(core.DivCost) }
+func (c *Txn) Div() { c.s.Advance(core.DivCost) }
 
 // Call implements core.Ctx.
-func (c *Txn) Call() { c.adv(core.CallCost) }
+func (c *Txn) Call() { c.s.Advance(core.CallCost) }
 
 // Strand implements core.Ctx.
 func (c *Txn) Strand() *sim.Strand { return c.s }

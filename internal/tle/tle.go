@@ -149,7 +149,6 @@ type System struct {
 	stats    *core.Stats
 	enabled  bool
 	throttle *Throttle
-	steps    core.PerStrand[tleStep]
 }
 
 // New builds a TLE system over the given lock.
@@ -321,12 +320,6 @@ func (th *Throttle) leave(s *sim.Strand, took, contended bool) {
 	if took {
 		s.Add(th.active, ^sim.Word(0))
 	}
-	th.adjust(contended)
-}
-
-// adjust applies the limit rule after a block completes (the host-side
-// half of leave, shared with the continuation machine).
-func (th *Throttle) adjust(contended bool) {
 	if contended {
 		th.streak = 0
 		if th.limit > 1 {

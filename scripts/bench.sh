@@ -1,31 +1,30 @@
 #!/bin/sh
-# bench.sh — measure the hot-path trajectory of the PR 10 speed round and
-# record it in BENCH_PR10.json: cold serial fig2a, the tiny tail and fleet
-# experiments, and the in-process cell/latency benchmarks.
+# bench.sh — measure the simulator's hot-path trajectory on the current
+# tree: cold serial fig2a, the tiny tail and fleet experiments (each the
+# minimum of ROUNDS runs), and the in-process cell and latency-recorder
+# benchmarks. It writes a JSON record with two blocks, "host" and "after",
+# to the given path; scripts/benchgate.sh compares the "after" block with
+# the newest committed BENCH_PR*.json.
 #
-# PR 10 retired the coroutine handoff from the simulator hot path: the
-# continuation driver (sim.Machine.RunStepped) is now the default strand
-# scheduler for experiment cells, atomic-block bodies re-run against a
-# core.OpLog journal at yield points (bail, not panic), the Memory
-# backing pool scrubs to the allocator's true high-water mark, and
-# cmd/figures/default.pgo was re-trained on the stepped hot path. Golden
-# digests are byte-identical under both drivers; only wall-clock moves.
-#
-# The "before" and "headline" blocks in the JSON are pinned: they were
-# measured at the pre-PR commit (1a5bb58) with the pre/post binaries
-# alternated in one loop — the only protocol that cancels the 1-core
-# host's ±5-10% wall-clock drift. Re-running this script re-measures only
-# the "after" block on the current tree.
+# A speed claim needs more than this script: measure the pre- and
+# post-change binaries alternated in one loop on one host, the only
+# protocol that cancels the host's ±5-10% wall-clock drift.
 #
 # Commit stamping: "after.commit" is the actual HEAD at measurement time,
 # with a "+dirty" suffix when the worktree has uncommitted changes.
 #
-# Usage: scripts/bench.sh [output.json]
+# Usage: scripts/bench.sh output.json
+#   ROUNDS=5 scripts/bench.sh out.json    # more rounds per wall-clock
 
 set -eu
 
-out=${1:-BENCH_PR10.json}
+if [ $# -ne 1 ]; then
+    echo "usage: scripts/bench.sh output.json" >&2
+    exit 2
+fi
+out=$1
 ROUNDS=${ROUNDS:-3}
+case $out in /*) ;; *) out=$PWD/$out ;; esac
 cd "$(dirname "$0")/.."
 
 tmp=$(mktemp -d)
@@ -83,32 +82,12 @@ fi
 {
     cat <<EOF
 {
-  "pr": 10,
-  "title": "Continuation-machine scheduler: retire coroutine handoffs from the simulator hot path",
-  "protocol": "cold serial 'figures -exp fig2a -parallel 1 -no-cache' plus tiny tail/fleet, each min of $ROUNDS runs; in-process benchmarks via 'go test -bench'; headline from pre/post binaries alternated in one loop at the pinned commits",
   "host": {
     "goos": "$(go env GOOS)",
     "goarch": "$(go env GOARCH)",
     "go": "$(go env GOVERSION)",
     "cpu": "${cpu:-unknown}",
     "cores": $(nproc 2>/dev/null || echo 1)
-  },
-  "headline": {
-    "note": "interleaved pre/post, same host, same loop: cold serial fig2a min 2049->1951 ms (1.05x), tiny tail min 69->65 ms (1.06x), tiny fleet min 163->131 ms (1.24x), warm in-process fig2a cell ~15.1->12.4 ms/op (1.22x), isolated scheduler handoff 91-156 ns -> 3.5-18 ns (9-26x, BenchmarkSchedulerHandoff vs BenchmarkSchedulerHandoffStepped). fig2a misses the issue's 1.25x target: post-PR8 profiles put the coroutine machinery at ~16% of cold samples (not the ~28% PR 8's residual note estimated), and the OpLog journal that replaces it costs ~14% flat plus body re-execution per resume — the journal tax cancels most of the handoff win on sim-bound runs. See docs/PERFORMANCE.md ('The continuation scheduler') for the residual breakdown.",
-    "fig2a_pre_ms": [2223, 2177, 2200, 2091, 2049, 2092],
-    "fig2a_post_ms": [2138, 2203, 2013, 1951, 2049, 1998],
-    "fig2a_ratio_pre_over_post_min": 1.050,
-    "tail_tiny_pre_ms": [78, 69, 86, 78, 72, 69],
-    "tail_tiny_post_ms": [71, 65, 100, 67, 66, 72],
-    "fleet_tiny_pre_ms": [268, 169, 204, 172, 163, 173],
-    "fleet_tiny_post_ms": [136, 140, 132, 141, 131, 137]
-  },
-  "before": {
-    "commit": "1a5bb58",
-    "fig2a_cold_serial_ms": { "min": 2049, "runs_interleaved_with_post": [2223, 2177, 2200, 2091, 2049, 2092] },
-    "tail_tiny_cold_serial_ms": { "min": 69, "runs_interleaved_with_post": [78, 69, 86, 78, 72, 69] },
-    "fleet_tiny_cold_serial_ms": { "min": 163, "runs_interleaved_with_post": [268, 169, 204, 172, 163, 173] },
-    "fig2a_cell_allocs_per_op": 1357
   },
   "after": {
     "commit": "$commit",
