@@ -457,6 +457,17 @@ func validate(fl *cliFlags) ([]int, error) {
 			return nil, fmt.Errorf("-%s must be positive, got %d", f.name, f.v)
 		}
 	}
+	// Zero keeps its documented meaning for these three; a negative value
+	// would otherwise fall through to that meaning silently.
+	if *fl.parallel < 0 {
+		return nil, fmt.Errorf("-parallel must not be negative, got %d (0 = GOMAXPROCS)", *fl.parallel)
+	}
+	if *fl.cellTime < 0 {
+		return nil, fmt.Errorf("-cell-timeout must not be negative, got %v (0 = none)", *fl.cellTime)
+	}
+	if *fl.tlWindow < 0 {
+		return nil, fmt.Errorf("-timeline-window must not be negative, got %d (0 = default)", *fl.tlWindow)
+	}
 	return parseThreads(*fl.threads)
 }
 

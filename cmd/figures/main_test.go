@@ -127,8 +127,9 @@ func TestFlagSurfaceCarriesTimeline(t *testing.T) {
 // Out-of-range numeric flags are usage errors naming the flag, caught
 // before any cell runs: a thread count past sim.MaxStrands used to panic
 // inside a cell, and non-positive sizes used to print empty or all-zero
-// figures. The strand scheduler is not a command-line choice: -sched is an
-// unknown flag.
+// figures. Negative -parallel, -cell-timeout and -timeline-window are
+// rejected; zero keeps its documented meaning. The strand scheduler is not
+// a command-line choice: -sched is an unknown flag.
 func TestInvalidFlagsRejected(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -145,6 +146,10 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{[]string{"-msf-dim", "0"}, "-msf-dim"},
 		{[]string{"-msf-dim", "-4"}, "-msf-dim"},
 		{[]string{"-profile-ops", "0"}, "-profile-ops"},
+		{[]string{"-parallel", "0", "-cell-timeout", "0", "-timeline-window", "0"}, ""},
+		{[]string{"-parallel", "-3"}, "-parallel"},
+		{[]string{"-cell-timeout", "-1s"}, "-cell-timeout"},
+		{[]string{"-timeline-window", "-5", "-timeline", "f.json"}, "-timeline-window"},
 		{[]string{"-sched", "step"}, "-sched"},
 	}
 	for _, c := range cases {

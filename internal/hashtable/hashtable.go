@@ -2,19 +2,14 @@
 // a large bucket array (2^17 buckets in the paper's runs) of singly linked
 // chains, sized so that chains are almost always empty or a single node and
 // the common case stays simple. Operations are written once against
-// core.Ctx and run under any synchronization system.
+// core.Ctx; the same kernel runs under every synchronization system.
 package hashtable
 
 import (
 	"rocktm/internal/alloc"
 	"rocktm/internal/core"
-	"rocktm/internal/rock"
 	"rocktm/internal/sim"
-	"rocktm/internal/stm/sky"
-	"rocktm/internal/stm/tl2"
 )
-
-//go:generate go run rocktm/cmd/ctxgen
 
 // Node layout (line-aligned, one node per cache line):
 const (
@@ -83,9 +78,8 @@ func (t *Table) Lookup(c core.Ctx, key uint64) (sim.Word, bool) {
 	}
 }
 
-// Insert adds key→val. The transactional part expects a pre-allocated,
-// pre-initialized node; use the InsertOp wrapper for the full
-// allocate-execute-reclaim cycle.
+// insert links a pre-allocated, pre-initialized node under key; use the
+// InsertOp wrapper for the full allocate-execute-reclaim cycle.
 func (t *Table) insert(c core.Ctx, key uint64, node sim.Addr) bool {
 	b := t.bucketAddr(key)
 	head := c.Load(b)
@@ -136,63 +130,6 @@ func (t *Table) delete(c core.Ctx, key uint64) sim.Addr {
 	}
 }
 
-// The xxxCtx dispatchers route one operation to the devirtualized kernel
-// copy for c's concrete type (specialized_gen.go, maintained by
-// cmd/ctxgen): one type test per transaction body buys direct, inlinable
-// Load/Store/Branch calls on the chain walk. Every case performs the
-// identical simulated operations — the golden cycle-identity tests pin it.
-
-func (t *Table) lookupCtx(c core.Ctx, key uint64) (sim.Word, bool) {
-	switch cc := c.(type) {
-	case rock.Ctx:
-		return t.lookupRock(cc, key)
-	case *sky.HW:
-		return t.lookupSkyHW(cc, key)
-	case *tl2.Txn:
-		return t.lookupTL2(cc, key)
-	case *sky.Txn:
-		return t.lookupSky(cc, key)
-	case core.Raw:
-		return t.lookupRaw(cc, key)
-	default:
-		return t.Lookup(c, key)
-	}
-}
-
-func (t *Table) insertCtx(c core.Ctx, key uint64, node sim.Addr) bool {
-	switch cc := c.(type) {
-	case rock.Ctx:
-		return t.insertRock(cc, key, node)
-	case *sky.HW:
-		return t.insertSkyHW(cc, key, node)
-	case *tl2.Txn:
-		return t.insertTL2(cc, key, node)
-	case *sky.Txn:
-		return t.insertSky(cc, key, node)
-	case core.Raw:
-		return t.insertRaw(cc, key, node)
-	default:
-		return t.insert(c, key, node)
-	}
-}
-
-func (t *Table) deleteCtx(c core.Ctx, key uint64) sim.Addr {
-	switch cc := c.(type) {
-	case rock.Ctx:
-		return t.deleteRock(cc, key)
-	case *sky.HW:
-		return t.deleteSkyHW(cc, key)
-	case *tl2.Txn:
-		return t.deleteTL2(cc, key)
-	case *sky.Txn:
-		return t.deleteSky(cc, key)
-	case core.Raw:
-		return t.deleteRaw(cc, key)
-	default:
-		return t.delete(c, key)
-	}
-}
-
 // InsertOp performs a complete insert of key→val under system sys:
 // allocate and initialize the node outside the transaction, link it inside,
 // reclaim it if the key turned out to be present. It reports whether the
@@ -203,7 +140,7 @@ func (t *Table) InsertOp(sys core.System, s *sim.Strand, key uint64, val sim.Wor
 	s.Store(node+fVal, val)
 	inserted := false
 	sys.Atomic(s, func(c core.Ctx) {
-		inserted = t.insertCtx(c, key, node)
+		inserted = t.insert(c, key, node)
 	})
 	if !inserted {
 		t.pool.Put(s, node)
@@ -217,7 +154,7 @@ func (t *Table) InsertOp(sys core.System, s *sim.Strand, key uint64, val sim.Wor
 func (t *Table) DeleteOp(sys core.System, s *sim.Strand, key uint64) bool {
 	var removed sim.Addr
 	sys.Atomic(s, func(c core.Ctx) {
-		removed = t.deleteCtx(c, key)
+		removed = t.delete(c, key)
 	})
 	if removed != 0 {
 		t.pool.Put(s, removed)
@@ -231,7 +168,7 @@ func (t *Table) LookupOp(sys core.System, s *sim.Strand, key uint64) (sim.Word, 
 	var v sim.Word
 	var ok bool
 	sys.AtomicRO(s, func(c core.Ctx) {
-		v, ok = t.lookupCtx(c, key)
+		v, ok = t.Lookup(c, key)
 	})
 	return v, ok
 }
@@ -263,9 +200,9 @@ type Session struct {
 // NewSession builds the reusable operation context for strand s under sys.
 func (t *Table) NewSession(sys core.System, s *sim.Strand) *Session {
 	ss := &Session{t: t, sys: sys, s: s}
-	ss.lookupFn = func(c core.Ctx) { ss.v, ss.ok = ss.t.lookupCtx(c, ss.key) }
-	ss.insertFn = func(c core.Ctx) { ss.inserted = ss.t.insertCtx(c, ss.key, ss.node) }
-	ss.deleteFn = func(c core.Ctx) { ss.removed = ss.t.deleteCtx(c, ss.key) }
+	ss.lookupFn = func(c core.Ctx) { ss.v, ss.ok = ss.t.Lookup(c, ss.key) }
+	ss.insertFn = func(c core.Ctx) { ss.inserted = ss.t.insert(c, ss.key, ss.node) }
+	ss.deleteFn = func(c core.Ctx) { ss.removed = ss.t.delete(c, ss.key) }
 	return ss
 }
 
@@ -353,13 +290,13 @@ func (t *Table) AllocNode(s *sim.Strand, key uint64, val sim.Word) sim.Addr {
 
 // InsertNode links a prepared node inside the caller's atomic context.
 func (t *Table) InsertNode(c core.Ctx, key uint64, node sim.Addr) bool {
-	return t.insertCtx(c, key, node)
+	return t.insert(c, key, node)
 }
 
 // DeleteNode unlinks key inside the caller's atomic context, returning the
 // freed node (0 if absent).
 func (t *Table) DeleteNode(c core.Ctx, key uint64) sim.Addr {
-	return t.deleteCtx(c, key)
+	return t.delete(c, key)
 }
 
 // FreeNode returns a node to the pool (outside any transaction).

@@ -4,19 +4,16 @@
 // hard case for best-effort HTM: transactions are longer, have chained data
 // dependencies (each child pointer feeds the next load), and traversal
 // branches confound the branch predictor, all of which the simulator
-// faithfully punishes.
+// faithfully punishes. Operations are written once against core.Ctx; the
+// same kernel runs under every synchronization system and, through
+// core.Setup, for uncharged prepopulation.
 package rbtree
 
 import (
 	"rocktm/internal/alloc"
 	"rocktm/internal/core"
-	"rocktm/internal/rock"
 	"rocktm/internal/sim"
-	"rocktm/internal/stm/sky"
-	"rocktm/internal/stm/tl2"
 )
-
-//go:generate go run rocktm/cmd/ctxgen
 
 // Node layout (one cache line per node).
 const (
@@ -383,64 +380,6 @@ func (t *Tree) deleteFixup(c core.Ctx, x, xp sim.Word) {
 	}
 }
 
-// The xxxCtx dispatchers route one operation to the devirtualized kernel
-// copy for c's concrete type (specialized_gen.go, maintained by
-// cmd/ctxgen). The type switch costs one type test per transaction body;
-// in exchange the whole walk runs on direct, inlinable Load/Store/Branch
-// calls instead of per-access interface dispatch. Every case performs the
-// identical simulated operations — the golden cycle-identity tests pin it.
-
-func (t *Tree) lookupCtx(c core.Ctx, key uint64) (sim.Word, bool) {
-	switch cc := c.(type) {
-	case rock.Ctx:
-		return t.lookupRock(cc, key)
-	case *sky.HW:
-		return t.lookupSkyHW(cc, key)
-	case *tl2.Txn:
-		return t.lookupTL2(cc, key)
-	case *sky.Txn:
-		return t.lookupSky(cc, key)
-	case core.Raw:
-		return t.lookupRaw(cc, key)
-	default:
-		return t.Lookup(c, key)
-	}
-}
-
-func (t *Tree) insertCtx(c core.Ctx, key uint64, node sim.Addr) bool {
-	switch cc := c.(type) {
-	case rock.Ctx:
-		return t.insertRock(cc, key, node)
-	case *sky.HW:
-		return t.insertSkyHW(cc, key, node)
-	case *tl2.Txn:
-		return t.insertTL2(cc, key, node)
-	case *sky.Txn:
-		return t.insertSky(cc, key, node)
-	case core.Raw:
-		return t.insertRaw(cc, key, node)
-	default:
-		return t.insert(c, key, node)
-	}
-}
-
-func (t *Tree) deleteCtx(c core.Ctx, key uint64) sim.Addr {
-	switch cc := c.(type) {
-	case rock.Ctx:
-		return t.deleteRock(cc, key)
-	case *sky.HW:
-		return t.deleteSkyHW(cc, key)
-	case *tl2.Txn:
-		return t.deleteTL2(cc, key)
-	case *sky.Txn:
-		return t.deleteSky(cc, key)
-	case core.Raw:
-		return t.deleteRaw(cc, key)
-	default:
-		return t.delete(c, key)
-	}
-}
-
 // InsertOp performs a complete insert under system sys (allocate outside,
 // link inside, reclaim on unsuccessful insert).
 func (t *Tree) InsertOp(sys core.System, s *sim.Strand, key uint64, val sim.Word) bool {
@@ -452,7 +391,7 @@ func (t *Tree) InsertOp(sys core.System, s *sim.Strand, key uint64, val sim.Word
 	s.Store(node+fColor, 1)
 	inserted := false
 	sys.Atomic(s, func(c core.Ctx) {
-		inserted = t.insertCtx(c, key, node)
+		inserted = t.insert(c, key, node)
 	})
 	if !inserted {
 		t.pool.Put(s, node)
@@ -464,7 +403,7 @@ func (t *Tree) InsertOp(sys core.System, s *sim.Strand, key uint64, val sim.Word
 func (t *Tree) DeleteOp(sys core.System, s *sim.Strand, key uint64) bool {
 	var removed sim.Addr
 	sys.Atomic(s, func(c core.Ctx) {
-		removed = t.deleteCtx(c, key)
+		removed = t.delete(c, key)
 	})
 	if removed != 0 {
 		t.pool.Put(s, removed)
@@ -478,7 +417,7 @@ func (t *Tree) LookupOp(sys core.System, s *sim.Strand, key uint64) (sim.Word, b
 	var v sim.Word
 	var ok bool
 	sys.AtomicRO(s, func(c core.Ctx) {
-		v, ok = t.lookupCtx(c, key)
+		v, ok = t.Lookup(c, key)
 	})
 	return v, ok
 }
@@ -511,9 +450,9 @@ type Session struct {
 // NewSession builds the reusable operation context for strand s under sys.
 func (t *Tree) NewSession(sys core.System, s *sim.Strand) *Session {
 	ss := &Session{t: t, sys: sys, s: s}
-	ss.lookupFn = func(c core.Ctx) { ss.v, ss.ok = ss.t.lookupCtx(c, ss.key) }
-	ss.insertFn = func(c core.Ctx) { ss.inserted = ss.t.insertCtx(c, ss.key, ss.node) }
-	ss.deleteFn = func(c core.Ctx) { ss.removed = ss.t.deleteCtx(c, ss.key) }
+	ss.lookupFn = func(c core.Ctx) { ss.v, ss.ok = ss.t.Lookup(c, ss.key) }
+	ss.insertFn = func(c core.Ctx) { ss.inserted = ss.t.insert(c, ss.key, ss.node) }
+	ss.deleteFn = func(c core.Ctx) { ss.removed = ss.t.delete(c, ss.key) }
 	return ss
 }
 
@@ -667,13 +606,13 @@ func (t *Tree) AllocNode(s *sim.Strand, key uint64, val sim.Word) sim.Addr {
 // InsertNode links a prepared node under key inside the caller's atomic
 // context, reporting whether the key was absent.
 func (t *Tree) InsertNode(c core.Ctx, key uint64, node sim.Addr) bool {
-	return t.insertCtx(c, key, node)
+	return t.insert(c, key, node)
 }
 
 // DeleteNode unlinks key inside the caller's atomic context, returning the
 // freed node (0 if absent); the caller reclaims it after committing.
 func (t *Tree) DeleteNode(c core.Ctx, key uint64) sim.Addr {
-	return t.deleteCtx(c, key)
+	return t.delete(c, key)
 }
 
 // FreeNode returns a node to the pool (outside any transaction).

@@ -40,8 +40,8 @@ type System struct {
 	orecs   stm.OrecTable
 	readers [readerShards]sim.Addr // shard tables, each orecs.Size() words
 	stats   *core.Stats
-	byID    []*Txn
-	hwByID  []core.Ctx // per-strand pre-boxed *HW (see HWCtx)
+	byID    []*txn
+	hwByID  []core.Ctx // per-strand pre-boxed *hw (see HWCtx)
 }
 
 // New builds a Sky system for machine m with the default orec-table size.
@@ -53,7 +53,7 @@ func NewSized(m *sim.Machine, n int) *System {
 		name:   "stm",
 		orecs:  stm.NewOrecTable(m.Mem(), n),
 		stats:  core.NewStats(),
-		byID:   make([]*Txn, m.Config().Strands),
+		byID:   make([]*txn, m.Config().Strands),
 		hwByID: make([]core.Ctx, m.Config().Strands),
 	}
 	for i := range sys.readers {
@@ -82,8 +82,8 @@ func (y *System) shardAddr(idx uint32, strand int) sim.Addr {
 	return y.readers[strand%readerShards] + sim.Addr(idx)
 }
 
-// Txn is the per-strand transaction descriptor.
-type Txn struct {
+// txn is the per-strand transaction descriptor.
+type txn struct {
 	sys *System
 	s   *sim.Strand
 
@@ -94,10 +94,10 @@ type Txn struct {
 	lockPrev   []sim.Word
 }
 
-func (y *System) ctxFor(s *sim.Strand) *Txn {
+func (y *System) ctxFor(s *sim.Strand) *txn {
 	c := y.byID[s.ID()]
 	if c == nil {
-		c = &Txn{sys: y, s: s}
+		c = &txn{sys: y, s: s}
 		y.byID[s.ID()] = c
 	}
 	return c
@@ -126,7 +126,7 @@ func (y *System) Atomic(s *sim.Strand, body func(core.Ctx)) {
 // AtomicRO implements core.System.
 func (y *System) AtomicRO(s *sim.Strand, body func(core.Ctx)) { y.Atomic(s, body) }
 
-func (c *Txn) begin() {
+func (c *txn) begin() {
 	c.readIdx = c.readIdx[:0]
 	c.writeAddrs = c.writeAddrs[:0]
 	c.writeVals = c.writeVals[:0]
@@ -134,7 +134,7 @@ func (c *Txn) begin() {
 	c.lockPrev = c.lockPrev[:0]
 }
 
-func (c *Txn) announced(idx uint32) bool {
+func (c *txn) announced(idx uint32) bool {
 	for _, r := range c.readIdx {
 		if r == idx {
 			return true
@@ -145,7 +145,7 @@ func (c *Txn) announced(idx uint32) bool {
 
 // Load implements core.Ctx: announce readership of the orec (first touch
 // only), verify no writer holds it, then read.
-func (c *Txn) Load(a sim.Addr) sim.Word {
+func (c *txn) Load(a sim.Addr) sim.Word {
 	for i := len(c.writeAddrs) - 1; i >= 0; i-- {
 		if c.writeAddrs[i] == a {
 			c.s.Advance(bookkeepCost)
@@ -166,25 +166,25 @@ func (c *Txn) Load(a sim.Addr) sim.Word {
 }
 
 // Store implements core.Ctx: buffer until commit.
-func (c *Txn) Store(a sim.Addr, w sim.Word) {
+func (c *txn) Store(a sim.Addr, w sim.Word) {
 	c.writeAddrs = append(c.writeAddrs, a)
 	c.writeVals = append(c.writeVals, w)
 	c.s.Advance(bookkeepCost + 1)
 }
 
 // Branch implements core.Ctx.
-func (c *Txn) Branch(pc uint32, taken bool, _ bool) { c.s.Branch(pc, taken) }
+func (c *txn) Branch(pc uint32, taken bool, _ bool) { c.s.Branch(pc, taken) }
 
 // Div implements core.Ctx.
-func (c *Txn) Div() { c.s.Advance(core.DivCost) }
+func (c *txn) Div() { c.s.Advance(core.DivCost) }
 
 // Call implements core.Ctx.
-func (c *Txn) Call() { c.s.Advance(core.CallCost) }
+func (c *txn) Call() { c.s.Advance(core.CallCost) }
 
 // Strand implements core.Ctx.
-func (c *Txn) Strand() *sim.Strand { return c.s }
+func (c *txn) Strand() *sim.Strand { return c.s }
 
-func (c *Txn) ownsOrec(orec sim.Addr) bool {
+func (c *txn) ownsOrec(orec sim.Addr) bool {
 	for _, o := range c.lockOrecs {
 		if o == orec {
 			return true
@@ -197,7 +197,7 @@ func (c *Txn) ownsOrec(orec sim.Addr) bool {
 // writes and releases. Because writers wait out readers, readers need no
 // commit-time validation: a location once announced cannot change under
 // the reader.
-func (c *Txn) commit() bool {
+func (c *txn) commit() bool {
 	s := c.s
 	if len(c.writeAddrs) == 0 {
 		return true
@@ -252,7 +252,7 @@ func (c *Txn) commit() bool {
 
 // cleanup withdraws reader announcements and, after a failed attempt,
 // restores any orecs still held.
-func (c *Txn) cleanup(failed bool) {
+func (c *txn) cleanup(failed bool) {
 	if failed {
 		for i, orec := range c.lockOrecs {
 			c.s.Store(orec, c.lockPrev[i])
@@ -268,30 +268,30 @@ func (c *Txn) cleanup(failed bool) {
 
 // ---- HyTM hardware-path instrumentation ----
 
-// HW is the instrumented hardware context: each access checks the
+// hw is the instrumented hardware context: each access checks the
 // corresponding orec (and, for stores, the reader shards) inside the
 // hardware transaction, so software-side acquisitions and announcements
 // doom it through ordinary coherence.
-type HW struct {
+type hw struct {
 	sys *System
 	t   rock.Txn
 }
 
 // HWCtx implements stm.HybridSTM. The rock.Txn value is fully determined by
-// the strand, so the boxed *HW is built once per strand and cached: the
+// the strand, so the boxed *hw is built once per strand and cached: the
 // hybrid's retry loop re-fetches it allocation-free on every attempt.
 func (y *System) HWCtx(t rock.Txn) core.Ctx {
 	id := t.Strand().ID()
 	c := y.hwByID[id]
 	if c == nil {
-		c = &HW{sys: y, t: t}
+		c = &hw{sys: y, t: t}
 		y.hwByID[id] = c
 	}
 	return c
 }
 
 // Load implements core.Ctx.
-func (h *HW) Load(a sim.Addr) sim.Word {
+func (h *hw) Load(a sim.Addr) sim.Word {
 	if stm.Locked(h.t.Load(h.sys.orecs.OrecOf(a))) {
 		h.t.Abort()
 	}
@@ -300,7 +300,7 @@ func (h *HW) Load(a sim.Addr) sim.Word {
 
 // Store implements core.Ctx: a hardware store must see no software writer
 // *or reader* on the line.
-func (h *HW) Store(a sim.Addr, w sim.Word) {
+func (h *hw) Store(a sim.Addr, w sim.Word) {
 	if stm.Locked(h.t.Load(h.sys.orecs.OrecOf(a))) {
 		h.t.Abort()
 	}
@@ -314,15 +314,15 @@ func (h *HW) Store(a sim.Addr, w sim.Word) {
 }
 
 // Branch implements core.Ctx.
-func (h *HW) Branch(pc uint32, taken bool, dependsOnLoad bool) {
+func (h *hw) Branch(pc uint32, taken bool, dependsOnLoad bool) {
 	h.t.Branch(pc, taken, dependsOnLoad)
 }
 
 // Div implements core.Ctx.
-func (h *HW) Div() { h.t.Div() }
+func (h *hw) Div() { h.t.Div() }
 
 // Call implements core.Ctx.
-func (h *HW) Call() { h.t.Call() }
+func (h *hw) Call() { h.t.Call() }
 
 // Strand implements core.Ctx.
-func (h *HW) Strand() *sim.Strand { return h.t.Strand() }
+func (h *hw) Strand() *sim.Strand { return h.t.Strand() }

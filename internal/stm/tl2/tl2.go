@@ -28,7 +28,7 @@ type System struct {
 	orecs stm.OrecTable
 	clock sim.Addr
 	stats *core.Stats
-	byID  []*Txn
+	byID  []*txn
 }
 
 // New builds a TL2 system for machine m with the default orec-table size.
@@ -41,7 +41,7 @@ func NewSized(m *sim.Machine, n int) *System {
 		orecs: stm.NewOrecTable(m.Mem(), n),
 		clock: m.Mem().AllocLines(sim.WordsPerLine),
 		stats: core.NewStats(),
-		byID:  make([]*Txn, m.Config().Strands),
+		byID:  make([]*txn, m.Config().Strands),
 	}
 	return sys
 }
@@ -55,8 +55,8 @@ func (y *System) SetName(n string) { y.name = n }
 // Stats implements core.System.
 func (y *System) Stats() *core.Stats { return y.stats }
 
-// Txn is the per-strand transaction descriptor.
-type Txn struct {
+// txn is the per-strand transaction descriptor.
+type txn struct {
 	sys *System
 	s   *sim.Strand
 	rv  sim.Word
@@ -69,10 +69,10 @@ type Txn struct {
 	lockPrev  []sim.Word
 }
 
-func (y *System) ctxFor(s *sim.Strand) *Txn {
+func (y *System) ctxFor(s *sim.Strand) *txn {
 	c := y.byID[s.ID()]
 	if c == nil {
-		c = &Txn{sys: y, s: s}
+		c = &txn{sys: y, s: s}
 		y.byID[s.ID()] = c
 	}
 	return c
@@ -101,7 +101,7 @@ func (y *System) Atomic(s *sim.Strand, body func(core.Ctx)) {
 // AtomicRO implements core.System.
 func (y *System) AtomicRO(s *sim.Strand, body func(core.Ctx)) { y.Atomic(s, body) }
 
-func (c *Txn) begin() {
+func (c *txn) begin() {
 	c.rv = c.s.Load(c.sys.clock)
 	c.readOrecs = c.readOrecs[:0]
 	c.writeAddrs = c.writeAddrs[:0]
@@ -112,7 +112,7 @@ func (c *Txn) begin() {
 
 // Load implements core.Ctx: read the value, post-validate its orec against
 // the read version, log the orec.
-func (c *Txn) Load(a sim.Addr) sim.Word {
+func (c *txn) Load(a sim.Addr) sim.Word {
 	// Read-own-writes.
 	for i := len(c.writeAddrs) - 1; i >= 0; i-- {
 		if c.writeAddrs[i] == a {
@@ -141,7 +141,7 @@ func (c *Txn) Load(a sim.Addr) sim.Word {
 }
 
 // Store implements core.Ctx: buffer the write until commit.
-func (c *Txn) Store(a sim.Addr, w sim.Word) {
+func (c *txn) Store(a sim.Addr, w sim.Word) {
 	c.writeAddrs = append(c.writeAddrs, a)
 	c.writeVals = append(c.writeVals, w)
 	c.s.Advance(bookkeepCost + 1)
@@ -149,18 +149,18 @@ func (c *Txn) Store(a sim.Addr, w sim.Word) {
 
 // Branch implements core.Ctx (outside a hardware transaction a mispredict
 // just costs cycles).
-func (c *Txn) Branch(pc uint32, taken bool, _ bool) { c.s.Branch(pc, taken) }
+func (c *txn) Branch(pc uint32, taken bool, _ bool) { c.s.Branch(pc, taken) }
 
 // Div implements core.Ctx.
-func (c *Txn) Div() { c.s.Advance(core.DivCost) }
+func (c *txn) Div() { c.s.Advance(core.DivCost) }
 
 // Call implements core.Ctx.
-func (c *Txn) Call() { c.s.Advance(core.CallCost) }
+func (c *txn) Call() { c.s.Advance(core.CallCost) }
 
 // Strand implements core.Ctx.
-func (c *Txn) Strand() *sim.Strand { return c.s }
+func (c *txn) Strand() *sim.Strand { return c.s }
 
-func (c *Txn) ownsOrec(orec sim.Addr) bool {
+func (c *txn) ownsOrec(orec sim.Addr) bool {
 	for _, o := range c.lockOrecs {
 		if o == orec {
 			return true
@@ -172,7 +172,7 @@ func (c *Txn) ownsOrec(orec sim.Addr) bool {
 // commit runs the TL2 commit protocol: lock the write set's orecs, bump the
 // global clock, validate the read set, apply the writes, release with the
 // new version.
-func (c *Txn) commit() bool {
+func (c *txn) commit() bool {
 	s := c.s
 	// Read-only fast path.
 	if len(c.writeAddrs) == 0 {
@@ -228,7 +228,7 @@ func (c *Txn) commit() bool {
 // releaseLocks restores the previous orec values after a failed commit.
 // The committed flag distinguishes cleanup paths; on success locks were
 // already released at the new version.
-func (c *Txn) releaseLocks(committed bool) {
+func (c *txn) releaseLocks(committed bool) {
 	if committed {
 		return
 	}
