@@ -8,15 +8,35 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"rocktm/internal/cps"
 	"rocktm/internal/rock"
 	"rocktm/internal/sim"
 )
 
+// registerFlags declares the flag surface on fs and returns -iters.
+// Registration happens on an explicit FlagSet so tests can drive validate
+// without a real command line.
+func registerFlags(fs *flag.FlagSet) *int {
+	return fs.Int("iters", 200, "attempts per scenario")
+}
+
+// validate rejects an -iters value that would print empty tables.
+func validate(iters int) error {
+	if iters <= 0 {
+		return fmt.Errorf("-iters must be positive, got %d", iters)
+	}
+	return nil
+}
+
 func main() {
-	iters := flag.Int("iters", 200, "attempts per scenario")
+	iters := registerFlags(flag.CommandLine)
 	flag.Parse()
+	if err := validate(*iters); err != nil {
+		fmt.Fprintln(os.Stderr, "cpstest:", err)
+		os.Exit(2)
+	}
 
 	fmt.Println("cpstest: CPS register behaviour on the simulated Rock (R2 semantics)")
 	fmt.Println()

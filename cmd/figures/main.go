@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -166,17 +165,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 func main() {
 	fl := registerFlags(flag.CommandLine)
 	flag.Parse()
-
-	// Each experiment cell builds a fresh simulated machine whose word
-	// array and cache/TLB state are tens of megabytes of short-lived,
-	// pointer-free memory. The default GOGC=100 triggers a collection
-	// roughly once per cell for no recoverable benefit; quadrupling the
-	// target heap growth cuts several GC cycles from a full run while
-	// keeping the peak heap bounded (cells are serialized per worker).
-	// An explicit GOGC environment setting still wins.
-	if os.Getenv("GOGC") == "" {
-		debug.SetGCPercent(400)
-	}
 
 	threads, err := validate(fl)
 	if err != nil {

@@ -24,42 +24,89 @@ import (
 	"rocktm/internal/tle"
 )
 
-func main() {
-	var (
-		variant  = flag.String("variant", "opt-le", "seq | {orig,opt}-{sky,lock,le} | all (pool-parallel sweep)")
-		threads  = flag.Int("threads", 4, "worker threads")
-		dim      = flag.Int("dim", 64, "synthetic grid dimension")
-		extra    = flag.Float64("extra", 0.05, "extra shortcut-edge fraction")
-		seed     = flag.Uint64("seed", 1, "graph and run seed")
-		dimacs   = flag.String("dimacs", "", "DIMACS .gr file instead of a synthetic graph")
-		modeStr  = flag.String("mode", "sse", "chip mode: sse | se")
-		parallel = flag.Int("parallel", 0, "sweep workers for -variant all (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cache-dir", runner.DefaultCacheDir, "result cache directory for -variant all")
-		noCache  = flag.Bool("no-cache", false, "recompute every sweep cell")
-	)
-	flag.Parse()
+// cliFlags holds every command-line option. Registration happens on an
+// explicit FlagSet so tests can drive validate without a real command line.
+type cliFlags struct {
+	variant  *string
+	threads  *int
+	dim      *int
+	extra    *float64
+	seed     *uint64
+	dimacs   *string
+	mode     *string
+	parallel *int
+	cacheDir *string
+	noCache  *bool
+}
 
-	if *variant == "all" {
-		if *dimacs != "" {
+// registerFlags declares the full flag surface on fs.
+func registerFlags(fs *flag.FlagSet) *cliFlags {
+	return &cliFlags{
+		variant:  fs.String("variant", "opt-le", "seq | {orig,opt}-{sky,lock,le} | all (pool-parallel sweep)"),
+		threads:  fs.Int("threads", 4, "worker threads"),
+		dim:      fs.Int("dim", 64, "synthetic grid dimension"),
+		extra:    fs.Float64("extra", 0.05, "extra shortcut-edge fraction"),
+		seed:     fs.Uint64("seed", 1, "graph and run seed"),
+		dimacs:   fs.String("dimacs", "", "DIMACS .gr file instead of a synthetic graph"),
+		mode:     fs.String("mode", "sse", "chip mode: sse | se"),
+		parallel: fs.Int("parallel", 0, "sweep workers for -variant all (0 = GOMAXPROCS)"),
+		cacheDir: fs.String("cache-dir", runner.DefaultCacheDir, "result cache directory for -variant all"),
+		noCache:  fs.Bool("no-cache", false, "recompute every sweep cell"),
+	}
+}
+
+// validate checks every flag with a bounded range before any graph is
+// built, so out-of-range input is a usage error rather than a panic inside
+// the simulated machine or a silently substituted value. It returns the
+// chip mode -mode names.
+func validate(fl *cliFlags) (sim.Mode, error) {
+	if *fl.threads < 1 || *fl.threads > sim.MaxStrands {
+		return 0, fmt.Errorf("-threads must be in [1,%d], got %d", sim.MaxStrands, *fl.threads)
+	}
+	if *fl.dim <= 0 {
+		return 0, fmt.Errorf("-dim must be positive, got %d", *fl.dim)
+	}
+	if !(*fl.extra >= 0) {
+		return 0, fmt.Errorf("-extra must not be negative, got %v", *fl.extra)
+	}
+	if *fl.parallel < 0 {
+		return 0, fmt.Errorf("-parallel must not be negative, got %d (0 = GOMAXPROCS)", *fl.parallel)
+	}
+	switch *fl.mode {
+	case "sse":
+		return sim.SSE, nil
+	case "se":
+		return sim.SE, nil
+	}
+	return 0, fmt.Errorf("-mode must be sse or se, got %q", *fl.mode)
+}
+
+func main() {
+	fl := registerFlags(flag.CommandLine)
+	flag.Parse()
+	mode, err := validate(fl)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "msf:", err)
+		os.Exit(2)
+	}
+
+	if *fl.variant == "all" {
+		if *fl.dimacs != "" {
 			fatal(fmt.Errorf("-variant all supports synthetic graphs only"))
 		}
-		mode := sim.SSE
-		if *modeStr == "se" {
-			mode = sim.SE
-		}
-		pool := &runner.Pool{Workers: *parallel}
-		if !*noCache {
-			cache, err := runner.OpenCache(*cacheDir, runner.CacheVersion)
+		pool := &runner.Pool{Workers: *fl.parallel}
+		if !*fl.noCache {
+			cache, err := runner.OpenCache(*fl.cacheDir, runner.CacheVersion)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "msf: %v (continuing uncached)\n", err)
 			} else {
 				pool.Cache = cache
-				pool.Costs = runner.LoadCostModel(*cacheDir)
+				pool.Costs = runner.LoadCostModel(*fl.cacheDir)
 			}
 		}
 		mo := bench.MSFOptions{
-			Width: *dim, Height: *dim, Extra: *extra, Seed: *seed,
-			Threads: []int{*threads}, Mode: mode, Runner: pool,
+			Width: *fl.dim, Height: *fl.dim, Extra: *fl.extra, Seed: *fl.seed,
+			Threads: []int{*fl.threads}, Mode: mode, Runner: pool,
 		}
 		fig, err := bench.MSFSweepFigure(mo, nil)
 		if err != nil {
@@ -81,8 +128,8 @@ func main() {
 
 	var n int
 	var edges []graphgen.Edge
-	if *dimacs != "" {
-		f, err := os.Open(*dimacs)
+	if *fl.dimacs != "" {
+		f, err := os.Open(*fl.dimacs)
 		if err != nil {
 			fatal(err)
 		}
@@ -92,15 +139,13 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		n, edges = graphgen.RoadmapEdges(*dim, *dim, *extra, 1<<20, *seed)
+		n, edges = graphgen.RoadmapEdges(*fl.dim, *fl.dim, *fl.extra, 1<<20, *fl.seed)
 	}
 	fmt.Printf("graph: %d vertices, %d undirected edges\n", n, len(edges))
 
-	cfg := sim.DefaultConfig(*threads)
-	if *modeStr == "se" {
-		cfg.Mode = sim.SE
-	}
-	cfg.Seed = *seed
+	cfg := sim.DefaultConfig(*fl.threads)
+	cfg.Mode = mode
+	cfg.Seed = *fl.seed
 	cfg.MaxCycles = 1 << 48
 	need := 8*(2*len(edges)+2*n) + 16*n + 1<<21
 	cfg.MemWords = 1 << 22
@@ -112,10 +157,10 @@ func main() {
 
 	var v msf.Variant
 	var sys core.System
-	switch *variant {
+	switch *fl.variant {
 	case "seq":
 		v, sys = msf.Orig, locktm.NewSeq()
-		if *threads != 1 {
+		if *fl.threads != 1 {
 			fatal(fmt.Errorf("seq requires -threads 1"))
 		}
 	case "orig-sky":
@@ -131,7 +176,7 @@ func main() {
 	case "opt-le":
 		v, sys = msf.Opt, tle.New("le", tle.SpinAdapter{L: locktm.NewSpinLock(m.Mem())}, tle.DefaultPolicy())
 	default:
-		fatal(fmt.Errorf("unknown variant %q", *variant))
+		fatal(fmt.Errorf("unknown variant %q", *fl.variant))
 	}
 
 	r := msf.NewRunner(m, g, sys, v)
@@ -140,7 +185,7 @@ func main() {
 		fatal(err)
 	}
 	st := sys.Stats()
-	fmt.Printf("msf-%s x%d: weight=%d edges=%d trees=%d\n", *variant, *threads,
+	fmt.Printf("msf-%s x%d: weight=%d edges=%d trees=%d\n", *fl.variant, *fl.threads,
 		res.TotalWeight, res.Edges, res.Trees)
 	fmt.Printf("running time: %.6f simulated seconds (%.0f cycles)\n",
 		m.ElapsedSeconds(), float64(m.MaxClock()))

@@ -307,37 +307,44 @@ func TestEagerVMInPlaceCommitAndRollback(t *testing.T) {
 	}
 }
 
-// TestEagerVMRemoteConflictRollsBackBeforeRead: a conflicting reader must
-// never observe an eager writer's speculative in-place value — the
-// victim's undo log unrolls synchronously when it is doomed.
-func TestEagerVMRemoteConflictRollsBackBeforeRead(t *testing.T) {
-	m := newDesignMachine(2, DesignPoint("eagervm"))
-	x := m.Mem().Alloc(2*WordsPerLine, WordsPerLine)
-	m.Run(func(s *Strand) {
-		if s.ID() == 0 {
-			s.CAS(x, 0, 0)
-			s.TxBegin()
-			if !s.TxStore(x, 99) {
-				t.Errorf("eager store failed: %v", s.CPS())
-				return
+// TestLoadConflictDoomsWriterBeforeRead: a non-transactional load of a
+// line an active transaction has written dooms the writer with exactly
+// COH (requester wins), and the reader sees the old value. Under Rock the
+// new value waits in the writer's store queue; under eager version
+// management it is already in memory, so the writer's undo log must
+// unroll before the load reads.
+func TestLoadConflictDoomsWriterBeforeRead(t *testing.T) {
+	for _, design := range []string{"rock", "eagervm"} {
+		t.Run(design, func(t *testing.T) {
+			m := newDesignMachine(2, DesignPoint(design))
+			x := m.Mem().Alloc(2*WordsPerLine, WordsPerLine)
+			m.Run(func(s *Strand) {
+				if s.ID() == 0 {
+					s.CAS(x, 0, 0)
+					s.TxBegin()
+					if !s.TxStore(x, 99) {
+						t.Errorf("transactional store failed: %v", s.CPS())
+						return
+					}
+					s.Advance(20000)
+					if s.TxCommit() {
+						t.Error("writer survived a conflicting non-transactional load")
+						return
+					}
+					if got := s.CPS(); got != cps.COH {
+						t.Errorf("writer CPS = %v, want COH", got)
+					}
+				} else {
+					s.Advance(2000)
+					if got := s.Load(x); got != 0 {
+						t.Errorf("reader observed speculative value %d, want old value 0", got)
+					}
+				}
+			})
+			if got := m.Mem().Peek(x); got != 0 {
+				t.Errorf("x = %d after run, want 0", got)
 			}
-			s.Advance(20000)
-			if s.TxCommit() {
-				t.Error("writer survived a conflicting non-transactional load")
-				return
-			}
-			if got := s.CPS(); got != cps.COH {
-				t.Errorf("writer CPS = %v, want COH", got)
-			}
-		} else {
-			s.Advance(2000)
-			if got := s.Load(x); got != 0 {
-				t.Errorf("reader observed speculative value %d, want rolled-back 0", got)
-			}
-		}
-	})
-	if got := m.Mem().Peek(x); got != 0 {
-		t.Errorf("x = %d after run, want 0", got)
+		})
 	}
 }
 

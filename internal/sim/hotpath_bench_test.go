@@ -5,14 +5,15 @@ import (
 	"testing"
 )
 
-// Micro-benchmarks for every simulator hot path touched by PR 3. The
-// scaling benchmarks (TLB entries 64→512, strands 2→16) are the proof
-// that the indexed structures are O(1)/O(log n): ns/op must stay flat
-// where the linear-scan implementation grew linearly.
+// Micro-benchmarks for the simulator's per-access layer: TLB probes and
+// fills, scheduler handoffs, plain loads and stores, and the transactional
+// paths. The scaling benchmarks (TLB entries 64→512, strands 2→16) show
+// that the indexed structures are O(1)/O(log n): ns/op stays flat where a
+// linear scan would grow with size.
 //
 // CI runs the whole file once per change (-benchtime=1x smoke) so the
-// suite cannot bit-rot; scripts/bench.sh runs it for real and records
-// the numbers in BENCH_PR3.json.
+// suite cannot bit-rot. To measure a change, alternate the parent's and
+// the change's test binaries (docs/PERFORMANCE.md).
 
 // ---- TLB ----
 
@@ -188,62 +189,37 @@ func BenchmarkTxAbort(b *testing.B) {
 	})
 }
 
-// BenchmarkTxLoadSameLineRun measures a run of transactional loads that
-// stay within one cache line: after the first full-path load validates
-// the line, every subsequent load takes the per-strand last-line fast
-// path (tag check + LRU refresh + hit latency), skipping translation,
-// coherence-directory probes and store-queue checks entirely. This is
-// the batched-coherence case the data-structure kernels hit on every
-// multi-word node visit.
-func BenchmarkTxLoadSameLineRun(b *testing.B) {
-	m := benchMachine1()
-	a := m.Mem().AllocLines(WordsPerLine)
-	b.ReportAllocs()
-	b.ResetTimer()
-	m.Run(func(s *Strand) {
-		s.Load(a) // warm translation + L1
-		i := 0
-		for i < b.N {
-			s.TxBegin()
-			ok := true
-			for k := 0; ok && k < 4096 && i < b.N; k++ {
-				_, ok = s.TxLoad(a + Addr(i%WordsPerLine))
-				i++
-			}
-			if ok {
-				s.TxCommit()
-			}
-		}
-	})
-}
-
-// BenchmarkTxLoadLineCrossingRun is the control for SameLineRun: each
-// load targets a different line, so every access pays the full path —
-// translation probe, L1 tag walk, coherence-directory read and mark.
-// The ratio of the two is the isolated win of the same-line batching.
-func BenchmarkTxLoadLineCrossingRun(b *testing.B) {
-	m := benchMachine1()
-	const lines = 8
-	a := m.Mem().AllocLines(lines * WordsPerLine)
-	b.ReportAllocs()
-	b.ResetTimer()
-	m.Run(func(s *Strand) {
-		for i := 0; i < lines; i++ { // warm translation + L1
-			s.Load(a + Addr(i*WordsPerLine))
-		}
-		i := 0
-		for i < b.N {
-			s.TxBegin()
-			ok := true
-			for k := 0; ok && k < 4096 && i < b.N; k++ {
-				_, ok = s.TxLoad(a + Addr((i%lines)*WordsPerLine))
-				i++
-			}
-			if ok {
-				s.TxCommit()
-			}
-		}
-	})
+// BenchmarkTxLoadRun measures runs of up to 4096 transactional loads per
+// transaction, cycling over a warm working set of one line (a kernel's
+// run of field loads on one node) or eight lines (a walk across nodes).
+// Both pay the full per-access path: translation probe, L1 tag walk,
+// coherence-directory read and mark.
+func BenchmarkTxLoadRun(b *testing.B) {
+	for _, lines := range []int{1, 8} {
+		b.Run(fmt.Sprintf("lines=%d", lines), func(b *testing.B) {
+			m := benchMachine1()
+			a := m.Mem().AllocLines(lines * WordsPerLine)
+			b.ReportAllocs()
+			b.ResetTimer()
+			m.Run(func(s *Strand) {
+				for i := 0; i < lines; i++ { // warm translation + L1
+					s.Load(a + Addr(i*WordsPerLine))
+				}
+				i := 0
+				for i < b.N {
+					s.TxBegin()
+					ok := true
+					for k := 0; ok && k < 4096 && i < b.N; k++ {
+						_, ok = s.TxLoad(a + Addr((i%lines)*WordsPerLine))
+						i++
+					}
+					if ok {
+						s.TxCommit()
+					}
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkTxLoadForwarding fills the store queue with stores to

@@ -210,13 +210,9 @@ type Machine struct {
 	// Resolve knob never perturbs the RNG streams.
 	txSeq uint64
 
-	// Load-conflict doom broadcast, one bit per strand. activeMask mirrors
-	// each strand's tx.active flag (set at TxBegin, cleared at commit and
-	// abort), so loadConflict can doom every conflicting writer with a
-	// single mask operation: cohDoom |= written & activeMask &^ self.
-	// Victims fold their bit into the CPS reasons (as COH) at their next
-	// checkDoom delivery point, exactly as per-strand dooming did.
-	cohDoom    uint64
+	// activeMask mirrors each strand's tx.active flag, one bit per strand
+	// (set at TxBegin, cleared at commit and abort), so a load conflict
+	// visits only the directory's writers that are still live.
 	activeMask uint64
 
 	// Scheduler state; only Run's driver goroutine touches it.

@@ -126,17 +126,18 @@ func newMemory(words int) *Memory {
 // must not be written afterwards; reads see zeros (the empty-backing bounds
 // checks treat everything as untouched).
 //
-// The dirty mark is the allocator's high-water mark, not the backing's
-// grown length: simulated stores, coherence-directory traffic and Pokes
-// are all confined to handed-out addresses (every write path bounds itself
-// to mapped pages below next), while geometric growth can leave the
-// backing up to twice that size — scrubbing only the truly written prefix
-// halves the next owner's memclr.
+// The dirty mark is the end of the last page Alloc mapped, not the
+// backing's grown length. Alloc maps whole pages, so simulated loads and
+// stores — and the coherence-directory bits they set — reach up to that
+// page end even where it lies past the allocator cursor; nothing beyond
+// it is mapped, so no simulated access can touch it. Geometric growth can
+// leave the backing up to twice the mapped size, so scrubbing only the
+// mapped prefix halves the next owner's memclr.
 func (m *Memory) recycle() {
 	if len(m.words) == 0 {
 		return
 	}
-	dirty := (int(m.next) + WordsPerLine - 1) &^ (WordsPerLine - 1)
+	dirty := (int(m.next) + PageWords - 1) &^ (PageWords - 1)
 	if dirty > len(m.words) {
 		dirty = len(m.words)
 	}

@@ -56,6 +56,53 @@ func TestAllocAndPoke(t *testing.T) {
 	}
 }
 
+// TestRecycleScrubsMappedPages: Alloc maps whole pages, so simulated code
+// reaches past the allocator cursor to the end of the last mapped page.
+// Recycle must scrub all of that, or the next machine built on the pooled
+// backing sees a stray store's value and a stray load's presence bit — a
+// bit for strand 7, which a 2-strand machine's next store to the line
+// indexes out of range.
+func TestRecycleScrubsMappedPages(t *testing.T) {
+	const (
+		storeAt = Addr(PageWords - 2*WordsPerLine) // page 0, past the cursor
+		loadAt  = Addr(PageWords - WordsPerLine)
+	)
+	// sync.Pool may drop a Put (under -race it does so at random), and a
+	// dropped backing hides the leak, so recycle several times.
+	for i := 0; i < 4; i++ {
+		m := newTestMachine(8)
+		m.Mem().AllocLines(WordsPerLine)
+		m.Run(func(s *Strand) {
+			switch s.ID() {
+			case 0:
+				s.Store(storeAt, 0xdead)
+			case 7:
+				s.Load(loadAt)
+			}
+		})
+		m.Recycle()
+
+		m2 := newTestMachine(2)
+		m2.Mem().AllocLines(WordsPerLine)
+		if got := m2.Mem().Peek(storeAt); got != 0 {
+			t.Fatalf("recycle %d: fresh machine reads %#x at %d, want 0", i, got, storeAt)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("recycle %d: store to a recycled line panicked: %v", i, r)
+				}
+			}()
+			m2.Run(func(s *Strand) {
+				if s.ID() == 0 {
+					s.Store(loadAt, 1)
+				}
+			})
+		}()
+		m2.Recycle()
+	}
+}
+
 func TestLoadStoreCAS(t *testing.T) {
 	m := newTestMachine(1)
 	a := m.Mem().Alloc(8, WordsPerLine)

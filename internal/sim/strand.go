@@ -86,19 +86,6 @@ type Strand struct {
 
 	nextInterrupt int64
 
-	// Non-transactional same-line fast path: the line validated by the
-	// previous non-transactional access, its L1 slot, and the page
-	// generation observed then. When the next access targets the same line
-	// and the slot tag and generation still match, translation (the page is
-	// provably at the micro-DTLB head, where a hit mutates nothing) and the
-	// L1 tag scan are skipped; the fast path replicates exactly the state
-	// the slow path would produce (LRU tick, age stamp, latency). Any
-	// transactional execution invalidates the cache (TxBegin), because
-	// transactional translations move the micro-DTLB head.
-	ntLine int32
-	ntIdx  int32
-	ntGen  uint32
-
 	tx txnState
 
 	stats Stats
@@ -118,13 +105,12 @@ type Strand struct {
 
 func newStrand(m *Machine, id int) *Strand {
 	s := &Strand{
-		m:      m,
-		id:     id,
-		bit:    1 << uint(id),
-		rng:    newRNG(m.cfg.Seed*0x9e3779b9 + uint64(id)*0x85ebca77 + 1),
-		l1:     newL1(m.cfg.L1Sets, m.cfg.L1Ways),
-		bp:     newBranchPredictor(),
-		ntLine: -1,
+		m:   m,
+		id:  id,
+		bit: 1 << uint(id),
+		rng: newRNG(m.cfg.Seed*0x9e3779b9 + uint64(id)*0x85ebca77 + 1),
+		l1:  newL1(m.cfg.L1Sets, m.cfg.L1Ways),
+		bp:  newBranchPredictor(),
 	}
 	s.mmu.init(m.cfg.MicroDTLB, m.cfg.MainDTLB, m.cfg.ITLB)
 	s.mmu.reserve(m.mem.PageCount())
@@ -419,22 +405,14 @@ func (s *Strand) storeInvalidate(line int32, lm *lineMeta) {
 }
 
 // loadConflict dooms transactions holding line in their *write* set: their
-// buffered store cannot coexist with our read (requester wins). The doom
-// broadcast is a single mask operation into the machine-wide cohDoom word:
-// masking with activeMask is exactly doom()'s tx.active test, and delivery
-// still happens at the victims' next checkDoom point, which folds the bit
-// into the CPS reasons just as per-strand dooming did.
+// buffered store cannot coexist with our read (requester wins). Masking
+// with activeMask is exactly doomRemote's tx.active test, so only live
+// writers are visited. Under eager version management doomRemote also
+// unrolls each writer's undo log before this load reads memory.
 func (s *Strand) loadConflict(lm *lineMeta) {
-	if s.m.vmEager {
-		// Eager version management cannot defer delivery behind a mask op:
-		// the writers' in-place speculative values must be rolled back
-		// before this load reads memory, so doom each victim directly.
-		for rest := lm.written & s.m.activeMask &^ s.bit; rest != 0; rest &= rest - 1 {
-			s.m.doomRemote(s.m.strands[bits.TrailingZeros64(rest)], cohBit)
-		}
-		return
+	for rest := lm.written & s.m.activeMask &^ s.bit; rest != 0; rest &= rest - 1 {
+		s.m.doomRemote(s.m.strands[bits.TrailingZeros64(rest)], cohBit)
 	}
-	s.m.cohDoom |= lm.written & s.m.activeMask &^ s.bit
 }
 
 // doom marks the strand's in-flight transaction (if any) as failed for the
@@ -457,48 +435,15 @@ func (s *Strand) assertNoTxn(op string) {
 
 // ---- Non-transactional memory operations ----
 
-// ntHit reports whether a non-transactional access to line can take the
-// same-line fast path: the previous non-transactional access touched this
-// exact line (so its page is at the micro-DTLB head, where a lookup hit
-// mutates nothing), the L1 slot still holds it (any cross-strand
-// invalidation or back-invalidation clears the tag), and the page
-// generation is unchanged (a Remap would make the head entry stale). When
-// it fires, the caller replicates the slow path's only state changes: the
-// L1 LRU tick, the age stamp, and the hit latency.
-func (s *Strand) ntHit(line int32, p int32) bool {
-	return line == s.ntLine && s.l1.slots[s.ntIdx].tag == line &&
-		s.m.mem.pages[p].gen == s.ntGen
-}
-
-// ntTouch applies the fast path's L1 state changes (what l1.touch does on
-// a hit) and charges the hit latency.
-func (s *Strand) ntTouch() {
-	c := s.l1
-	c.tick++
-	c.slots[s.ntIdx].age = c.tick
-	s.clock += s.m.cfg.Costs.L1Hit
-}
-
 // Load performs an ordinary (non-transactional) load.
 func (s *Strand) Load(a Addr) Word {
 	s.assertNoTxn("Load")
 	s.advance(s.m.cfg.Costs.Op)
 	s.stats.Loads++
 	line := LineOf(a)
-	p := PageOf(a)
-	if s.ntHit(line, p) {
-		s.ntTouch()
-		// An intact tag means no store invalidated this line since the
-		// access that installed it, so every writer bit in the directory
-		// entry predates that access and was doomed by it already; the
-		// loadConflict broadcast below is idempotent on them.
-		s.loadConflict(&s.m.mem.lines[line])
-		return s.m.mem.words[a]
-	}
 	s.translateLoad(a)
-	_, _, idx := s.fill(line)
+	s.fill(line)
 	s.loadConflict(&s.m.mem.lines[line])
-	s.ntLine, s.ntIdx, s.ntGen = line, int32(idx), s.m.mem.pages[p].gen
 	return s.m.mem.words[a]
 }
 
@@ -508,21 +453,18 @@ func (s *Strand) Store(a Addr, w Word) {
 	s.assertNoTxn("Store")
 	s.advance(s.m.cfg.Costs.Op)
 	s.stats.Stores++
-	line := LineOf(a)
-	p := PageOf(a)
-	// The store fast path additionally requires write permission — without
-	// it the slow path's translateStore takes a write fault first.
-	if s.ntHit(line, p) && s.m.mem.pages[p].writable {
-		s.ntTouch()
-		s.storeInvalidate(line, &s.m.mem.lines[line])
-		s.m.mem.words[a] = w
-		return
-	}
-	s.translateStore(a)
-	_, _, idx := s.fill(line)
-	s.storeInvalidate(line, &s.m.mem.lines[line])
-	s.ntLine, s.ntIdx, s.ntGen = line, int32(idx), s.m.mem.pages[p].gen
+	s.own(a)
 	s.m.mem.words[a] = w
+}
+
+// own is the exclusive-ownership request every non-transactional write
+// makes: translate with write permission, fill the line and invalidate
+// every other copy.
+func (s *Strand) own(a Addr) {
+	line := LineOf(a)
+	s.translateStore(a)
+	s.fill(line)
+	s.storeInvalidate(line, &s.m.mem.lines[line])
 }
 
 // CAS performs an atomic compare-and-swap, returning the previous value and
@@ -534,17 +476,7 @@ func (s *Strand) CAS(a Addr, old, new Word) (Word, bool) {
 	s.assertNoTxn("CAS")
 	s.advance(s.m.cfg.Costs.Op + s.m.cfg.Costs.CASExtra)
 	s.stats.CASes++
-	line := LineOf(a)
-	p := PageOf(a)
-	if s.ntHit(line, p) && s.m.mem.pages[p].writable {
-		s.ntTouch()
-		s.storeInvalidate(line, &s.m.mem.lines[line])
-	} else {
-		s.translateStore(a)
-		_, _, idx := s.fill(line)
-		s.storeInvalidate(line, &s.m.mem.lines[line])
-		s.ntLine, s.ntIdx, s.ntGen = line, int32(idx), s.m.mem.pages[p].gen
-	}
+	s.own(a)
 	cur := s.m.mem.words[a]
 	if cur != old {
 		return cur, false
@@ -559,17 +491,7 @@ func (s *Strand) Add(a Addr, delta Word) Word {
 	s.assertNoTxn("Add")
 	s.advance(s.m.cfg.Costs.Op + s.m.cfg.Costs.CASExtra)
 	s.stats.CASes++
-	line := LineOf(a)
-	p := PageOf(a)
-	if s.ntHit(line, p) && s.m.mem.pages[p].writable {
-		s.ntTouch()
-		s.storeInvalidate(line, &s.m.mem.lines[line])
-	} else {
-		s.translateStore(a)
-		_, _, idx := s.fill(line)
-		s.storeInvalidate(line, &s.m.mem.lines[line])
-		s.ntLine, s.ntIdx, s.ntGen = line, int32(idx), s.m.mem.pages[p].gen
-	}
+	s.own(a)
 	s.m.mem.words[a] += delta
 	return s.m.mem.words[a]
 }
@@ -598,12 +520,9 @@ func (s *Strand) Exec(codePage int32) {
 }
 
 // FlushTLBs drops all of the strand's TLB state (simulating a context
-// switch). The same-line caches are invalidated too: they encode "this
-// page is at the micro-DTLB head", which a flush falsifies.
+// switch).
 func (s *Strand) FlushTLBs() {
 	s.mmu.micro.flush()
 	s.mmu.main.flush()
 	s.mmu.itlb.flush()
-	s.ntLine = -1
-	s.tx.lastLine = -1
 }

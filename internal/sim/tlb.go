@@ -158,30 +158,9 @@ func (t *tlb) evict(page int32) {
 	}
 }
 
-// lookup reports whether a current-generation mapping for page is present.
-// The common cases — the probed page is the most or second-most recently
-// used, which covers code alternating between a data structure's page and
-// a metadata page — are answered without the slot-index probe. A head hit
-// needs no LRU maintenance; a second-position hit performs exactly the
-// unlink+pushMRU that lookupSlow would, so both fast paths leave the TLB
-// in the identical state.
+// lookup reports whether a current-generation mapping for page is present,
+// making a hit the most recently used entry and dropping a stale one.
 func (t *tlb) lookup(page int32, gen uint32) bool {
-	if h := t.head; h >= 0 {
-		e := &t.ent[h]
-		if e.page == page && e.gen == gen {
-			return true
-		}
-		if s := e.prev; s >= 0 {
-			if e2 := &t.ent[s]; e2.page == page && e2.gen == gen {
-				t.moveToFront(s)
-				return true
-			}
-		}
-	}
-	return t.lookupSlow(page, gen)
-}
-
-func (t *tlb) lookupSlow(page int32, gen uint32) bool {
 	s := t.slot(page)
 	if s < 0 {
 		return false

@@ -47,15 +47,6 @@ type txnState struct {
 	deferred       int
 	lastLoadMissed bool
 
-	// Same-line fast path for TxLoad: the line validated by the previous
-	// full-path TxLoad of this attempt, its L1 slot, and the page
-	// generation observed then. A repeat load of the same line (runs of
-	// field accesses on one node) can skip translation, the fill scan, the
-	// mark and the conflict broadcast — see TxLoad for the invariants.
-	lastLine int32
-	lastIdx  int32
-	lastGen  uint32
-
 	reads, writes int
 	upgrades      int // lines read first, written later
 	stackWrites   int
@@ -91,7 +82,6 @@ func (s *Strand) TxBegin() {
 	t.bankCount[0], t.bankCount[1] = 0, 0
 	t.deferred = 0
 	t.lastLoadMissed = false
-	t.lastLine = -1
 	t.sticky = 0
 	t.rolledBack = 0
 	// The begin timestamp advances on every attempt regardless of design:
@@ -99,12 +89,8 @@ func (s *Strand) TxBegin() {
 	// never perturbs the default design's streams.
 	t.ts = s.m.txSeq
 	s.m.txSeq++
-	// Transactional translations move the micro-DTLB head, so the
-	// non-transactional same-line cache cannot survive the transaction.
-	s.ntLine = -1
 	t.reads, t.writes, t.upgrades, t.stackWrites = 0, 0, 0, 0
 	s.m.activeMask |= s.bit
-	s.m.cohDoom &^= s.bit
 	s.stats.TxBegins++
 	if s.trc != nil {
 		s.trc.Record(s.id, s.clock, obs.EvTxBegin, 0)
@@ -135,13 +121,6 @@ func (s *Strand) txAbort(reason uint32) {
 	t := &s.tx
 	reason |= t.doomed
 	t.doomed = 0
-	if s.m.cohDoom&s.bit != 0 {
-		// A load-conflict broadcast (loadConflict's single mask op) doomed
-		// us since the last delivery point; fold it in as COH, exactly as
-		// the per-strand doom call used to.
-		reason |= cohBit
-		s.m.cohDoom &^= s.bit
-	}
 	s.m.activeMask &^= s.bit
 	t.cpsReg = reason
 	// Eager version management: restore memory from the undo log (a remote
@@ -186,11 +165,10 @@ func (s *Strand) TxAbortTrap() {
 	s.txAbort(tccBit)
 }
 
-// checkDoom delivers any pending asynchronous failure — per-strand doom
-// reasons or a bit in the machine-wide load-conflict broadcast mask. It
-// reports whether the transaction was aborted.
+// checkDoom delivers any pending asynchronous failure. It reports whether
+// the transaction was aborted.
 func (s *Strand) checkDoom() bool {
-	if s.tx.doomed != 0 || s.m.cohDoom&s.bit != 0 {
+	if s.tx.doomed != 0 {
 		s.txAbort(0)
 		return true
 	}
@@ -214,30 +192,6 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 	t := &s.tx
 	line := LineOf(a)
 	p := PageOf(a)
-
-	// Same-line fast path: a repeat load of the line the previous
-	// full-path TxLoad validated. The intact slot tag proves no store
-	// invalidated or displaced the line since then (a marked line cannot
-	// leave the L1 without dooming or aborting us), so: the page is still
-	// at the micro-DTLB head (a head hit mutates nothing), the line is
-	// still marked (marking again is a no-op), and every writer bit in the
-	// directory entry predates the install and was already doomed by its
-	// conflict broadcast. An empty store queue rules out forwarding, and a
-	// hit cannot change the deferred count or doom anybody, so the only
-	// state the slow path would touch is the L1 LRU tick, the age stamp
-	// and the hit latency — replicated here exactly.
-	if line == t.lastLine && len(t.storeAddrs) == 0 &&
-		s.l1.slots[t.lastIdx].tag == line &&
-		s.m.mem.pages[p].gen == t.lastGen {
-		c := s.l1
-		c.tick++
-		c.slots[t.lastIdx].age = c.tick
-		s.clock += s.m.cfg.Costs.L1Hit
-		t.lastLoadMissed = false
-		t.reads++
-		return s.m.mem.words[a], true
-	}
-
 	pg := &s.m.mem.pages[p]
 	// Translation: a load whose page has no hardware-walkable mapping takes
 	// a precise exception, aborting with LD|PREC (Section 3, "tlb misses").
@@ -304,9 +258,9 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 			return 0, false
 		}
 	}
-	// Mark the line and broadcast the load conflict off one directory
-	// deref (fill guarantees idx holds the line — see fill). Under lazy
-	// detection there is no broadcast: the conflict surfaces when a
+	// Mark the line and doom its active writers off one directory deref
+	// (fill guarantees idx holds the line — see fill). Under lazy
+	// detection nobody is doomed here: the conflict surfaces when a
 	// committer's drain invalidates this mark.
 	lm := &s.m.mem.lines[line]
 	if lm.marked&s.bit == 0 {
@@ -317,7 +271,6 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 	if !s.m.detLazy {
 		s.loadConflict(lm)
 	}
-	t.lastLine, t.lastIdx, t.lastGen = line, int32(idx), pg.gen
 	t.lastLoadMissed = !hit
 	t.reads++
 	return s.m.mem.words[a], true
