@@ -227,24 +227,8 @@ func main() {
 			pool.Costs = runner.LoadCostModel(*fl.cacheDir)
 		}
 	}
-	reg := obs.NewRegistry()
-	pool.PublishMetrics(reg)
 	if *fl.progress {
-		pool.OnProgress = func(pr runner.Progress) {
-			snap := reg.Snapshot()
-			done, _ := snap.Counter("runner", "jobs_done")
-			total, _ := snap.Counter("runner", "jobs_total")
-			cached, _ := snap.Counter("runner", "jobs_cached")
-			failed, _ := snap.Counter("runner", "jobs_failed")
-			etaMS, _ := snap.Counter("runner", "eta_ms")
-			line := fmt.Sprintf("figures: %d/%d cells (%d cached", done, total, cached)
-			if failed > 0 {
-				line += fmt.Sprintf(", %d failed", failed)
-			}
-			line += fmt.Sprintf(") eta %s  last=%s",
-				(time.Duration(etaMS) * time.Millisecond).Round(time.Second), pr.Last)
-			fmt.Fprintln(os.Stderr, line)
-		}
+		pool.OnProgress = func(pr runner.Progress) { fmt.Fprintln(os.Stderr, progressLine(pr)) }
 	}
 
 	o := bench.Options{Threads: threads, OpsPerThread: *fl.ops, Seed: *fl.seed, Runner: pool, Latency: *fl.latency, TimelineWindow: *fl.tlWindow}
@@ -364,6 +348,10 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "figures: wrote %d events from %d runs to %s (load in Perfetto / chrome://tracing)\n",
 			sink.Events(), sink.Runs(), *fl.trace)
+		if d := sink.Dropped(); d > 0 {
+			fmt.Fprintf(os.Stderr, "figures: trace rings dropped %d older events (each run keeps the newest %d per strand)\n",
+				d, obs.DefaultPerStrandEvents)
+		}
 	}
 	if tlSink != nil {
 		f, err := os.Create(*fl.timeline)
@@ -416,6 +404,17 @@ func buildExperiments(o bench.Options, mo bench.MSFOptions) []experiment {
 		{"policy", func() (*bench.Figure, error) { return bench.PolicyFigure(o) }},
 		{"htmdesign", func() (*bench.Figure, error) { return bench.HTMDesignFigure(o) }},
 	}
+}
+
+// progressLine formats one -progress report. The benchmark harness
+// parses these lines (done/total cells ... last=), so the layout is fixed.
+func progressLine(pr runner.Progress) string {
+	line := fmt.Sprintf("figures: %d/%d cells (%d cached", pr.Done, pr.Total, pr.Cached)
+	if pr.Failed > 0 {
+		line += fmt.Sprintf(", %d failed", pr.Failed)
+	}
+	eta := time.Duration(pr.ETASeconds*1000) * time.Millisecond
+	return line + fmt.Sprintf(") eta %s  last=%s", eta.Round(time.Second), pr.Last)
 }
 
 // finishPool persists the learned cost model and surfaces any cache

@@ -3,11 +3,13 @@ package main
 import (
 	"flag"
 	"io"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
 
 	"rocktm/internal/bench"
+	"rocktm/internal/runner"
 )
 
 var testValid = []string{"fig1a", "fig2b", "attrib", "profile"}
@@ -220,5 +222,34 @@ func TestCatalogueIncludesHTMDesign(t *testing.T) {
 		t.Fatal("unknown experiment accepted")
 	} else if !strings.Contains(err.Error(), "htmdesign") {
 		t.Errorf("unknown-experiment error does not enumerate htmdesign: %v", err)
+	}
+}
+
+// The -progress line layout is an interface: the repository benchmark
+// derives its per-cell timings from lines matching this pattern.
+var progressPattern = regexp.MustCompile(`^figures: \d+/\d+ cells .* last=`)
+
+func TestProgressLine(t *testing.T) {
+	last := runner.Spec{Experiment: "fig2a", System: "phtm", Threads: 4}
+	for _, c := range []struct {
+		pr   runner.Progress
+		want string
+	}{
+		{runner.Progress{Total: 12, Done: 3, Cached: 1, ETASeconds: 4.4, Last: last},
+			"figures: 3/12 cells (1 cached) eta 4s  last=fig2a/phtm@4T"},
+		{runner.Progress{Total: 12, Done: 5, Failed: 2, Last: last},
+			"figures: 5/12 cells (0 cached, 2 failed) eta 0s  last=fig2a/phtm@4T"},
+		{runner.Progress{Total: 40, Done: 1, ETASeconds: 2.5, Last: last},
+			"figures: 1/40 cells (0 cached) eta 3s  last=fig2a/phtm@4T"},
+		{runner.Progress{Total: 40, Done: 2, ETASeconds: 89.4996, Last: last},
+			"figures: 2/40 cells (0 cached) eta 1m29s  last=fig2a/phtm@4T"},
+	} {
+		got := progressLine(c.pr)
+		if got != c.want {
+			t.Errorf("progressLine(%+v) = %q, want %q", c.pr, got, c.want)
+		}
+		if !progressPattern.MatchString(got) {
+			t.Errorf("%q does not match the benchmark's progress pattern", got)
+		}
 	}
 }

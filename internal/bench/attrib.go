@@ -21,17 +21,17 @@ import (
 )
 
 // AttribRow is one (system, threads) cell of the abort-attribution report:
-// the fold of that run's event trace (obs.Attribute) cross-checked against
-// the unified metrics registry.
+// the fold of that run's event stream (obs.AbortProfile) cross-checked
+// against the simulator's per-strand counters.
 type AttribRow struct {
 	System    string
 	Threads   int
-	Ops       uint64 // from the metrics registry ("<system>", "ops")
-	Begins    uint64 // hardware transactions begun (trace)
-	Commits   uint64 // hardware commits (trace)
-	Aborts    uint64 // hardware aborts (trace)
-	Fallbacks uint64 // falls to lock/software mode (trace)
-	SWCommits uint64 // software commits (trace)
+	Ops       uint64 // atomic blocks completed (system Stats)
+	Begins    uint64 // hardware transactions begun (event fold)
+	Commits   uint64 // hardware commits (event fold)
+	Aborts    uint64 // hardware aborts (event fold)
+	Fallbacks uint64 // falls to lock/software mode (event fold)
+	SWCommits uint64 // software commits (event fold)
 	AbortRate float64
 	// CPS is the distribution of CPS register values over this cell's
 	// aborts, descending by count.
@@ -73,11 +73,11 @@ type attribCell struct {
 
 // AttributionReport runs the Figure 1(a) hash-table workload (key range
 // 256, 0% lookups) under each hardware-capable system at every thread
-// count, with tracing enabled, and folds each run's event stream into an
-// abort-attribution row. The per-run registry snapshot supplies the ops
-// column and a consistency cross-check against the trace. Cells are
-// emitted through the runner like every figure: one independent job per
-// (system, threads), merged in submission order.
+// count, and folds each run's live event stream into an abort-attribution
+// row. The system's Stats supply the ops column, and the strands' begin
+// counters cross-check the fold. Cells are emitted through the runner like
+// every figure: one independent job per (system, threads), merged in
+// submission order.
 func AttributionReport(o Options) (*AttribReport, error) {
 	o = o.Defaults()
 	cfg := kvConfig{
@@ -99,10 +99,9 @@ func AttributionReport(o Options) (*AttribReport, error) {
 					defer m.Recycle()
 					st := cfg.build(m, cfg.keyRange)
 					sys := sb.Build(m)
-					reg := obs.NewRegistry()
-					core.Publish(reg, sys)
-					m.PublishMetrics(reg)
-					tr := m.StartTrace(o.TraceEvents)
+					prof := obs.NewAbortProfile()
+					m.AttachEventSink(prof)
+					tr := o.startTrace(m)
 					// The 0%-lookup KVSpec (key, then a 50/50 insert/delete
 					// roll out of 100) reproduces the legacy attribution
 					// loop's RNG sequence exactly.
@@ -118,17 +117,11 @@ func AttributionReport(o Options) (*AttribReport, error) {
 							}
 						})
 					})
-					events := tr.Merged()
-					if o.Trace != nil {
-						o.Trace.Add(fmt.Sprintf("attrib/%s@%dT", sb.Name, th), tr.FreqGHz(), events)
-					}
-					prof := obs.Attribute(events)
-					snap := reg.Snapshot()
-					ops, _ := snap.Counter(sys.Name(), "ops")
+					o.endTrace(tr, fmt.Sprintf("attrib/%s@%dT", sb.Name, th))
 					out := attribCell{Row: AttribRow{
 						System:    sb.Name,
 						Threads:   th,
-						Ops:       ops,
+						Ops:       sys.Stats().Ops,
 						Begins:    prof.Begins,
 						Commits:   prof.Commits,
 						Aborts:    prof.Aborts,
@@ -137,12 +130,13 @@ func AttributionReport(o Options) (*AttribReport, error) {
 						AbortRate: prof.AbortRate(),
 						CPS:       prof.Hist.Entries(),
 					}}
-					if d := tr.Dropped(); d > 0 {
+					var begins uint64
+					for i := 0; i < th; i++ {
+						begins += m.Strand(i).Stats().TxBegins
+					}
+					if begins != prof.Begins {
 						out.Notes = append(out.Notes,
-							fmt.Sprintf("%s@%dT: trace ring dropped %d events; counts undercount", sb.Name, th, d))
-					} else if simBegins, ok := snap.Counter("sim", "tx_begins"); ok && simBegins != prof.Begins {
-						out.Notes = append(out.Notes,
-							fmt.Sprintf("%s@%dT: registry tx_begins=%d disagrees with trace begins=%d", sb.Name, th, simBegins, prof.Begins))
+							fmt.Sprintf("%s@%dT: strand tx_begins=%d disagrees with folded begins=%d", sb.Name, th, begins, prof.Begins))
 					}
 					return out, nil
 				},

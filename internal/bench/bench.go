@@ -53,9 +53,6 @@ type Options struct {
 	// timed run (labelled "experiment/system@threads"), exportable as
 	// Chrome trace_event JSON via TraceSink.WriteChrome.
 	Trace *obs.TraceSink
-	// TraceEvents is the per-strand trace ring capacity (<=0 selects the
-	// obs default).
-	TraceEvents int
 
 	// Timeline, when non-nil, receives one windowed timeseries per timed
 	// run (same labels as Trace), exportable as JSON or CSV via the sink.
@@ -154,13 +151,13 @@ func (o Options) startTrace(m *sim.Machine) *obs.Tracer {
 	if o.Trace == nil {
 		return nil
 	}
-	return m.StartTrace(o.TraceEvents)
+	return m.StartTrace()
 }
 
-// endTrace deposits a finished run's events into the sink.
+// endTrace deposits a finished run's trace into the sink.
 func (o Options) endTrace(tr *obs.Tracer, label string) {
-	if tr != nil && o.Trace != nil {
-		o.Trace.Add(label, tr.FreqGHz(), tr.Merged())
+	if tr != nil {
+		o.Trace.Add(label, tr)
 	}
 }
 

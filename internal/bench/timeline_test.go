@@ -6,29 +6,37 @@ import (
 	"strings"
 	"testing"
 
+	"rocktm/internal/obs"
 	"rocktm/internal/obs/timeseries"
 	"rocktm/internal/runner"
 	"rocktm/internal/workload"
 )
 
 // The zero-perturbation contract extended to windowed capture: attaching
-// the timeseries recorder (event sink + latency sink) must leave the
-// measured point bit-identical — same throughput, same notes, same
-// latency digest — while producing a non-empty window series whose op
-// count reconciles with the run.
+// the timeseries recorder (event sink + latency sink) and the event tracer
+// together must leave the measured point bit-identical — same throughput,
+// same notes, same latency digest — while producing a non-empty window
+// series whose op count reconciles with the run, and one trace per run.
 func TestTimelineCaptureDoesNotPerturb(t *testing.T) {
 	o := Options{Threads: []int{2}, OpsPerThread: 120, Seed: 1, Latency: true}.Defaults()
+	traced := o
+	traced.Trace = &obs.TraceSink{}
 	st := timelineStructures()[1] // rbtree: exercises tx, fallback and lock hooks
 	cfg := st.cfg
 	cfg.keys = workload.Zipfian(cfg.keyRange, 0.99)
-	for _, sb := range tailSystems() {
+	for i, sb := range tailSystems() {
 		plain, _, err := runKVSeries(o, "t", cfg, sb, 2, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		captured, series, err := runKVSeries(o, "t", cfg, sb, 2, true, timeseries.MinWidth)
+		before := traced.Trace.Events()
+		captured, series, err := runKVSeries(traced, "t", cfg, sb, 2, true, timeseries.MinWidth)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if traced.Trace.Runs() != i+1 || traced.Trace.Events() == before {
+			t.Errorf("%s: trace sink holds %d runs (want %d) and gained %d events (want some)",
+				sb.Name, traced.Trace.Runs(), i+1, traced.Trace.Events()-before)
 		}
 		pb, _ := json.Marshal(plain)
 		cb, _ := json.Marshal(captured)

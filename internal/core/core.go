@@ -14,7 +14,6 @@ import (
 	"hash/fnv"
 
 	"rocktm/internal/cps"
-	"rocktm/internal/obs"
 	"rocktm/internal/sim"
 )
 
@@ -97,33 +96,6 @@ func (st *Stats) RetryFraction() float64 {
 		return 0
 	}
 	return float64(st.HWAttempts-st.HWBlocks) / float64(st.HWAttempts)
-}
-
-// Sample returns the stats as a metrics-registry sample. It is the thin
-// compatibility accessor through which every system's Stats — previously a
-// bag of counters each experiment read ad hoc — publishes into the unified
-// obs.Registry.
-func (st *Stats) Sample() obs.Sample {
-	return obs.Sample{
-		Counters: []obs.NamedValue{
-			{Name: "ops", Value: st.Ops},
-			{Name: "hw_attempts", Value: st.HWAttempts},
-			{Name: "hw_commits", Value: st.HWCommits},
-			{Name: "hw_blocks", Value: st.HWBlocks},
-			{Name: "sw_commits", Value: st.SWCommits},
-			{Name: "sw_aborts", Value: st.SWAborts},
-			{Name: "lock_acquires", Value: st.LockAcquires},
-			{Name: "ro_fast", Value: st.ROFast},
-		},
-		CPS: st.CPSHist,
-	}
-}
-
-// Publish registers sys's statistics with the unified metrics registry
-// under its reported name. The registry pulls a fresh snapshot on every
-// Snapshot call, so publication adds nothing to the system's hot path.
-func Publish(reg *obs.Registry, sys System) {
-	reg.Register(sys.Name(), func() obs.Sample { return sys.Stats().Sample() })
 }
 
 // Merge folds other into st (for aggregating sharded stats).

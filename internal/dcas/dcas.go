@@ -34,12 +34,6 @@ func New(m *sim.Machine) *DCAS {
 // Stats returns cumulative attempt statistics.
 func (d *DCAS) Stats() *core.Stats { return d.stats }
 
-// Publish registers the provider's statistics with the unified metrics
-// registry under the "dcas" subsystem.
-func (d *DCAS) Publish(reg *obs.Registry) {
-	reg.Register("dcas", func() obs.Sample { return d.stats.Sample() })
-}
-
 // Do atomically checks *a1==o1 && *a2==o2 and, if both hold, stores n1 and
 // n2. It reports whether the swap happened.
 func (d *DCAS) Do(s *sim.Strand, a1 sim.Addr, o1, n1 sim.Word, a2 sim.Addr, o2, n2 sim.Word) bool {

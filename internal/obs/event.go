@@ -1,15 +1,16 @@
-// Package obs is the machine-wide observability layer: a cycle-timestamped
-// event tracer fed by the simulator's transaction and lock hook points, a
-// unified metrics registry that every synchronization system publishes
-// into, and the abort-attribution folds that turn raw trace events into the
-// paper's Table 4-style "why did transactions fail" breakdowns.
+// Package obs is the machine-wide observability layer. The simulator's
+// transaction and lock hook points feed one stream of cycle-timestamped
+// events to every attached EventSink, and each consumer is just one sink
+// on that list: the ring-buffer Tracer behind the Chrome trace export, the
+// AbortProfile fold behind the paper's Table 4-style "why did transactions
+// fail" breakdowns, and the windowed recorder in obs/timeseries.
 //
 // The design constraint, inherited from the paper's methodology, is that
 // observing the system must not change it: recording an event is
 // allocation-free, charges no simulated cycles, and consumes no simulated
 // randomness, so a traced run is cycle-for-cycle identical to an untraced
-// one (asserted by tests). A machine with no tracer attached pays exactly
-// one nil-check per hook point.
+// one (asserted by tests). A machine with no sink attached pays one loop
+// over an empty list per hook point.
 //
 // obs sits below internal/sim in the import graph (sim calls into obs, not
 // the other way around), so events carry plain strand IDs and cycle counts
@@ -95,13 +96,13 @@ type Event struct {
 // CPS interprets Arg as CPS register bits (meaningful for EvTxAbort).
 func (e Event) CPS() cps.Bits { return cps.Bits(e.Arg) }
 
-// EventSink receives the same hook-point stream a Tracer records, one call
-// per event, as it happens. It is the streaming alternative to the tracer's
-// ring buffers: a sink folds events into its own aggregate (the windowed
-// timeseries recorder is the canonical implementation) instead of retaining
-// them, so it never wraps and never loses history.
+// EventSink receives the simulator's hook-point stream, one call per event,
+// as it happens (attach one with sim.Machine.AttachEventSink). The Tracer
+// retains the stream in rings that can wrap; a fold such as AbortProfile
+// or the windowed timeseries recorder keeps only its own aggregate, so it
+// never loses history.
 //
-// Implementations must obey the tracer's contract: SinkEvent charges no
+// Implementations must obey the observation contract: SinkEvent charges no
 // simulated cycles, consumes no simulated randomness, and its steady-state
 // path is allocation-free, so a run with a sink attached is cycle-identical
 // to one without.

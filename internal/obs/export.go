@@ -116,16 +116,6 @@ func chromeEventsFor(events []Event, freqGHz float64, pid int, label string) []c
 	return out
 }
 
-// WriteChromeTrace writes events as one Chrome trace_event JSON document.
-func WriteChromeTrace(w io.Writer, events []Event, freqGHz float64, label string) error {
-	doc := chromeTrace{
-		TraceEvents:     chromeEventsFor(events, freqGHz, 0, label),
-		DisplayTimeUnit: "ms",
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
-}
-
 // WriteTimeline writes events as a plain-text timeline, one line per event:
 // cycle, strand, kind, and kind-specific detail. Output is byte-for-byte
 // deterministic for a deterministic event stream, which is what the
@@ -168,12 +158,15 @@ type sinkRun struct {
 	label   string
 	freqGHz float64
 	events  []Event
+	dropped uint64
 	tracks  []CounterTrack
 }
 
-// Add deposits one run's merged event stream under the given label.
-func (k *TraceSink) Add(label string, freqGHz float64, events []Event) {
-	k.runs = append(k.runs, sinkRun{label: label, freqGHz: freqGHz, events: events})
+// Add deposits one finished run's trace under the given label: the
+// tracer's merged event stream, its clock frequency and the number of
+// events its rings overwrote.
+func (k *TraceSink) Add(label string, t *Tracer) {
+	k.runs = append(k.runs, sinkRun{label: label, freqGHz: t.FreqGHz(), events: t.Merged(), dropped: t.Dropped()})
 }
 
 // CounterPoint is one sample of a counter track: the simulated cycle it
@@ -233,6 +226,16 @@ func (k *TraceSink) Events() int {
 	return n
 }
 
+// Dropped returns how many events the deposited runs lost to ring
+// wrap-around; the export holds only each ring's newest events.
+func (k *TraceSink) Dropped() uint64 {
+	var n uint64
+	for _, r := range k.runs {
+		n += r.dropped
+	}
+	return n
+}
+
 // WriteChrome writes all deposited runs as one Chrome trace JSON document.
 func (k *TraceSink) WriteChrome(w io.Writer) error {
 	doc := chromeTrace{DisplayTimeUnit: "ms"}
@@ -241,17 +244,4 @@ func (k *TraceSink) WriteChrome(w io.Writer) error {
 		doc.TraceEvents = append(doc.TraceEvents, counterEventsFor(r.tracks, r.freqGHz, i)...)
 	}
 	return json.NewEncoder(w).Encode(doc)
-}
-
-// WriteTimeline writes all deposited runs as labelled plain-text timelines.
-func (k *TraceSink) WriteTimeline(w io.Writer) error {
-	for _, r := range k.runs {
-		if _, err := fmt.Fprintf(w, "== trace: %s ==\n", r.label); err != nil {
-			return err
-		}
-		if err := WriteTimeline(w, r.events); err != nil {
-			return err
-		}
-	}
-	return nil
 }

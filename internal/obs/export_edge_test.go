@@ -31,13 +31,6 @@ func TestTraceSinkZeroRuns(t *testing.T) {
 	if len(doc.TraceEvents) != 0 || doc.Unit != "ms" {
 		t.Errorf("empty Chrome trace = %s", buf.Bytes())
 	}
-	buf.Reset()
-	if err := k.WriteTimeline(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("empty sink timeline wrote %q", buf.String())
-	}
 }
 
 // A run that recorded nothing (e.g. a one-lock system under a tracer that
@@ -45,7 +38,7 @@ func TestTraceSinkZeroRuns(t *testing.T) {
 // shows up in Perfetto.
 func TestTraceSinkEmptyEventRun(t *testing.T) {
 	var k TraceSink
-	k.Add("idle-run", 1.0, nil)
+	k.Add("idle-run", NewTracer(1, 1))
 	var buf bytes.Buffer
 	if err := k.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -55,14 +48,11 @@ func TestTraceSinkEmptyEventRun(t *testing.T) {
 		t.Errorf("empty-event run lost its process label: %s", out)
 	}
 	buf.Reset()
-	if err := k.WriteTimeline(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "== trace: idle-run ==\n" {
-		t.Errorf("empty-event run timeline = %q", got)
-	}
 	if err := WriteTimeline(&buf, nil); err != nil {
 		t.Fatal(err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("empty stream timeline wrote %q", buf.String())
 	}
 }
 
@@ -70,13 +60,12 @@ func TestTraceSinkEmptyEventRun(t *testing.T) {
 // the document: the timeline prints its "?" mnemonic, the Chrome writer
 // skips the body but keeps the thread metadata.
 func TestExportUnknownEventKind(t *testing.T) {
-	ev := []Event{
-		{Cycle: 10, Strand: 0, Kind: EvTxBegin},
-		{Cycle: 20, Strand: 0, Kind: EventKind(250), Arg: 7},
-		{Cycle: 30, Strand: 0, Kind: EvTxCommit, Arg: 1},
-	}
+	tr := NewTracer(1, 4)
+	tr.SinkEvent(0, 10, EvTxBegin, 0)
+	tr.SinkEvent(0, 20, EventKind(250), 7)
+	tr.SinkEvent(0, 30, EvTxCommit, 1)
 	var buf bytes.Buffer
-	if err := WriteTimeline(&buf, ev); err != nil {
+	if err := WriteTimeline(&buf, tr.Merged()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -87,7 +76,9 @@ func TestExportUnknownEventKind(t *testing.T) {
 		t.Errorf("unknown kind not rendered with ? mnemonic: %q", lines[1])
 	}
 	buf.Reset()
-	if err := WriteChromeTrace(&buf, ev, 1.0, "run"); err != nil {
+	var k TraceSink
+	k.Add("run", tr)
+	if err := k.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -116,7 +107,9 @@ func TestExportUnknownEventKind(t *testing.T) {
 // labels deposit a counter-only run that still renders.
 func TestAddCountersMergeAndStandalone(t *testing.T) {
 	var k TraceSink
-	k.Add("run-a", 1.0, []Event{{Cycle: 5, Strand: 0, Kind: EvTxBegin}})
+	tr := NewTracer(1, 1)
+	tr.SinkEvent(0, 5, EvTxBegin, 0)
+	k.Add("run-a", tr)
 	k.AddCounters("run-a", 1.0, []CounterTrack{
 		{Name: "abort_rate", Points: []CounterPoint{{Cycle: 0, Value: 0.25}}},
 	})

@@ -141,26 +141,6 @@ func (s LatencySummary) String() string {
 		s.P50, s.P90, s.P99, s.P999, s.Max, s.Count)
 }
 
-// Sample returns the summary as a metrics-registry sample, the same thin
-// accessor pattern core.Stats and sim.Stats use.
-func (r *LatencyRecorder) Sample() Sample {
-	s := r.Summarize()
-	return Sample{Counters: []NamedValue{
-		{Name: "lat_count", Value: s.Count},
-		{Name: "lat_p50_cycles", Value: uint64(s.P50)},
-		{Name: "lat_p90_cycles", Value: uint64(s.P90)},
-		{Name: "lat_p99_cycles", Value: uint64(s.P99)},
-		{Name: "lat_p999_cycles", Value: uint64(s.P999)},
-		{Name: "lat_max_cycles", Value: uint64(s.Max)},
-	}}
-}
-
-// Publish registers the recorder with the unified metrics registry under
-// the given subsystem name ("latency" by convention).
-func (r *LatencyRecorder) Publish(reg *Registry, subsystem string) {
-	reg.Register(subsystem, r.Sample)
-}
-
 // LatencySink receives time-stamped operation latencies: cycle is the
 // operation's completion time on the recording strand's clock, latency the
 // begin-to-completion cost in cycles. It is the timeseries counterpart of

@@ -116,22 +116,3 @@ func BenchmarkLatencyRecord(b *testing.B) {
 		r.Record(int64(i)&0xfffff + 1)
 	}
 }
-
-// The recorder publishes the standard digest through the metrics registry.
-func TestLatencyPublish(t *testing.T) {
-	r := NewLatencyRecorder()
-	for v := int64(1); v <= 100; v++ {
-		r.Record(v)
-	}
-	reg := NewRegistry()
-	r.Publish(reg, "latency")
-	snap := reg.Snapshot()
-	for _, name := range []string{"lat_count", "lat_p50_cycles", "lat_p90_cycles", "lat_p99_cycles", "lat_p999_cycles", "lat_max_cycles"} {
-		if _, ok := snap.Counter("latency", name); !ok {
-			t.Errorf("registry missing %s", name)
-		}
-	}
-	if n, _ := snap.Counter("latency", "lat_count"); n != 100 {
-		t.Errorf("lat_count = %d, want 100", n)
-	}
-}

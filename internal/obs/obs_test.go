@@ -12,21 +12,18 @@ import (
 func TestRecordIsAllocationFree(t *testing.T) {
 	tr := NewTracer(2, 64)
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Record(0, 100, EvTxBegin, 0)
-		tr.Record(1, 101, EvTxAbort, uint64(cps.COH))
+		tr.SinkEvent(0, 100, EvTxBegin, 0)
+		tr.SinkEvent(1, 101, EvTxAbort, uint64(cps.COH))
 	})
 	if allocs != 0 {
-		t.Fatalf("Record allocates: %.1f allocs/op", allocs)
+		t.Fatalf("SinkEvent allocates: %.1f allocs/op", allocs)
 	}
 }
 
 func TestRingWrapDropsOldest(t *testing.T) {
 	tr := NewTracer(1, 4)
 	for i := 0; i < 6; i++ {
-		tr.Record(0, int64(10+i), EvTxBegin, uint64(i))
-	}
-	if got := tr.Recorded(); got != 6 {
-		t.Errorf("Recorded = %d, want 6", got)
+		tr.SinkEvent(0, int64(10+i), EvTxBegin, uint64(i))
 	}
 	if got := tr.Dropped(); got != 2 {
 		t.Errorf("Dropped = %d, want 2", got)
@@ -42,19 +39,15 @@ func TestRingWrapDropsOldest(t *testing.T) {
 				i, e.Cycle, e.Arg, 12+i, wantArg)
 		}
 	}
-	tr.Reset()
-	if tr.Recorded() != 0 || tr.Dropped() != 0 || len(tr.Merged()) != 0 {
-		t.Errorf("Reset did not clear the ring")
-	}
 }
 
 func TestMergedOrdersByCycleStrandSeq(t *testing.T) {
 	tr := NewTracer(3, 16)
-	tr.Record(2, 50, EvTxBegin, 0)
-	tr.Record(0, 50, EvTxBegin, 0)
-	tr.Record(0, 50, EvTxCommit, 0) // same cycle, later seq
-	tr.Record(1, 40, EvTxBegin, 0)
-	tr.Record(1, 60, EvTxAbort, uint64(cps.SIZ))
+	tr.SinkEvent(2, 50, EvTxBegin, 0)
+	tr.SinkEvent(0, 50, EvTxBegin, 0)
+	tr.SinkEvent(0, 50, EvTxCommit, 0) // same cycle, later seq
+	tr.SinkEvent(1, 40, EvTxBegin, 0)
+	tr.SinkEvent(1, 60, EvTxAbort, uint64(cps.SIZ))
 	evs := tr.Merged()
 	type key struct {
 		cycle  int64
@@ -80,24 +73,29 @@ func TestMergedOrdersByCycleStrandSeq(t *testing.T) {
 	}
 }
 
-func syntheticEvents() []Event {
+func syntheticTracer() *Tracer {
 	tr := NewTracer(2, 64)
-	tr.Record(0, 10, EvTxBegin, 0)
-	tr.Record(0, 30, EvTxAbort, uint64(cps.COH))
-	tr.Record(0, 35, EvTxBegin, 0)
-	tr.Record(0, 60, EvTxCommit, 3)
-	tr.Record(1, 12, EvLockAcquire, 0x1c0)
-	tr.Record(1, 44, EvLockRelease, 0x1c0)
-	tr.Record(1, 50, EvTxBegin, 0)
-	tr.Record(1, 70, EvTxAbort, uint64(cps.SIZ|cps.ST))
-	tr.Record(1, 72, EvFallback, 0x1c0)
-	tr.Record(1, 90, EvSWCommit, 0)
-	return tr.Merged()
+	tr.SetFreqGHz(2.3)
+	tr.SinkEvent(0, 10, EvTxBegin, 0)
+	tr.SinkEvent(0, 30, EvTxAbort, uint64(cps.COH))
+	tr.SinkEvent(0, 35, EvTxBegin, 0)
+	tr.SinkEvent(0, 60, EvTxCommit, 3)
+	tr.SinkEvent(1, 12, EvLockAcquire, 0x1c0)
+	tr.SinkEvent(1, 44, EvLockRelease, 0x1c0)
+	tr.SinkEvent(1, 50, EvTxBegin, 0)
+	tr.SinkEvent(1, 70, EvTxAbort, uint64(cps.SIZ|cps.ST))
+	tr.SinkEvent(1, 72, EvFallback, 0x1c0)
+	tr.SinkEvent(1, 90, EvSWCommit, 0)
+	return tr
 }
 
+func syntheticEvents() []Event { return syntheticTracer().Merged() }
+
 func TestChromeTraceParsesAndPairsSpans(t *testing.T) {
+	var k TraceSink
+	k.Add("unit", syntheticTracer())
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, syntheticEvents(), 2.3, "unit"); err != nil {
+	if err := k.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -159,63 +157,37 @@ func TestTimelineIsDeterministic(t *testing.T) {
 }
 
 func TestAttributeFoldsStream(t *testing.T) {
-	p := Attribute(syntheticEvents())
+	p := NewAbortProfile()
+	for _, e := range syntheticEvents() {
+		p.SinkEvent(int(e.Strand), e.Cycle, e.Kind, e.Arg)
+	}
 	if p.Begins != 3 || p.Commits != 1 || p.Aborts != 2 || p.Fallbacks != 1 || p.SWCommits != 1 {
 		t.Errorf("profile = %+v", p)
 	}
 	if got := p.AbortRate(); got < 0.66 || got > 0.67 {
 		t.Errorf("AbortRate = %v, want 2/3", got)
 	}
-	bits := p.BitCounts()
-	if bits[cps.COH] != 1 || bits[cps.SIZ] != 1 || bits[cps.ST] != 1 {
-		t.Errorf("BitCounts = %v", bits)
+	if p.Hist.Count(cps.COH) != 1 || p.Hist.Count(cps.SIZ|cps.ST) != 1 || p.Hist.Total() != 2 {
+		t.Errorf("CPS histogram = %v", p.Hist.Entries())
 	}
 }
 
-func TestRegistrySnapshotSumsStrands(t *testing.T) {
-	reg := NewRegistry()
-	for i := 0; i < 3; i++ {
-		i := i
-		reg.RegisterStrand("sim", i, func() Sample {
-			return Sample{Counters: []NamedValue{{Name: "loads", Value: uint64(10 * (i + 1))}}}
-		})
+// A trace sink remembers how many events each deposited run's rings
+// overwrote, so the export can say that it holds only the newest ones.
+func TestTraceSinkCountsDroppedEvents(t *testing.T) {
+	var k TraceSink
+	small := NewTracer(2, 4)
+	for i := 0; i < 7; i++ {
+		small.SinkEvent(0, int64(i), EvTxBegin, 0) // wraps: 3 dropped
 	}
-	h := cps.NewHistogram()
-	h.Add(cps.COH)
-	h.Add(cps.COH)
-	h.Add(cps.SIZ)
-	reg.Register("phtm", func() Sample {
-		return Sample{Counters: []NamedValue{{Name: "ops", Value: 7}}, CPS: h}
-	})
-	snap := reg.Snapshot()
-	if got, ok := snap.Counter("sim", "loads"); !ok || got != 60 {
-		t.Errorf("Counter(sim, loads) = %d, %v; want 60, true", got, ok)
+	small.SinkEvent(1, 0, EvTxBegin, 0) // fits
+	k.Add("small", small)
+	k.Add("roomy", syntheticTracer())
+	if got := k.Dropped(); got != 3 {
+		t.Errorf("Dropped = %d, want 3", got)
 	}
-	if got, ok := snap.Counter("phtm", "ops"); !ok || got != 7 {
-		t.Errorf("Counter(phtm, ops) = %d, %v; want 7, true", got, ok)
-	}
-	if _, ok := snap.Counter("phtm", "nope"); ok {
-		t.Error("Counter found a counter that does not exist")
-	}
-	var buf bytes.Buffer
-	if err := snap.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var parsed Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatalf("snapshot JSON round-trip: %v", err)
-	}
-	if len(parsed.Subsystems) != 4 {
-		t.Errorf("round-tripped %d subsystems, want 4", len(parsed.Subsystems))
-	}
-	found := false
-	for _, sub := range parsed.Subsystems {
-		if sub.Name == "phtm" && len(sub.CPS) == 2 && sub.CPS[0].Value == "COH" && sub.CPS[0].Count == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("phtm CPS histogram not in snapshot: %+v", parsed.Subsystems)
+	if got := k.Events(); got != 5+10 {
+		t.Errorf("Events = %d, want 15 retained", got)
 	}
 }
 

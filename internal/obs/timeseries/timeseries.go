@@ -1,12 +1,13 @@
 // Package timeseries is the time-resolved layer of the observability
-// stack: a windowed recorder that folds the simulator's existing hook
-// points (transaction begin/commit/abort with CPS bits, software
-// fallbacks, PhTM phase transitions, lock acquire/release) and the
-// workload driver's per-operation latencies into fixed-width
-// simulated-cycle windows. Where the run-wide metrics registry and
-// latency histogram answer "how did the run do overall", the window
-// series answers "when did it go wrong" — the phase-flip drains and
-// fallback convoys that aggregate numbers hide (EXPERIMENTS.md E23).
+// stack: a windowed recorder that folds the simulator's hook-point event
+// stream (transaction begin/commit/abort with CPS bits, software
+// fallbacks, PhTM phase transitions, lock acquire/release), as one more
+// obs.EventSink on the machine, and the workload driver's per-operation
+// latencies into fixed-width simulated-cycle windows. Where the run-wide
+// counters, abort fold and latency histogram answer "how did the run do
+// overall", the window series answers "when did it go wrong" — the
+// phase-flip drains and fallback convoys that aggregate numbers hide
+// (EXPERIMENTS.md E23).
 //
 // On top of the raw series sit two consumers:
 //

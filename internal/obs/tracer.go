@@ -9,11 +9,12 @@ const DefaultPerStrandEvents = 1 << 16
 
 // Tracer collects cycle-timestamped events into per-strand ring buffers.
 //
-// All recording happens under the machine baton (exactly one strand
-// executes at a time), so the tracer needs no synchronization. Record is
-// allocation-free: the rings are sized up front and old events are
-// overwritten (and counted as dropped) once a ring wraps — tracing can
-// never abort or slow a run, only lose its own oldest history.
+// A Tracer is an EventSink: attach it like any other sink. All recording
+// happens under the machine baton (exactly one strand executes at a time),
+// so the tracer needs no synchronization. SinkEvent is allocation-free:
+// the rings are sized up front and old events are overwritten (and
+// counted as dropped) once a ring wraps — tracing can never abort or slow
+// a run, only lose its own oldest history.
 type Tracer struct {
 	strands []ring
 	freqGHz float64
@@ -51,9 +52,10 @@ func (t *Tracer) SetFreqGHz(f float64) {
 // FreqGHz returns the configured simulated clock frequency.
 func (t *Tracer) FreqGHz() float64 { return t.freqGHz }
 
-// Record appends one event to strand's ring. It never allocates and never
-// fails; when the ring is full the oldest event is overwritten.
-func (t *Tracer) Record(strand int, cycle int64, kind EventKind, arg uint64) {
+// SinkEvent implements EventSink: it appends one event to strand's ring.
+// It never allocates and never fails; when the ring is full the oldest
+// event is overwritten.
+func (t *Tracer) SinkEvent(strand int, cycle int64, kind EventKind, arg uint64) {
 	b := &t.strands[strand]
 	b.events[b.next] = Event{
 		Cycle:  cycle,
@@ -71,16 +73,6 @@ func (t *Tracer) Record(strand int, cycle int64, kind EventKind, arg uint64) {
 	}
 }
 
-// Recorded returns the total number of events ever recorded (including any
-// that have since been overwritten).
-func (t *Tracer) Recorded() uint64 {
-	var n uint64
-	for i := range t.strands {
-		n += t.strands[i].total
-	}
-	return n
-}
-
 // Dropped returns how many events were overwritten by ring wrap-around.
 func (t *Tracer) Dropped() uint64 {
 	var n uint64
@@ -91,14 +83,6 @@ func (t *Tracer) Dropped() uint64 {
 		}
 	}
 	return n
-}
-
-// Reset clears all rings (capacities are retained).
-func (t *Tracer) Reset() {
-	for i := range t.strands {
-		b := &t.strands[i]
-		b.next, b.seq, b.total, b.wrapped = 0, 0, 0, false
-	}
 }
 
 // strandEvents returns strand i's retained events oldest-first.

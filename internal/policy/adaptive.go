@@ -167,31 +167,6 @@ func (p *Adaptive) Done(site uint32, attempts int, fellBack bool) {
 	}
 }
 
-// Publish registers the policy's aggregate learning state with the
-// unified metrics registry: site count, commit/fallback totals, and the
-// merged abort histogram across sites. Collection is pull-based, so
-// publishing costs the decision path nothing.
-func (p *Adaptive) Publish(reg *obs.Registry) {
-	reg.Register("policy-adaptive", func() obs.Sample {
-		var commits, fallbacks uint64
-		merged := cps.NewHistogram()
-		for _, st := range p.sites {
-			commits += st.commits
-			fallbacks += st.fallbacks
-			merged.Merge(st.hist)
-		}
-		return obs.Sample{
-			Counters: []obs.NamedValue{
-				{Name: "sites", Value: uint64(len(p.sites))},
-				{Name: "commits", Value: commits},
-				{Name: "fallbacks", Value: fallbacks},
-				{Name: "failures", Value: merged.Total()},
-			},
-			CPS: merged,
-		}
-	})
-}
-
 // SiteHistogram returns a copy of the abort histogram learned for site,
 // or nil if the site has never failed (for tests and reports).
 func (p *Adaptive) SiteHistogram(site uint32) *cps.Histogram {

@@ -8,8 +8,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"rocktm/internal/obs"
 )
 
 // Job is one schedulable experiment cell: a Spec identifying it and a
@@ -33,7 +31,7 @@ type Result struct {
 }
 
 // Progress is a point-in-time view of a sweep, delivered to OnProgress
-// after every job completion and published through PublishMetrics.
+// after every job completion.
 type Progress struct {
 	Total, Done, Cached, Failed int
 	// ETASeconds estimates the remaining wall-clock time from the cost
@@ -79,23 +77,6 @@ func (p *Pool) workers() int {
 		return p.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// PublishMetrics registers the pool's sweep counters with the unified
-// metrics registry (subsystem "runner"): jobs_total, jobs_done,
-// jobs_cached, jobs_failed and eta_ms.
-func (p *Pool) PublishMetrics(reg *obs.Registry) {
-	reg.Register("runner", func() obs.Sample {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return obs.Sample{Counters: []obs.NamedValue{
-			{Name: "jobs_total", Value: uint64(p.total)},
-			{Name: "jobs_done", Value: uint64(p.done)},
-			{Name: "jobs_cached", Value: uint64(p.cached)},
-			{Name: "jobs_failed", Value: uint64(p.failed)},
-			{Name: "eta_ms", Value: uint64(p.etaLocked() * 1000)},
-		}}
-	})
 }
 
 func (p *Pool) etaLocked() float64 {

@@ -6,11 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"rocktm/internal/obs"
 )
 
 func testSpec() Spec {
@@ -259,14 +258,18 @@ func TestPoolTimeoutIsolation(t *testing.T) {
 	}
 }
 
-// Progress counters flow through the obs registry and the callback; the
-// ETA drains to zero.
+// Progress counters flow through the callback, once per job; the report
+// for the last job to finish counts every job and its ETA has drained to
+// zero.
 func TestPoolProgressAndMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	var calls atomic.Int64
+	var mu sync.Mutex
+	var reports []Progress
 	p := &Pool{Workers: 2}
-	p.OnProgress = func(pr Progress) { calls.Add(1) }
-	p.PublishMetrics(reg)
+	p.OnProgress = func(pr Progress) {
+		mu.Lock()
+		reports = append(reports, pr)
+		mu.Unlock()
+	}
 	jobs := make([]Job, 6)
 	for i := range jobs {
 		spec := testSpec()
@@ -274,16 +277,20 @@ func TestPoolProgressAndMetrics(t *testing.T) {
 		jobs[i] = Job{Spec: spec, Run: func() ([]byte, error) { return []byte(`{}`), nil }}
 	}
 	p.RunAll(jobs)
-	if calls.Load() != 6 {
-		t.Fatalf("progress callback fired %d times, want 6", calls.Load())
+	if len(reports) != 6 {
+		t.Fatalf("progress callback fired %d times, want 6", len(reports))
 	}
-	snap := reg.Snapshot()
-	for name, want := range map[string]uint64{
-		"jobs_total": 6, "jobs_done": 6, "jobs_cached": 0, "jobs_failed": 0, "eta_ms": 0,
-	} {
-		if got, ok := snap.Counter("runner", name); !ok || got != want {
-			t.Errorf("registry runner/%s = %d (present=%v), want %d", name, got, ok, want)
+	var final *Progress
+	for i := range reports {
+		if reports[i].Done == 6 {
+			final = &reports[i]
 		}
+	}
+	if final == nil {
+		t.Fatalf("no report counted all 6 jobs done: %+v", reports)
+	}
+	if final.Total != 6 || final.Cached != 0 || final.Failed != 0 || final.ETASeconds != 0 {
+		t.Errorf("final progress = %+v, want 6 total, 0 cached, 0 failed, eta 0", *final)
 	}
 }
 

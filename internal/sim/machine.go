@@ -188,9 +188,6 @@ type Machine struct {
 
 	strands []*Strand
 
-	trc *obs.Tracer
-	win obs.EventSink
-
 	// Mode-dependent queue capacities, resolved once at construction so
 	// the transaction hot paths never re-branch on cfg.Mode.
 	sqPerBank int
@@ -336,48 +333,22 @@ func (m *Machine) Recycle() { m.mem.recycle() }
 // outside Run).
 func (m *Machine) Strand(i int) *Strand { return m.strands[i] }
 
-// AttachTracer points every strand's trace hook at t (nil detaches).
-// Attaching a tracer does not change a run's virtual-time behaviour in any
-// way; it only records what happened.
-func (m *Machine) AttachTracer(t *obs.Tracer) {
-	m.trc = t
-	for _, s := range m.strands {
-		s.trc = t
-	}
-}
-
-// StartTrace attaches a fresh tracer with the given per-strand ring
-// capacity (<=0 selects the obs default) and returns it.
-func (m *Machine) StartTrace(perStrandCap int) *obs.Tracer {
-	t := obs.NewTracer(len(m.strands), perStrandCap)
-	t.SetFreqGHz(m.cfg.Costs.FreqGHz)
-	m.AttachTracer(t)
-	return t
-}
-
-// Tracer returns the attached tracer, or nil.
-func (m *Machine) Tracer() *obs.Tracer { return m.trc }
-
-// AttachEventSink points every strand's trace hook at the streaming sink
-// (nil detaches). Like AttachTracer it cannot change a run's virtual-time
-// behaviour; a sink and a tracer may be attached simultaneously.
+// AttachEventSink adds k to every strand's list of hook-point sinks.
+// Sinks only observe, so attaching one cannot change a run's virtual-time
+// behaviour; any number may be attached, and each sees every event.
 func (m *Machine) AttachEventSink(k obs.EventSink) {
-	m.win = k
 	for _, s := range m.strands {
-		s.win = k
+		s.sinks = append(s.sinks, k)
 	}
 }
 
-// EventSink returns the attached streaming sink, or nil.
-func (m *Machine) EventSink() obs.EventSink { return m.win }
-
-// PublishMetrics registers every strand's event counters with the unified
-// metrics registry under the "sim" subsystem, keyed by strand.
-func (m *Machine) PublishMetrics(reg *obs.Registry) {
-	for _, s := range m.strands {
-		s := s
-		reg.RegisterStrand("sim", s.id, func() obs.Sample { return s.stats.Sample() })
-	}
+// StartTrace attaches a fresh ring-buffer tracer, at the obs default
+// per-strand capacity and the machine's clock frequency, and returns it.
+func (m *Machine) StartTrace() *obs.Tracer {
+	t := obs.NewTracer(len(m.strands), 0)
+	t.SetFreqGHz(m.cfg.Costs.FreqGHz)
+	m.AttachEventSink(t)
+	return t
 }
 
 // Run executes body(strand) on every strand concurrently in virtual time

@@ -22,25 +22,6 @@ type Stats struct {
 	TxAborts    uint64
 }
 
-// Sample returns the counters as a metrics-registry sample — the thin
-// compatibility accessor through which strand statistics publish into the
-// unified obs.Registry.
-func (st Stats) Sample() obs.Sample {
-	return obs.Sample{Counters: []obs.NamedValue{
-		{Name: "loads", Value: st.Loads},
-		{Name: "stores", Value: st.Stores},
-		{Name: "cases", Value: st.CASes},
-		{Name: "l1_misses", Value: st.L1Misses},
-		{Name: "l2_misses", Value: st.L2Misses},
-		{Name: "mispredicts", Value: st.Mispredicts},
-		{Name: "tlb_walks", Value: st.TLBWalks},
-		{Name: "page_faults", Value: st.PageFaults},
-		{Name: "tx_begins", Value: st.TxBegins},
-		{Name: "tx_commits", Value: st.TxCommits},
-		{Name: "tx_aborts", Value: st.TxAborts},
-	}}
-}
-
 // Strand is one simulated hardware strand. All of its methods must be
 // called from the goroutine that Machine.Run started for it; the baton
 // discipline then guarantees mutual exclusion over all shared simulator
@@ -90,17 +71,11 @@ type Strand struct {
 
 	stats Stats
 
-	// trc, when non-nil, receives cycle-timestamped trace events. The only
-	// cost with tracing disabled is one nil-check at each hook point;
-	// recording itself charges no cycles, consumes no simulated randomness
-	// and allocates nothing, so traced runs are cycle-identical to untraced
-	// ones.
-	trc *obs.Tracer
-
-	// win, when non-nil, receives the same hook-point stream as trc but as
-	// a streaming fold (the windowed timeseries recorder). Same contract,
-	// same nil-check-only cost when detached; both may be attached at once.
-	win obs.EventSink
+	// sinks receive every cycle-timestamped hook-point event (see
+	// Machine.AttachEventSink). Sinks charge no cycles, consume no
+	// simulated randomness and allocate nothing, so observed runs are
+	// cycle-identical to unobserved ones.
+	sinks []obs.EventSink
 }
 
 func newStrand(m *Machine, id int) *Strand {
@@ -138,16 +113,14 @@ func (s *Strand) Mem() *Memory { return s.m.mem }
 // Stats returns a copy of the strand's event counters.
 func (s *Strand) Stats() Stats { return s.stats }
 
-// TraceEvent records a software-level trace event (lock acquire/release,
-// TM phase transitions, software fallbacks) into the machine's tracer, if
-// one is attached. It charges no cycles and perturbs no simulator state, so
-// instrumented and uninstrumented code run cycle-identically.
+// TraceEvent delivers one hook-point event (transaction begin, commit and
+// abort from the simulator; lock acquire/release, TM phase transitions and
+// software fallbacks from the TM systems) to every attached sink at the
+// strand's current clock. It charges no cycles and perturbs no simulator
+// state, so instrumented and uninstrumented code run cycle-identically.
 func (s *Strand) TraceEvent(kind obs.EventKind, arg uint64) {
-	if s.trc != nil {
-		s.trc.Record(s.id, s.clock, kind, arg)
-	}
-	if s.win != nil {
-		s.win.SinkEvent(s.id, s.clock, kind, arg)
+	for _, k := range s.sinks {
+		k.SinkEvent(s.id, s.clock, kind, arg)
 	}
 }
 

@@ -92,12 +92,7 @@ func (s *Strand) TxBegin() {
 	t.reads, t.writes, t.upgrades, t.stackWrites = 0, 0, 0, 0
 	s.m.activeMask |= s.bit
 	s.stats.TxBegins++
-	if s.trc != nil {
-		s.trc.Record(s.id, s.clock, obs.EvTxBegin, 0)
-	}
-	if s.win != nil {
-		s.win.SinkEvent(s.id, s.clock, obs.EvTxBegin, 0)
-	}
+	s.TraceEvent(obs.EvTxBegin, 0)
 }
 
 // TxActive reports whether a transaction is in flight.
@@ -131,12 +126,7 @@ func (s *Strand) txAbort(reason uint32) {
 		rolled = t.rollbackUndo(s.m.mem) + t.rolledBack
 		t.rolledBack = 0
 	}
-	if s.trc != nil {
-		s.trc.Record(s.id, s.clock, obs.EvTxAbort, uint64(reason))
-	}
-	if s.win != nil {
-		s.win.SinkEvent(s.id, s.clock, obs.EvTxAbort, uint64(reason))
-	}
+	s.TraceEvent(obs.EvTxAbort, uint64(reason))
 	for _, line := range t.marked {
 		s.m.mem.lines[line].marked &^= s.bit
 		s.m.mem.lines[line].written &^= s.bit
@@ -551,12 +541,7 @@ func (s *Strand) TxCommit() bool {
 	s.m.activeMask &^= s.bit
 	t.cpsReg = 0
 	s.stats.TxCommits++
-	if s.trc != nil {
-		s.trc.Record(s.id, s.clock, obs.EvTxCommit, uint64(drained))
-	}
-	if s.win != nil {
-		s.win.SinkEvent(s.id, s.clock, obs.EvTxCommit, uint64(drained))
-	}
+	s.TraceEvent(obs.EvTxCommit, uint64(drained))
 	return true
 }
 

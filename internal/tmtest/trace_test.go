@@ -2,10 +2,13 @@ package tmtest
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"rocktm/internal/core"
+	"rocktm/internal/cps"
 	"rocktm/internal/obs"
+	"rocktm/internal/obs/timeseries"
 	"rocktm/internal/sim"
 )
 
@@ -22,7 +25,7 @@ func runTracedTransfers(f sysFactory, seed uint64, trace bool) (*sim.Machine, *o
 	sys := f.build(m)
 	var tr *obs.Tracer
 	if trace {
-		tr = m.StartTrace(0)
+		tr = m.StartTrace()
 	}
 	base := m.Mem().AllocLines(accounts)
 	for i := 0; i < accounts; i++ {
@@ -62,7 +65,7 @@ func TestTracingPreservesVirtualTime(t *testing.T) {
 				t.Errorf("tracing perturbed virtual time: untraced MaxClock=%d, traced=%d",
 					plain.MaxClock(), traced.MaxClock())
 			}
-			if tr.Recorded() == 0 {
+			if len(tr.Merged()) == 0 {
 				t.Errorf("traced run recorded no events")
 			}
 		})
@@ -95,48 +98,103 @@ func TestTraceStreamDeterministic(t *testing.T) {
 	}
 }
 
-// TestRegistryMatchesSystemStats cross-checks the unified metrics registry
-// against the compatibility accessors it wraps: the "ops" counter pulled
-// through a snapshot must equal the system's own Stats, and the simulator's
-// per-strand tx counters must agree with a trace of the same run.
-func TestRegistryMatchesSystemStats(t *testing.T) {
+// TestTelemetryChannelsAgree reconciles every channel that counts the
+// same transactional facts: the simulator's per-strand counters, the
+// system's Stats, the AbortProfile fold of the live event stream and the
+// windowed timeseries recorder. They must agree exactly for every system
+// under every fault profile and HTM design point. ExogProb stays at its
+// default of 0: with it set, a system reads EXOG from the CPS register
+// where the event carries the true reason.
+func TestTelemetryChannelsAgree(t *testing.T) {
+	const (
+		threads = 4
+		perOps  = 100
+	)
 	for _, f := range factories() {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			const threads = 4
-			m := testMachine(threads, 5)
-			sys := f.build(m)
-			reg := obs.NewRegistry()
-			core.Publish(reg, sys)
-			m.PublishMetrics(reg)
-			tr := m.StartTrace(0)
-			ctr := m.Mem().AllocLines(sim.WordsPerLine)
-			m.Run(func(s *sim.Strand) {
-				for op := 0; op < 100; op++ {
-					sys.Atomic(s, func(c core.Ctx) {
-						c.Store(ctr, c.Load(ctr)+1)
+			for _, fault := range sim.FaultProfileNames() {
+				for _, design := range sim.DesignPointNames() {
+					t.Run(fault+"-"+design, func(t *testing.T) {
+						cfg := sim.DefaultConfig(threads)
+						cfg.MemWords = 1 << 21
+						cfg.Seed = 5
+						cfg.MaxCycles = 1 << 42
+						cfg.Faults = sim.FaultProfile(fault)
+						cfg.HTM = sim.DesignPoint(design)
+						m := sim.New(cfg)
+						sys := f.build(m)
+						prof := obs.NewAbortProfile()
+						m.AttachEventSink(prof)
+						rec := timeseries.NewRecorder(timeseries.MinWidth)
+						m.AttachEventSink(rec)
+						ctr := m.Mem().AllocLines(sim.WordsPerLine)
+						m.Run(func(s *sim.Strand) {
+							for op := 0; op < perOps; op++ {
+								sys.Atomic(s, func(c core.Ctx) {
+									c.Store(ctr, c.Load(ctr)+1)
+								})
+							}
+						})
+						checkChannelsAgree(t, m, sys.Stats(), prof, rec.Series())
+						if got := sys.Stats().Ops; got != threads*perOps {
+							t.Errorf("Ops = %d, want %d", got, threads*perOps)
+						}
 					})
 				}
-			})
-			snap := reg.Snapshot()
-			ops, ok := snap.Counter(sys.Name(), "ops")
-			if !ok || ops != sys.Stats().Ops {
-				t.Errorf("registry ops = %d (found=%v), system stats Ops = %d", ops, ok, sys.Stats().Ops)
-			}
-			if ops != 100*threads {
-				t.Errorf("ops = %d, want %d", ops, 100*threads)
-			}
-			prof := obs.Attribute(tr.Merged())
-			begins, _ := snap.Counter("sim", "tx_begins")
-			if tr.Dropped() == 0 && begins != prof.Begins {
-				t.Errorf("registry tx_begins = %d, trace begins = %d", begins, prof.Begins)
-			}
-			commits, _ := snap.Counter("sim", "tx_commits")
-			aborts, _ := snap.Counter("sim", "tx_aborts")
-			if tr.Dropped() == 0 && (commits != prof.Commits || aborts != prof.Aborts) {
-				t.Errorf("registry commits/aborts = %d/%d, trace = %d/%d",
-					commits, aborts, prof.Commits, prof.Aborts)
 			}
 		})
+	}
+}
+
+// checkChannelsAgree asserts the reconciliation invariants of one run.
+func checkChannelsAgree(t *testing.T, m *sim.Machine, st *core.Stats, prof *obs.AbortProfile, series timeseries.Series) {
+	t.Helper()
+	var strand sim.Stats
+	for i := 0; i < m.Config().Strands; i++ {
+		s := m.Strand(i).Stats()
+		strand.TxBegins += s.TxBegins
+		strand.TxCommits += s.TxCommits
+		strand.TxAborts += s.TxAborts
+	}
+	var win timeseries.WindowStats
+	winBits := map[string]uint64{}
+	for _, w := range series.Windows {
+		win.Begins += w.Begins
+		win.Commits += w.Commits
+		win.Aborts += w.Aborts
+		win.SWCommits += w.SWCommits
+		win.SWAborts += w.SWAborts
+		for name, n := range w.CPS {
+			winBits[name] += n
+		}
+	}
+	for _, c := range []struct {
+		name                   string
+		strand, fold, windowed uint64
+	}{
+		{"begins", strand.TxBegins, prof.Begins, win.Begins},
+		{"commits", strand.TxCommits, prof.Commits, win.Commits},
+		{"aborts", strand.TxAborts, prof.Aborts, win.Aborts},
+	} {
+		if c.strand != c.fold || c.fold != c.windowed {
+			t.Errorf("%s: strands %d, fold %d, windows %d", c.name, c.strand, c.fold, c.windowed)
+		}
+	}
+	if st.HWAttempts != prof.Begins || st.HWCommits != prof.Commits {
+		t.Errorf("system HWAttempts/HWCommits = %d/%d, fold begins/commits = %d/%d",
+			st.HWAttempts, st.HWCommits, prof.Begins, prof.Commits)
+	}
+	if !slices.Equal(st.CPSHist.Entries(), prof.Hist.Entries()) {
+		t.Errorf("system CPS histogram %v, fold %v", st.CPSHist.Entries(), prof.Hist.Entries())
+	}
+	if st.SWCommits != win.SWCommits || st.SWAborts != win.SWAborts {
+		t.Errorf("system SWCommits/SWAborts = %d/%d, windows = %d/%d",
+			st.SWCommits, st.SWAborts, win.SWCommits, win.SWAborts)
+	}
+	for _, bit := range cps.All {
+		if got, want := winBits[cps.Name(bit)], prof.Hist.BitCount(bit); got != want {
+			t.Errorf("CPS bit %s: windows %d, fold %d", cps.Name(bit), got, want)
+		}
 	}
 }
