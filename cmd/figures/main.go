@@ -22,7 +22,7 @@
 //	figures -parallel 8              # worker-pool size (0 = GOMAXPROCS)
 //	figures -no-cache                # recompute every cell
 //	figures -cache-dir /tmp/rc       # result cache location
-//	figures -progress                # per-cell progress/ETA on stderr
+//	figures -progress                # per-cell progress on stderr
 //
 // Every experiment decomposes into independent deterministic cells (one
 // simulated machine per (system, threads) pair) that are scheduled onto
@@ -54,7 +54,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"rocktm/internal/bench"
 	"rocktm/internal/obs"
@@ -134,7 +133,6 @@ type cliFlags struct {
 	cacheDir *string
 	noCache  *bool
 	progress *bool
-	cellTime *time.Duration
 }
 
 // registerFlags declares the full flag surface on fs.
@@ -157,8 +155,7 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		parallel: fs.Int("parallel", 0, "experiment-cell workers (0 = GOMAXPROCS, 1 = serial)"),
 		cacheDir: fs.String("cache-dir", runner.DefaultCacheDir, "content-addressed result cache directory"),
 		noCache:  fs.Bool("no-cache", false, "recompute every cell, ignoring and not writing the cache"),
-		progress: fs.Bool("progress", false, "report per-cell progress and ETA on stderr"),
-		cellTime: fs.Duration("cell-timeout", 0, "per-cell wall-clock budget; an over-budget cell fails alone (0 = none)"),
+		progress: fs.Bool("progress", false, "report per-cell progress on stderr"),
 	}
 }
 
@@ -172,17 +169,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Profiles only make sense on the serial, uncached path: pool workers
-	// interleave cells and cache hits run nothing. stopProfiles is invoked
-	// explicitly on the exit path (main exits via os.Exit inside a defer,
-	// which would skip ordinary deferred profile flushes).
+	if forceSerial(fl) {
+		fmt.Fprintln(os.Stderr, "figures: -cpuprofile, -memprofile, -trace and -timeline force serial, uncached cell execution")
+	}
+
+	// stopProfiles is invoked explicitly on the exit path (main exits via
+	// os.Exit inside a defer, which would skip ordinary deferred profile
+	// flushes).
 	stopProfiles := func() {}
 	if *fl.cpuProf != "" || *fl.memProf != "" {
-		if *fl.parallel != 1 || !*fl.noCache {
-			fmt.Fprintln(os.Stderr, "figures: profiling forces serial, uncached cell execution")
-		}
-		*fl.parallel = 1
-		*fl.noCache = true
 		cpuPath, memPath := *fl.cpuProf, *fl.memProf
 		if cpuPath != "" {
 			f, err := os.Create(cpuPath)
@@ -216,15 +211,14 @@ func main() {
 		}
 	}
 
-	// The orchestrator: worker pool + result cache + learned cost model.
-	pool := &runner.Pool{Workers: *fl.parallel, Timeout: *fl.cellTime}
+	// The orchestrator: worker pool + result cache.
+	pool := &runner.Pool{Workers: *fl.parallel}
 	if !*fl.noCache {
 		cache, err := runner.OpenCache(*fl.cacheDir, runner.CacheVersion)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "figures: %v (continuing uncached)\n", err)
 		} else {
 			pool.Cache = cache
-			pool.Costs = runner.LoadCostModel(*fl.cacheDir)
 		}
 	}
 	if *fl.progress {
@@ -236,22 +230,13 @@ func main() {
 	if *fl.trace != "" {
 		sink = &obs.TraceSink{}
 		o.Trace = sink
-		if *fl.parallel != 1 {
-			fmt.Fprintln(os.Stderr, "figures: -trace forces serial, uncached cell execution")
-		}
 	}
 	var tlSink *timeseries.Sink
 	if *fl.timeline != "" {
 		tlSink = &timeseries.Sink{}
 		o.Timeline = tlSink
-		if *fl.parallel != 1 {
-			fmt.Fprintln(os.Stderr, "figures: -timeline forces serial, uncached cell execution")
-		}
 	}
 	mo := bench.MSFOptions{Width: *fl.msfDim, Height: *fl.msfDim, Threads: threads, Seed: *fl.seed, Runner: pool}
-	if *fl.trace != "" {
-		mo.Runner = nil // MSF cells are untraced; keep them serial too for reproducible trace files
-	}
 
 	experiments := buildExperiments(o, mo)
 	valid := experimentNames(experiments)
@@ -271,7 +256,12 @@ func main() {
 
 	exitCode := 0
 	defer func() {
-		finishPool(pool)
+		if pool.Cache != nil {
+			// Corrupted entries fell back to recompute; say which.
+			for _, w := range pool.Cache.Warnings() {
+				fmt.Fprintf(os.Stderr, "figures: %s\n", w)
+			}
+		}
 		stopProfiles()
 		os.Exit(exitCode)
 	}()
@@ -413,23 +403,21 @@ func progressLine(pr runner.Progress) string {
 	if pr.Failed > 0 {
 		line += fmt.Sprintf(", %d failed", pr.Failed)
 	}
-	eta := time.Duration(pr.ETASeconds*1000) * time.Millisecond
-	return line + fmt.Sprintf(") eta %s  last=%s", eta.Round(time.Second), pr.Last)
+	return line + ") last=" + pr.Last.String()
 }
 
-// finishPool persists the learned cost model and surfaces any cache
-// warnings (corrupted entries fell back to recompute).
-func finishPool(pool *runner.Pool) {
-	if pool.Costs != nil {
-		if err := pool.Costs.Save(); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: cost model: %v\n", err)
-		}
+// forceSerial is the one rule for the flags whose output needs every
+// cell computed on one worker, in submission order: CPU and allocation
+// profiles, traces and window series. Pool workers would interleave
+// cells, and a cache hit computes nothing to sample or record. It
+// reports whether it overrode -parallel or -no-cache.
+func forceSerial(fl *cliFlags) bool {
+	if *fl.cpuProf == "" && *fl.memProf == "" && *fl.trace == "" && *fl.timeline == "" {
+		return false
 	}
-	if pool.Cache != nil {
-		for _, w := range pool.Cache.Warnings() {
-			fmt.Fprintf(os.Stderr, "figures: %s\n", w)
-		}
-	}
+	overrode := *fl.parallel != 1 || !*fl.noCache
+	*fl.parallel, *fl.noCache = 1, true
+	return overrode
 }
 
 // validate checks every numeric flag before any cell runs, so out-of-range
@@ -444,13 +432,15 @@ func validate(fl *cliFlags) ([]int, error) {
 			return nil, fmt.Errorf("-%s must be positive, got %d", f.name, f.v)
 		}
 	}
-	// Zero keeps its documented meaning for these three; a negative value
+	// The experiments read seed 0 as "use seed 1", so it would silently
+	// print another seed's figures.
+	if *fl.seed == 0 {
+		return nil, fmt.Errorf("-seed must be positive, got 0")
+	}
+	// Zero keeps its documented meaning for these two; a negative value
 	// would otherwise fall through to that meaning silently.
 	if *fl.parallel < 0 {
 		return nil, fmt.Errorf("-parallel must not be negative, got %d (0 = GOMAXPROCS)", *fl.parallel)
-	}
-	if *fl.cellTime < 0 {
-		return nil, fmt.Errorf("-cell-timeout must not be negative, got %v (0 = none)", *fl.cellTime)
 	}
 	if *fl.tlWindow < 0 {
 		return nil, fmt.Errorf("-timeline-window must not be negative, got %d (0 = default)", *fl.tlWindow)

@@ -128,10 +128,11 @@ func TestFlagSurfaceCarriesTimeline(t *testing.T) {
 
 // Out-of-range numeric flags are usage errors naming the flag, caught
 // before any cell runs: a thread count past sim.MaxStrands used to panic
-// inside a cell, and non-positive sizes used to print empty or all-zero
-// figures. Negative -parallel, -cell-timeout and -timeline-window are
-// rejected; zero keeps its documented meaning. The strand scheduler is not
-// a command-line choice: -sched is an unknown flag.
+// inside a cell, non-positive sizes used to print empty or all-zero
+// figures, and -seed 0 used to print seed 1's figures. Negative -parallel
+// and -timeline-window are rejected; zero keeps its documented meaning.
+// The strand scheduler and a wall-clock cell budget are not command-line
+// choices: -sched and -cell-timeout are unknown flags.
 func TestInvalidFlagsRejected(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -148,11 +149,13 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{[]string{"-msf-dim", "0"}, "-msf-dim"},
 		{[]string{"-msf-dim", "-4"}, "-msf-dim"},
 		{[]string{"-profile-ops", "0"}, "-profile-ops"},
-		{[]string{"-parallel", "0", "-cell-timeout", "0", "-timeline-window", "0"}, ""},
+		{[]string{"-seed", "2"}, ""},
+		{[]string{"-seed", "0"}, "-seed"},
+		{[]string{"-parallel", "0", "-timeline-window", "0"}, ""},
 		{[]string{"-parallel", "-3"}, "-parallel"},
-		{[]string{"-cell-timeout", "-1s"}, "-cell-timeout"},
 		{[]string{"-timeline-window", "-5", "-timeline", "f.json"}, "-timeline-window"},
 		{[]string{"-sched", "step"}, "-sched"},
+		{[]string{"-cell-timeout", "1s"}, "-cell-timeout"},
 	}
 	for _, c := range cases {
 		fs := flag.NewFlagSet("figures", flag.ContinueOnError)
@@ -235,14 +238,12 @@ func TestProgressLine(t *testing.T) {
 		pr   runner.Progress
 		want string
 	}{
-		{runner.Progress{Total: 12, Done: 3, Cached: 1, ETASeconds: 4.4, Last: last},
-			"figures: 3/12 cells (1 cached) eta 4s  last=fig2a/phtm@4T"},
+		{runner.Progress{Total: 12, Done: 3, Cached: 1, Last: last},
+			"figures: 3/12 cells (1 cached) last=fig2a/phtm@4T"},
 		{runner.Progress{Total: 12, Done: 5, Failed: 2, Last: last},
-			"figures: 5/12 cells (0 cached, 2 failed) eta 0s  last=fig2a/phtm@4T"},
-		{runner.Progress{Total: 40, Done: 1, ETASeconds: 2.5, Last: last},
-			"figures: 1/40 cells (0 cached) eta 3s  last=fig2a/phtm@4T"},
-		{runner.Progress{Total: 40, Done: 2, ETASeconds: 89.4996, Last: last},
-			"figures: 2/40 cells (0 cached) eta 1m29s  last=fig2a/phtm@4T"},
+			"figures: 5/12 cells (0 cached, 2 failed) last=fig2a/phtm@4T"},
+		{runner.Progress{Total: 40, Done: 40, Cached: 40, Last: last},
+			"figures: 40/40 cells (40 cached) last=fig2a/phtm@4T"},
 	} {
 		got := progressLine(c.pr)
 		if got != c.want {
@@ -250,6 +251,40 @@ func TestProgressLine(t *testing.T) {
 		}
 		if !progressPattern.MatchString(got) {
 			t.Errorf("%q does not match the benchmark's progress pattern", got)
+		}
+	}
+}
+
+// Profiles, traces and window series all force serial, uncached cells
+// through one rule, which reports only when it overrides the command line.
+func TestSerialFlagsForceSerialUncached(t *testing.T) {
+	for _, c := range []struct {
+		args     []string
+		forced   bool
+		overrode bool
+	}{
+		{nil, false, false},
+		{[]string{"-parallel", "4"}, false, false},
+		{[]string{"-cpuprofile", "c.pprof"}, true, true},
+		{[]string{"-memprofile", "m.pprof", "-parallel", "1"}, true, true},
+		{[]string{"-trace", "t.json", "-no-cache"}, true, true},
+		{[]string{"-timeline", "w.json", "-parallel", "4", "-no-cache"}, true, true},
+		{[]string{"-trace", "t.json", "-timeline", "w.json", "-parallel", "1", "-no-cache"}, true, false},
+	} {
+		fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+		fl := registerFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		parallel, noCache := *fl.parallel, *fl.noCache
+		if got := forceSerial(fl); got != c.overrode {
+			t.Errorf("%v: forceSerial reported %v, want %v", c.args, got, c.overrode)
+		}
+		if c.forced && (*fl.parallel != 1 || !*fl.noCache) {
+			t.Errorf("%v: -parallel %d -no-cache=%v, want serial and uncached", c.args, *fl.parallel, *fl.noCache)
+		}
+		if !c.forced && (*fl.parallel != parallel || *fl.noCache != noCache) {
+			t.Errorf("%v: flags changed without a forcing flag", c.args)
 		}
 	}
 }

@@ -59,6 +59,10 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 // built, so out-of-range input is a usage error rather than a panic inside
 // the simulated machine or a silently substituted value. It returns the
 // chip mode -mode names.
+//
+// The -variant all sweep reads a zero -extra or -seed as "use the
+// default" (0.05 and 1), so it rejects both rather than build another
+// graph than the single-variant path builds from the same flags.
 func validate(fl *cliFlags) (sim.Mode, error) {
 	if *fl.threads < 1 || *fl.threads > sim.MaxStrands {
 		return 0, fmt.Errorf("-threads must be in [1,%d], got %d", sim.MaxStrands, *fl.threads)
@@ -71,6 +75,12 @@ func validate(fl *cliFlags) (sim.Mode, error) {
 	}
 	if *fl.parallel < 0 {
 		return 0, fmt.Errorf("-parallel must not be negative, got %d (0 = GOMAXPROCS)", *fl.parallel)
+	}
+	if *fl.variant == "all" && *fl.extra == 0 {
+		return 0, fmt.Errorf("-extra 0 is not supported with -variant all (the sweep would run -extra 0.05); run one variant at a time")
+	}
+	if *fl.variant == "all" && *fl.seed == 0 {
+		return 0, fmt.Errorf("-seed 0 is not supported with -variant all (the sweep would run -seed 1); run one variant at a time")
 	}
 	switch *fl.mode {
 	case "sse":
@@ -101,7 +111,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "msf: %v (continuing uncached)\n", err)
 			} else {
 				pool.Cache = cache
-				pool.Costs = runner.LoadCostModel(*fl.cacheDir)
 			}
 		}
 		mo := bench.MSFOptions{
@@ -113,11 +122,6 @@ func main() {
 			fatal(err)
 		}
 		fig.Render(os.Stdout)
-		if pool.Costs != nil {
-			if err := pool.Costs.Save(); err != nil {
-				fmt.Fprintf(os.Stderr, "msf: cost model: %v\n", err)
-			}
-		}
 		if pool.Cache != nil {
 			for _, w := range pool.Cache.Warnings() {
 				fmt.Fprintf(os.Stderr, "msf: %s\n", w)

@@ -12,7 +12,9 @@ import (
 // TestInvalidFlagsRejected: out-of-range flags are usage errors naming the
 // flag. A thread count outside [1,64] and -dim 0 used to panic inside the
 // simulator, a negative -dim validated an empty graph, an unknown -mode
-// silently ran SSE and a negative -parallel was accepted.
+// silently ran SSE, a negative -parallel was accepted, and -variant all
+// silently ran -extra 0 as 0.05 and -seed 0 as 1. The single-variant path
+// honours both zeros.
 func TestInvalidFlagsRejected(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -30,6 +32,10 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{[]string{"-extra", "NaN"}, "-extra", 0},
 		{[]string{"-mode", "sx"}, "-mode", 0},
 		{[]string{"-parallel", "-1"}, "-parallel", 0},
+		{[]string{"-seed", "0"}, "", sim.SSE},
+		{[]string{"-variant", "all", "-extra", "0.05", "-seed", "1"}, "", sim.SSE},
+		{[]string{"-variant", "all", "-extra", "0"}, "-extra", 0},
+		{[]string{"-variant", "all", "-seed", "0"}, "-seed", 0},
 	}
 	for _, c := range cases {
 		fs := flag.NewFlagSet("msf", flag.ContinueOnError)

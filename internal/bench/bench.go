@@ -56,7 +56,7 @@ type Options struct {
 
 	// Timeline, when non-nil, receives one windowed timeseries per timed
 	// run (same labels as Trace), exportable as JSON or CSV via the sink.
-	// Like Trace it forces inline serial execution and, per the
+	// Like Trace it forces serial, uncached execution and, per the
 	// zero-perturbation contract, leaves every throughput byte unchanged.
 	Timeline *timeseries.Sink
 	// TimelineWindow is the window width in simulated cycles (<=0 selects
@@ -64,18 +64,20 @@ type Options struct {
 	TimelineWindow int64
 
 	// Runner, when non-nil, executes experiment cells through the
-	// host-parallel orchestrator: a worker pool with longest-expected-first
-	// scheduling plus a content-addressed result cache. Nil runs cells
-	// serially inline. Results are merged in submission order either way,
-	// so parallel figures are byte-identical to serial ones.
+	// host-parallel orchestrator: a worker pool that hands cells out in
+	// submission order, plus a content-addressed result cache. Nil runs
+	// cells on one worker without a cache. Results are merged in
+	// submission order either way, so parallel figures are byte-identical
+	// to serial ones.
 	Runner *runner.Pool
 }
 
 // pool returns the pool cells should run on. Tracing and timeline capture
-// force inline serial execution: a cache hit would produce no events, and
-// the sink's deposit order must stay deterministic. (The timeline *figure*
-// is exempt — its series ride inside the cell payloads, so it caches and
-// parallelizes like any other experiment.)
+// force the nil pool's serial, uncached execution: a cache hit would
+// produce no events, and the sink's deposit order must stay
+// deterministic. (The timeline *figure* is exempt — its series ride
+// inside the cell payloads, so it caches and parallelizes like any other
+// experiment.)
 func (o Options) pool() *runner.Pool {
 	if o.Trace != nil || o.Timeline != nil {
 		return nil
@@ -125,7 +127,7 @@ func (o Options) latRecorder() *obs.LatencyRecorder {
 type pointCell = runner.Cell[Point]
 
 // runPoints executes point-producing cells through the configured pool
-// (or inline) and returns them in submission order.
+// and returns them in submission order.
 func runPoints(o Options, cells []pointCell) ([]Point, error) {
 	return runner.RunCells(o.pool(), cells)
 }

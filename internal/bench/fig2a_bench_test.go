@@ -4,7 +4,7 @@ import "testing"
 
 // BenchmarkFig2aCell is the end-to-end hot-path benchmark: one small
 // serial fig2a matrix (every system at 4 threads, 300 ops/thread), run
-// inline with no runner pool and no cache. It exercises machine
+// on the nil pool: one worker, no cache. It exercises machine
 // construction, the baton scheduler, TLBs, caches and the transaction
 // paths exactly as `figures -exp fig2a` does.
 func BenchmarkFig2aCell(b *testing.B) {

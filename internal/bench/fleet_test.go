@@ -16,7 +16,7 @@ import (
 func TestFleetParallelMatchesSerialByteForByte(t *testing.T) {
 	o := Options{OpsPerThread: 40, Seed: 1}
 
-	serialFig, err := FleetFigure(o) // o.Runner == nil: inline serial path
+	serialFig, err := FleetFigure(o) // o.Runner == nil: one worker, no cache
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestFleetParallelMatchesSerialByteForByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	po := o
-	po.Runner = &runner.Pool{Workers: 8, Cache: cache, Costs: runner.NewCostModel()}
+	po.Runner = &runner.Pool{Workers: 8, Cache: cache}
 	for pass, label := range []string{"parallel", "warm-cache"} {
 		fig, err := FleetFigure(po)
 		if err != nil {

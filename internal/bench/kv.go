@@ -143,7 +143,7 @@ func kvSpec(o Options, name string, cfg kvConfig, system string, threads int) ru
 
 // kvFigure sweeps all systems across the thread axis. Each (system,
 // threads) pair is one independent job emitted through the runner; the
-// serial fallback executes the same cells inline in the same order.
+// nil pool executes the same cells one at a time in the same order.
 func kvFigure(o Options, name, title string, cfg kvConfig) (*Figure, error) {
 	fig := &Figure{Title: title, YLabel: "throughput (ops/usec), simulated"}
 	systems := tmSystems()

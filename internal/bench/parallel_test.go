@@ -25,7 +25,7 @@ func renderAll(t *testing.T, fig *Figure) []byte {
 func TestParallelMatchesSerialByteForByte(t *testing.T) {
 	o := Options{Threads: []int{1, 2, 3}, OpsPerThread: 80, Seed: 1}
 
-	serialFig, err := Fig2a(o) // o.Runner == nil: inline serial path
+	serialFig, err := Fig2a(o) // o.Runner == nil: one worker, no cache
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestParallelMatchesSerialByteForByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	po := o
-	po.Runner = &runner.Pool{Workers: 8, Cache: cache, Costs: runner.NewCostModel()}
+	po.Runner = &runner.Pool{Workers: 8, Cache: cache}
 	parallelFig, err := Fig2a(po)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 func TestTailParallelMatchesSerialByteForByte(t *testing.T) {
 	o := Options{Threads: []int{1, 2}, OpsPerThread: 80, Seed: 1}
 
-	serialFig, err := TailFigure(o) // o.Runner == nil: inline serial path
+	serialFig, err := TailFigure(o) // o.Runner == nil: one worker, no cache
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestTailParallelMatchesSerialByteForByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	po := o
-	po.Runner = &runner.Pool{Workers: 8, Cache: cache, Costs: runner.NewCostModel()}
+	po.Runner = &runner.Pool{Workers: 8, Cache: cache}
 	for pass, label := range []string{"parallel", "warm-cache"} {
 		fig, err := TailFigure(po)
 		if err != nil {

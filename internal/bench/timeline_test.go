@@ -63,7 +63,7 @@ func TestTimelineCaptureDoesNotPerturb(t *testing.T) {
 func TestTimelineParallelMatchesSerialByteForByte(t *testing.T) {
 	o := Options{Threads: []int{1, 2}, OpsPerThread: 80, Seed: 1}
 
-	serialFig, err := TimelineFigure(o) // o.Runner == nil: inline serial path
+	serialFig, err := TimelineFigure(o) // o.Runner == nil: one worker, no cache
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestTimelineParallelMatchesSerialByteForByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	po := o
-	po.Runner = &runner.Pool{Workers: 8, Cache: cache, Costs: runner.NewCostModel()}
+	po.Runner = &runner.Pool{Workers: 8, Cache: cache}
 	for pass, label := range []string{"parallel", "warm-cache"} {
 		fig, err := TimelineFigure(po)
 		if err != nil {

@@ -23,9 +23,6 @@ type cacheEntry struct {
 	Spec Spec `json:"spec"`
 	// Payload is the cell's canonical JSON result.
 	Payload json.RawMessage `json:"payload"`
-	// HostSeconds is the wall-clock cost of computing the payload; it
-	// seeds the cost model's longest-job-first schedule on later runs.
-	HostSeconds float64 `json:"host_seconds"`
 	// Created is when the entry was written (informational).
 	Created time.Time `json:"created"`
 }
@@ -50,53 +47,51 @@ func OpenCache(dir, salt string) (*Cache, error) {
 	return &Cache{dir: dir, salt: salt}, nil
 }
 
-// Dir returns the cache directory path.
-func (c *Cache) Dir() string { return c.dir }
-
 func (c *Cache) path(spec Spec) string {
 	return filepath.Join(c.dir, spec.Hash(c.salt)+".json")
 }
 
-// Get returns the cached payload for spec, plus the host seconds the
-// original computation took. A missing, corrupted, stale-version or
-// mismatched entry is a miss; corruption and mismatches additionally
-// record a warning (the sweep recomputes and overwrites, never crashes).
-func (c *Cache) Get(spec Spec) (payload []byte, hostSeconds float64, ok bool) {
+// Get returns the cached payload for spec. A missing, corrupted,
+// stale-version or mismatched entry is a miss; corruption and mismatches
+// additionally record a warning (the sweep recomputes and overwrites,
+// never crashes). Fields an entry carries beyond cacheEntry's are
+// ignored, so entries written by older code of the same CacheVersion
+// still hit.
+func (c *Cache) Get(spec Spec) (payload []byte, ok bool) {
 	raw, err := os.ReadFile(c.path(spec))
 	if err != nil {
-		return nil, 0, false // plain miss
+		return nil, false // plain miss
 	}
 	var e cacheEntry
 	if err := json.Unmarshal(raw, &e); err != nil {
 		c.warn(fmt.Sprintf("cache: corrupted entry for %s (%v); recomputing", spec, err))
-		return nil, 0, false
+		return nil, false
 	}
 	if e.Version != c.salt {
 		// Stale code version: silently recompute (the common case after
 		// any simulator change) — the fresh Put overwrites the file.
-		return nil, 0, false
+		return nil, false
 	}
 	if e.Key != spec.Key() {
 		c.warn(fmt.Sprintf("cache: key mismatch for %s (hash collision or edited file); recomputing", spec))
-		return nil, 0, false
+		return nil, false
 	}
 	if len(e.Payload) == 0 {
 		c.warn(fmt.Sprintf("cache: empty payload for %s; recomputing", spec))
-		return nil, 0, false
+		return nil, false
 	}
-	return e.Payload, e.HostSeconds, true
+	return e.Payload, true
 }
 
 // Put stores a freshly computed payload. Writes are atomic
 // (temp file + rename) so a crashed run never leaves a truncated entry.
-func (c *Cache) Put(spec Spec, payload []byte, hostSeconds float64) error {
+func (c *Cache) Put(spec Spec, payload []byte) error {
 	e := cacheEntry{
-		Version:     c.salt,
-		Key:         spec.Key(),
-		Spec:        spec,
-		Payload:     payload,
-		HostSeconds: hostSeconds,
-		Created:     time.Now().UTC(),
+		Version: c.salt,
+		Key:     spec.Key(),
+		Spec:    spec,
+		Payload: payload,
+		Created: time.Now().UTC(),
 	}
 	// Compact on purpose: MarshalIndent would re-indent the embedded
 	// payload, and Get must hand back the exact bytes Put received so

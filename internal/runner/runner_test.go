@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func testSpec() Spec {
@@ -71,21 +70,18 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	spec := testSpec()
 	payload := []byte(`{"threads":4,"ops_per_usec":1.25}`)
-	if _, _, ok := c.Get(spec); ok {
+	if _, ok := c.Get(spec); ok {
 		t.Fatal("hit on empty cache")
 	}
-	if err := c.Put(spec, payload, 2.5); err != nil {
+	if err := c.Put(spec, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, secs, ok := c.Get(spec)
+	got, ok := c.Get(spec)
 	if !ok {
 		t.Fatal("miss after Put")
 	}
 	if string(got) != string(payload) {
 		t.Fatalf("payload mismatch: %s != %s", got, payload)
-	}
-	if secs != 2.5 {
-		t.Fatalf("host seconds: got %v want 2.5", secs)
 	}
 	if w := c.Warnings(); len(w) != 0 {
 		t.Fatalf("unexpected warnings: %v", w)
@@ -103,14 +99,14 @@ func TestCacheVersionSaltInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := old.Put(spec, []byte(`{"v":1}`), 1); err != nil {
+	if err := old.Put(spec, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := OpenCache(dir, "new-version")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := fresh.Get(spec); ok {
+	if _, ok := fresh.Get(spec); ok {
 		t.Fatal("stale-version entry served")
 	}
 }
@@ -124,14 +120,14 @@ func TestCacheCorruptedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := testSpec()
-	if err := c.Put(spec, []byte(`{"v":1}`), 1); err != nil {
+	if err := c.Put(spec, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, spec.Hash("test-v1")+".json")
 	if err := os.WriteFile(path, []byte("{truncated garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Get(spec); ok {
+	if _, ok := c.Get(spec); ok {
 		t.Fatal("corrupted entry served")
 	}
 	w := c.Warnings()
@@ -147,7 +143,7 @@ func TestCacheCorruptedEntry(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Get(spec); ok {
+	if _, ok := c.Get(spec); ok {
 		t.Fatal("key-mismatched entry served")
 	}
 	if w := c.Warnings(); len(w) != 1 || !strings.Contains(w[0], "mismatch") {
@@ -177,7 +173,7 @@ func TestPoolDeterministicMergeAndCache(t *testing.T) {
 		return jobs
 	}
 	var computes atomic.Int64
-	p := &Pool{Workers: 8, Cache: cache, Costs: NewCostModel()}
+	p := &Pool{Workers: 8, Cache: cache}
 	results := p.RunAll(newJobs(&computes))
 	for i, r := range results {
 		if r.Err != nil {
@@ -238,29 +234,8 @@ func TestPoolPanicIsolation(t *testing.T) {
 	}
 }
 
-// A job that exceeds the per-job timeout fails alone while the sweep
-// completes.
-func TestPoolTimeoutIsolation(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	p := &Pool{Workers: 4, Timeout: 50 * time.Millisecond}
-	jobs := []Job{
-		{Spec: testSpec(), Run: func() ([]byte, error) { return []byte(`{}`), nil }},
-		{Spec: testSpec(), Run: func() ([]byte, error) { <-block; return []byte(`{}`), nil }},
-		{Spec: testSpec(), Run: func() ([]byte, error) { return []byte(`{}`), nil }},
-	}
-	results := p.RunAll(jobs)
-	if results[1].Err == nil || !strings.Contains(results[1].Err.Error(), "timeout") {
-		t.Fatalf("wedged job not timed out: %v", results[1].Err)
-	}
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Fatalf("healthy jobs failed: %v %v", results[0].Err, results[2].Err)
-	}
-}
-
 // Progress counters flow through the callback, once per job; the report
-// for the last job to finish counts every job and its ETA has drained to
-// zero.
+// for the last job to finish counts every job.
 func TestPoolProgressAndMetrics(t *testing.T) {
 	var mu sync.Mutex
 	var reports []Progress
@@ -289,53 +264,13 @@ func TestPoolProgressAndMetrics(t *testing.T) {
 	if final == nil {
 		t.Fatalf("no report counted all 6 jobs done: %+v", reports)
 	}
-	if final.Total != 6 || final.Cached != 0 || final.Failed != 0 || final.ETASeconds != 0 {
-		t.Errorf("final progress = %+v, want 6 total, 0 cached, 0 failed, eta 0", *final)
-	}
-}
-
-// The cost model learns, persists, and orders longest-first.
-func TestCostModelLearnAndPersist(t *testing.T) {
-	dir := t.TempDir()
-	cm := LoadCostModel(dir)
-	big, small := testSpec(), testSpec()
-	big.System, small.System = "big", "small"
-	cm.Observe(big, 8.0)
-	cm.Observe(small, 0.5)
-	cm.Observe(big, 4.0) // EWMA: 6.0
-	if got := cm.Estimate(big); got != 6.0 {
-		t.Fatalf("EWMA estimate = %v, want 6.0", got)
-	}
-	if cm.Estimate(big) <= cm.Estimate(small) {
-		t.Fatal("learned ordering inverted")
-	}
-	if err := cm.Save(); err != nil {
-		t.Fatal(err)
-	}
-	reloaded := LoadCostModel(dir)
-	if got := reloaded.Estimate(big); got != 6.0 {
-		t.Fatalf("persisted estimate = %v, want 6.0", got)
-	}
-	// Unlearned specs fall back to a work-proportional heuristic.
-	fresh := NewCostModel()
-	heavy, light := testSpec(), testSpec()
-	heavy.System, light.System = "h", "l"
-	heavy.Threads, heavy.Ops = 16, 8000
-	light.Threads, light.Ops = 1, 100
-	if fresh.Estimate(heavy) <= fresh.Estimate(light) {
-		t.Fatal("heuristic estimate not monotone in work")
-	}
-	// A corrupted cost file loads as empty, never fails.
-	if err := os.WriteFile(filepath.Join(dir, costFile), []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if LoadCostModel(dir) == nil {
-		t.Fatal("corrupted cost file should load empty")
+	if final.Total != 6 || final.Cached != 0 || final.Failed != 0 {
+		t.Errorf("final progress = %+v, want 6 total, 0 cached, 0 failed", *final)
 	}
 }
 
 // RunCells routes typed values through canonical JSON identically on the
-// inline path, the pool path, and the cache-hit path.
+// nil-pool path, the pooled path, and the cache-hit path.
 func TestRunCellsTypedRoundTrip(t *testing.T) {
 	type pt struct {
 		Threads int     `json:"threads"`
@@ -353,7 +288,7 @@ func TestRunCellsTypedRoundTrip(t *testing.T) {
 		}
 		return cells
 	}
-	inline, err := RunCells[pt](nil, mkCells())
+	serial, err := RunCells[pt](nil, mkCells())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,9 +305,79 @@ func TestRunCellsTypedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range inline {
-		if inline[i] != pooled[i] || pooled[i] != cached[i] {
-			t.Fatalf("cell %d: inline=%v pooled=%v cached=%v", i, inline[i], pooled[i], cached[i])
+	for i := range serial {
+		if serial[i] != pooled[i] || pooled[i] != cached[i] {
+			t.Fatalf("cell %d: serial=%v pooled=%v cached=%v", i, serial[i], pooled[i], cached[i])
 		}
+	}
+}
+
+// A nil pool is one worker without a cache: its cells run one at a time
+// in submission order, a panicking cell comes back as that cell's error,
+// and the cells after it still run.
+func TestNilPoolRunsInOrderAndIsolatesPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("panic escaped RunCells: %v", r)
+		}
+	}()
+	var ran []int
+	cells := make([]Cell[int], 5)
+	for i := range cells {
+		i := i
+		spec := testSpec()
+		spec.Threads = i + 1
+		cells[i] = Cell[int]{Spec: spec, Compute: func() (int, error) {
+			ran = append(ran, i)
+			if i == 2 {
+				panic("wedged cell")
+			}
+			return i, nil
+		}}
+	}
+	_, err := RunCells[int](nil, cells)
+	if err == nil || !strings.Contains(err.Error(), "wedged cell") ||
+		!strings.Contains(err.Error(), cells[2].Spec.String()) {
+		t.Fatalf("panicking cell not reported as its error: %v", err)
+	}
+	if fmt.Sprint(ran) != "[0 1 2 3 4]" {
+		t.Fatalf("cells ran in order %v, want [0 1 2 3 4]", ran)
+	}
+}
+
+// Cache entries written before the entry lost its host-seconds field
+// still hit, and hand back the payload byte for byte, so existing cache
+// directories keep working under the same CacheVersion.
+func TestCacheHitsEntryWithRetiredField(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCache(dir, "test-v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec()
+	payload := []byte(`{"threads":4,"ops_per_usec":1.25}`)
+	legacy := struct {
+		cacheEntry
+		Retired float64 `json:"host_seconds"`
+	}{cacheEntry{Version: "test-v1", Key: spec.Key(), Spec: spec, Payload: payload}, 2.5}
+	raw, err := json.Marshal(&legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"host_seconds":2.5`) {
+		t.Fatalf("legacy entry lacks the retired field: %s", raw)
+	}
+	if err := os.WriteFile(filepath.Join(dir, spec.Hash("test-v1")+".json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c.Get(spec)
+	if !ok {
+		t.Fatal("entry with the retired field missed")
+	}
+	if string(got) != string(payload) {
+		t.Fatalf("payload mismatch: %s != %s", got, payload)
+	}
+	if w := c.Warnings(); len(w) != 0 {
+		t.Fatalf("unexpected warnings: %v", w)
 	}
 }

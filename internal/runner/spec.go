@@ -1,10 +1,10 @@
 // Package runner is the host-parallel experiment orchestrator: it turns
-// the bench layer's figure sweeps into a scheduled fleet of independent
-// jobs (one deterministic simulated-machine build+run per experiment
-// cell), executes them on a worker pool sized to the host, and memoizes
-// each cell's result in a content-addressed on-disk cache so unchanged
-// figures re-render instantly and interrupted `-exp all` runs resume
-// where they stopped.
+// the bench layer's figure sweeps into independent jobs (one
+// deterministic simulated-machine build+run per experiment cell),
+// hands them out in submission order to a worker pool sized to the
+// host, and memoizes each cell's result in a content-addressed on-disk
+// cache so unchanged figures re-render instantly and interrupted
+// `-exp all` runs resume where they stopped.
 //
 // Three properties matter and are preserved by construction:
 //
@@ -12,8 +12,8 @@
 //     so cells share no state and a cell's payload is a pure function of
 //     its Spec. Results are merged in submission order, making parallel
 //     output byte-identical to serial output.
-//   - Isolation: a panicking or wedged cell is recovered/timed out and
-//     reported as that cell's error; it never takes the sweep down.
+//   - Isolation: a panicking cell is recovered and reported as that
+//     cell's error; it never takes the sweep down.
 //   - Honesty: cache keys include a code-version salt, so results
 //     computed by older code are invalidated rather than silently reused.
 package runner
@@ -91,12 +91,4 @@ func (s Spec) Hash(salt string) string {
 // String renders the spec compactly for progress lines and errors.
 func (s Spec) String() string {
 	return fmt.Sprintf("%s/%s@%dT", s.Experiment, s.System, s.Threads)
-}
-
-// CostKey is the coarse key the cost model learns under: cells with the
-// same experiment, system and thread count are assumed to cost about the
-// same regardless of seed, which is what makes estimates transfer across
-// sweeps.
-func (s Spec) CostKey() string {
-	return fmt.Sprintf("%s/%s@%d/%d", s.Experiment, s.System, s.Threads, s.Ops)
 }
