@@ -13,11 +13,11 @@
 //	figures -exp attrib              # Table-4-style abort attribution
 //	figures -exp tail                # skew x system latency percentiles
 //	figures -latency -exp fig2b      # add p50/p90/p99/p99.9 to any figure
-//	figures -exp fig1a -trace t.json # Chrome/Perfetto event trace
+//	figures -exp fig1a -trace t.json # Chrome/Perfetto event trace, one run per cell
 //	figures -exp timeline            # windowed timeseries + detectors + SLOs
 //	figures -exp fleet               # sharded service tier: router x batching x 2PC
 //	figures -exp htmdesign           # HTM design space: design point x workload x policy
-//	figures -exp tail -timeline w.json    # window series of any experiment
+//	figures -exp tail -timeline w.json    # window series, one per cell
 //	figures -timeline-window 16384   # window width in simulated cycles
 //	figures -parallel 8              # worker-pool size (0 = GOMAXPROCS)
 //	figures -no-cache                # recompute every cell
@@ -29,6 +29,11 @@
 // a host worker pool and memoized in a content-addressed result cache,
 // so unchanged figures re-render instantly and interrupted runs resume.
 // Parallel output is byte-identical to serial output.
+//
+// -trace and -timeline capture every cell of every experiment except
+// fig4, msfse, fleet and profile: one event trace and one window series
+// per cell, each labelled with the cell's name, experiment/curve@NT — the
+// name -progress prints after "last=".
 //
 // Experiments: fig1a fig1b fig1ro fig2a fig2b fig3a fig3b counter dcas
 // divide inline treemap volano fig4 msfse profile attrib, the tail
@@ -145,9 +150,9 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		csv:      fs.Bool("csv", false, "also emit CSV rows"),
 		latency:  fs.Bool("latency", false, "record per-operation latency and add p50/p90/p99/p99.9 columns to every workload-driven figure"),
 		json:     fs.Bool("json", false, "also emit one JSON document per figure/report"),
-		trace:    fs.String("trace", "", "write a Chrome trace_event JSON file of every timed run (forces serial, uncached cells)"),
-		timeline: fs.String("timeline", "", "write the windowed timeseries of every timed run to this file (.csv for CSV, else JSON; forces serial, uncached cells)"),
-		tlWindow: fs.Int64("timeline-window", 0, "timeseries window width in simulated cycles (0 = default)"),
+		trace:    fs.String("trace", "", "write a Chrome trace_event JSON file with one run per cell of every experiment but fig4, msfse, fleet and profile, labelled experiment/curve@NT (forces serial, uncached cells)"),
+		timeline: fs.String("timeline", "", "write the windowed timeseries of the same cells, under the same labels, to this file (.csv for CSV, else JSON; forces serial, uncached cells)"),
+		tlWindow: fs.Int64("timeline-window", 0, "timeseries window width in simulated cycles (0 = default, else at least 256)"),
 		msfDim:   fs.Int("msf-dim", 96, "roadmap grid dimension (msf-dim x msf-dim vertices)"),
 		profOps:  fs.Int("profile-ops", 1500, "operations for the Section 6.1 profile"),
 		cpuProf:  fs.String("cpuprofile", "", "write a pprof CPU profile to this file (forces serial, uncached cells)"),
@@ -442,8 +447,10 @@ func validate(fl *cliFlags) ([]int, error) {
 	if *fl.parallel < 0 {
 		return nil, fmt.Errorf("-parallel must not be negative, got %d (0 = GOMAXPROCS)", *fl.parallel)
 	}
-	if *fl.tlWindow < 0 {
-		return nil, fmt.Errorf("-timeline-window must not be negative, got %d (0 = default)", *fl.tlWindow)
+	// The recorder would clamp a narrower window up to MinWidth while the
+	// cache keys of the timeline and fleet cells named the width asked for.
+	if w := *fl.tlWindow; w < 0 || (w > 0 && w < timeseries.MinWidth) {
+		return nil, fmt.Errorf("-timeline-window must be 0 (default) or at least %d (timeseries.MinWidth), got %d", timeseries.MinWidth, w)
 	}
 	return parseThreads(*fl.threads)
 }

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"regexp"
 	"sort"
@@ -9,6 +12,8 @@ import (
 	"testing"
 
 	"rocktm/internal/bench"
+	"rocktm/internal/obs"
+	"rocktm/internal/obs/timeseries"
 	"rocktm/internal/runner"
 )
 
@@ -130,7 +135,9 @@ func TestFlagSurfaceCarriesTimeline(t *testing.T) {
 // before any cell runs: a thread count past sim.MaxStrands used to panic
 // inside a cell, non-positive sizes used to print empty or all-zero
 // figures, and -seed 0 used to print seed 1's figures. Negative -parallel
-// and -timeline-window are rejected; zero keeps its documented meaning.
+// and -timeline-window are rejected; zero keeps its documented meaning. A
+// window narrower than timeseries.MinWidth is rejected too: the recorder
+// would widen it silently while the cache keys named the narrower width.
 // The strand scheduler and a wall-clock cell budget are not command-line
 // choices: -sched and -cell-timeout are unknown flags.
 func TestInvalidFlagsRejected(t *testing.T) {
@@ -154,6 +161,10 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{[]string{"-parallel", "0", "-timeline-window", "0"}, ""},
 		{[]string{"-parallel", "-3"}, "-parallel"},
 		{[]string{"-timeline-window", "-5", "-timeline", "f.json"}, "-timeline-window"},
+		{[]string{"-timeline-window", "1"}, "256"},
+		{[]string{"-timeline-window", "100", "-exp", "timeline"}, "256"},
+		{[]string{"-timeline-window", "255", "-timeline", "f.json"}, "256"},
+		{[]string{"-timeline-window", "256"}, ""},
 		{[]string{"-sched", "step"}, "-sched"},
 		{[]string{"-cell-timeout", "1s"}, "-cell-timeout"},
 	}
@@ -286,5 +297,121 @@ func TestSerialFlagsForceSerialUncached(t *testing.T) {
 		if !c.forced && (*fl.parallel != parallel || *fl.noCache != noCache) {
 			t.Errorf("%v: flags changed without a forcing flag", c.args)
 		}
+	}
+}
+
+// -trace and -timeline capture every single-machine cell: each experiment
+// but fig4 and msfse (the MSF runner) and fleet (many machines per cell),
+// plus the attrib report, deposits one event trace and one window series
+// per cell, labelled with the cell's name, experiment/curve@NT. The test
+// walks the real catalogue, so a new experiment is covered without being
+// listed here.
+func TestCaptureCoversEveryCell(t *testing.T) {
+	const ops = 10
+	trace, windows := &obs.TraceSink{}, &timeseries.Sink{}
+	o := bench.Options{Threads: []int{1, 2}, OpsPerThread: ops, Seed: 1, Trace: trace, Timeline: windows}
+	var want []string
+	threads := map[string]int{}
+	cell := func(exp, curve string, th int) {
+		label := fmt.Sprintf("%s/%s@%dT", exp, curve, th)
+		if threads[label] != 0 {
+			t.Errorf("two cells share the name %s", label)
+		}
+		want = append(want, label)
+		threads[label] = th
+	}
+	for _, e := range buildExperiments(o, bench.MSFOptions{}) {
+		if e.name == "fig4" || e.name == "msfse" || e.name == "fleet" {
+			continue
+		}
+		fig, err := e.run()
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		for _, c := range fig.Curves {
+			for _, p := range c.Points {
+				cell(e.name, c.Name, p.Threads)
+			}
+		}
+	}
+	rep, err := bench.AttributionReport(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rep.Rows {
+		cell("attrib", row.System, row.Threads)
+	}
+
+	var got []string
+	windows.Each(func(label string, s timeseries.Series) {
+		got = append(got, label)
+		var n uint64
+		for _, w := range s.Windows {
+			n += w.Ops
+		}
+		if th := threads[label]; th != 0 && n != uint64(th*ops) {
+			t.Errorf("window series %s holds %d ops, want %d", label, n, th*ops)
+		}
+	})
+	sameLabels(t, "window series", got, want)
+
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Args     struct{ Name string }
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	got = nil
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "process_name" {
+			got = append(got, ev.Args.Name)
+		}
+	}
+	sameLabels(t, "trace runs", got, want)
+}
+
+// sameLabels checks that the deposits carry exactly the cells' names, in
+// cell order, and reports any mismatch per experiment.
+func sameLabels(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if strings.Join(got, "\n") == strings.Join(want, "\n") {
+		return
+	}
+	set := func(labels []string) map[string]bool {
+		m := map[string]bool{}
+		for _, l := range labels {
+			m[l] = true
+		}
+		return m
+	}
+	report := func(kind string, labels []string, other map[string]bool) bool {
+		var exps []string
+		byExp := map[string][]string{}
+		for _, l := range labels {
+			if other[l] {
+				continue
+			}
+			exp, _, _ := strings.Cut(l, "/")
+			if byExp[exp] == nil {
+				exps = append(exps, exp)
+			}
+			byExp[exp] = append(byExp[exp], l)
+		}
+		for _, exp := range exps {
+			t.Errorf("%s: %s %d labels of %q, first %q", what, kind, len(byExp[exp]), exp, byExp[exp][0])
+		}
+		return len(exps) > 0
+	}
+	missing := report("no deposit for", want, set(got))
+	extra := report("deposit under", got, set(want))
+	if !missing && !extra {
+		t.Errorf("%s: deposited out of cell order", what)
 	}
 }

@@ -13,11 +13,9 @@ import (
 	"rocktm/internal/locktm"
 	"rocktm/internal/obs"
 	"rocktm/internal/phtm"
-	"rocktm/internal/runner"
 	"rocktm/internal/sim"
 	"rocktm/internal/stm/sky"
 	"rocktm/internal/tle"
-	"rocktm/internal/workload"
 )
 
 // AttribRow is one (system, threads) cell of the abort-attribution report:
@@ -80,73 +78,60 @@ type attribCell struct {
 // submission order.
 func AttributionReport(o Options) (*AttribReport, error) {
 	o = o.Defaults()
-	cfg := kvConfig{
+	kv := kvConfig{
 		keyRange:  256,
 		pctLookup: 0,
 		memWords:  1 << 23,
 		build:     hashtableKV(1 << 17),
 	}
-	rep := &AttribReport{Title: "Abort attribution (Table 4 style): HashTable keyrange=256, 0% lookups"}
-	var cells []runner.Cell[attribCell]
+	var curves []curve
 	for _, sb := range attribSystems() {
-		for _, th := range o.Threads {
-			sb, th := sb, th
-			spec := kvSpec(o, "attrib", cfg, sb.Name, th)
-			cells = append(cells, runner.Cell[attribCell]{
-				Spec: spec,
-				Compute: func() (attribCell, error) {
-					m := machineFor(th, cfg.memWords, o.Seed)
-					defer m.Recycle()
-					st := cfg.build(m, cfg.keyRange)
-					sys := sb.Build(m)
-					prof := obs.NewAbortProfile()
-					m.AttachEventSink(prof)
-					tr := o.startTrace(m)
-					// The 0%-lookup KVSpec (key, then a 50/50 insert/delete
-					// roll out of 100) reproduces the legacy attribution
-					// loop's RNG sequence exactly.
-					wl := workload.MustCompile(cfg.spec())
-					m.Run(func(s *sim.Strand) {
-						ses := st.NewSession(sys, s)
-						d := wl.Driver(s, nil)
-						d.Run(o.OpsPerThread, func(_, op int, key uint64) {
-							if op == workload.OpInsert {
-								ses.Insert(key, 1)
-							} else {
-								ses.Delete(key)
-							}
-						})
-					})
-					o.endTrace(tr, fmt.Sprintf("attrib/%s@%dT", sb.Name, th))
-					out := attribCell{Row: AttribRow{
-						System:    sb.Name,
-						Threads:   th,
-						Ops:       sys.Stats().Ops,
-						Begins:    prof.Begins,
-						Commits:   prof.Commits,
-						Aborts:    prof.Aborts,
-						Fallbacks: prof.Fallbacks,
-						SWCommits: prof.SWCommits,
-						AbortRate: prof.AbortRate(),
-						CPS:       prof.Hist.Entries(),
-					}}
-					var begins uint64
-					for i := 0; i < th; i++ {
-						begins += m.Strand(i).Stats().TxBegins
-					}
-					if begins != prof.Begins {
-						out.Notes = append(out.Notes,
-							fmt.Sprintf("%s@%dT: strand tx_begins=%d disagrees with folded begins=%d", sb.Name, th, begins, prof.Begins))
-					}
-					return out, nil
-				},
-			})
-		}
+		curves = append(curves, o.kvCurve(sb.Name, kv, sb.Build, nil))
 	}
-	results, err := runner.RunCells(o.pool(), cells)
+	results, err := runCells(o, o.cells("attrib", curves), func(c cell) (attribCell, error) {
+		prof := obs.NewAbortProfile()
+		var begins uint64
+		build := c.build
+		c.build = func(m *sim.Machine) built {
+			m.AttachEventSink(prof)
+			b := build(m)
+			// kv cells carry no check of their own: this one only reads
+			// the strands' begin counters for the cross-check note.
+			b.check = func() error {
+				for i := 0; i < c.spec.Threads; i++ {
+					begins += m.Strand(i).Stats().TxBegins
+				}
+				return nil
+			}
+			return b
+		}
+		res, _, err := o.run(c)
+		if err != nil {
+			return attribCell{}, err
+		}
+		sys, th := c.spec.System, c.spec.Threads
+		out := attribCell{Row: AttribRow{
+			System:    sys,
+			Threads:   th,
+			Ops:       res.Stats.Ops,
+			Begins:    prof.Begins,
+			Commits:   prof.Commits,
+			Aborts:    prof.Aborts,
+			Fallbacks: prof.Fallbacks,
+			SWCommits: prof.SWCommits,
+			AbortRate: prof.AbortRate(),
+			CPS:       prof.Hist.Entries(),
+		}}
+		if begins != prof.Begins {
+			out.Notes = append(out.Notes,
+				fmt.Sprintf("%s@%dT: strand tx_begins=%d disagrees with folded begins=%d", sys, th, begins, prof.Begins))
+		}
+		return out, nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	rep := &AttribReport{Title: "Abort attribution (Table 4 style): HashTable keyrange=256, 0% lookups"}
 	for _, res := range results {
 		rep.Rows = append(rep.Rows, res.Row)
 		rep.Notes = append(rep.Notes, res.Notes...)

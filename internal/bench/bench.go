@@ -6,10 +6,10 @@
 //
 // Every per-strand operation loop is described declaratively as a
 // workload.Spec (op mix, key distribution, arrival process) and executed
-// through the shared workload.Driver — see docs/WORKLOADS.md. The driver
-// preserves the legacy loops' RNG call sequences exactly, so the golden
-// figure digests pinned in golden_test.go are byte-identical across the
-// refactor.
+// through the shared workload.Driver — see docs/WORKLOADS.md — by the one
+// cell path in cell.go. The driver preserves the legacy loops' RNG call
+// sequences exactly, so the golden figure digests pinned in
+// golden_test.go are byte-identical across the refactor.
 package bench
 
 import (
@@ -19,8 +19,6 @@ import (
 	"strconv"
 	"strings"
 
-	"rocktm/internal/core"
-	"rocktm/internal/cps"
 	"rocktm/internal/obs"
 	"rocktm/internal/obs/timeseries"
 	"rocktm/internal/runner"
@@ -50,17 +48,22 @@ type Options struct {
 	Latency bool
 
 	// Trace, when non-nil, receives one cycle-timestamped event trace per
-	// timed run (labelled "experiment/system@threads"), exportable as
-	// Chrome trace_event JSON via TraceSink.WriteChrome.
+	// single-machine cell, exportable as Chrome trace_event JSON via
+	// TraceSink.WriteChrome. Every figure but fig4, msfse and fleet
+	// deposits one run per cell, as does the attribution report, each
+	// labelled with the cell's name, experiment/curve@NT (the name
+	// -progress prints after "last=").
 	Trace *obs.TraceSink
 
-	// Timeline, when non-nil, receives one windowed timeseries per timed
-	// run (same labels as Trace), exportable as JSON or CSV via the sink.
-	// Like Trace it forces serial, uncached execution and, per the
-	// zero-perturbation contract, leaves every throughput byte unchanged.
+	// Timeline, when non-nil, receives one windowed timeseries per cell of
+	// the same set, under the same labels as Trace, exportable as JSON or
+	// CSV via the sink. Like Trace it forces serial, uncached execution
+	// and, per the zero-perturbation contract, leaves every throughput
+	// byte unchanged.
 	Timeline *timeseries.Sink
 	// TimelineWindow is the window width in simulated cycles (<=0 selects
-	// timeseries.DefaultWidth).
+	// timeseries.DefaultWidth; widths below timeseries.MinWidth are
+	// clamped up to it).
 	TimelineWindow int64
 
 	// Runner, when non-nil, executes experiment cells through the
@@ -111,84 +114,7 @@ func (o Options) spec(experiment, system string, threads int, cfg sim.Config, pa
 	}
 }
 
-// latRecorder returns a fresh per-run latency recorder when capture is
-// enabled, nil otherwise. One recorder serves all strands of a run: the
-// machine baton serializes strand execution, so sharing is race-free and
-// the merge is free.
-func (o Options) latRecorder() *obs.LatencyRecorder {
-	if !o.Latency {
-		return nil
-	}
-	return obs.NewLatencyRecorder()
-}
-
-// pointCell is the common experiment cell: one deterministic machine
-// build+run yielding one figure point.
-type pointCell = runner.Cell[Point]
-
-// runPoints executes point-producing cells through the configured pool
-// and returns them in submission order.
-func runPoints(o Options, cells []pointCell) ([]Point, error) {
-	return runner.RunCells(o.pool(), cells)
-}
-
-// curveCells assembles a figure's curves from a flat cell slice laid out
-// curve-major: cells[c*len(threads)+t] is curve c at threads[t].
-func curveCells(o Options, names []string, threads []int, cells []pointCell) ([]Curve, error) {
-	points, err := runPoints(o, cells)
-	if err != nil {
-		return nil, err
-	}
-	curves := make([]Curve, len(names))
-	for ci, name := range names {
-		curves[ci] = Curve{Name: name, Points: points[ci*len(threads) : (ci+1)*len(threads)]}
-	}
-	return curves, nil
-}
-
 func itoa(v int) string { return strconv.Itoa(v) }
-
-// startTrace attaches a tracer to m when tracing is requested.
-func (o Options) startTrace(m *sim.Machine) *obs.Tracer {
-	if o.Trace == nil {
-		return nil
-	}
-	return m.StartTrace()
-}
-
-// endTrace deposits a finished run's trace into the sink.
-func (o Options) endTrace(tr *obs.Tracer, label string) {
-	if tr != nil {
-		o.Trace.Add(label, tr)
-	}
-}
-
-// attachWindows builds a windowed recorder at the given width (<=0 the
-// default), keyed to the machine's clock frequency, and attaches it to
-// every strand's hook points.
-func attachWindows(m *sim.Machine, width int64) *timeseries.Recorder {
-	rec := timeseries.NewRecorder(width)
-	rec.SetFreqGHz(m.Config().Costs.FreqGHz)
-	m.AttachEventSink(rec)
-	return rec
-}
-
-// startWindows attaches a fresh windowed recorder when timeline capture is
-// requested, nil otherwise. Call sites must guard Driver.Observe with a
-// nil check (a nil *Recorder inside a non-nil interface would be called).
-func (o Options) startWindows(m *sim.Machine) *timeseries.Recorder {
-	if o.Timeline == nil {
-		return nil
-	}
-	return attachWindows(m, o.TimelineWindow)
-}
-
-// endWindows deposits a finished run's window series into the sink.
-func (o Options) endWindows(rec *timeseries.Recorder, label string) {
-	if rec != nil && o.Timeline != nil {
-		o.Timeline.Add(label, rec.Series())
-	}
-}
 
 // Defaults fills unset fields.
 func (o Options) Defaults() Options {
@@ -433,25 +359,11 @@ func (f *Figure) LatencyAt(name string, threads int) (*obs.LatencySummary, bool)
 	return nil, false
 }
 
-// summarizeStats renders the per-point annotation string; kept as a thin
-// alias so call sites outside the workload.Result path (MSF, profile)
-// share the one implementation in internal/workload.
-func summarizeStats(st *core.Stats) string { return workload.StatsSummary(st) }
-
-var _ = cps.COH // keep the import for documentation references
-
-// machineCfg is the standard experiment machine configuration; cells
-// derive their cache-key digests from it, so it must be the exact config
-// machineFor instantiates.
+// machineCfg is the standard experiment machine configuration.
 func machineCfg(threads int, memWords int, seed uint64) sim.Config {
 	cfg := sim.DefaultConfig(threads)
 	cfg.MemWords = memWords
 	cfg.Seed = seed
 	cfg.MaxCycles = 1 << 46
 	return cfg
-}
-
-// machineFor builds the standard experiment machine.
-func machineFor(threads int, memWords int, seed uint64) *sim.Machine {
-	return sim.New(machineCfg(threads, memWords, seed))
 }

@@ -41,57 +41,40 @@ func Fig3a(o Options) (*Figure, error) {
 		ctrRange = 40
 		retries  = 20
 	)
-	wl := workload.MustCompile(vectorSpec(initSize, ctrRange))
 	systems := []SysBuilder{
 		{"htm.oneLock", func(m *sim.Machine) core.System { return tleOverSpin(m, retries) }},
 		{"noTM.oneLock", func(m *sim.Machine) core.System { return locktm.NewOneLock(m) }},
 		{"htm.rwLock", func(m *sim.Machine) core.System { return tleOverRW(m, retries) }},
 		{"noTM.rwLock", func(m *sim.Machine) core.System { return locktm.NewRW(m) }},
 	}
-	fig := &Figure{
-		Title:  "Figure 3(a) STLVector initsize=100 ctr-range=40 inc:dec:read=20:20:60",
-		YLabel: "throughput (ops/usec), simulated",
-	}
-	var names []string
-	var cells []pointCell
+	params := map[string]string{"initsize": itoa(initSize), "ctrrange": itoa(ctrRange), "retries": itoa(retries)}
+	var curves []curve
 	for _, sb := range systems {
-		names = append(names, sb.Name)
-		for _, th := range o.Threads {
-			sb, th := sb, th
-			cells = append(cells, pointCell{
-				Spec: o.spec("fig3a", sb.Name, th, machineCfg(th, 1<<20, o.Seed),
-					map[string]string{"initsize": itoa(initSize), "ctrrange": itoa(ctrRange), "retries": itoa(retries)}),
-				Compute: func() (Point, error) {
-					m := machineFor(th, 1<<20, o.Seed)
-					defer m.Recycle()
-					v := vector.New(m, initSize+ctrRange+64, initSize)
-					sys := sb.Build(m)
-					lat := o.latRecorder()
-					m.Run(func(s *sim.Strand) {
-						d := wl.Driver(s, lat)
-						d.Run(o.OpsPerThread, func(i, op int, key uint64) {
-							switch op {
-							case 0:
-								sys.Atomic(s, func(c core.Ctx) { v.PushBack(c, sim.Word(i)) })
-							case 1:
-								sys.Atomic(s, func(c core.Ctx) { v.PopBack(c) })
-							default:
-								sys.AtomicRO(s, func(c core.Ctx) { v.Read(c, int(key)) })
-							}
-						})
-					})
-					res := workload.NewResult(uint64(th*o.OpsPerThread), m.ElapsedSeconds(), sys.Stats(), lat)
-					return point(res, th), nil
-				},
-			})
-		}
+		sb := sb
+		curves = append(curves, curve{
+			name:   sb.Name,
+			params: params,
+			cfg:    o.machine(1 << 20),
+			wl:     vectorSpec(initSize, ctrRange),
+			build: func(m *sim.Machine) built {
+				v := vector.New(m, initSize+ctrRange+64, initSize)
+				sys := sb.Build(m)
+				return built{stats: sys, strand: func(s *sim.Strand) dispatch {
+					return func(i, op int, key uint64) {
+						switch op {
+						case 0:
+							sys.Atomic(s, func(c core.Ctx) { v.PushBack(c, sim.Word(i)) })
+						case 1:
+							sys.Atomic(s, func(c core.Ctx) { v.PopBack(c) })
+						default:
+							sys.AtomicRO(s, func(c core.Ctx) { v.Read(c, int(key)) })
+						}
+					}
+				}}
+			},
+		})
 	}
-	curves, err := curveCells(o, names, o.Threads, cells)
-	if err != nil {
-		return nil, err
-	}
-	fig.Curves = curves
-	return fig, nil
+	return o.figure("fig3a", "Figure 3(a) STLVector initsize=100 ctr-range=40 inc:dec:read=20:20:60", curves)
 }
 
 // javaMix is a put:get:remove ratio in tenths, e.g. 2-6-2.
@@ -111,71 +94,68 @@ func (x javaMix) spec(keyRange int) workload.Spec {
 	}
 }
 
+// javaMap is the operation surface the java.util map cells drive.
+type javaMap interface {
+	Put(s *sim.Strand, key uint64, val sim.Word) bool
+	Get(s *sim.Strand, key uint64) (sim.Word, bool)
+	Remove(s *sim.Strand, key uint64) bool
+}
+
+// javaDispatch is one strand's dispatch of a javaMix roll to t.
+func javaDispatch(s *sim.Strand, t javaMap) dispatch {
+	return func(_, op int, key uint64) {
+		switch op {
+		case workload.OpPut:
+			t.Put(s, key, 1)
+		case workload.OpGet:
+			t.Get(s, key)
+		default:
+			t.Remove(s, key)
+		}
+	}
+}
+
+// hashtableCurve is a curve of java.util.Hashtable cells (the divide
+// factored out of the hash) under the JVM newVM builds: keyRange keys,
+// half prepopulated, driven by mix.
+func (o Options) hashtableCurve(name string, params map[string]string, mix javaMix, keyRange int, newVM func(m *sim.Machine) *jvm.JVM) curve {
+	return curve{
+		name:   name,
+		params: params,
+		cfg:    o.machine(1 << 22),
+		wl:     mix.spec(keyRange),
+		build: func(m *sim.Machine) built {
+			vm := newVM(m)
+			ht := jcl.NewHashtable(m, vm, 1<<13, keyRange+2*m.Config().Strands+64)
+			ht.Prepopulate(m.Mem(), workload.PrepopHalf(keyRange), 1)
+			return built{stats: vm, strand: func(s *sim.Strand) dispatch { return javaDispatch(s, ht) }}
+		},
+	}
+}
+
 // Fig3b reconstructs Figure 3(b): TLE in Java with java.util.Hashtable
 // (divide factored out of the hash), across operation mixes, TLE vs plain
 // monitors.
 func Fig3b(o Options) (*Figure, error) {
 	o = o.Defaults()
-	mixes := []javaMix{{0, 10, 0}, {1, 8, 1}, {2, 6, 2}, {4, 2, 4}}
 	const keyRange = 4096
-	fig := &Figure{
-		Title:  "Figure 3(b) TLE with Hashtable in Java (put:get:remove mixes)",
-		YLabel: "throughput (ops/usec), simulated",
-	}
-	var names []string
-	var cells []pointCell
-	for _, mix := range mixes {
+	var curves []curve
+	for _, mix := range []javaMix{{0, 10, 0}, {1, 8, 1}, {2, 6, 2}, {4, 2, 4}} {
 		for _, elide := range []bool{false, true} {
+			elide := elide
 			label := mix.String() + "-locks"
 			if elide {
 				label = mix.String() + "-TLE"
 			}
-			names = append(names, label)
-			for _, th := range o.Threads {
-				mix, elide, th := mix, elide, th
-				cells = append(cells, pointCell{
-					Spec: o.spec("fig3b", label, th, machineCfg(th, 1<<22, o.Seed),
-						map[string]string{"mix": mix.String(), "elide": fmt.Sprint(elide), "keyrange": itoa(keyRange)}),
-					Compute: func() (Point, error) {
-						p, _ := runJavaTable(o, th, mix, elide, keyRange)
-						return p, nil
-					},
-				})
-			}
+			params := map[string]string{"mix": mix.String(), "elide": fmt.Sprint(elide), "keyrange": itoa(keyRange)}
+			curves = append(curves, o.hashtableCurve(label, params, mix, keyRange, func(m *sim.Machine) *jvm.JVM {
+				vm := jvm.New(m, tle.DefaultPolicy())
+				vm.Elide = elide
+				return vm
+			}))
 		}
 	}
-	curves, err := curveCells(o, names, o.Threads, cells)
-	if err != nil {
-		return nil, err
-	}
-	fig.Curves = curves
-	return fig, nil
-}
-
-func runJavaTable(o Options, threads int, mix javaMix, elide bool, keyRange int) (Point, *core.Stats) {
-	m := machineFor(threads, 1<<22, o.Seed)
-	defer m.Recycle()
-	vm := jvm.New(m, tle.DefaultPolicy())
-	vm.Elide = elide
-	ht := jcl.NewHashtable(m, vm, 1<<13, keyRange+2*threads+64)
-	ht.Prepopulate(m.Mem(), workload.PrepopHalf(keyRange), 1)
-	wl := workload.MustCompile(mix.spec(keyRange))
-	lat := o.latRecorder()
-	m.Run(func(s *sim.Strand) {
-		d := wl.Driver(s, lat)
-		d.Run(o.OpsPerThread, func(_, op int, key uint64) {
-			switch op {
-			case workload.OpPut:
-				ht.Put(s, key, 1)
-			case workload.OpGet:
-				ht.Get(s, key)
-			default:
-				ht.Remove(s, key)
-			}
-		})
-	})
-	res := workload.NewResult(uint64(threads*o.OpsPerThread), m.ElapsedSeconds(), vm.Stats(), lat)
-	return point(res, threads), vm.Stats()
+	return o.figure("fig3b", "Figure 3(b) TLE with Hashtable in Java (put:get:remove mixes)", curves)
 }
 
 // getOnlySpec is the 100%-get driver: one op, no roll, one key draw per
@@ -192,51 +172,31 @@ func getOnlySpec(keyRange int) workload.Spec {
 // aborts with CPS=FP and TLE degenerates to locking.
 func DivideHashDemo(o Options) (*Figure, error) {
 	o = o.Defaults()
-	fig := &Figure{
-		Title:  "Section 7.2 (text): Hashtable divide instruction vs factored-out hash, TLE, 100% gets",
-		YLabel: "throughput (ops/usec), simulated",
-	}
 	const keyRange = 4096
-	wl := workload.MustCompile(getOnlySpec(keyRange))
-	var names []string
-	var cells []pointCell
+	var curves []curve
 	for _, divide := range []bool{false, true} {
+		divide := divide
 		name := "hash-no-divide"
 		if divide {
 			name = "hash-with-divide"
 		}
-		names = append(names, name)
-		for _, th := range o.Threads {
-			divide, th := divide, th
-			cells = append(cells, pointCell{
-				Spec: o.spec("divide", name, th, machineCfg(th, 1<<22, o.Seed),
-					map[string]string{"keyrange": itoa(keyRange)}),
-				Compute: func() (Point, error) {
-					m := machineFor(th, 1<<22, o.Seed)
-					defer m.Recycle()
-					vm := jvm.New(m, tle.DefaultPolicy())
-					ht := jcl.NewHashtable(m, vm, 1<<13, keyRange+64)
-					ht.DivideHash = divide
-					ht.Prepopulate(m.Mem(), workload.PrepopHalf(keyRange), 1)
-					lat := o.latRecorder()
-					m.Run(func(s *sim.Strand) {
-						d := wl.Driver(s, lat)
-						d.Run(o.OpsPerThread, func(_, _ int, key uint64) {
-							ht.Get(s, key)
-						})
-					})
-					res := workload.NewResult(uint64(th*o.OpsPerThread), m.ElapsedSeconds(), vm.Stats(), lat)
-					return point(res, th), nil
-				},
-			})
-		}
+		curves = append(curves, curve{
+			name:   name,
+			params: map[string]string{"keyrange": itoa(keyRange)},
+			cfg:    o.machine(1 << 22),
+			wl:     getOnlySpec(keyRange),
+			build: func(m *sim.Machine) built {
+				vm := jvm.New(m, tle.DefaultPolicy())
+				ht := jcl.NewHashtable(m, vm, 1<<13, keyRange+64)
+				ht.DivideHash = divide
+				ht.Prepopulate(m.Mem(), workload.PrepopHalf(keyRange), 1)
+				return built{stats: vm, strand: func(s *sim.Strand) dispatch {
+					return func(_, _ int, key uint64) { ht.Get(s, key) }
+				}}
+			},
+		})
 	}
-	curves, err := curveCells(o, names, o.Threads, cells)
-	if err != nil {
-		return nil, err
-	}
-	fig.Curves = curves
-	return fig, nil
+	return o.figure("divide", "Section 7.2 (text): Hashtable divide instruction vs factored-out hash, TLE, 100% gets", curves)
 }
 
 // InlineDemo reconstructs the Section 7.2 HashMap anecdote: the run starts
@@ -247,59 +207,31 @@ func InlineDemo(o Options) (*Figure, error) {
 	o = o.Defaults()
 	const keyRange = 4096
 	mix := javaMix{2, 6, 2}
-	wl := workload.MustCompile(mix.spec(keyRange))
-	fig := &Figure{
-		Title:  "Section 7.2 (text): HashMap JIT inlining vs outlined put, TLE, mix 2:6:2",
-		YLabel: "throughput (ops/usec), simulated",
-	}
-	var names []string
-	var cells []pointCell
+	var curves []curve
 	for _, outline := range []bool{false, true} {
+		outline := outline
 		name := "put-inlined"
 		if outline {
 			name = "put-outlined-midrun"
 		}
-		names = append(names, name)
-		for _, th := range o.Threads {
-			outline, th := outline, th
-			cells = append(cells, pointCell{
-				Spec: o.spec("inline", name, th, machineCfg(th, 1<<22, o.Seed),
-					map[string]string{"mix": mix.String(), "keyrange": itoa(keyRange)}),
-				Compute: func() (Point, error) {
-					m := machineFor(th, 1<<22, o.Seed)
-					defer m.Recycle()
-					vm := jvm.New(m, tle.DefaultPolicy())
-					hm := jcl.NewHashMap(m, vm, 1<<13, keyRange+2*th+64)
-					if outline {
-						hm.PutSite.OutlineAfter = o.OpsPerThread * th / 4
-					}
-					hm.Prepopulate(m.Mem(), workload.PrepopHalf(keyRange), 1)
-					lat := o.latRecorder()
-					m.Run(func(s *sim.Strand) {
-						d := wl.Driver(s, lat)
-						d.Run(o.OpsPerThread, func(_, op int, key uint64) {
-							switch op {
-							case workload.OpPut:
-								hm.Put(s, key, 1)
-							case workload.OpGet:
-								hm.Get(s, key)
-							default:
-								hm.Remove(s, key)
-							}
-						})
-					})
-					res := workload.NewResult(uint64(th*o.OpsPerThread), m.ElapsedSeconds(), vm.Stats(), lat)
-					return point(res, th), nil
-				},
-			})
-		}
+		curves = append(curves, curve{
+			name:   name,
+			params: map[string]string{"mix": mix.String(), "keyrange": itoa(keyRange)},
+			cfg:    o.machine(1 << 22),
+			wl:     mix.spec(keyRange),
+			build: func(m *sim.Machine) built {
+				vm := jvm.New(m, tle.DefaultPolicy())
+				th := m.Config().Strands
+				hm := jcl.NewHashMap(m, vm, 1<<13, keyRange+2*th+64)
+				if outline {
+					hm.PutSite.OutlineAfter = o.OpsPerThread * th / 4
+				}
+				hm.Prepopulate(m.Mem(), workload.PrepopHalf(keyRange), 1)
+				return built{stats: vm, strand: func(s *sim.Strand) dispatch { return javaDispatch(s, hm) }}
+			},
+		})
 	}
-	curves, err := curveCells(o, names, o.Threads, cells)
-	if err != nil {
-		return nil, err
-	}
-	fig.Curves = curves
-	return fig, nil
+	return o.figure("inline", "Section 7.2 (text): HashMap JIT inlining vs outlined put, TLE, mix 2:6:2", curves)
 }
 
 // treeMapSpec is the TreeMap driver: key drawn first, then the roll out of
@@ -323,66 +255,47 @@ func treeMapSpec(keys, pctWrite int) workload.Spec {
 // results for small, read-only trees; degradation with size and mutation.
 func TreeMapDemo(o Options) (*Figure, error) {
 	o = o.Defaults()
-	type scenario struct {
+	scenarios := []struct {
 		name     string
 		keys     int
 		pctWrite int
-	}
-	scenarios := []scenario{
+	}{
 		{"small-readonly", 128, 0},
 		{"large-mutating", 4096, 20},
 	}
-	fig := &Figure{
-		Title:  "Section 7.2 (text): TreeMap under TLE vs locks",
-		YLabel: "throughput (ops/usec), simulated",
-	}
-	var names []string
-	var cells []pointCell
+	var curves []curve
 	for _, sc := range scenarios {
 		for _, elide := range []bool{true, false} {
+			sc, elide := sc, elide
 			name := sc.name + "-locks"
 			if elide {
 				name = sc.name + "-TLE"
 			}
-			names = append(names, name)
-			for _, th := range o.Threads {
-				sc, elide, th := sc, elide, th
-				wl := workload.MustCompile(treeMapSpec(sc.keys, sc.pctWrite))
-				cells = append(cells, pointCell{
-					Spec: o.spec("treemap", name, th, machineCfg(th, 1<<22, o.Seed),
-						map[string]string{"keys": itoa(sc.keys), "write": itoa(sc.pctWrite)}),
-					Compute: func() (Point, error) {
-						m := machineFor(th, 1<<22, o.Seed)
-						defer m.Recycle()
-						vm := jvm.New(m, tle.DefaultPolicy())
-						vm.Elide = elide
-						tm := jcl.NewTreeMap(m, vm, sc.keys+2*th+64)
-						tm.Prepopulate(m.Mem(), workload.PrepopHalf(sc.keys), 1)
-						lat := o.latRecorder()
-						m.Run(func(s *sim.Strand) {
-							d := wl.Driver(s, lat)
-							d.Run(o.OpsPerThread, func(_, op int, key uint64) {
-								switch op {
-								case 0:
-									tm.Put(s, key, 1)
-								case 1:
-									tm.Remove(s, key)
-								default:
-									tm.Get(s, key)
-								}
-							})
-						})
-						res := workload.NewResult(uint64(th*o.OpsPerThread), m.ElapsedSeconds(), vm.Stats(), lat)
-						return point(res, th), nil
-					},
-				})
-			}
+			curves = append(curves, curve{
+				name:   name,
+				params: map[string]string{"keys": itoa(sc.keys), "write": itoa(sc.pctWrite)},
+				cfg:    o.machine(1 << 22),
+				wl:     treeMapSpec(sc.keys, sc.pctWrite),
+				build: func(m *sim.Machine) built {
+					vm := jvm.New(m, tle.DefaultPolicy())
+					vm.Elide = elide
+					tm := jcl.NewTreeMap(m, vm, sc.keys+2*m.Config().Strands+64)
+					tm.Prepopulate(m.Mem(), workload.PrepopHalf(sc.keys), 1)
+					return built{stats: vm, strand: func(s *sim.Strand) dispatch {
+						return func(_, op int, key uint64) {
+							switch op {
+							case 0:
+								tm.Put(s, key, 1)
+							case 1:
+								tm.Remove(s, key)
+							default:
+								tm.Get(s, key)
+							}
+						}
+					}}
+				},
+			})
 		}
 	}
-	curves, err := curveCells(o, names, o.Threads, cells)
-	if err != nil {
-		return nil, err
-	}
-	fig.Curves = curves
-	return fig, nil
+	return o.figure("treemap", "Section 7.2 (text): TreeMap under TLE vs locks", curves)
 }

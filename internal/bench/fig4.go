@@ -12,6 +12,7 @@ import (
 	"rocktm/internal/sim"
 	"rocktm/internal/stm/sky"
 	"rocktm/internal/tle"
+	"rocktm/internal/workload"
 )
 
 // MSFOptions sizes the Figure 4 experiment. The paper's Eastern-USA
@@ -137,8 +138,11 @@ func RunMSF(o MSFOptions, v msfVariant, threads int) (float64, string, error) {
 	if err := r.Validate(res); err != nil {
 		return 0, "", fmt.Errorf("%s/%d threads: %w", v.name, threads, err)
 	}
-	return m.ElapsedSeconds(), summarizeStats(sys.Stats()), nil
+	return m.ElapsedSeconds(), workload.StatsSummary(sys.Stats()), nil
 }
+
+// pointCell is one MSF measurement as a runner cell.
+type pointCell = runner.Cell[Point]
 
 // msfCell wraps one (variant, threads) measurement as a runner cell.
 func msfCell(o MSFOptions, experiment string, v msfVariant, threads int) pointCell {
@@ -154,13 +158,16 @@ func msfCell(o MSFOptions, experiment string, v msfVariant, threads int) pointCe
 	}
 }
 
-// msfCurves runs a set of (name, variant option, thread list) curves
-// through the pool and assembles them in submission order. Curves may
-// have different thread axes (msf-seq only runs at one thread).
-func msfCurves(pool *runner.Pool, curves []struct {
+// msfCurve is one curve of an MSF figure: its name and its cells, which
+// may span their own thread axis (msf-seq runs at one thread only).
+type msfCurve struct {
 	name  string
 	cells []pointCell
-}) ([]Curve, error) {
+}
+
+// msfCurves runs the curves' cells through the pool and assembles them in
+// submission order.
+func msfCurves(pool *runner.Pool, curves []msfCurve) ([]Curve, error) {
 	var flat []pointCell
 	for _, c := range curves {
 		flat = append(flat, c.cells...)
@@ -178,40 +185,41 @@ func msfCurves(pool *runner.Pool, curves []struct {
 	return out, nil
 }
 
-// Fig4 reconstructs Figure 4: MSF running time (simulated seconds — the
-// paper's y axis is also running time, log scale) for the seven variants.
-func Fig4(o MSFOptions) (*Figure, error) {
-	o = o.Defaults()
-	fig := &Figure{
-		Title: fmt.Sprintf("Figure 4 MSF, synthetic roadmap %dx%d grid (+%.0f%% shortcuts)",
-			o.Width, o.Height, o.Extra*100),
-		YLabel: "running time (simulated seconds; lower is better)",
-	}
-	type curveDef = struct {
-		name  string
-		cells []pointCell
-	}
-	var defs []curveDef
-	for _, v := range msfVariants() {
+// msfSweep runs each variant at every thread count in o.Threads (msf-seq
+// at one thread) as experiment exp, one curve per variant, and notes each
+// curve's last point.
+func msfSweep(o MSFOptions, exp string, fig *Figure, variants []msfVariant) (*Figure, error) {
+	var curves []msfCurve
+	for _, v := range variants {
 		threads := o.Threads
 		if v.seqOnly {
 			threads = []int{1}
 		}
-		def := curveDef{name: v.name}
+		c := msfCurve{name: v.name}
 		for _, th := range threads {
-			def.cells = append(def.cells, msfCell(o, "fig4", v, th))
+			c.cells = append(c.cells, msfCell(o, exp, v, th))
 		}
-		defs = append(defs, def)
+		curves = append(curves, c)
 	}
-	curves, err := msfCurves(o.Runner, defs)
-	if err != nil {
+	var err error
+	if fig.Curves, err = msfCurves(o.Runner, curves); err != nil {
 		return nil, err
 	}
-	fig.Curves = curves
-	for _, curve := range curves {
-		if last := curve.Points[len(curve.Points)-1]; last.Extra != "" {
-			fig.Notes = append(fig.Notes, fmt.Sprintf("%s @%d threads: %s", curve.Name, last.Threads, last.Extra))
-		}
+	fig.noteLast(nil)
+	return fig, nil
+}
+
+// Fig4 reconstructs Figure 4: MSF running time (simulated seconds — the
+// paper's y axis is also running time, log scale) for the seven variants.
+func Fig4(o MSFOptions) (*Figure, error) {
+	o = o.Defaults()
+	fig, err := msfSweep(o, "fig4", &Figure{
+		Title: fmt.Sprintf("Figure 4 MSF, synthetic roadmap %dx%d grid (+%.0f%% shortcuts)",
+			o.Width, o.Height, o.Extra*100),
+		YLabel: "running time (simulated seconds; lower is better)",
+	}, msfVariants())
+	if err != nil {
+		return nil, err
 	}
 	fig.Notes = append(fig.Notes, "values are RUNNING TIME in simulated seconds, not throughput")
 	return fig, nil
@@ -232,11 +240,7 @@ func SEModeMSF(o MSFOptions) (*Figure, error) {
 			leVariant = v
 		}
 	}
-	type curveDef = struct {
-		name  string
-		cells []pointCell
-	}
-	var defs []curveDef
+	var curves []msfCurve
 	for _, mode := range []sim.Mode{sim.SSE, sim.SE} {
 		name := "SSE"
 		if mode == sim.SE {
@@ -244,18 +248,17 @@ func SEModeMSF(o MSFOptions) (*Figure, error) {
 		}
 		oo := o
 		oo.Mode = mode
-		def := curveDef{name: "msf-opt-le-" + name}
+		c := msfCurve{name: "msf-opt-le-" + name}
 		for _, th := range o.Threads {
-			def.cells = append(def.cells, msfCell(oo, "msfse", leVariant, th))
+			c.cells = append(c.cells, msfCell(oo, "msfse", leVariant, th))
 		}
-		defs = append(defs, def)
+		curves = append(curves, c)
 	}
-	curves, err := msfCurves(o.Runner, defs)
-	if err != nil {
+	var err error
+	if fig.Curves, err = msfCurves(o.Runner, curves); err != nil {
 		return nil, err
 	}
-	fig.Curves = curves
-	for _, curve := range curves {
+	for _, curve := range fig.Curves {
 		for _, p := range curve.Points {
 			if p.Threads == 1 && p.Extra != "" {
 				fig.Notes = append(fig.Notes, fmt.Sprintf("%s single-thread: %s", curve.Name, p.Extra))
@@ -277,42 +280,19 @@ func MSFSweepFigure(o MSFOptions, variants []string) (*Figure, error) {
 	for _, v := range msfVariants() {
 		byName[v.name] = v
 	}
-	type curveDef = struct {
-		name  string
-		cells []pointCell
-	}
-	var defs []curveDef
+	var sel []msfVariant
 	for _, name := range variants {
 		v, ok := byName[name]
 		if !ok {
 			return nil, fmt.Errorf("unknown MSF variant %q (valid: %v)", name, MSFVariantNames())
 		}
-		threads := o.Threads
-		if v.seqOnly {
-			threads = []int{1}
-		}
-		def := curveDef{name: v.name}
-		for _, th := range threads {
-			def.cells = append(def.cells, msfCell(o, "msf-sweep", v, th))
-		}
-		defs = append(defs, def)
+		sel = append(sel, v)
 	}
-	curves, err := msfCurves(o.Runner, defs)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
+	return msfSweep(o, "msf-sweep", &Figure{
 		Title: fmt.Sprintf("MSF variant sweep, synthetic roadmap %dx%d grid (+%.0f%% shortcuts)",
 			o.Width, o.Height, o.Extra*100),
 		YLabel: "running time (simulated seconds; lower is better)",
-	}
-	fig.Curves = curves
-	for _, curve := range curves {
-		if last := curve.Points[len(curve.Points)-1]; last.Extra != "" {
-			fig.Notes = append(fig.Notes, fmt.Sprintf("%s @%d threads: %s", curve.Name, last.Threads, last.Extra))
-		}
-	}
-	return fig, nil
+	}, sel)
 }
 
 // ProfileReport renders the Section 6.1 failure analysis for a set of tree

@@ -130,7 +130,7 @@ func runFleet(o Options, scenario fleetScenario, sb SysBuilder, shards, crossPct
 		Point: Point{
 			Threads:    shards,
 			OpsPerUsec: res.Throughput(),
-			Extra:      summarizeStats(res.Stats),
+			Extra:      workload.StatsSummary(res.Stats),
 			Lat:        &lat,
 		},
 		Committed2PC: res.Committed2PC,

@@ -1,13 +1,9 @@
 package bench
 
 import (
-	"fmt"
+	"strings"
 
-	"rocktm/internal/phtm"
-	"rocktm/internal/policy"
 	"rocktm/internal/sim"
-	"rocktm/internal/stm/sky"
-	"rocktm/internal/workload"
 )
 
 // The htmdesign sweep replays three contrasting workloads against every
@@ -31,11 +27,8 @@ import (
 // backoff). The design point rides in sim.Config.HTM, so every cell's
 // cache key (Config.Digest) distinguishes designs automatically.
 type htmWorkload struct {
-	name      string
-	keyRange  int
-	pctLookup int
-	memWords  int
-	build     func(m *sim.Machine, keyRange int) kvStructure
+	name string
+	kv   kvConfig
 	// faults names a sim.FaultProfile injected into every cell of this
 	// workload ("" means none). The plan rides in sim.Config.Faults, so
 	// the cache key (Config.Digest) distinguishes faulted cells the same
@@ -44,18 +37,16 @@ type htmWorkload struct {
 }
 
 func htmDesignWorkloads() []htmWorkload {
+	rbtree := kvConfig{keyRange: policyKeyRange, pctLookup: policyPctLookup, memWords: policyMemWords, build: rbtreeKV}
 	return []htmWorkload{
-		{name: "rbtree", keyRange: policyKeyRange, pctLookup: policyPctLookup,
-			memWords: policyMemWords, build: rbtreeKV},
-		{name: "hash", keyRange: 256, pctLookup: 0,
-			memWords: 1 << 23, build: hashtableKV(1 << 17)},
+		{name: "rbtree", kv: rbtree},
+		{name: "hash", kv: kvConfig{keyRange: 256, pctLookup: 0, memWords: 1 << 23, build: hashtableKV(1 << 17)}},
 		// The rbtree under the adversarial marked-line-eviction profile:
 		// the workload the sticky axis exists for — the default design
 		// dooms every displacement with LD, a sticky design absorbs them
 		// up to its bound (the capacity half of the E23 tail pathology,
 		// now injectable on demand).
-		{name: "rbtree-evict", keyRange: policyKeyRange, pctLookup: policyPctLookup,
-			memWords: policyMemWords, build: rbtreeKV, faults: "evict"},
+		{name: "rbtree-evict", kv: rbtree, faults: "evict"},
 	}
 }
 
@@ -65,9 +56,9 @@ func htmDesignWorkloads() []htmWorkload {
 // already covers it).
 func htmDesignPolicies() []string { return []string{"paper", "adaptive"} }
 
-// htmDesignCfg is machineCfg with the HTM design point and the workload's
-// fault profile installed; both are part of the config, so the runner
-// cache digests key them.
+// htmDesignCfg is machineCfg with the named HTM design point and fault
+// profile ("" means none) installed; both are part of the config, so the
+// runner cache digests key them.
 func htmDesignCfg(threads, memWords int, seed uint64, design, faults string) sim.Config {
 	cfg := machineCfg(threads, memWords, seed)
 	cfg.HTM = sim.DesignPoint(design)
@@ -75,45 +66,6 @@ func htmDesignCfg(threads, memWords int, seed uint64, design, faults string) sim
 		cfg.Faults = sim.FaultProfile(faults)
 	}
 	return cfg
-}
-
-// runHTMDesignCell measures one (design, workload, policy, threads) cell:
-// PhTM over the SkySTM back end, with the machine implementing the named
-// design point and the policy tuned for it.
-func runHTMDesignCell(o Options, design string, wl htmWorkload, polName string, threads int) (Point, error) {
-	cfg := htmDesignCfg(threads, wl.memWords, o.Seed, design, wl.faults)
-	m := sim.New(cfg)
-	defer m.Recycle()
-	st := wl.build(m, wl.keyRange)
-	pcfg := phtm.DefaultConfig()
-	sys := phtm.New(m, sky.New(m), pcfg)
-	sys.SetPolicy(policy.MustNew(polName, policy.TuningForDesign(pcfg.Tuning(), cfg.HTM)))
-	spec := workload.MustCompile(workload.KVSpec(workload.Uniform(wl.keyRange), wl.pctLookup))
-	lat := o.latRecorder()
-	tr := o.startTrace(m)
-	rec := o.startWindows(m)
-	m.Run(func(s *sim.Strand) {
-		ses := st.NewSession(sys, s)
-		d := spec.Driver(s, lat)
-		if rec != nil {
-			d.Observe(rec)
-		}
-		d.Run(o.OpsPerThread, func(_, op int, key uint64) {
-			switch op {
-			case workload.OpLookup:
-				ses.Lookup(key)
-			case workload.OpInsert:
-				ses.Insert(key, 1)
-			default:
-				ses.Delete(key)
-			}
-		})
-	})
-	label := fmt.Sprintf("htmdesign/%s-%s-%s@%dT", design, wl.name, polName, threads)
-	o.endTrace(tr, label)
-	o.endWindows(rec, label)
-	res := workload.NewResult(uint64(threads*o.OpsPerThread), m.ElapsedSeconds(), sys.Stats(), lat)
-	return point(res, threads), nil
 }
 
 // HTMDesignFigure produces the design-space sweep: every named HTM design
@@ -135,51 +87,24 @@ func runHTMDesignCell(o Options, design string, wl htmWorkload, polName string, 
 //     half of the E23 tail pathology.
 func HTMDesignFigure(o Options) (*Figure, error) {
 	o = o.Defaults()
-	fig := &Figure{
-		Title:  "HTM design space: design point x workload x policy (PhTM over SkySTM)",
-		YLabel: "throughput (ops/usec), simulated",
-	}
-	var names []string
-	var cells []pointCell
+	var curves []curve
 	for _, design := range sim.DesignPointNames() {
 		for _, wl := range htmDesignWorkloads() {
 			for _, pol := range htmDesignPolicies() {
-				design, wl, pol := design, wl, pol
-				names = append(names, design+"/"+wl.name+"/"+pol)
-				for _, th := range o.Threads {
-					th := th
-					cells = append(cells, pointCell{
-						Spec: o.spec("htmdesign", design+"/"+wl.name+"/"+pol, th,
-							htmDesignCfg(th, wl.memWords, o.Seed, design, wl.faults),
-							map[string]string{
-								"design":   design,
-								"workload": wl.name,
-								"keyrange": itoa(wl.keyRange),
-								"lookup":   itoa(wl.pctLookup),
-								"policy":   pol,
-								"faults":   wl.faults,
-							}),
-						Compute: func() (Point, error) { return runHTMDesignCell(o, design, wl, pol, th) },
-					})
-				}
+				design, wl := design, wl
+				c := o.kvCurve(design+"/"+wl.name+"/"+pol, wl.kv, policyPhTM(pol),
+					map[string]string{"design": design, "workload": wl.name, "policy": pol, "faults": wl.faults})
+				c.cfg = func(threads int) sim.Config { return htmDesignCfg(threads, wl.kv.memWords, o.Seed, design, wl.faults) }
+				curves = append(curves, c)
 			}
 		}
 	}
-	curves, err := curveCells(o, names, o.Threads, cells)
+	fig, err := o.figure("htmdesign", "HTM design space: design point x workload x policy (PhTM over SkySTM)", curves)
 	if err != nil {
 		return nil, err
 	}
-	fig.Curves = curves
 	// One note per design point: its rbtree/paper cell at the highest
 	// thread count, read against the rock baseline.
-	for _, curve := range curves {
-		for _, design := range sim.DesignPointNames() {
-			if curve.Name == design+"/rbtree/paper" {
-				if last := curve.Points[len(curve.Points)-1]; last.Extra != "" {
-					fig.Notes = append(fig.Notes, fmt.Sprintf("%s @%d threads: %s", curve.Name, last.Threads, last.Extra))
-				}
-			}
-		}
-	}
+	fig.noteLast(func(name string) bool { return strings.HasSuffix(name, "/rbtree/paper") })
 	return fig, nil
 }

@@ -73,7 +73,7 @@ func TestHTMDesignCellDigestsKeyDesign(t *testing.T) {
 	wl := htmDesignWorkloads()[0]
 	digests := map[string]string{}
 	for _, design := range sim.DesignPointNames() {
-		cfg := htmDesignCfg(2, wl.memWords, o.Seed, design, wl.faults)
+		cfg := htmDesignCfg(2, wl.kv.memWords, o.Seed, design, wl.faults)
 		d := cfg.Digest()
 		if prev, ok := digests[d]; ok {
 			t.Errorf("designs %s and %s share config digest %s", prev, design, d)
@@ -108,8 +108,8 @@ func TestHTMDesignCellDigestsKeyFaults(t *testing.T) {
 	if plain == nil {
 		t.Fatal("no unfaulted rbtree workload")
 	}
-	a := htmDesignCfg(2, plain.memWords, o.Seed, "rock", plain.faults)
-	b := htmDesignCfg(2, evict.memWords, o.Seed, "rock", evict.faults)
+	a := htmDesignCfg(2, plain.kv.memWords, o.Seed, "rock", plain.faults)
+	b := htmDesignCfg(2, evict.kv.memWords, o.Seed, "rock", evict.faults)
 	if a.Digest() == b.Digest() {
 		t.Fatalf("evict-faulted cell shares config digest %s with the unfaulted cell", a.Digest())
 	}

@@ -1,13 +1,13 @@
 package bench
 
 import (
-	"fmt"
+	"strings"
 
+	"rocktm/internal/core"
 	"rocktm/internal/phtm"
 	"rocktm/internal/policy"
 	"rocktm/internal/sim"
 	"rocktm/internal/stm/sky"
-	"rocktm/internal/workload"
 )
 
 // The policy-ablation workload: the Figure 2(b) red-black tree (2048 keys,
@@ -26,51 +26,16 @@ const (
 // adaptive learner).
 func policyAblationPolicies() []string { return []string{"naive", "paper", "adaptive"} }
 
-// policyMachineCfg is machineCfg with a fault plan installed; the plan is
-// part of the config, so the runner's cache digests distinguish profiles.
-func policyMachineCfg(threads, memWords int, seed uint64, faults sim.FaultPlan) sim.Config {
-	cfg := machineCfg(threads, memWords, seed)
-	cfg.Faults = faults
-	return cfg
-}
-
-// runPolicyCell measures one (policy, fault profile, threads) cell: PhTM
-// over the SkySTM back end on the red-black-tree workload, with the named
-// retry policy driving the hardware attempts and the named fault profile
-// injecting adversarial aborts.
-func runPolicyCell(o Options, polName, profile string, threads int) (Point, error) {
-	cfg := policyMachineCfg(threads, policyMemWords, o.Seed, sim.FaultProfile(profile))
-	m := sim.New(cfg)
-	defer m.Recycle()
-	st := rbtreeKV(m, policyKeyRange)
-	pcfg := phtm.DefaultConfig()
-	sys := phtm.New(m, sky.New(m), pcfg)
-	sys.SetPolicy(policy.MustNew(polName, pcfg.Tuning()))
-	wl := workload.MustCompile(workload.KVSpec(workload.Uniform(policyKeyRange), policyPctLookup))
-	lat := o.latRecorder()
-	tr := o.startTrace(m)
-	rec := o.startWindows(m)
-	m.Run(func(s *sim.Strand) {
-		ses := st.NewSession(sys, s)
-		d := wl.Driver(s, lat)
-		if rec != nil {
-			d.Observe(rec)
-		}
-		d.Run(o.OpsPerThread, func(_, op int, key uint64) {
-			switch op {
-			case workload.OpLookup:
-				ses.Lookup(key)
-			case workload.OpInsert:
-				ses.Insert(key, 1)
-			default:
-				ses.Delete(key)
-			}
-		})
-	})
-	o.endTrace(tr, fmt.Sprintf("policy/%s-%s@%dT", polName, profile, threads))
-	o.endWindows(rec, fmt.Sprintf("policy/%s-%s@%dT", polName, profile, threads))
-	res := workload.NewResult(uint64(threads*o.OpsPerThread), m.ElapsedSeconds(), sys.Stats(), lat)
-	return point(res, threads), nil
+// policyPhTM builds PhTM over the SkySTM back end with the named retry
+// policy driving the hardware attempts, its tuning adapted to the
+// machine's HTM design point (the identity for the default design).
+func policyPhTM(name string) func(m *sim.Machine) core.System {
+	return func(m *sim.Machine) core.System {
+		pcfg := phtm.DefaultConfig()
+		sys := phtm.New(m, sky.New(m), pcfg)
+		sys.SetPolicy(policy.MustNew(name, policy.TuningForDesign(pcfg.Tuning(), m.Config().HTM)))
+		return sys
+	}
 }
 
 // PolicyFigure produces the policy × fault-profile ablation table: every
@@ -92,48 +57,24 @@ func runPolicyCell(o Options, polName, profile string, threads int) (Point, erro
 //     policy's stance from Backoff to Throttle.
 func PolicyFigure(o Options) (*Figure, error) {
 	o = o.Defaults()
-	fig := &Figure{
-		Title:  "Policy ablation: retry policy x fault profile (PhTM, RB-tree 2048 keys 96% reads)",
-		YLabel: "throughput (ops/usec), simulated",
-	}
-	profiles := sim.FaultProfileNames()
-	var names []string
-	var cells []pointCell
+	kv := kvConfig{keyRange: policyKeyRange, pctLookup: policyPctLookup, memWords: policyMemWords, build: rbtreeKV}
+	var curves []curve
 	for _, pol := range policyAblationPolicies() {
-		for _, prof := range profiles {
-			pol, prof := pol, prof
-			names = append(names, pol+"/"+prof)
-			for _, th := range o.Threads {
-				th := th
-				cells = append(cells, pointCell{
-					Spec: o.spec("policy", pol+"/"+prof, th,
-						policyMachineCfg(th, policyMemWords, o.Seed, sim.FaultProfile(prof)),
-						map[string]string{
-							"keyrange": itoa(policyKeyRange),
-							"lookup":   itoa(policyPctLookup),
-							"policy":   pol,
-							"profile":  prof,
-						}),
-					Compute: func() (Point, error) { return runPolicyCell(o, pol, prof, th) },
-				})
-			}
+		for _, prof := range sim.FaultProfileNames() {
+			prof := prof
+			c := o.kvCurve(pol+"/"+prof, kv, policyPhTM(pol), map[string]string{"policy": pol, "profile": prof})
+			// The default design with the profile's fault plan, which rides
+			// in the config so the cache digests tell profiles apart.
+			c.cfg = func(threads int) sim.Config { return htmDesignCfg(threads, policyMemWords, o.Seed, "rock", prof) }
+			curves = append(curves, c)
 		}
 	}
-	curves, err := curveCells(o, names, o.Threads, cells)
+	fig, err := o.figure("policy", "Policy ablation: retry policy x fault profile (PhTM, RB-tree 2048 keys 96% reads)", curves)
 	if err != nil {
 		return nil, err
 	}
-	fig.Curves = curves
 	// One annotation per policy at the highest thread count of the
 	// no-fault baseline, so the table stays readable.
-	for _, curve := range curves {
-		for _, pol := range policyAblationPolicies() {
-			if curve.Name == pol+"/none" {
-				if last := curve.Points[len(curve.Points)-1]; last.Extra != "" {
-					fig.Notes = append(fig.Notes, fmt.Sprintf("%s @%d threads: %s", curve.Name, last.Threads, last.Extra))
-				}
-			}
-		}
-	}
+	fig.noteLast(func(name string) bool { return strings.HasSuffix(name, "/none") })
 	return fig, nil
 }

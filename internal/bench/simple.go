@@ -16,10 +16,7 @@ import (
 // transactions need fine-grained interleaving (Quantum=8) for the
 // conflict behaviour to be visible.
 func counterCfg(threads int, seed uint64) sim.Config {
-	cfg := sim.DefaultConfig(threads)
-	cfg.MemWords = 1 << 18
-	cfg.Seed = seed
-	cfg.MaxCycles = 1 << 46
+	cfg := machineCfg(threads, 1<<18, seed)
 	cfg.Quantum = 8
 	return cfg
 }
@@ -36,53 +33,29 @@ func counterSpec() workload.Spec {
 // degradation the paper describes as suggesting livelock.
 func CounterFigure(o Options) (*Figure, error) {
 	o = o.Defaults()
-	fig := &Figure{
-		Title:  "Section 4 counter: CAS vs HTM increments, with/without backoff",
-		YLabel: "throughput (ops/usec), simulated",
-	}
-	wl := workload.MustCompile(counterSpec())
-	methods := []counter.Method{counter.CAS, counter.CASBackoff, counter.HTM, counter.HTMBackoff}
-	var names []string
-	var cells []pointCell
-	for _, method := range methods {
-		names = append(names, method.Name())
-		for _, th := range o.Threads {
-			method, th := method, th
-			cells = append(cells, pointCell{
-				Spec: o.spec("counter", method.Name(), th, counterCfg(th, o.Seed), nil),
-				Compute: func() (Point, error) {
-					m := sim.New(counterCfg(th, o.Seed))
-					defer m.Recycle()
-					ctr := counter.New(m)
-					lat := o.latRecorder()
-					tr := o.startTrace(m)
-					rec := o.startWindows(m)
-					m.Run(func(s *sim.Strand) {
-						d := wl.Driver(s, lat)
-						if rec != nil {
-							d.Observe(rec)
+	var curves []curve
+	for _, method := range []counter.Method{counter.CAS, counter.CASBackoff, counter.HTM, counter.HTMBackoff} {
+		method := method
+		curves = append(curves, curve{
+			name: method.Name(),
+			cfg:  func(threads int) sim.Config { return counterCfg(threads, o.Seed) },
+			wl:   counterSpec(),
+			build: func(m *sim.Machine) built {
+				ctr := counter.New(m)
+				return built{
+					stats:  ctr,
+					strand: func(s *sim.Strand) dispatch { return func(int, int, uint64) { ctr.Inc(s, method) } },
+					check: func() error {
+						if got, want := ctr.Value(m.Mem()), sim.Word(m.Config().Strands*o.OpsPerThread); got != want {
+							return fmt.Errorf("counter %d != %d", got, want)
 						}
-						d.Run(o.OpsPerThread, func(_, _ int, _ uint64) {
-							ctr.Inc(s, method)
-						})
-					})
-					o.endTrace(tr, fmt.Sprintf("counter/%s@%dT", method.Name(), th))
-					o.endWindows(rec, fmt.Sprintf("counter/%s@%dT", method.Name(), th))
-					if got := ctr.Value(m.Mem()); got != sim.Word(th*o.OpsPerThread) {
-						return Point{}, fmt.Errorf("counter %s/%d: %d != %d", method.Name(), th, got, th*o.OpsPerThread)
-					}
-					res := workload.NewResult(uint64(th*o.OpsPerThread), m.ElapsedSeconds(), ctr.Stats(), lat)
-					return point(res, th), nil
-				},
-			})
-		}
+						return nil
+					},
+				}
+			},
+		})
 	}
-	curves, err := curveCells(o, names, o.Threads, cells)
-	if err != nil {
-		return nil, err
-	}
-	fig.Curves = curves
-	return fig, nil
+	return o.figure("counter", "Section 4 counter: CAS vs HTM increments, with/without backoff", curves)
 }
 
 // dcasSetSpec is the DCAS set driver: key drawn first from [1, keyRange],
@@ -119,18 +92,12 @@ func dcasQueueSpec() workload.Spec {
 func DCASFigure(o Options) (*Figure, error) {
 	o = o.Defaults()
 	const keyRange = 256
-	fig := &Figure{
-		Title:  "Section 4 DCAS sets: DCAS list vs hand-crafted lock-free list, keyrange=256",
-		YLabel: "throughput (ops/usec), simulated",
-	}
-	setWL := workload.MustCompile(dcasSetSpec(keyRange))
-	queueWL := workload.MustCompile(dcasQueueSpec())
 	type setIface interface {
 		Insert(s *sim.Strand, key uint64) bool
 		Remove(s *sim.Strand, key uint64) bool
 		Contains(s *sim.Strand, key uint64) bool
 	}
-	builders := []struct {
+	sets := []struct {
 		name  string
 		build func(m *sim.Machine) setIface
 	}{
@@ -141,49 +108,36 @@ func DCASFigure(o Options) (*Figure, error) {
 			return dcas.NewHMList(m, keyRange+o.OpsPerThread*m.Config().Strands+64)
 		}},
 	}
-	var names []string
-	var cells []pointCell
-	for _, b := range builders {
-		names = append(names, b.name)
-		for _, th := range o.Threads {
-			b, th := b, th
-			cells = append(cells, pointCell{
-				Spec: o.spec("dcas", b.name, th, machineCfg(th, 1<<23, o.Seed),
-					map[string]string{"keyrange": itoa(keyRange)}),
-				Compute: func() (Point, error) {
-					m := machineFor(th, 1<<23, o.Seed)
-					defer m.Recycle()
-					set := b.build(m)
-					lat := o.latRecorder()
-					rec := o.startWindows(m)
-					m.Run(func(s *sim.Strand) {
-						d := setWL.Driver(s, lat)
-						if rec != nil {
-							d.Observe(rec)
+	var curves []curve
+	for _, b := range sets {
+		b := b
+		curves = append(curves, curve{
+			name:   b.name,
+			params: map[string]string{"keyrange": itoa(keyRange)},
+			cfg:    o.machine(1 << 23),
+			wl:     dcasSetSpec(keyRange),
+			build: func(m *sim.Machine) built {
+				set := b.build(m)
+				return built{strand: func(s *sim.Strand) dispatch {
+					return func(_, op int, key uint64) {
+						switch op {
+						case 0:
+							set.Insert(s, key)
+						case 1:
+							set.Remove(s, key)
+						default:
+							set.Contains(s, key)
 						}
-						d.Run(o.OpsPerThread, func(_, op int, key uint64) {
-							switch op {
-							case 0:
-								set.Insert(s, key)
-							case 1:
-								set.Remove(s, key)
-							default:
-								set.Contains(s, key)
-							}
-						})
-					})
-					o.endWindows(rec, fmt.Sprintf("dcas/%s@%dT", b.name, th))
-					res := workload.NewResult(uint64(th*o.OpsPerThread), m.ElapsedSeconds(), nil, lat)
-					return point(res, th), nil
-				},
-			})
-		}
+					}
+				}}
+			},
+		})
 	}
 	type fifo interface {
 		Enqueue(s *sim.Strand, val sim.Word)
 		Dequeue(s *sim.Strand) (sim.Word, bool)
 	}
-	qbuilders := []struct {
+	queues := []struct {
 		name  string
 		build func(m *sim.Machine) fifo
 	}{
@@ -194,44 +148,27 @@ func DCASFigure(o Options) (*Figure, error) {
 			return dcas.NewMSQueue(m, o.OpsPerThread*m.Config().Strands+64)
 		}},
 	}
-	for _, b := range qbuilders {
-		names = append(names, b.name)
-		for _, th := range o.Threads {
-			b, th := b, th
-			cells = append(cells, pointCell{
-				Spec: o.spec("dcas", b.name, th, machineCfg(th, 1<<23, o.Seed), nil),
-				Compute: func() (Point, error) {
-					m := machineFor(th, 1<<23, o.Seed)
-					defer m.Recycle()
-					q := b.build(m)
-					lat := o.latRecorder()
-					rec := o.startWindows(m)
-					m.Run(func(s *sim.Strand) {
-						d := queueWL.Driver(s, lat)
-						if rec != nil {
-							d.Observe(rec)
+	for _, b := range queues {
+		b := b
+		curves = append(curves, curve{
+			name: b.name,
+			cfg:  o.machine(1 << 23),
+			wl:   dcasQueueSpec(),
+			build: func(m *sim.Machine) built {
+				q := b.build(m)
+				return built{strand: func(s *sim.Strand) dispatch {
+					return func(i, op int, _ uint64) {
+						if op == 0 {
+							q.Enqueue(s, sim.Word(i))
+						} else {
+							q.Dequeue(s)
 						}
-						d.Run(o.OpsPerThread, func(i, op int, _ uint64) {
-							if op == 0 {
-								q.Enqueue(s, sim.Word(i))
-							} else {
-								q.Dequeue(s)
-							}
-						})
-					})
-					o.endWindows(rec, fmt.Sprintf("dcas/%s@%dT", b.name, th))
-					res := workload.NewResult(uint64(th*o.OpsPerThread), m.ElapsedSeconds(), nil, lat)
-					return point(res, th), nil
-				},
-			})
-		}
+					}
+				}}
+			},
+		})
 	}
-	curves, err := curveCells(o, names, o.Threads, cells)
-	if err != nil {
-		return nil, err
-	}
-	fig.Curves = curves
-	return fig, nil
+	return o.figure("dcas", "Section 4 DCAS sets: DCAS list vs hand-crafted lock-free list, keyrange=256", curves)
 }
 
 // volanoSpec is the chat driver: the op rolls first out of 100, and only
@@ -258,7 +195,6 @@ func volanoSpec(rooms int) workload.Spec {
 func VolanoFigure(o Options) (*Figure, error) {
 	o = o.Defaults()
 	const rooms = 16
-	wl := workload.MustCompile(volanoSpec(rooms))
 	configs := []struct {
 		name        string
 		emit, elide bool
@@ -267,59 +203,42 @@ func VolanoFigure(o Options) (*Figure, error) {
 		{"TLE-emitted-disabled", true, false},
 		{"TLE-enabled", true, true},
 	}
-	fig := &Figure{
-		Title:  "Section 7.2 (text) VolanoMark-like chat workload",
-		YLabel: "throughput (ops/usec), simulated",
-	}
-	var names []string
-	var cells []pointCell
+	var curves []curve
 	for _, cc := range configs {
-		names = append(names, cc.name)
-		for _, th := range o.Threads {
-			cc, th := cc, th
-			cells = append(cells, pointCell{
-				Spec: o.spec("volano", cc.name, th, machineCfg(th, 1<<21, o.Seed),
-					map[string]string{"rooms": itoa(rooms)}),
-				Compute: func() (Point, error) {
-					m := machineFor(th, 1<<21, o.Seed)
-					defer m.Recycle()
-					vm := jvm.New(m, tle.DefaultPolicy())
-					vm.EmitTLE = cc.emit
-					vm.Elide = cc.elide
-					srv := chat.NewServer(m, vm, rooms)
-					lat := o.latRecorder()
-					rec := o.startWindows(m)
-					m.Run(func(s *sim.Strand) {
-						room := s.ID() % rooms
-						srv.Join(s, room)
-						d := wl.Driver(s, lat)
-						if rec != nil {
-							d.Observe(rec)
-						}
-						d.Run(o.OpsPerThread, func(i, op int, key uint64) {
+		cc := cc
+		curves = append(curves, curve{
+			name:   cc.name,
+			params: map[string]string{"rooms": itoa(rooms)},
+			cfg:    o.machine(1 << 21),
+			wl:     volanoSpec(rooms),
+			build: func(m *sim.Machine) built {
+				vm := jvm.New(m, tle.DefaultPolicy())
+				vm.EmitTLE = cc.emit
+				vm.Elide = cc.elide
+				srv := chat.NewServer(m, vm, rooms)
+				room := make([]int, m.Config().Strands) // each strand's current room
+				return built{
+					stats: vm,
+					strand: func(s *sim.Strand) dispatch {
+						r := &room[s.ID()]
+						*r = s.ID() % rooms
+						srv.Join(s, *r)
+						return func(i, op int, key uint64) {
 							switch op {
 							case 0:
-								room = int(key)
-								srv.Join(s, room)
+								*r = int(key)
+								srv.Join(s, *r)
 							case 1:
-								srv.Post(s, room, sim.Word(i))
+								srv.Post(s, *r, sim.Word(i))
 							default:
-								srv.ReadRecent(s, room, 8)
+								srv.ReadRecent(s, *r, 8)
 							}
-						})
-						srv.Leave(s, room)
-					})
-					o.endWindows(rec, fmt.Sprintf("volano/%s@%dT", cc.name, th))
-					res := workload.NewResult(uint64(th*o.OpsPerThread), m.ElapsedSeconds(), vm.Stats(), lat)
-					return point(res, th), nil
-				},
-			})
-		}
+						}
+					},
+					leave: func(s *sim.Strand) { srv.Leave(s, room[s.ID()]) },
+				}
+			},
+		})
 	}
-	curves, err := curveCells(o, names, o.Threads, cells)
-	if err != nil {
-		return nil, err
-	}
-	fig.Curves = curves
-	return fig, nil
+	return o.figure("volano", "Section 7.2 (text) VolanoMark-like chat workload", curves)
 }

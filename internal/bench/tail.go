@@ -60,53 +60,23 @@ func tailSkews() []struct {
 func TailFigure(o Options) (*Figure, error) {
 	o = o.Defaults()
 	o.Latency = true
-	structures := []struct {
-		name string
-		cfg  kvConfig
-	}{
-		{"ht", kvConfig{
-			keyRange:  4096,
-			pctLookup: 50,
-			memWords:  1 << 23,
-			build:     hashtableKV(1 << 12),
-		}},
-		{"rbtree", kvConfig{
-			keyRange:  2048,
-			pctLookup: 90,
-			memWords:  1 << 22,
-			build:     rbtreeKV,
-		}},
-	}
-	fig := &Figure{
-		Title:  "Tail latency: skew x system, HashTable 4096 keys 50% lookups + RB-tree 2048 keys 90% lookups",
-		YLabel: "throughput (ops/usec), simulated; latency tables in simulated cycles",
-	}
+	structures := timelineStructures()
 	systems := tailSystems()
-	skews := tailSkews()
-	var names []string
-	var cells []pointCell
+	var curves []curve
 	for _, st := range structures {
 		for _, sb := range systems {
-			for _, sk := range skews {
+			for _, sk := range tailSkews() {
 				cfg := st.cfg
 				cfg.keys = sk.keys(cfg.keyRange)
-				name := st.name + "/" + sb.Name + "/" + sk.name
-				names = append(names, name)
-				for _, th := range o.Threads {
-					cfg, sb, th, name := cfg, sb, th, name
-					cells = append(cells, pointCell{
-						Spec:    kvSpec(o, "tail", cfg, name, th),
-						Compute: func() (Point, error) { return runKV(o, name, cfg, sb, th) },
-					})
-				}
+				curves = append(curves, o.kvCurve(st.name+"/"+sb.Name+"/"+sk.name, cfg, sb.Build, nil))
 			}
 		}
 	}
-	curves, err := curveCells(o, names, o.Threads, cells)
+	fig, err := o.figure("tail", "Tail latency: skew x system, HashTable 4096 keys 50% lookups + RB-tree 2048 keys 90% lookups", curves)
 	if err != nil {
 		return nil, err
 	}
-	fig.Curves = curves
+	fig.YLabel = "throughput (ops/usec), simulated; latency tables in simulated cycles"
 	// Annotate the skew effect at the highest thread count: p99.9 inflation
 	// of the most skewed draw relative to uniform, per structure/system.
 	top := o.Threads[len(o.Threads)-1]

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"rocktm/internal/obs/timeseries"
-	"rocktm/internal/runner"
 	"rocktm/internal/workload"
 )
 
@@ -54,7 +53,8 @@ func timelineSLOs(structure string) []timeseries.SLO {
 	return nil
 }
 
-// timelineStructures is the structure axis: the same two E23 used.
+// timelineStructures is the structure axis of the tail and timeline
+// experiments.
 func timelineStructures() []struct {
 	name string
 	cfg  kvConfig
@@ -86,83 +86,53 @@ func timelineStructures() []struct {
 func TimelineFigure(o Options) (*Figure, error) {
 	o = o.Defaults()
 	o.Latency = true
-	width := o.timelineWidth()
+	// The window width shapes the payload, so it must key the cache: a
+	// series recorded at one width never aliases another.
+	params := map[string]string{"timeline": "1", "window": strconv.FormatInt(o.timelineWidth(), 10)}
+	var curves []curve
+	for _, st := range timelineStructures() {
+		for _, sb := range tailSystems() {
+			cfg := st.cfg
+			cfg.keys = workload.Zipfian(cfg.keyRange, 0.99)
+			c := o.kvCurve(st.name+"/"+sb.Name, cfg, sb.Build, params)
+			c.slos = timelineSLOs(st.name)
+			curves = append(curves, c)
+		}
+	}
+	pts, err := runCells(o, o.cells("timeline", curves), func(c cell) (timelinePoint, error) {
+		res, series, err := o.run(c)
+		return timelinePoint{Point: point(res, c.spec.Threads), Series: series}, err
+	})
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{
 		Title:  "Timeline: windowed timeseries, zipf0.99, HashTable 4096 keys 50% lookups + RB-tree 2048 keys 90% lookups",
 		YLabel: "throughput (ops/usec), simulated; window series in notes/exports",
 	}
-	structures := timelineStructures()
-	systems := tailSystems()
-	var names []string
-	var cells []runner.Cell[timelinePoint]
-	for _, st := range structures {
-		for _, sb := range systems {
-			cfg := st.cfg
-			cfg.keys = workload.Zipfian(cfg.keyRange, 0.99)
-			name := st.name + "/" + sb.Name
-			names = append(names, name)
-			for _, th := range o.Threads {
-				cfg, sb, th, name := cfg, sb, th, name
-				sp := kvSpec(o, "timeline", cfg, name, th)
-				// The window width shapes the payload, so it must key the
-				// cache: a series recorded at one width never aliases another.
-				sp.Params["timeline"] = "1"
-				sp.Params["window"] = strconv.FormatInt(width, 10)
-				cells = append(cells, runner.Cell[timelinePoint]{
-					Spec: sp,
-					Compute: func() (timelinePoint, error) {
-						p, series, err := runKVSeries(o, name, cfg, sb, th, true, width)
-						return timelinePoint{Point: p, Series: series}, err
-					},
-				})
-			}
-		}
-	}
-	pts, err := runner.RunCells(o.pool(), cells)
-	if err != nil {
-		return nil, err
-	}
 	nt := len(o.Threads)
 	top := o.Threads[nt-1]
-	for ci, name := range names {
-		curve := Curve{Name: name}
-		for t := 0; t < nt; t++ {
-			curve.Points = append(curve.Points, pts[ci*nt+t].Point)
-		}
-		fig.Curves = append(fig.Curves, curve)
-	}
 	// Judge the top-thread-count run of every curve: pathology findings
 	// first, then the structure's SLO verdicts. Everything derives from the
 	// cached payloads, so notes are byte-stable across serial, parallel and
 	// warm-cache executions.
-	for ci, name := range names {
-		structure := structures[ci/len(systems)].name
+	for ci, c := range curves {
+		curve := Curve{Name: c.name}
+		for t := 0; t < nt; t++ {
+			curve.Points = append(curve.Points, pts[ci*nt+t].Point)
+		}
+		fig.Curves = append(fig.Curves, curve)
 		series := pts[ci*nt+nt-1].Series
 		findings := timeseries.Detect(series)
 		if len(findings) == 0 {
 			fig.Notes = append(fig.Notes, fmt.Sprintf("%s @%dT: no pathologies detected over %d windows",
-				name, top, len(series.Windows)))
+				c.name, top, len(series.Windows)))
 		}
 		for _, f := range findings {
-			fig.Notes = append(fig.Notes, fmt.Sprintf("%s @%dT: %s", name, top, f))
+			fig.Notes = append(fig.Notes, fmt.Sprintf("%s @%dT: %s", c.name, top, f))
 		}
-		for _, res := range timeseries.EvaluateSLOs(series, timelineSLOs(structure)) {
-			fig.Notes = append(fig.Notes, fmt.Sprintf("%s @%dT: SLO %s", name, top, res))
-		}
-	}
-	// When a timeline sink is attached, deposit every cell's judged series
-	// in submission order. Labels follow the trace sink's convention
-	// (runKVSeries appends the system name to its label), so the figures
-	// command can merge counter tracks into the matching trace process.
-	if o.Timeline != nil {
-		for ci, name := range names {
-			structure := structures[ci/len(systems)].name
-			system := systems[ci%len(systems)].Name
-			for t := 0; t < nt; t++ {
-				series := pts[ci*nt+t].Series
-				o.Timeline.AddJudged(fmt.Sprintf("%s/%s@%dT", name, system, o.Threads[t]), series,
-					timeseries.Detect(series), timeseries.EvaluateSLOs(series, timelineSLOs(structure)))
-			}
+		for _, res := range timeseries.EvaluateSLOs(series, c.slos) {
+			fig.Notes = append(fig.Notes, fmt.Sprintf("%s @%dT: SLO %s", c.name, top, res))
 		}
 	}
 	return fig, nil

@@ -21,16 +21,19 @@ func TestTimelineCaptureDoesNotPerturb(t *testing.T) {
 	o := Options{Threads: []int{2}, OpsPerThread: 120, Seed: 1, Latency: true}.Defaults()
 	traced := o
 	traced.Trace = &obs.TraceSink{}
+	traced.Timeline = &timeseries.Sink{}
+	traced.TimelineWindow = timeseries.MinWidth
 	st := timelineStructures()[1] // rbtree: exercises tx, fallback and lock hooks
 	cfg := st.cfg
 	cfg.keys = workload.Zipfian(cfg.keyRange, 0.99)
 	for i, sb := range tailSystems() {
-		plain, _, err := runKVSeries(o, "t", cfg, sb, 2, false, 0)
+		c := o.cells("t", []curve{o.kvCurve(sb.Name, cfg, sb.Build, nil)})[0]
+		plain, _, err := o.run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := traced.Trace.Events()
-		captured, series, err := runKVSeries(traced, "t", cfg, sb, 2, true, timeseries.MinWidth)
+		captured, series, err := traced.run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,8 +41,11 @@ func TestTimelineCaptureDoesNotPerturb(t *testing.T) {
 			t.Errorf("%s: trace sink holds %d runs (want %d) and gained %d events (want some)",
 				sb.Name, traced.Trace.Runs(), i+1, traced.Trace.Events()-before)
 		}
-		pb, _ := json.Marshal(plain)
-		cb, _ := json.Marshal(captured)
+		if traced.Timeline.Runs() != i+1 {
+			t.Errorf("%s: timeline sink holds %d runs, want %d", sb.Name, traced.Timeline.Runs(), i+1)
+		}
+		pb, _ := json.Marshal(point(plain, 2))
+		cb, _ := json.Marshal(point(captured, 2))
 		if !bytes.Equal(pb, cb) {
 			t.Errorf("%s: windowed capture changed the measurement:\n%s\n%s", sb.Name, pb, cb)
 		}
@@ -133,7 +139,9 @@ func TestTimelineDetectsPhaseFlipDrain(t *testing.T) {
 	if phtm.Name != "phtm" {
 		t.Fatalf("system order changed: %q", phtm.Name)
 	}
-	_, series, err := runKVSeries(o, "e24", cfg, phtm, 16, true, timeseries.DefaultWidth)
+	c := o.kvCurve("rbtree/phtm", cfg, phtm.Build, nil)
+	c.slos = timelineSLOs("rbtree") // the timeline figure's cell: always windowed
+	_, series, err := o.run(o.cells("e24", []curve{c})[0])
 	if err != nil {
 		t.Fatal(err)
 	}
