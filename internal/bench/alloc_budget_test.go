@@ -3,13 +3,13 @@ package bench
 import "testing"
 
 // fig2aCellAllocBudget is the allocation budget for one BenchmarkFig2aCell
-// iteration. The PR 8 hot-path round brought the cell from 7,616 allocs/op
-// down to ~1,360 (the Memory backing pool recycles the words/lineMeta
-// arrays, the dominant term; what remains is per-strand construction —
-// caches, TLBs, coroutines — plus workload compilation and JSON digests).
-// The budget pins that result with ~10% headroom: a change that quietly
-// reintroduces per-operation or per-attempt allocation on the cell path
-// fails here long before it is visible in wall-clock.
+// iteration, which reads ~1,385 allocs/op. Machine.Recycle returns the
+// memory frames a cell touched and its L2 to pools that the next cell
+// draws from, so what remains is per-strand construction — caches, TLBs,
+// coroutines — plus workload compilation and JSON digests. The budget pins
+// that with ~10% headroom: a change that quietly reintroduces per-operation
+// or per-attempt allocation on the cell path fails here long before it is
+// visible in wall-clock.
 const fig2aCellAllocBudget = 1500
 
 // TestFig2aCellAllocBudget runs the cell benchmark through the testing

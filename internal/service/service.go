@@ -252,8 +252,8 @@ func New(cfg Config) (*Fleet, error) {
 // Shards returns the fleet's shard count.
 func (f *Fleet) Shards() int { return len(f.shards) }
 
-// Recycle donates every shard machine's simulated-memory backing to the
-// process-wide pool (see sim.Machine.Recycle). Call only after the fleet's
+// Recycle hands every shard machine's memory frames and L2 to the
+// process-wide pools (see sim.Machine.Recycle). Call only after the fleet's
 // last use; the shards' simulated memory must not be touched afterwards.
 func (f *Fleet) Recycle() {
 	for _, sh := range f.shards {

@@ -1,5 +1,7 @@
 package sim
 
+import "sync"
+
 // l1Cache models a strand's 4-way set-associative L1 data cache. Rock's
 // 32 KB, 64-byte-line L1 has 128 sets of 4 ways; transactional read-set
 // tracking lives here: a transactionally marked line that gets displaced
@@ -195,15 +197,24 @@ type l2Cache struct {
 	tick    int64
 }
 
+// l2Pool holds the L2s of recycled machines (Machine.Recycle). At the
+// default geometry an L2 is 512 KB, and experiment sweeps build hundreds of
+// machines, so each new machine resets a retired L2 instead of allocating
+// one.
+var l2Pool sync.Pool
+
+// newL2 returns an empty L2 of the given geometry, reusing a pooled one
+// when it is large enough.
 func newL2(sets, ways int) *l2Cache {
-	c := &l2Cache{
-		sets:    sets,
-		ways:    ways,
-		setMask: int32(sets - 1),
-		slots:   make([]l2Slot, sets*ways),
+	n := sets * ways
+	c, _ := l2Pool.Get().(*l2Cache)
+	if c == nil || cap(c.slots) < n {
+		c = &l2Cache{slots: make([]l2Slot, n)}
 	}
+	c.sets, c.ways, c.setMask, c.tick = sets, ways, int32(sets-1), 0
+	c.slots = c.slots[:n]
 	for i := range c.slots {
-		c.slots[i].tag = -1
+		c.slots[i] = l2Slot{tag: -1}
 	}
 	return c
 }

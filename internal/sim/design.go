@@ -174,7 +174,8 @@ func (m *Machine) doomRemote(v *Strand, reason uint32) {
 func (t *txnState) rollbackUndo(mem *Memory) int {
 	n := len(t.storeAddrs)
 	for i := n - 1; i >= 0; i-- {
-		mem.words[t.storeAddrs[i]] = t.storeVals[i]
+		a := t.storeAddrs[i]
+		*mem.frames[PageOf(a)].word(a) = t.storeVals[i]
 	}
 	t.storeAddrs = t.storeAddrs[:0]
 	t.storeVals = t.storeVals[:0]
@@ -183,9 +184,10 @@ func (t *txnState) rollbackUndo(mem *Memory) int {
 
 // arbMask returns the conflicting holders a transactional access to line
 // must arbitrate against: every active marker for a store, every active
-// writer for a load.
+// writer for a load. It runs before the line is filled, so it may be the
+// first touch of the line's page and backs its frame.
 func (s *Strand) arbMask(line int32, store bool) uint64 {
-	lm := &s.m.mem.lines[line]
+	lm := s.m.mem.frame(line >> linePageShift).dir(line)
 	if store {
 		return lm.marked &^ s.bit
 	}

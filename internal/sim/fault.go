@@ -129,7 +129,7 @@ func (f *faultInjector) evictMarked(s *Strand) {
 		// sticky); nothing to displace.
 		return
 	}
-	lm := &s.m.mem.lines[line]
+	lm := s.dir(line)
 	lm.present &^= s.bit
 	if !s.spillMarked(lm) {
 		s.doom(s.evictAbortReason())

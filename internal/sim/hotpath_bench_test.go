@@ -84,6 +84,61 @@ func BenchmarkSchedulerHandoff(b *testing.B) {
 	}
 }
 
+// ---- Construction ----
+
+// machineNewCycle is one steady-state machine lifetime: New, a short run
+// in which every strand stores to four pages, and Recycle.
+func machineNewCycle(cfg Config) {
+	m := New(cfg)
+	a := m.Mem().Alloc(4*PageWords, PageWords)
+	m.Run(func(s *Strand) {
+		for p := 0; p < 4; p++ {
+			s.Store(a+Addr(p*PageWords+s.ID()*WordsPerLine), 1)
+		}
+	})
+	m.Recycle()
+}
+
+// benchMachineNew times machineNewCycle with the frame and L2 pools warm.
+func benchMachineNew(b *testing.B, cfg Config) {
+	machineNewCycle(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		machineNewCycle(cfg)
+	}
+}
+
+// BenchmarkMachineNew measures construction: per-strand caches, TLBs and
+// coroutines, the page tables, and the reset of a pooled L2. Its bytes/op
+// follow the strands and the pages a run touches, not the configured
+// memory (TestMachineNewBytesBudget).
+func BenchmarkMachineNew(b *testing.B) {
+	for _, strands := range []int{1, 16} {
+		b.Run(fmt.Sprintf("strands=%d", strands), func(b *testing.B) {
+			benchMachineNew(b, DefaultConfig(strands))
+		})
+	}
+}
+
+// machineNewBytesBudget caps BenchmarkMachineNew's bytes/op at
+// DefaultConfig(16). A machine that allocated its own L2 (512 KB) or sized
+// each strand's TLB page indexes to the configured memory (48 KB a strand
+// at 32 MB) would exceed it.
+const machineNewBytesBudget = 1 << 20
+
+// TestMachineNewBytesBudget pins construction's allocation volume. Bytes,
+// unlike wall-clock, do not drift with the host.
+func TestMachineNewBytesBudget(t *testing.T) {
+	res := testing.Benchmark(func(b *testing.B) { benchMachineNew(b, DefaultConfig(16)) })
+	if res.N == 0 {
+		t.Fatal("benchmark did not run")
+	}
+	if got := res.AllocedBytesPerOp(); got > machineNewBytesBudget {
+		t.Errorf("New+Run+Recycle at DefaultConfig(16) allocates %d bytes/op, budget is %d", got, machineNewBytesBudget)
+	}
+}
+
 // ---- Plain loads and stores ----
 
 // benchMachine1 builds a single-strand machine with a small memory.

@@ -223,6 +223,10 @@ type Machine struct {
 	// against the running strand's cached yield deadline.
 	parked  []heapNode
 	running bool
+
+	// recycled is set by Recycle: the memory's frames and the L2 belong to
+	// the pools from then on, and the machine must not run again.
+	recycled bool
 }
 
 // requirePow2 validates that a geometry parameter is a power of two — the
@@ -320,14 +324,22 @@ func (m *Machine) Config() Config { return m.cfg }
 // (Peek) outside timed runs.
 func (m *Machine) Mem() *Memory { return m.mem }
 
-// Recycle donates the machine's simulated-memory backing arrays to a
-// process-wide pool so the next machine's construction scrubs a prefix
-// instead of allocating and zeroing tens of megabytes from scratch. Call it
+// Recycle scrubs the frames of every page the machine touched and hands
+// them, with the L2, to process-wide pools, so the next machine's
+// construction and first touches reuse them instead of allocating. Call it
 // only after the machine's last use (including Peek-based validation):
-// afterwards the simulated memory reads as zero and must not be written.
-// Recycling is a host-side allocation strategy only — it never changes what
-// a simulation computes.
-func (m *Machine) Recycle() { m.mem.recycle() }
+// afterwards the simulated memory reads as zero and must not be written,
+// and Run panics. A second call does nothing. Recycling is a host-side
+// allocation strategy only — it never changes what a simulation computes.
+func (m *Machine) Recycle() {
+	if m.recycled {
+		return
+	}
+	m.recycled = true
+	m.mem.recycle()
+	l2Pool.Put(m.l2)
+	m.l2 = nil
+}
 
 // Strand returns strand i for pre-run configuration (it must not be driven
 // outside Run).
@@ -369,6 +381,9 @@ func (m *Machine) StartTrace() *obs.Tracer {
 func (m *Machine) Run(body func(*Strand)) {
 	if m.running {
 		panic("sim: Run re-entered")
+	}
+	if m.recycled {
+		panic("sim: Run on a machine after Recycle")
 	}
 	m.running = true
 	m.parked = m.parked[:0]

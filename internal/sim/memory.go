@@ -51,41 +51,54 @@ type pageMeta struct {
 	gen      uint32
 }
 
-// Memory is the shared simulated memory: a flat array of words plus the
-// coherence directory and the OS page map. All mutation happens under the
+// Memory is the shared simulated memory: the OS page map, the bump
+// allocator, and one frame per page that holds the page's words and its
+// lines' coherence-directory entries. All mutation happens under the
 // machine's baton (exactly one strand executes at a time), so no locking is
 // required.
 //
-// The word array and the coherence directory are backed lazily: they only
-// grow (geometrically) to cover the high-water mark of the bump allocator,
-// never to the full configured size. Experiments routinely configure tens
-// of megabytes of simulated memory and touch a fraction of it, and zeroing
-// ~45 MB of backing store per simulated machine dominated the cost of
-// small experiment cells. Untouched simulated memory still reads as zero
-// (Peek bounds-checks), so this is invisible to simulated code.
+// Frames are backed on a page's first touch: by the L1 fill of a load or
+// store, by the pre-fill arbitration probe of the committer-wins and
+// timestamp designs, or by Poke and PokeRange. Experiments configure tens
+// of megabytes of simulated memory and allocate large tables (SkySTM's
+// orec and reader shards alone are 5 × 2^16 words) of which a run touches
+// a few pages, so the host pays for the pages simulated code touches, not
+// for the configured size or the allocator's high-water mark. An unbacked
+// page reads as zero, and Peek backs nothing, so this is invisible to
+// simulated code.
 type Memory struct {
-	limit int    // configured capacity, in words (Alloc fails beyond this)
-	words []Word // grows lazily towards limit
-	lines []lineMeta
-	pages []pageMeta
-	next  Addr // bump allocator cursor
+	limit int // configured capacity, in words (Alloc fails beyond this)
+	// frames maps each page to its frame, nil until the first touch. The
+	// slice is never reallocated, so every strand keeps its own copy of
+	// the header and an access reaches its word in one indexed load.
+	frames []*frame
+	pages  []pageMeta
+	next   Addr // bump allocator cursor
 }
 
-// memBacking is a retired Memory's backing store, cached process-wide for
-// the next Machine. dirty is the former len of words (the allocator's
-// high-water mark); everything beyond it was never written and is still
-// pristine zero from the original make, so a new owner only has to scrub
-// the dirty prefix instead of zeroing (and geometrically re-zeroing and
-// copying) a fresh array. Experiment sweeps build hundreds of short-lived
-// machines with near-identical footprints, and this recycling is what keeps
-// their construction cost at one memclr of the touched range.
-type memBacking struct {
-	words []Word
-	lines []lineMeta
-	dirty int
+// frame backs one page: its words and the directory entries of its lines.
+type frame struct {
+	words [PageWords]Word
+	lines [linesPerPage]lineMeta
 }
 
-var backingPool sync.Pool
+const (
+	// linesPerPage is the number of cache lines per page.
+	linesPerPage = PageWords / WordsPerLine
+	// linePageShift converts a line number to a page number.
+	linePageShift = PageShift - LineShift
+)
+
+// word returns a's word, which must lie in this frame's page.
+func (f *frame) word(a Addr) *Word { return &f.words[a&(PageWords-1)] }
+
+// dir returns line's directory entry, which must lie in this frame's page.
+func (f *frame) dir(line int32) *lineMeta { return &f.lines[line&(linesPerPage-1)] }
+
+// framePool holds scrubbed frames for the next page a machine touches. The
+// runner's workers build and recycle machines concurrently, so the pool is
+// a sync.Pool.
+var framePool = sync.Pool{New: func() any { return new(frame) }}
 
 func newMemory(words int) *Memory {
 	if words < PageWords {
@@ -93,85 +106,39 @@ func newMemory(words int) *Memory {
 	}
 	// Round up to whole pages.
 	words = (words + PageWords - 1) &^ (PageWords - 1)
-	m := &Memory{
-		limit: words,
-		pages: make([]pageMeta, words/PageWords),
-		next:  WordsPerLine, // skip line 0 so Addr 0 stays "null"
+	return &Memory{
+		limit:  words,
+		frames: make([]*frame, words/PageWords),
+		pages:  make([]pageMeta, words/PageWords),
+		next:   WordsPerLine, // skip line 0 so Addr 0 stays "null"
 	}
-	if b, _ := backingPool.Get().(*memBacking); b != nil && b.dirty <= words {
-		// Scrubbing the dirty prefix costs at most what zeroing this
-		// machine's full configured size would; a backing dirtier than that
-		// (from a much larger experiment) is cheaper to drop than to scrub.
-		clear(b.words[:b.dirty])
-		clear(b.lines[:(b.dirty+WordsPerLine-1)/WordsPerLine])
-		n := cap(b.words)
-		if ln := cap(b.lines) * WordsPerLine; ln < n {
-			n = ln
-		}
-		if n > words {
-			n = words
-		}
-		n &^= PageWords - 1
-		if n >= PageWords {
-			m.words = b.words[:n]
-			m.lines = b.lines[:n/WordsPerLine]
-			return m
-		}
-	}
-	m.ensure(PageWords)
-	return m
 }
 
-// recycle surrenders the backing arrays to the process-wide pool. The Memory
-// must not be written afterwards; reads see zeros (the empty-backing bounds
-// checks treat everything as untouched).
-//
-// The dirty mark is the end of the last page Alloc mapped, not the
-// backing's grown length. Alloc maps whole pages, so simulated loads and
-// stores — and the coherence-directory bits they set — reach up to that
-// page end even where it lies past the allocator cursor; nothing beyond
-// it is mapped, so no simulated access can touch it. Geometric growth can
-// leave the backing up to twice the mapped size, so scrubbing only the
-// mapped prefix halves the next owner's memclr.
+// frame returns page p's frame, backing it from the pool on the first touch.
+func (m *Memory) frame(p int32) *frame {
+	if f := m.frames[p]; f != nil {
+		return f
+	}
+	f := framePool.Get().(*frame)
+	m.frames[p] = f
+	return f
+}
+
+// recycle scrubs every backed frame and returns it to the pool. Afterwards
+// every page is unbacked again, so the Memory reads as zero; it must not
+// be written.
 func (m *Memory) recycle() {
-	if len(m.words) == 0 {
-		return
+	for p, f := range m.frames {
+		if f != nil {
+			*f = frame{}
+			framePool.Put(f)
+			m.frames[p] = nil
+		}
 	}
-	dirty := (int(m.next) + PageWords - 1) &^ (PageWords - 1)
-	if dirty > len(m.words) {
-		dirty = len(m.words)
-	}
-	backingPool.Put(&memBacking{words: m.words, lines: m.lines, dirty: dirty})
-	m.words, m.lines = nil, nil
-}
-
-// ensure grows the word array and coherence directory to cover at least n
-// words (whole pages, geometric growth, capped at the configured size).
-func (m *Memory) ensure(n int) {
-	if n <= len(m.words) {
-		return
-	}
-	grown := len(m.words) * 2
-	if grown < n {
-		grown = n
-	}
-	if grown > m.limit {
-		grown = m.limit
-	}
-	grown = (grown + PageWords - 1) &^ (PageWords - 1)
-	words := make([]Word, grown)
-	copy(words, m.words)
-	m.words = words
-	lines := make([]lineMeta, grown/WordsPerLine)
-	copy(lines, m.lines)
-	m.lines = lines
 }
 
 // Size returns the number of words of simulated memory.
 func (m *Memory) Size() int { return m.limit }
-
-// PageCount returns the number of simulated pages.
-func (m *Memory) PageCount() int { return len(m.pages) }
 
 // Alloc hands out n words aligned to align words (align must be a power of
 // two; 0 or 1 means word alignment). The returned range is mapped, walkable
@@ -190,7 +157,6 @@ func (m *Memory) Alloc(n int, align int) Addr {
 		panic(fmt.Sprintf("sim: out of simulated memory (want %d words at %d, have %d)", n, a, m.limit))
 	}
 	m.next = a + Addr(n)
-	m.ensure(int(m.next))
 	for p := PageOf(a); p <= PageOf(a+Addr(n)-1); p++ {
 		m.pages[p].mapped = true
 		m.pages[p].walkable = true
@@ -220,22 +186,27 @@ func (m *Memory) Remap(a Addr, n int) {
 // coherence. It is intended for test setup and data-structure
 // prepopulation before a timed run starts.
 func (m *Memory) Poke(a Addr, w Word) {
-	m.ensure(int(a) + 1)
-	m.words[a] = w
+	*m.frame(PageOf(a)).word(a) = w
 }
 
 // Peek reads a word directly, bypassing cost accounting and caches. It is
-// intended for validation after a run completes. Words beyond the lazy
-// backing's high-water mark have never been written and read as zero.
+// intended for validation after a run completes. A word on a page that was
+// never touched, or beyond the configured size, reads as zero, and Peek
+// backs no frame.
 func (m *Memory) Peek(a Addr) Word {
-	if int(a) >= len(m.words) {
+	p := PageOf(a)
+	if int(p) >= len(m.frames) || m.frames[p] == nil {
 		return 0
 	}
-	return m.words[a]
+	return *m.frames[p].word(a)
 }
 
 // PokeRange fills [a, a+len(ws)) directly.
 func (m *Memory) PokeRange(a Addr, ws []Word) {
-	m.ensure(int(a) + len(ws))
-	copy(m.words[a:int(a)+len(ws)], ws)
+	for len(ws) > 0 {
+		f := m.frame(PageOf(a))
+		n := copy(f.words[a&(PageWords-1):], ws)
+		a += Addr(n)
+		ws = ws[n:]
+	}
 }

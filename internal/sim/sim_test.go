@@ -3,6 +3,7 @@ package sim
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -58,17 +59,17 @@ func TestAllocAndPoke(t *testing.T) {
 
 // TestRecycleScrubsMappedPages: Alloc maps whole pages, so simulated code
 // reaches past the allocator cursor to the end of the last mapped page.
-// Recycle must scrub all of that, or the next machine built on the pooled
-// backing sees a stray store's value and a stray load's presence bit — a
-// bit for strand 7, which a 2-strand machine's next store to the line
-// indexes out of range.
+// Recycle must scrub all of that, or the next machine that draws the
+// page's frame from the pool sees a stray store's value and a stray load's
+// presence bit — a bit for strand 7, which a 2-strand machine's next store
+// to the line indexes out of range.
 func TestRecycleScrubsMappedPages(t *testing.T) {
 	const (
 		storeAt = Addr(PageWords - 2*WordsPerLine) // page 0, past the cursor
 		loadAt  = Addr(PageWords - WordsPerLine)
 	)
 	// sync.Pool may drop a Put (under -race it does so at random), and a
-	// dropped backing hides the leak, so recycle several times.
+	// dropped frame hides the leak, so recycle several times.
 	for i := 0; i < 4; i++ {
 		m := newTestMachine(8)
 		m.Mem().AllocLines(WordsPerLine)
@@ -101,6 +102,124 @@ func TestRecycleScrubsMappedPages(t *testing.T) {
 		}()
 		m2.Recycle()
 	}
+}
+
+// TestRecycleTwiceIsNoOp: a second Recycle must not hand the machine's
+// frames or its L2 to the pools again, or two later machines would share
+// them. The recycled machine keeps no frame either: its memory reads zero
+// while later machines write the frames it gave back.
+func TestRecycleTwiceIsNoOp(t *testing.T) {
+	m := newTestMachine(2)
+	a := m.Mem().Alloc(4*PageWords, PageWords)
+	m.Run(func(s *Strand) {
+		for p := 0; p < 4; p++ {
+			s.Store(a+Addr(p*PageWords+s.ID()), 1)
+		}
+	})
+	m.Recycle()
+	m.Recycle()
+
+	m1, m2 := newTestMachine(2), newTestMachine(2)
+	defer m1.Recycle()
+	defer m2.Recycle()
+	if m1.l2 == m2.l2 {
+		t.Fatal("two machines share one L2")
+	}
+	owner := map[*frame]*Machine{}
+	for _, mm := range []*Machine{m1, m2} {
+		b := mm.Mem().Alloc(4*PageWords, PageWords)
+		for p := 0; p < 4; p++ {
+			mm.Mem().Poke(b+Addr(p*PageWords), 1)
+		}
+		for _, f := range mm.mem.frames {
+			if f == nil {
+				continue
+			}
+			if owner[f] != nil {
+				t.Fatal("two pages share one frame")
+			}
+			owner[f] = mm
+		}
+	}
+	for p := 0; p < 4; p++ {
+		if got := m.Mem().Peek(a + Addr(p*PageWords)); got != 0 {
+			t.Fatalf("recycled machine reads %#x on page %d, want 0", got, PageOf(a)+int32(p))
+		}
+	}
+}
+
+// TestRunAfterRecyclePanics: a recycled machine's frames and L2 belong to
+// the pools, so running it again must fail loudly and say why.
+func TestRunAfterRecyclePanics(t *testing.T) {
+	m := newTestMachine(1)
+	m.Recycle()
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "Recycle") {
+			t.Fatalf("Run on a recycled machine: recovered %v, want a panic naming Recycle", r)
+		}
+	}()
+	m.Run(func(*Strand) {})
+}
+
+// TestRecycleConcurrent builds, runs and recycles machines on four
+// goroutines at once, as the runner's workers do through the shared
+// pools. Every frame a machine backs must be zero, words and directory
+// alike, and every L2 it gets must be empty, so each strand's first load
+// of a line reads zero and misses the L2.
+func TestRecycleConcurrent(t *testing.T) {
+	const workers, machines, pages = 4, 20, 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < machines; i++ {
+				m := newTestMachine(2)
+				for _, sl := range m.l2.slots {
+					if sl.tag != -1 {
+						t.Errorf("fresh L2 holds line %d", sl.tag)
+						break
+					}
+				}
+				a := m.Mem().Alloc(pages*PageWords, PageWords)
+				for p := 0; p < pages; p++ {
+					at := a + Addr(p*PageWords)
+					m.Mem().Poke(at, 0)
+					if *m.mem.frames[PageOf(at)] != (frame{}) {
+						t.Errorf("the frame backing page %d is not zero", PageOf(at))
+					}
+				}
+				m.Run(func(s *Strand) {
+					// Each strand loads its own half of every page's lines,
+					// then dirties them and the directory.
+					for p := 0; p < pages; p++ {
+						for l := s.ID(); l < linesPerPage; l += 2 {
+							at := a + Addr(p*PageWords+l*WordsPerLine)
+							if got := s.Load(at); got != 0 {
+								t.Errorf("fresh memory reads %#x at %d", got, at)
+							}
+						}
+					}
+					if got := s.Stats().L2Misses; got != pages*linesPerPage/2 {
+						t.Errorf("strand %d: %d L2 misses on %d first loads", s.ID(), got, pages*linesPerPage/2)
+					}
+					for p := 0; p < pages; p++ {
+						s.TxBegin()
+						for l := s.ID(); l < linesPerPage && s.TxActive(); l += 16 {
+							s.TxStore(a+Addr(p*PageWords+l*WordsPerLine), 0xdead)
+						}
+						if s.TxActive() {
+							s.TxCommit()
+						}
+						s.Store(a+Addr(p*PageWords+s.ID()), 0xbeef)
+					}
+				})
+				m.Recycle()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestLoadStoreCAS(t *testing.T) {

@@ -59,6 +59,11 @@ type Strand struct {
 	mmu mmu
 	bp  *branchPredictor
 
+	// frames is the machine memory's page→frame table. The table is never
+	// reallocated, so this copy of its header stays valid, and an access
+	// reaches its page's frame without going through the machine.
+	frames []*frame
+
 	// flt, when non-nil, injects deterministic faults into transactional
 	// accesses (see FaultPlan). It is nil unless the machine config enables
 	// a probabilistic fault, so fault-free runs pay one nil check per
@@ -86,9 +91,10 @@ func newStrand(m *Machine, id int) *Strand {
 		rng: newRNG(m.cfg.Seed*0x9e3779b9 + uint64(id)*0x85ebca77 + 1),
 		l1:  newL1(m.cfg.L1Sets, m.cfg.L1Ways),
 		bp:  newBranchPredictor(),
+
+		frames: m.mem.frames,
 	}
 	s.mmu.init(m.cfg.MicroDTLB, m.cfg.MainDTLB, m.cfg.ITLB)
-	s.mmu.reserve(m.mem.PageCount())
 	s.flt = newFaultInjector(&m.cfg, id)
 	s.tx.fwd = newU32Map()
 	s.tx.lineSet = newU32Map()
@@ -278,7 +284,8 @@ func (s *Strand) pageFault(p int32, write bool) {
 // whether the access hit in L1, whether a transactionally marked line was
 // displaced to make room, and the slot now holding line — after fill the
 // line is always resident (an L2 back-invalidation triggered by the fill
-// can only target a different line), so callers need no re-lookup.
+// can only target a different line), so callers need no re-lookup, and
+// its page's frame is backed.
 func (s *Strand) fill(line int32) (l1Hit bool, evictedMarked bool, idx int) {
 	// L1-hit fast path: touch inlines here, so the common case is a masked
 	// index, a short tag scan, and one latency charge.
@@ -297,7 +304,7 @@ func (s *Strand) fillMiss(line int32) (l1Hit bool, evictedMarked bool, idx int) 
 	evicted, evMark, idx := s.l1.fillVictim(line)
 	s.stats.L1Misses++
 	if evicted != -1 {
-		lm := &s.m.mem.lines[evicted]
+		lm := s.dir(evicted)
 		lm.present &^= s.bit
 		if evMark {
 			// A transactionally marked line was displaced. A sticky design
@@ -321,15 +328,22 @@ func (s *Strand) fillMiss(line int32) (l1Hit bool, evictedMarked bool, idx int) 
 	if l2evicted != -1 && l2evicted != line {
 		s.backInvalidate(l2evicted)
 	}
-	s.m.mem.lines[line].present |= s.bit
+	s.m.mem.frame(line >> linePageShift).dir(line).present |= s.bit
 	return false, evMark, idx
+}
+
+// dir returns line's coherence-directory entry. Only a line that has been
+// filled, and so has its frame backed, may be asked for: every caller holds
+// a line that is resident, marked or in the store queue.
+func (s *Strand) dir(line int32) *lineMeta {
+	return s.frames[line>>linePageShift].dir(line)
 }
 
 // backInvalidate removes a line evicted from the inclusive L2 from every
 // L1; transactions holding it marked abort with COH (Section 3's
 // single-threaded "coherence" surprises).
 func (s *Strand) backInvalidate(line int32) {
-	lm := &s.m.mem.lines[line]
+	lm := s.dir(line)
 	// Folding marked into the scan mask is a no-op under the default design
 	// (a marked line is always present — it cannot leave an L1 without
 	// aborting its holder) but reaches sticky-set holders, whose marks
@@ -416,8 +430,9 @@ func (s *Strand) Load(a Addr) Word {
 	line := LineOf(a)
 	s.translateLoad(a)
 	s.fill(line)
-	s.loadConflict(&s.m.mem.lines[line])
-	return s.m.mem.words[a]
+	f := s.frames[PageOf(a)]
+	s.loadConflict(f.dir(line))
+	return *f.word(a)
 }
 
 // Store performs an ordinary (non-transactional) store. It invalidates all
@@ -426,18 +441,19 @@ func (s *Strand) Store(a Addr, w Word) {
 	s.assertNoTxn("Store")
 	s.advance(s.m.cfg.Costs.Op)
 	s.stats.Stores++
-	s.own(a)
-	s.m.mem.words[a] = w
+	*s.own(a) = w
 }
 
 // own is the exclusive-ownership request every non-transactional write
 // makes: translate with write permission, fill the line and invalidate
-// every other copy.
-func (s *Strand) own(a Addr) {
+// every other copy. It returns a's word.
+func (s *Strand) own(a Addr) *Word {
 	line := LineOf(a)
 	s.translateStore(a)
 	s.fill(line)
-	s.storeInvalidate(line, &s.m.mem.lines[line])
+	f := s.frames[PageOf(a)]
+	s.storeInvalidate(line, f.dir(line))
+	return f.word(a)
 }
 
 // CAS performs an atomic compare-and-swap, returning the previous value and
@@ -449,12 +465,12 @@ func (s *Strand) CAS(a Addr, old, new Word) (Word, bool) {
 	s.assertNoTxn("CAS")
 	s.advance(s.m.cfg.Costs.Op + s.m.cfg.Costs.CASExtra)
 	s.stats.CASes++
-	s.own(a)
-	cur := s.m.mem.words[a]
+	w := s.own(a)
+	cur := *w
 	if cur != old {
 		return cur, false
 	}
-	s.m.mem.words[a] = new
+	*w = new
 	return cur, true
 }
 
@@ -464,9 +480,9 @@ func (s *Strand) Add(a Addr, delta Word) Word {
 	s.assertNoTxn("Add")
 	s.advance(s.m.cfg.Costs.Op + s.m.cfg.Costs.CASExtra)
 	s.stats.CASes++
-	s.own(a)
-	s.m.mem.words[a] += delta
-	return s.m.mem.words[a]
+	w := s.own(a)
+	*w += delta
+	return *w
 }
 
 // Branch models a conditional branch at the (arbitrary but stable) program

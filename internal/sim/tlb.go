@@ -33,7 +33,7 @@ type tlb struct {
 	ent    []tlbEntry
 	head   int32    // most recently used slot, -1 when empty
 	tail   int32    // least recently used slot, -1 when empty
-	slotOf []int32  // page -> slot+1 (0 = not resident); grown on demand
+	slotOf []int32  // page -> slot+1 (0 = not resident); grown on fill
 	free   []uint64 // bitmap of free slots
 	nfree  int
 }
@@ -54,15 +54,6 @@ func (t *tlb) init(entries int) {
 		t.ent[i].page = -1
 	}
 	t.setAllFree()
-}
-
-// reserve pre-sizes the page→slot index so the hot path never grows it.
-func (t *tlb) reserve(pages int) {
-	if pages > len(t.slotOf) {
-		grown := make([]int32, pages)
-		copy(grown, t.slotOf)
-		t.slotOf = grown
-	}
 }
 
 func (t *tlb) setAllFree() {
@@ -198,12 +189,23 @@ func (t *tlb) fill(page int32, gen uint32) {
 		t.unlink(victim)
 	}
 	if int(page) >= len(t.slotOf) {
-		t.reserve(int(page) + 1)
+		t.grow(page)
 	}
 	t.ent[victim].page = page
 	t.ent[victim].gen = gen
 	t.slotOf[page] = victim + 1
 	t.pushMRU(victim)
+}
+
+// grow extends the page→slot index to cover page. The index follows the
+// highest page the strand has translated, not the configured memory, and
+// doubles so that pages touched in ascending order regrow it only
+// O(log pages) times.
+func (t *tlb) grow(page int32) {
+	n := max(2*len(t.slotOf), int(page)+1, 64)
+	grown := make([]int32, n)
+	copy(grown, t.slotOf)
+	t.slotOf = grown
 }
 
 // flush drops every entry (used on simulated context switches).
@@ -235,12 +237,4 @@ func (u *mmu) init(microEntries, mainEntries, itlbEntries int) {
 	u.micro.init(microEntries)
 	u.main.init(mainEntries)
 	u.itlb.init(itlbEntries)
-}
-
-// reserve pre-sizes every TLB's page index for a machine with the given
-// page count, keeping slotOf growth off the hot path.
-func (u *mmu) reserve(pages int) {
-	u.micro.reserve(pages)
-	u.main.reserve(pages)
-	u.itlb.reserve(pages)
 }

@@ -128,8 +128,9 @@ func (s *Strand) txAbort(reason uint32) {
 	}
 	s.TraceEvent(obs.EvTxAbort, uint64(reason))
 	for _, line := range t.marked {
-		s.m.mem.lines[line].marked &^= s.bit
-		s.m.mem.lines[line].written &^= s.bit
+		lm := s.dir(line)
+		lm.marked &^= s.bit
+		lm.written &^= s.bit
 		s.l1.clearMark(line)
 	}
 	t.marked = t.marked[:0]
@@ -252,7 +253,8 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 	// (fill guarantees idx holds the line — see fill). Under lazy
 	// detection nobody is doomed here: the conflict surfaces when a
 	// committer's drain invalidates this mark.
-	lm := &s.m.mem.lines[line]
+	f := s.frames[p]
+	lm := f.dir(line)
 	if lm.marked&s.bit == 0 {
 		lm.marked |= s.bit
 		t.marked = append(t.marked, line)
@@ -263,7 +265,7 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 	}
 	t.lastLoadMissed = !hit
 	t.reads++
-	return s.m.mem.words[a], true
+	return *f.word(a), true
 }
 
 // TxStore performs a transactional store: the value is gated in the store
@@ -360,7 +362,8 @@ func (s *Strand) TxStore(a Addr, w Word) bool {
 
 	// Mark, record the write and request exclusive ownership off one
 	// directory deref (fill guarantees idx holds the line).
-	lm := &s.m.mem.lines[line]
+	f := s.frames[p]
+	lm := f.dir(line)
 	if lm.marked&s.bit != 0 && lm.written&s.bit == 0 {
 		t.upgrades++
 	}
@@ -386,9 +389,10 @@ func (s *Strand) TxStore(a Addr, w Word) bool {
 		// previous value for rollback. Every store appends an entry (no
 		// coalescing — the log is a sequential record).
 		s.clock += s.m.cfg.Costs.LogWrite
+		word := f.word(a)
 		t.storeAddrs = append(t.storeAddrs, a)
-		t.storeVals = append(t.storeVals, s.m.mem.words[a])
-		s.m.mem.words[a] = w
+		t.storeVals = append(t.storeVals, *word)
+		*word = w
 	} else {
 		t.storeAddrs = append(t.storeAddrs, a)
 		t.storeVals = append(t.storeVals, w)
@@ -525,13 +529,15 @@ func (s *Strand) TxCommit() bool {
 		// and its victims see COH at their next delivery point.
 		for i, a := range t.storeAddrs {
 			line := LineOf(a)
-			s.storeInvalidate(line, &s.m.mem.lines[line])
-			s.m.mem.words[a] = t.storeVals[i]
+			f := s.frames[PageOf(a)]
+			s.storeInvalidate(line, f.dir(line))
+			*f.word(a) = t.storeVals[i]
 		}
 	}
 	for _, line := range t.marked {
-		s.m.mem.lines[line].marked &^= s.bit
-		s.m.mem.lines[line].written &^= s.bit
+		lm := s.dir(line)
+		lm.marked &^= s.bit
+		lm.written &^= s.bit
 		s.l1.clearMark(line)
 	}
 	t.marked = t.marked[:0]
