@@ -3,11 +3,11 @@ package bench
 import "testing"
 
 // fig2aCellAllocBudget is the allocation budget for one BenchmarkFig2aCell
-// iteration, which reads ~1,385 allocs/op. Machine.Recycle returns the
+// iteration, which reads ~1,445 allocs/op. Machine.Recycle returns the
 // memory frames a cell touched and its L2 to pools that the next cell
 // draws from, so what remains is per-strand construction — caches, TLBs,
 // coroutines — plus workload compilation and JSON digests. The budget pins
-// that with ~10% headroom: a change that quietly reintroduces per-operation
+// that with ~4% headroom: a change that quietly reintroduces per-operation
 // or per-attempt allocation on the cell path fails here long before it is
 // visible in wall-clock.
 const fig2aCellAllocBudget = 1500
@@ -36,5 +36,28 @@ func TestFig2aCellAllocBudget(t *testing.T) {
 	if allocs := res.AllocsPerOp(); allocs > fig2aCellAllocBudget {
 		t.Errorf("fig2a cell allocates %d allocs/op, budget is %d — a hot-path allocation crept back in",
 			allocs, fig2aCellAllocBudget)
+	}
+}
+
+// fleetCellAllocBudget is the allocation budget for one BenchmarkFleetCell
+// iteration, which reads ~3,950 allocs/op. Each strand keeps one coroutine
+// from its machine's first Run until Recycle; when every Run started a
+// fresh coroutine per strand, the cell read ~16,360. The budget catches
+// per-Run allocation creeping back in.
+const fleetCellAllocBudget = 5000
+
+// TestFleetCellAllocBudget runs BenchmarkFleetCell through the testing
+// harness and fails if allocs/op regresses above the budget.
+func TestFleetCellAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget needs full benchmark iterations")
+	}
+	res := testing.Benchmark(BenchmarkFleetCell)
+	if res.N == 0 {
+		t.Fatal("benchmark did not run")
+	}
+	if allocs := res.AllocsPerOp(); allocs > fleetCellAllocBudget {
+		t.Errorf("fleet cell allocates %d allocs/op, budget is %d — per-Run allocation crept back in",
+			allocs, fleetCellAllocBudget)
 	}
 }

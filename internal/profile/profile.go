@@ -258,6 +258,7 @@ func Run(cfg Config) []OpProfile {
 				profiles[i].CPS = append(profiles[i].CPS, obs.CPSDelta(before.CPSHist, after.CPSHist)...)
 			}
 		})
+		m.Recycle()
 	}
 
 	// Phase 2: identical STM-only run with the commit-time recorder.
@@ -276,6 +277,7 @@ func Run(cfg Config) []OpProfile {
 				rec.fill(&profiles[i])
 			}
 		})
+		m.Recycle()
 	}
 	return profiles
 }

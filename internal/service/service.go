@@ -252,9 +252,10 @@ func New(cfg Config) (*Fleet, error) {
 // Shards returns the fleet's shard count.
 func (f *Fleet) Shards() int { return len(f.shards) }
 
-// Recycle hands every shard machine's memory frames and L2 to the
-// process-wide pools (see sim.Machine.Recycle). Call only after the fleet's
-// last use; the shards' simulated memory must not be touched afterwards.
+// Recycle stops every shard machine's strand coroutines and hands its
+// memory frames and L2 to the process-wide pools (see
+// sim.Machine.Recycle). Call only after the fleet's last use; the shards'
+// simulated memory must not be touched afterwards.
 func (f *Fleet) Recycle() {
 	for _, sh := range f.shards {
 		sh.m.Recycle()

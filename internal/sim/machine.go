@@ -12,6 +12,10 @@
 // construction, and 1–16-"thread" scaling curves are meaningful even on a
 // single-core host because throughput is computed from simulated cycles,
 // not wall time.
+//
+// Each strand keeps one coroutine from its first Machine.Run until
+// Machine.Recycle, so a machine driven by many short Runs, as the service
+// tier drives its shards, pays for its coroutines once.
 package sim
 
 import (
@@ -19,6 +23,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"iter"
+	"runtime"
 
 	"rocktm/internal/obs"
 )
@@ -227,6 +232,60 @@ type Machine struct {
 	// recycled is set by Recycle: the memory's frames and the L2 belong to
 	// the pools from then on, and the machine must not run again.
 	recycled bool
+
+	// coros stops the strand coroutines of a machine nobody recycles (see
+	// coroutines).
+	coros *coroutines
+}
+
+// coroutines holds the stop function of each strand's coroutine, indexed
+// by strand id. Only the Machine points at it, and a parked coroutine holds
+// nothing but its strandBox, so once an unrecycled machine is collected
+// this holder becomes unreachable and its finalizer stops the coroutines.
+// The finalizer cannot sit on the Machine itself: Machine and Strand point
+// at each other, and a finalizer in a reference cycle may never run.
+type coroutines struct{ stops []func() }
+
+// stop stops every coroutine and returns once each has exited, swallowing
+// the strandStopped unwind of a body that was parked mid-run.
+func (c *coroutines) stop() {
+	for i, stop := range c.stops {
+		if stop != nil {
+			stopCoroutine(stop)
+			c.stops[i] = nil
+		}
+	}
+}
+
+func stopCoroutine(stop func()) {
+	defer func() {
+		if r := recover(); r != nil && r != any(strandStopped{}) {
+			panic(r)
+		}
+	}()
+	stop()
+}
+
+// strandBox hands a strand's coroutine the body of each Run. It is all a
+// parked coroutine holds: the coroutine clears it before parking, so the
+// coroutine never keeps its strand or machine reachable between Runs.
+type strandBox struct {
+	body func(*Strand)
+	s    *Strand
+}
+
+// loop is a strand's coroutine. It runs the body in the box, then parks by
+// yielding finished=true (keeping its grown stack for the next Run's body)
+// until the coroutine is stopped.
+func (b *strandBox) loop(yield func(finished bool) bool) {
+	for {
+		b.s.yield = yield
+		b.body(b.s)
+		b.body, b.s = nil, nil
+		if !yield(true) {
+			return
+		}
+	}
 }
 
 // requirePow2 validates that a geometry parameter is a power of two — the
@@ -314,6 +373,8 @@ func New(cfg Config) *Machine {
 	for i := range m.strands {
 		m.strands[i] = newStrand(m, i)
 	}
+	m.coros = &coroutines{stops: make([]func(), cfg.Strands)}
+	runtime.SetFinalizer(m.coros, (*coroutines).stop)
 	return m
 }
 
@@ -324,18 +385,22 @@ func (m *Machine) Config() Config { return m.cfg }
 // (Peek) outside timed runs.
 func (m *Machine) Mem() *Memory { return m.mem }
 
-// Recycle scrubs the frames of every page the machine touched and hands
-// them, with the L2, to process-wide pools, so the next machine's
-// construction and first touches reuse them instead of allocating. Call it
-// only after the machine's last use (including Peek-based validation):
-// afterwards the simulated memory reads as zero and must not be written,
-// and Run panics. A second call does nothing. Recycling is a host-side
-// allocation strategy only — it never changes what a simulation computes.
+// Recycle stops the strand coroutines, returning once they have exited,
+// then scrubs the frames of every page the machine touched and hands them,
+// with the L2, to process-wide pools, so the next machine's construction
+// and first touches reuse them instead of allocating. Call it only after
+// the machine's last use (including Peek-based validation): afterwards the
+// simulated memory reads as zero and must not be written, and Run panics.
+// A second call does nothing. A machine that is never recycled releases
+// its coroutines when it is collected. Recycling is a host-side allocation
+// strategy only — it never changes what a simulation computes.
 func (m *Machine) Recycle() {
 	if m.recycled {
 		return
 	}
 	m.recycled = true
+	m.stopCoroutines()
+	runtime.SetFinalizer(m.coros, nil)
 	m.mem.recycle()
 	l2Pool.Put(m.l2)
 	m.l2 = nil
@@ -369,15 +434,18 @@ func (m *Machine) StartTrace() *obs.Tracer {
 // called repeatedly; strand clocks, caches and predictors persist across
 // calls (use a fresh Machine for an independent experiment).
 //
-// Each strand body runs on a coroutine (iter.Pull), and this driver loop
-// resumes whichever parked strand has the lowest (clock, id) — the same
-// handoff decisions the old strand-to-strand channel baton made, executed
-// as direct goroutine switches instead of park/wake round trips through
-// the Go scheduler (~5x cheaper per handoff on a single-core host). A body
-// panic (e.g. the MaxCycles livelock guard) propagates out of Run on the
-// caller's goroutine; iter.Pull likewise forwards runtime.Goexit (t.Fatal
-// inside a body), so Run never deadlocks on a dead strand. On the way out
-// Run stops every other strand's coroutine, so a failed run leaks none.
+// Each strand body runs on the strand's coroutine (iter.Pull), which the
+// strand's first Run creates and every later Run reuses: Recycle stops the
+// coroutines, and an unrecycled machine's are stopped once it is
+// collected. This driver loop resumes whichever parked strand has the
+// lowest (clock, id) — the same handoff decisions the old strand-to-strand
+// channel baton made, executed as direct goroutine switches instead of
+// park/wake round trips through the Go scheduler (~5x cheaper per handoff
+// on a single-core host). A body panic (e.g. the MaxCycles livelock guard)
+// propagates out of Run on the caller's goroutine; iter.Pull likewise
+// forwards runtime.Goexit (t.Fatal inside a body), so Run never deadlocks
+// on a dead strand. On the way out of a failed run Run stops every strand's
+// coroutine, so it leaks none and the next Run starts fresh ones.
 func (m *Machine) Run(body func(*Strand)) {
 	if m.running {
 		panic("sim: Run re-entered")
@@ -390,17 +458,17 @@ func (m *Machine) Run(body func(*Strand)) {
 	for _, s := range m.strands {
 		s.parked = true
 		m.heapPush(s)
-		s.resume, s.cancel = iter.Pull(func(yield func(struct{}) bool) {
-			s.yield = yield
-			body(s)
-		})
+		// A strand's first Run starts its coroutine; later Runs reuse it.
+		if s.resume == nil {
+			s.box = &strandBox{}
+			s.resume, m.coros.stops[s.id] = iter.Pull(s.box.loop)
+		}
+		s.box.body, s.box.s = body, s
 	}
 	defer func() {
 		if m.running { // a body panic or Goexit is unwinding through Run
 			m.running = false
-			for _, s := range m.strands {
-				s.stop()
-			}
+			m.stopCoroutines()
 		}
 	}()
 	// Hand the baton to the strand with the lowest clock; keep handing it
@@ -409,7 +477,7 @@ func (m *Machine) Run(body func(*Strand)) {
 	for {
 		c.parked = false
 		m.grant(c)
-		if _, yielded := c.resume(); yielded {
+		if finished, _ := c.resume(); !finished {
 			// c's body called yieldBaton: park it, resume the laggard.
 			// heapReplaceMin(c) is the pop-then-push of the old handoff
 			// fused into one sift-down.
@@ -417,15 +485,21 @@ func (m *Machine) Run(body func(*Strand)) {
 			c = m.heapReplaceMin(c)
 			continue
 		}
-		// c's body returned: retire its coroutine and move on.
-		c.cancel()
-		c.yield = nil
 		if len(m.parked) == 0 {
 			break
 		}
 		c = m.heapPop()
 	}
 	m.running = false
+}
+
+// stopCoroutines stops every strand coroutine and returns once each has
+// exited; the next Run creates fresh ones.
+func (m *Machine) stopCoroutines() {
+	m.coros.stop()
+	for _, s := range m.strands {
+		s.resume, s.box = nil, nil
+	}
 }
 
 // yieldSentinel is the cached yield deadline when no handoff can ever be
@@ -488,6 +562,11 @@ func (m *Machine) heapPush(s *Strand) {
 // and the identity of parked[0] depend only on the heap's *contents*, not
 // its internal layout, so replace-min is observably identical to the
 // pop-then-push it replaces.
+//
+// Its inline cost is over the default budget. It is inlined into Run's
+// baton loop only because cmd/figures/default.pgo records that call as
+// hot, by its line offset within Run, so an edit that moves the loop
+// needs the profile retrained (docs/PERFORMANCE.md, "Re-training PGO").
 func (m *Machine) heapReplaceMin(s *Strand) *Strand {
 	h := m.parked
 	n := len(h)

@@ -631,3 +631,87 @@ func TestRunLivelockPanicsWithoutLeak(t *testing.T) {
 		t.Fatalf("Run after a failed run panicked: %v", r)
 	}
 }
+
+// Each strand keeps one coroutine from its first Run until Recycle: a
+// later Run hands the parked coroutine its body and allocates nothing.
+func TestRunReusesStrandCoroutines(t *testing.T) {
+	m := newTestMachine(4)
+	body := func(s *Strand) {
+		for i := 0; i < 8; i++ {
+			s.Advance(100) // past the quantum: every call hands the baton on
+		}
+	}
+	m.Run(body)
+	if allocs := testing.AllocsPerRun(100, func() { m.Run(body) }); allocs != 0 {
+		t.Fatalf("a Run on a machine that has run before allocates %v times, want 0", allocs)
+	}
+}
+
+// Recycle stops every strand coroutine and returns once they have exited,
+// so the goroutine count is back at its baseline without a GC.
+func TestRecycleStopsCoroutines(t *testing.T) {
+	m := newTestMachine(4)
+	before := runtime.NumGoroutine()
+	m.Run(func(s *Strand) { s.Advance(1000) })
+	for _, s := range m.strands {
+		if s.resume == nil {
+			t.Fatalf("strand %d has no coroutine after a Run", s.id)
+		}
+	}
+	m.Recycle()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d strand coroutines still running after Recycle", after-before)
+	}
+}
+
+// A machine that is dropped without Recycle releases its coroutines once
+// it is collected: a parked coroutine holds neither its strand nor its
+// machine, and a finalizer stops it.
+func TestUnrecycledMachineReleasesCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		m := newTestMachine(4)
+		for r := 0; r < 2; r++ {
+			m.Run(func(s *Strand) { s.Advance(1000) })
+		}
+	}
+	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d strand coroutines of unreachable machines still running", after-before)
+	}
+}
+
+// A body that calls runtime.Goexit ends the goroutine that called Run, as
+// t.Fatal inside a body does; on the way out Run stops every coroutine,
+// and the machine's next Run starts fresh ones.
+func TestRunGoexitStopsCoroutines(t *testing.T) {
+	m := newTestMachine(4)
+	before := runtime.NumGoroutine()
+	m.Run(func(s *Strand) { s.Advance(1000) })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Run(func(s *Strand) {
+			s.Advance(1000)
+			if s.ID() == 2 {
+				runtime.Goexit()
+			}
+		})
+		t.Error("Run returned after a body called Goexit")
+	}()
+	<-done
+	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines still running after a body's Goexit", after-before)
+	}
+	ran := 0
+	m.Run(func(*Strand) { ran++ })
+	if ran != 4 {
+		t.Fatalf("Run after a Goexit ran %d bodies, want 4", ran)
+	}
+}

@@ -34,13 +34,14 @@ type Strand struct {
 	clock  int64
 	parked bool
 
-	// Coroutine plumbing, owned by Machine.Run: yield suspends this
-	// strand's body and returns control to the driver loop; resume
-	// re-enters the body; cancel retires the coroutine once the body has
-	// returned, or abandons it when Run unwinds from another strand's panic.
-	yield  func(struct{}) bool
-	resume func() (struct{}, bool)
-	cancel func()
+	// Coroutine plumbing, owned by Machine.Run. The strand keeps one
+	// coroutine from its first Run until Recycle, or a failed Run, stops
+	// it: box hands it each Run's body, resume re-enters it, and yield
+	// suspends it and returns control to the driver loop — with
+	// finished=false from yieldBaton, or true once the body has returned.
+	box    *strandBox
+	yield  func(finished bool) bool
+	resume func() (finished, ok bool)
 
 	// yieldLimit is the cached scheduling deadline, maintained by
 	// Machine.grant whenever this strand receives the baton: once clock
@@ -192,25 +193,13 @@ func (s *Strand) recomputeLimit() {
 // resumes us. yield reports false only when Run is unwinding after another
 // strand's panic and has stopped this coroutine; the body is then abandoned.
 func (s *Strand) yieldBaton() {
-	if !s.yield(struct{}{}) {
+	if !s.yield(false) {
 		panic(strandStopped{})
 	}
 }
 
 // strandStopped unwinds the body of a strand whose coroutine Run stopped.
 type strandStopped struct{}
-
-// stop retires s's coroutine, swallowing the strandStopped unwind of a body
-// parked in yieldBaton. A coroutine that never started returns at once; one
-// that already finished or panicked is unaffected.
-func (s *Strand) stop() {
-	defer func() {
-		if r := recover(); r != nil && r != any(strandStopped{}) {
-			panic(r)
-		}
-	}()
-	s.cancel()
-}
 
 // ---- Translation ----
 

@@ -80,7 +80,9 @@ const (
 // strands.
 func DefaultConfig(n int) Config { return sim.DefaultConfig(n) }
 
-// NewMachine builds a machine.
+// NewMachine builds a machine. Each strand keeps one coroutine from its
+// first Run until Machine.Recycle stops it; a machine that is never
+// recycled releases its coroutines when it is collected.
 func NewMachine(cfg Config) *Machine { return sim.New(cfg) }
 
 // ---- Raw best-effort HTM (the rock package) ----
