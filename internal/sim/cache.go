@@ -182,6 +182,13 @@ func (c *l1Cache) markedCountInSet(line int32) int {
 // the original scan exactly — note that it differs from the L1's: the
 // *last* invalid way by index wins (the old loop kept overwriting the
 // victim with each invalid way it passed), else the LRU way.
+//
+// Every set is modelled, but a set is stored only once a run touches it,
+// the way memory backs a page frame on first touch: a machine touches a
+// few hundred of the default 4,096 sets, so a dense slot array would
+// spend 512 KB a machine on sets no run reaches. setOf maps each set to
+// its ways in slots. A set's first access appends its ways all invalid,
+// as every dense set started, so its first miss still fills way ways-1.
 // l2Slot packs one L2 way's tag and LRU timestamp (16 bytes), for the
 // same single-pass, cache-line-friendly layout as the L1.
 type l2Slot struct {
@@ -190,32 +197,34 @@ type l2Slot struct {
 }
 
 type l2Cache struct {
-	sets    int
 	ways    int
 	setMask int32
-	slots   []l2Slot
+	setOf   []int32  // per set: 0 = untouched, else 1 + its first way's index in slots
+	slots   []l2Slot // the touched sets' ways, ways entries a set in first-touch order
 	tick    int64
 }
 
-// l2Pool holds the L2s of recycled machines (Machine.Recycle). At the
-// default geometry an L2 is 512 KB, and experiment sweeps build hundreds of
-// machines, so each new machine resets a retired L2 instead of allocating
-// one.
+// l2Pool holds the L2s of recycled machines (Machine.Recycle), so each new
+// machine reuses a retired L2's set index and slot capacity instead of
+// allocating them.
 var l2Pool sync.Pool
 
-// newL2 returns an empty L2 of the given geometry, reusing a pooled one
-// when it is large enough.
+// newL2 returns an empty L2 of the given geometry, reusing a pooled one:
+// emptying it clears the set index (16 KB at the default geometry) and
+// keeps the slots' capacity.
 func newL2(sets, ways int) *l2Cache {
-	n := sets * ways
 	c, _ := l2Pool.Get().(*l2Cache)
-	if c == nil || cap(c.slots) < n {
-		c = &l2Cache{slots: make([]l2Slot, n)}
+	if c == nil {
+		c = &l2Cache{}
 	}
-	c.sets, c.ways, c.setMask, c.tick = sets, ways, int32(sets-1), 0
-	c.slots = c.slots[:n]
-	for i := range c.slots {
-		c.slots[i] = l2Slot{tag: -1}
+	if cap(c.setOf) < sets {
+		c.setOf = make([]int32, sets)
+	} else {
+		c.setOf = c.setOf[:sets]
+		clear(c.setOf)
 	}
+	c.ways, c.setMask, c.tick = ways, int32(sets-1), 0
+	c.slots = c.slots[:0]
 	return c
 }
 
@@ -223,7 +232,10 @@ func newL2(sets, ways int) *l2Cache {
 // evicted to make room.
 func (c *l2Cache) access(line int32) (hit bool, evicted int32) {
 	c.tick++
-	base := int(line&c.setMask) * c.ways
+	base := int(c.setOf[line&c.setMask]) - 1
+	if base < 0 {
+		base = c.backSet(int(line & c.setMask))
+	}
 	set := c.slots[base : base+c.ways]
 	victim := 0
 	for w := range set {
@@ -243,4 +255,15 @@ func (c *l2Cache) access(line int32) (hit bool, evicted int32) {
 	v.tag = line
 	v.age = c.tick
 	return false, evicted
+}
+
+// backSet stores set on its first touch: it appends the set's ways, all
+// invalid, and returns the index of the first.
+func (c *l2Cache) backSet(set int) int {
+	base := len(c.slots)
+	for range c.ways {
+		c.slots = append(c.slots, l2Slot{tag: -1})
+	}
+	c.setOf[set] = int32(base + 1)
+	return base
 }

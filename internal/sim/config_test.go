@@ -51,7 +51,10 @@ func TestConfigDigest(t *testing.T) {
 // TestNewRejectsNonPowerOfTwoGeometry pins the loud-failure contract the
 // mask-indexing fast paths depend on: every cache/TLB geometry parameter
 // must be a power of two, and the panic message must name the offending
-// field, the bad value, and the next power of two to round up to.
+// field, the bad value, and the next power of two to round up to. A
+// cache's way count need only be positive: with no ways, the first access
+// used to crash with an index out of range, and negative ways crashed New
+// in makeslice.
 func TestNewRejectsNonPowerOfTwoGeometry(t *testing.T) {
 	cases := []struct {
 		field   string
@@ -68,13 +71,17 @@ func TestNewRejectsNonPowerOfTwoGeometry(t *testing.T) {
 			"MainDTLB must be a power of two for mask indexing, got 513 (round up to 1024)"},
 		{"ITLB", func(c *Config) { c.ITLB = -8 },
 			"ITLB must be a power of two for mask indexing, got -8"},
+		{"L1Ways=0", func(c *Config) { c.L1Ways = 0 }, "L1Ways must be positive, got 0"},
+		{"L1Ways=-4", func(c *Config) { c.L1Ways = -4 }, "L1Ways must be positive, got -4"},
+		{"L2Ways=0", func(c *Config) { c.L2Ways = 0 }, "L2Ways must be positive, got 0"},
+		{"L2Ways=-8", func(c *Config) { c.L2Ways = -8 }, "L2Ways must be positive, got -8"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {
 			defer func() {
 				r := recover()
 				if r == nil {
-					t.Fatalf("New accepted non-power-of-two %s", tc.field)
+					t.Fatalf("New accepted invalid %s", tc.field)
 				}
 				msg, ok := r.(string)
 				if !ok {

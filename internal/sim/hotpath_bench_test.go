@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -86,9 +87,9 @@ func BenchmarkSchedulerHandoff(b *testing.B) {
 
 // ---- Construction ----
 
-// machineNewCycle is one steady-state machine lifetime: New, a short run
-// in which every strand stores to four pages, and Recycle.
-func machineNewCycle(cfg Config) {
+// newStoredMachine builds a machine and runs it once: every strand stores
+// to four pages.
+func newStoredMachine(cfg Config) *Machine {
 	m := New(cfg)
 	a := m.Mem().Alloc(4*PageWords, PageWords)
 	m.Run(func(s *Strand) {
@@ -96,7 +97,13 @@ func machineNewCycle(cfg Config) {
 			s.Store(a+Addr(p*PageWords+s.ID()*WordsPerLine), 1)
 		}
 	})
-	m.Recycle()
+	return m
+}
+
+// machineNewCycle is one steady-state machine lifetime: New, a short run
+// in which every strand stores to four pages, and Recycle.
+func machineNewCycle(cfg Config) {
+	newStoredMachine(cfg).Recycle()
 }
 
 // benchMachineNew times machineNewCycle with the frame and L2 pools warm.
@@ -110,9 +117,10 @@ func benchMachineNew(b *testing.B, cfg Config) {
 }
 
 // BenchmarkMachineNew measures construction: per-strand caches, TLBs and
-// coroutines, the page tables, and the reset of a pooled L2. Its bytes/op
-// follow the strands and the pages a run touches, not the configured
-// memory (TestMachineNewBytesBudget).
+// coroutines, the page tables, and a pooled L2 whose set index is cleared
+// and whose touched sets are stored again. Its bytes/op follow the strands
+// and the pages and L2 sets a run touches, not the configured memory or
+// L2 (TestMachineNewBytesBudget).
 func BenchmarkMachineNew(b *testing.B) {
 	for _, strands := range []int{1, 16} {
 		b.Run(fmt.Sprintf("strands=%d", strands), func(b *testing.B) {
@@ -122,9 +130,9 @@ func BenchmarkMachineNew(b *testing.B) {
 }
 
 // machineNewBytesBudget caps BenchmarkMachineNew's bytes/op at
-// DefaultConfig(16). A machine that allocated its own L2 (512 KB) or sized
-// each strand's TLB page indexes to the configured memory (48 KB a strand
-// at 32 MB) would exceed it.
+// DefaultConfig(16). A machine that allocated its own dense L2 (512 KB),
+// or sized each strand's TLB page indexes to the configured memory (48 KB
+// a strand at 32 MB), would exceed it.
 const machineNewBytesBudget = 1 << 20
 
 // TestMachineNewBytesBudget pins construction's allocation volume. Bytes,
@@ -136,6 +144,30 @@ func TestMachineNewBytesBudget(t *testing.T) {
 	}
 	if got := res.AllocedBytesPerOp(); got > machineNewBytesBudget {
 		t.Errorf("New+Run+Recycle at DefaultConfig(16) allocates %d bytes/op, budget is %d", got, machineNewBytesBudget)
+	}
+}
+
+// machineRetainedBudget caps the heap a live DefaultConfig(4) machine,
+// fleet's shard shape, retains after storing to four pages. It reads
+// ~234 KB: per-strand caches, TLBs and coroutines, the page tables, and
+// the L2's set index and touched sets. A dense L2 alone was 512 KB.
+const machineRetainedBudget = 320 << 10
+
+// TestMachineRetainedBytes pins what a live machine holds, which is what
+// each shard of a fleet cell keeps resident while the cell runs. The
+// pools are emptied first, so the machine allocates all it holds.
+func TestMachineRetainedBytes(t *testing.T) {
+	runtime.GC()
+	runtime.GC() // the second cycle drops the pools' victim caches
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := newStoredMachine(DefaultConfig(4))
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	m.Recycle()
+	if retained > machineRetainedBudget {
+		t.Errorf("a live DefaultConfig(4) machine retains %d bytes, budget is %d", retained, machineRetainedBudget)
 	}
 }
 

@@ -297,6 +297,14 @@ func requirePow2(field string, v int) {
 	}
 }
 
+// requirePositive validates a cache's way count: a set with no ways has
+// nowhere to put a line.
+func requirePositive(field string, v int) {
+	if v <= 0 {
+		panic(fmt.Sprintf("sim: %s must be positive, got %d", field, v))
+	}
+}
+
 // nextPow2 returns the smallest power of two >= v (for the panic hint).
 func nextPow2(v int) int {
 	p := 1
@@ -345,7 +353,9 @@ func New(cfg Config) *Machine {
 	// two anyway, so reject anything else loudly instead of simulating a
 	// machine subtly different from the one asked for.
 	requirePow2("L1Sets", cfg.L1Sets)
+	requirePositive("L1Ways", cfg.L1Ways)
 	requirePow2("L2Sets", cfg.L2Sets)
+	requirePositive("L2Ways", cfg.L2Ways)
 	requirePow2("MicroDTLB", cfg.MicroDTLB)
 	requirePow2("MainDTLB", cfg.MainDTLB)
 	requirePow2("ITLB", cfg.ITLB)
@@ -388,9 +398,11 @@ func (m *Machine) Mem() *Memory { return m.mem }
 // Recycle stops the strand coroutines, returning once they have exited,
 // then scrubs the frames of every page the machine touched and hands them,
 // with the L2, to process-wide pools, so the next machine's construction
-// and first touches reuse them instead of allocating. Call it only after
-// the machine's last use (including Peek-based validation): afterwards the
-// simulated memory reads as zero and must not be written, and Run panics.
+// and first touches reuse them instead of allocating. The machine that
+// draws the L2 clears its set index and stores the sets its own run
+// touches in the slots' capacity. Call it only after the machine's last
+// use (including Peek-based validation): afterwards the simulated memory
+// reads as zero and must not be written, and Run panics.
 // A second call does nothing. A machine that is never recycled releases
 // its coroutines when it is collected. Recycling is a host-side allocation
 // strategy only — it never changes what a simulation computes.

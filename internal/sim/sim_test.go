@@ -176,9 +176,12 @@ func TestRecycleConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < machines; i++ {
 				m := newTestMachine(2)
-				for _, sl := range m.l2.slots {
-					if sl.tag != -1 {
-						t.Errorf("fresh L2 holds line %d", sl.tag)
+				if len(m.l2.slots) != 0 {
+					t.Errorf("fresh L2 stores %d slots", len(m.l2.slots))
+				}
+				for set, at := range m.l2.setOf {
+					if at != 0 {
+						t.Errorf("fresh L2 has set %d stored", set)
 						break
 					}
 				}

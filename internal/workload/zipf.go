@@ -1,12 +1,15 @@
 package workload
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // zipfParams holds the precomputed constants of Gray et al.'s zipfian
 // generator ("Quickly Generating Billion-Record Synthetic Databases",
 // SIGMOD '94) — the same construction YCSB's ZipfianGenerator uses. The
-// constants depend only on (n, theta), so they are computed once at
-// Compile time and shared read-only by every strand.
+// constants depend only on (n, theta), so they are computed once per
+// process (newZipf) and shared read-only by every strand.
 type zipfParams struct {
 	n     int
 	theta float64
@@ -25,7 +28,28 @@ func zeta(n int, theta float64) float64 {
 	return sum
 }
 
+// zipfMemo maps a zipfKey to its zipfParams. Computing them makes n
+// math.Pow calls, and every Compile of a zipfian Spec asks for them, once
+// per experiment cell; runner workers compile concurrently.
+var zipfMemo sync.Map
+
+type zipfKey struct {
+	n     int
+	theta float64
+}
+
+// newZipf returns the constants for (n, theta), computing them on the
+// process's first request.
 func newZipf(n int, theta float64) zipfParams {
+	k := zipfKey{n, theta}
+	z, ok := zipfMemo.Load(k)
+	if !ok {
+		z, _ = zipfMemo.LoadOrStore(k, computeZipf(n, theta))
+	}
+	return z.(zipfParams)
+}
+
+func computeZipf(n int, theta float64) zipfParams {
 	zetan := zeta(n, theta)
 	zeta2 := zeta(2, theta)
 	return zipfParams{
