@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"rocktm/internal/bench"
@@ -375,6 +376,71 @@ func TestCaptureCoversEveryCell(t *testing.T) {
 		}
 	}
 	sameLabels(t, "trace runs", got, want)
+}
+
+// A warm rerun of the whole catalogue serves every cell from the cache.
+// It is the one test that sends every payload type (Point, fleetPoint,
+// attribCell, timelinePoint, the MSF sweep's) through the single decode
+// a cache hit makes: the figures, CSV and JSON must match the cold run's
+// byte for byte, with every cell cached and no warning.
+func TestWarmCacheServesEveryCell(t *testing.T) {
+	dir := t.TempDir()
+	threads := []int{1, 2}
+	render := func() ([]byte, runner.Progress, []string) {
+		cache, err := runner.OpenCache(dir, runner.CacheVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var last runner.Progress
+		pool := &runner.Pool{Workers: 2, Cache: cache, OnProgress: func(pr runner.Progress) {
+			mu.Lock()
+			if pr.Done > last.Done {
+				last = pr
+			}
+			mu.Unlock()
+		}}
+		o := bench.Options{Threads: threads, OpsPerThread: 20, Seed: 1, Runner: pool}
+		mo := bench.MSFOptions{Width: 32, Height: 32, Threads: threads, Seed: 1, Runner: pool}
+		var buf bytes.Buffer
+		for _, e := range buildExperiments(o, mo) {
+			fig, err := e.run()
+			if err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
+			fig.Render(&buf)
+			fig.CSV(&buf)
+			if err := fig.JSON(&buf); err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
+		}
+		rep, err := bench.AttributionReport(o)
+		if err != nil {
+			t.Fatalf("attrib: %v", err)
+		}
+		rep.Render(&buf)
+		rep.CSV(&buf)
+		if err := rep.JSON(&buf); err != nil {
+			t.Fatalf("attrib: %v", err)
+		}
+		return buf.Bytes(), last, cache.Warnings()
+	}
+
+	cold, coldProg, coldWarns := render()
+	if coldProg.Total == 0 || coldProg.Done != coldProg.Total || coldProg.Cached != 0 || len(coldWarns) != 0 {
+		t.Fatalf("cold run: progress %+v, warnings %v; want every cell computed", coldProg, coldWarns)
+	}
+	warm, warmProg, warmWarns := render()
+	if warmProg.Total != coldProg.Total || warmProg.Done != warmProg.Total || warmProg.Cached != warmProg.Total {
+		t.Errorf("warm run: %d/%d cells (%d cached), want all %d cached",
+			warmProg.Done, warmProg.Total, warmProg.Cached, coldProg.Total)
+	}
+	for _, w := range warmWarns {
+		t.Errorf("warm run warned: %s", w)
+	}
+	if !bytes.Equal(cold, warm) {
+		t.Errorf("warm output (%d bytes) differs from cold output (%d bytes)", len(warm), len(cold))
+	}
 }
 
 // sameLabels checks that the deposits carry exactly the cells' names, in

@@ -61,3 +61,41 @@ func TestFleetCellAllocBudget(t *testing.T) {
 			allocs, fleetCellAllocBudget)
 	}
 }
+
+// warmCellAllocBudget is the allocation budget per cell of one
+// BenchmarkWarmRerender pass, which reads ~77 allocs per cell: building
+// the cell's spec, reading and decoding its cache entry once, and its
+// share of rendering. When a hit decoded its entry twice and every spec
+// printed its machine config, the pass read ~169 per cell. The budget
+// catches a second decode, or a per-cell digest, creeping back in.
+const warmCellAllocBudget = 100
+
+// TestWarmRerenderAllocBudget runs BenchmarkWarmRerender's pass through
+// the testing harness and fails if its allocations per served cell
+// regress above the budget.
+func TestWarmRerenderAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget needs full benchmark iterations")
+	}
+	pass, cells, err := warmRerender(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var passErr error
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N && passErr == nil; i++ {
+			passErr = pass()
+		}
+	})
+	if passErr != nil {
+		t.Fatal(passErr)
+	}
+	if res.N == 0 {
+		t.Fatal("benchmark did not run")
+	}
+	if allocs := res.AllocsPerOp() / int64(cells); allocs > warmCellAllocBudget {
+		t.Errorf("warm rerender allocates %d allocs per cached cell, budget is %d — a hit decodes or digests more than once again",
+			allocs, warmCellAllocBudget)
+	}
+}

@@ -13,8 +13,8 @@ import (
 // transient pathologies E23 could only infer from end-of-run percentiles
 // (PhTM's phase-flip drain above all) become visible as concrete window
 // ranges, get named by the pathology detectors, and are judged against
-// declared SLOs with burn-rate verdicts. This is ROADMAP item 1's
-// fleet-judging machinery exercised end to end.
+// declared SLOs with burn-rate verdicts. This is the fleet-judging
+// machinery exercised end to end.
 //
 // Unlike the -timeline opt-in flag (which forces serial execution and
 // deposits series into a side sink), the timeline figure carries each

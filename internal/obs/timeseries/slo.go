@@ -9,7 +9,7 @@ import "fmt"
 // violate the threshold, and the burn rate is the measured violation
 // fraction divided by that allowance. Burn ≤ 1 passes; burn 10 means the
 // run consumed its tail-latency budget ten times over. This is the
-// ROADMAP item 1 machinery for judging TM systems as a fleet.
+// machinery for judging TM systems as a fleet.
 
 // SLO declares one windowed latency objective.
 type SLO struct {

@@ -47,60 +47,72 @@ func OpenCache(dir, salt string) (*Cache, error) {
 	return &Cache{dir: dir, salt: salt}, nil
 }
 
-func (c *Cache) path(spec Spec) string {
-	return filepath.Join(c.dir, spec.Hash(c.salt)+".json")
+// file is the entry path for a key built by Spec.Key.
+func (c *Cache) file(key string) string {
+	return filepath.Join(c.dir, hashKey(c.salt, key)+".json")
 }
 
-// Get returns the cached payload for spec. A missing, corrupted,
-// stale-version or mismatched entry is a miss; corruption and mismatches
-// additionally record a warning (the sweep recomputes and overwrites,
-// never crashes). Fields an entry carries beyond cacheEntry's are
-// ignored, so entries written by older code of the same CacheVersion
-// still hit.
-func (c *Cache) Get(spec Spec) (payload []byte, ok bool) {
-	raw, err := os.ReadFile(c.path(spec))
+// hit is what a lookup decodes from an entry: the two fields it checks
+// and the payload, straight into the cell's type. The fields it does not
+// name (spec, created, the retired host_seconds) are skipped, so entries
+// written by older code of the same CacheVersion still hit.
+type hit[T any] struct {
+	Version string `json:"version"`
+	Key     string `json:"key"`
+	Payload *T     `json:"payload"`
+}
+
+// get serves spec from the cache into dst, at the cost of one file read
+// and one JSON decode, and reports whether it did. A missing file or an
+// entry of another code version is a silent miss. A key mismatch, and an
+// entry that is not valid JSON or whose payload is missing, null or not
+// decodable into T, is a miss with a warning: the sweep recomputes the
+// cell and its Put overwrites the entry, so a bad entry is never trusted
+// and never fatal. dst is written only on a hit.
+func get[T any](c *Cache, spec Spec, dst *T) bool {
+	key := spec.Key()
+	raw, err := os.ReadFile(c.file(key))
 	if err != nil {
-		return nil, false // plain miss
+		return false // plain miss
 	}
-	var e cacheEntry
+	var e hit[T]
 	if err := json.Unmarshal(raw, &e); err != nil {
 		c.warn(fmt.Sprintf("cache: corrupted entry for %s (%v); recomputing", spec, err))
-		return nil, false
+		return false
 	}
 	if e.Version != c.salt {
 		// Stale code version: silently recompute (the common case after
 		// any simulator change) — the fresh Put overwrites the file.
-		return nil, false
+		return false
 	}
-	if e.Key != spec.Key() {
+	if e.Key != key {
 		c.warn(fmt.Sprintf("cache: key mismatch for %s (hash collision or edited file); recomputing", spec))
-		return nil, false
+		return false
 	}
-	if len(e.Payload) == 0 {
-		c.warn(fmt.Sprintf("cache: empty payload for %s; recomputing", spec))
-		return nil, false
+	if e.Payload == nil {
+		c.warn(fmt.Sprintf("cache: corrupted entry for %s (payload missing or null); recomputing", spec))
+		return false
 	}
-	return e.Payload, true
+	*dst = *e.Payload
+	return true
 }
 
 // Put stores a freshly computed payload. Writes are atomic
 // (temp file + rename) so a crashed run never leaves a truncated entry.
 func (c *Cache) Put(spec Spec, payload []byte) error {
+	key := spec.Key()
 	e := cacheEntry{
 		Version: c.salt,
-		Key:     spec.Key(),
+		Key:     key,
 		Spec:    spec,
 		Payload: payload,
 		Created: time.Now().UTC(),
 	}
-	// Compact on purpose: MarshalIndent would re-indent the embedded
-	// payload, and Get must hand back the exact bytes Put received so
-	// cache hits are byte-faithful to fresh computes.
 	raw, err := json.Marshal(&e)
 	if err != nil {
 		return fmt.Errorf("runner: cache encode %s: %w", spec, err)
 	}
-	final := c.path(spec)
+	final := c.file(key)
 	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("runner: cache write %s: %w", spec, err)

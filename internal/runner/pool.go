@@ -10,19 +10,21 @@ import (
 )
 
 // Job is one schedulable experiment cell: a Spec identifying it and a
-// compute function producing its canonical JSON payload. Run must be
+// function that resolves it. Run serves the cell from the cache c when c
+// is non-nil and holds it, and otherwise computes it (storing the result
+// in c); it reports whether the cache served it. Run must be
 // self-contained (build its own machine, share nothing): the pool may
-// invoke it on any goroutine, concurrently with other jobs.
+// invoke it on any goroutine, concurrently with other jobs. Its result
+// goes wherever Run puts it; RunCells gives each job its own slot.
 type Job struct {
 	Spec Spec
-	Run  func() ([]byte, error)
+	Run  func(c *Cache) (cached bool, err error)
 }
 
 // Result is the outcome of one job, in submission order.
 type Result struct {
-	Payload []byte
-	Err     error
-	// Cached reports whether the payload came from the result cache.
+	Err error
+	// Cached reports whether the result came from the result cache.
 	Cached bool
 }
 
@@ -86,34 +88,18 @@ func (p *Pool) RunAll(jobs []Job) []Result {
 	return results
 }
 
-// runJob resolves one job: cache hit, or compute + store.
-func (p *Pool) runJob(job Job) Result {
-	if p.Cache != nil {
-		if payload, ok := p.Cache.Get(job.Spec); ok {
-			return Result{Payload: payload, Cached: true}
+// runJob resolves one job, turning a panic into its error.
+func (p *Pool) runJob(job Job) (res Result) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = Result{Err: fmt.Errorf("%s: cell panicked: %v\n%s", job.Spec, r, debug.Stack())}
 		}
-	}
-	payload, err := execute(job)
+	}()
+	cached, err := job.Run(p.Cache)
 	if err != nil {
 		return Result{Err: fmt.Errorf("%s: %w", job.Spec, err)}
 	}
-	if p.Cache != nil {
-		if err := p.Cache.Put(job.Spec, payload); err != nil {
-			// A full disk must not fail the sweep; the result is in hand.
-			p.Cache.warn(err.Error())
-		}
-	}
-	return Result{Payload: payload}
-}
-
-// execute runs the compute function, turning a panic into its error.
-func execute(job Job) (payload []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cell panicked: %v\n%s", r, debug.Stack())
-		}
-	}()
-	return job.Run()
+	return Result{Cached: cached}
 }
 
 // finishJob updates sweep counters and fires the progress callback.
@@ -150,34 +136,45 @@ type Cell[T any] struct {
 // interrupted or partially failing sweep is resumable because the
 // completed cells' results are already on disk.
 //
-// The typed value always takes one trip through canonical JSON — for
-// fresh computes and cache hits alike — so a figure rendered from a
-// cache hit is byte-identical to one rendered from a fresh run (Go's
-// float64 JSON encoding round-trips exactly).
+// Each job fills its own slot of the result on its worker. A cache hit
+// is one file read and one JSON decode, straight into the slot. A fresh
+// compute takes one trip through canonical JSON — Marshal, Put, and
+// Unmarshal into the slot — so a figure rendered from a cache hit is
+// byte-identical to one rendered from a fresh run (Go's float64 JSON
+// encoding round-trips exactly).
 func RunCells[T any](p *Pool, cells []Cell[T]) ([]T, error) {
 	if p == nil {
 		p = &Pool{Workers: 1}
 	}
+	out := make([]T, len(cells))
 	jobs := make([]Job, len(cells))
 	for i, c := range cells {
-		compute := c.Compute
-		jobs[i] = Job{Spec: c.Spec, Run: func() ([]byte, error) {
-			v, err := compute()
-			if err != nil {
-				return nil, err
+		slot := &out[i]
+		jobs[i] = Job{Spec: c.Spec, Run: func(cache *Cache) (bool, error) {
+			if cache != nil && get(cache, c.Spec, slot) {
+				return true, nil
 			}
-			return json.Marshal(v)
+			v, err := c.Compute()
+			if err != nil {
+				return false, err
+			}
+			payload, err := json.Marshal(v)
+			if err != nil {
+				return false, err
+			}
+			if cache != nil {
+				if err := cache.Put(c.Spec, payload); err != nil {
+					// A full disk must not fail the sweep; the result is in hand.
+					cache.warn(err.Error())
+				}
+			}
+			return false, json.Unmarshal(payload, slot)
 		}}
 	}
-	out := make([]T, len(cells))
 	var errs []error
-	for i, res := range p.RunAll(jobs) {
+	for _, res := range p.RunAll(jobs) {
 		if res.Err != nil {
 			errs = append(errs, res.Err)
-			continue
-		}
-		if err := json.Unmarshal(res.Payload, &out[i]); err != nil {
-			errs = append(errs, fmt.Errorf("%s: decode cached payload: %w", cells[i].Spec, err))
 		}
 	}
 	if len(errs) > 0 {

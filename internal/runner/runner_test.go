@@ -3,8 +3,10 @@ package runner
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,14 +72,14 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	spec := testSpec()
 	payload := []byte(`{"threads":4,"ops_per_usec":1.25}`)
-	if _, ok := c.Get(spec); ok {
+	var got json.RawMessage
+	if get(c, spec, &got) {
 		t.Fatal("hit on empty cache")
 	}
 	if err := c.Put(spec, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Get(spec)
-	if !ok {
+	if !get(c, spec, &got) {
 		t.Fatal("miss after Put")
 	}
 	if string(got) != string(payload) {
@@ -106,7 +108,8 @@ func TestCacheVersionSaltInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fresh.Get(spec); ok {
+	var got json.RawMessage
+	if get(fresh, spec, &got) {
 		t.Fatal("stale-version entry served")
 	}
 }
@@ -127,7 +130,8 @@ func TestCacheCorruptedEntry(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{truncated garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(spec); ok {
+	var got json.RawMessage
+	if get(c, spec, &got) {
 		t.Fatal("corrupted entry served")
 	}
 	w := c.Warnings()
@@ -143,7 +147,7 @@ func TestCacheCorruptedEntry(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(spec); ok {
+	if get(c, spec, &got) {
 		t.Fatal("key-mismatched entry served")
 	}
 	if w := c.Warnings(); len(w) != 1 || !strings.Contains(w[0], "mismatch") {
@@ -152,52 +156,64 @@ func TestCacheCorruptedEntry(t *testing.T) {
 }
 
 // Pool results must land in submission order regardless of scheduling,
-// and a cached rerun must return the identical payload bytes.
+// and a cached rerun must serve every cell, computing none, and return
+// the identical values.
 func TestPoolDeterministicMergeAndCache(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := OpenCache(dir, "test-v1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	newJobs := func(computes *atomic.Int64) []Job {
-		jobs := make([]Job, 12)
-		for i := range jobs {
-			i := i
+	newCells := func(computes *atomic.Int64) []Cell[json.RawMessage] {
+		cells := make([]Cell[json.RawMessage], 12)
+		for i := range cells {
 			spec := testSpec()
 			spec.Threads = i + 1
-			jobs[i] = Job{Spec: spec, Run: func() ([]byte, error) {
+			cells[i] = Cell[json.RawMessage]{Spec: spec, Compute: func() (json.RawMessage, error) {
 				computes.Add(1)
-				return []byte(fmt.Sprintf(`{"cell":%d}`, i)), nil
+				return json.RawMessage(fmt.Sprintf(`{"cell":%d}`, i)), nil
 			}}
 		}
-		return jobs
+		return cells
 	}
 	var computes atomic.Int64
+	var mu sync.Mutex
+	var final Progress
 	p := &Pool{Workers: 8, Cache: cache}
-	results := p.RunAll(newJobs(&computes))
+	p.OnProgress = func(pr Progress) {
+		mu.Lock()
+		if pr.Done == pr.Total {
+			final = pr
+		}
+		mu.Unlock()
+	}
+	results, err := RunCells(p, newCells(&computes))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("job %d: %v", i, r.Err)
+		if want := fmt.Sprintf(`{"cell":%d}`, i); string(r) != want {
+			t.Fatalf("job %d out of order: got %s want %s", i, r, want)
 		}
-		if want := fmt.Sprintf(`{"cell":%d}`, i); string(r.Payload) != want {
-			t.Fatalf("job %d out of order: got %s want %s", i, r.Payload, want)
-		}
-		if r.Cached {
-			t.Fatalf("job %d cached on a cold cache", i)
-		}
+	}
+	if final.Cached != 0 {
+		t.Fatalf("%d jobs cached on a cold cache", final.Cached)
 	}
 	if computes.Load() != 12 {
 		t.Fatalf("computed %d cells, want 12", computes.Load())
 	}
 	// Warm rerun: all hits, same bytes, zero computes.
-	rerun := p.RunAll(newJobs(&computes))
+	rerun, err := RunCells(p, newCells(&computes))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range rerun {
-		if !r.Cached {
-			t.Fatalf("job %d not served from cache", i)
-		}
-		if string(r.Payload) != string(results[i].Payload) {
+		if string(r) != string(results[i]) {
 			t.Fatalf("job %d: cache hit bytes differ", i)
 		}
+	}
+	if final.Total != 24 || final.Cached != 12 {
+		t.Fatalf("warm rerun progress = %+v, want 12 of 24 cached", final)
 	}
 	if computes.Load() != 12 {
 		t.Fatalf("warm rerun recomputed cells (%d total computes)", computes.Load())
@@ -213,11 +229,11 @@ func TestPoolPanicIsolation(t *testing.T) {
 		i := i
 		spec := testSpec()
 		spec.Threads = i + 1
-		jobs[i] = Job{Spec: spec, Run: func() ([]byte, error) {
+		jobs[i] = Job{Spec: spec, Run: func(*Cache) (bool, error) {
 			if i == 2 {
 				panic("wedged cell")
 			}
-			return []byte(`{}`), nil
+			return false, nil
 		}}
 	}
 	results := p.RunAll(jobs)
@@ -249,7 +265,7 @@ func TestPoolProgressAndMetrics(t *testing.T) {
 	for i := range jobs {
 		spec := testSpec()
 		spec.Threads = i + 1
-		jobs[i] = Job{Spec: spec, Run: func() ([]byte, error) { return []byte(`{}`), nil }}
+		jobs[i] = Job{Spec: spec, Run: func(*Cache) (bool, error) { return false, nil }}
 	}
 	p.RunAll(jobs)
 	if len(reports) != 6 {
@@ -370,8 +386,8 @@ func TestCacheHitsEntryWithRetiredField(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, spec.Hash("test-v1")+".json"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Get(spec)
-	if !ok {
+	var got json.RawMessage
+	if !get(c, spec, &got) {
 		t.Fatal("entry with the retired field missed")
 	}
 	if string(got) != string(payload) {
@@ -379,5 +395,218 @@ func TestCacheHitsEntryWithRetiredField(t *testing.T) {
 	}
 	if w := c.Warnings(); len(w) != 0 {
 		t.Fatalf("unexpected warnings: %v", w)
+	}
+}
+
+// point is a typed payload shaped like the figures' points.
+type point struct {
+	Threads int
+	Value   float64
+}
+
+// writeEntry stores body as the cache file for spec under salt.
+func writeEntry(t *testing.T, dir, salt string, spec Spec, body string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, spec.Hash(salt)+".json"), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// quoted is s as a JSON string.
+func quoted(s string) string {
+	b, _ := json.Marshal(s)
+	return string(b)
+}
+
+// Every outcome of the one lookup path: what it serves, what it leaves in
+// the slot on a miss, and which outcomes warn. A miss never touches the
+// slot, and a payload that is missing, null or mistyped is a corrupted
+// entry, never a zero-valued hit.
+func TestGetOutcomes(t *testing.T) {
+	spec := testSpec()
+	other := testSpec()
+	other.Seed = 99
+	key, otherKey := quoted(spec.Key()), quoted(other.Key())
+	entry := func(version, key, payload string) string {
+		return `{"version":` + quoted(version) + `,"key":` + key + payload + `}`
+	}
+	const good = `,"payload":{"Threads":4,"Value":1.5}`
+	cases := []struct {
+		name string
+		body string // "" leaves the file absent
+		hit  bool
+		warn string // "" for a silent outcome
+	}{
+		{"hit", entry("test-v1", key, good), true, ""},
+		{"plain miss", "", false, ""},
+		{"stale version", entry("old-version", key, good), false, ""},
+		{"key mismatch", entry("test-v1", otherKey, good), false, "key mismatch"},
+		{"invalid JSON", `{truncated garbage`, false, "corrupted"},
+		{"missing payload", entry("test-v1", key, ""), false, "corrupted"},
+		{"null payload", entry("test-v1", key, `,"payload":null`), false, "corrupted"},
+		{"mistyped payload", entry("test-v1", key, `,"payload":{"Threads":"four"}`), false, "corrupted"},
+		{"payload of another shape", entry("test-v1", key, `,"payload":[1,2]`), false, "corrupted"},
+		{"retired fields", `{"version":"test-v1","key":` + key + `,"spec":{"experiment":"fig1a"}` + good +
+			`,"created":"2026-01-02T03:04:05Z","host_seconds":2.5}`, true, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := OpenCache(dir, "test-v1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.body != "" {
+				writeEntry(t, dir, "test-v1", spec, tc.body)
+			}
+			sentinel := point{Threads: -1, Value: -1}
+			got := sentinel
+			if hit := get(c, spec, &got); hit != tc.hit {
+				t.Fatalf("get = %v, want %v", hit, tc.hit)
+			}
+			want := sentinel
+			if tc.hit {
+				want = point{Threads: 4, Value: 1.5}
+			}
+			if got != want {
+				t.Errorf("slot = %+v, want %+v", got, want)
+			}
+			w := c.Warnings()
+			switch {
+			case tc.warn == "" && len(w) != 0:
+				t.Errorf("unexpected warnings: %v", w)
+			case tc.warn != "" && (len(w) != 1 || !strings.Contains(w[0], tc.warn)):
+				t.Errorf("warnings = %v, want one %q warning", w, tc.warn)
+			}
+		})
+	}
+}
+
+// A payload that is null or does not decode into the cell's type is a
+// corrupted entry: RunCells warns and recomputes the cell, and the fresh
+// Put overwrites the entry, so the next run serves it. Such an entry is
+// never served as a zero value and never fails the sweep.
+func TestRunCellsRecomputesCorruptedPayload(t *testing.T) {
+	for name, payload := range map[string]string{"null": `null`, "mistyped": `{"Threads":"four"}`} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cache, err := OpenCache(dir, "test-v1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := testSpec()
+			writeEntry(t, dir, "test-v1", spec,
+				`{"version":"test-v1","key":`+quoted(spec.Key())+`,"payload":`+payload+`}`)
+			want := point{Threads: 4, Value: 1.5}
+			computes := 0
+			cells := []Cell[point]{{Spec: spec, Compute: func() (point, error) {
+				computes++
+				return want, nil
+			}}}
+			var last Progress
+			p := &Pool{Workers: 1, Cache: cache, OnProgress: func(pr Progress) { last = pr }}
+
+			got, err := RunCells(p, cells)
+			if err != nil {
+				t.Fatalf("corrupted entry failed the sweep: %v", err)
+			}
+			if got[0] != want || computes != 1 || last.Cached != 0 {
+				t.Fatalf("got %+v after %d computes, %d cached; want %+v recomputed", got[0], computes, last.Cached, want)
+			}
+			if w := cache.Warnings(); len(w) != 1 || !strings.Contains(w[0], "corrupted") {
+				t.Fatalf("warnings = %v, want one corruption warning", w)
+			}
+
+			got, err = RunCells(p, cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != want || computes != 1 || last.Cached != 1 {
+				t.Fatalf("rerun got %+v after %d computes, %d cached; want the rewritten entry served", got[0], computes, last.Cached)
+			}
+			if w := cache.Warnings(); len(w) != 0 {
+				t.Fatalf("unexpected warnings on the rerun: %v", w)
+			}
+		})
+	}
+}
+
+// Four workers share one cache. Cells that share a spec are looked up and
+// stored from several workers at once, within one sweep and across two
+// concurrent sweeps on the same pool, cold and then warm; every value
+// must come back right with no warning. CI runs it under -race.
+func TestPoolSharedCacheFourWorkers(t *testing.T) {
+	cache, err := OpenCache(t.TempDir(), "test-v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Pool{Workers: 4, Cache: cache}
+	cells := make([]Cell[point], 16)
+	for i := range cells {
+		spec := testSpec()
+		spec.Threads = i%4 + 1
+		cells[i] = Cell[point]{Spec: spec, Compute: func() (point, error) {
+			return point{Threads: spec.Threads, Value: 1 / float64(spec.Threads+2)}, nil
+		}}
+	}
+	for _, pass := range []string{"cold", "warm"} {
+		var wg sync.WaitGroup
+		outs := make([][]point, 2)
+		errs := make([]error, 2)
+		for g := range outs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs[g], errs[g] = RunCells(p, cells)
+			}()
+		}
+		wg.Wait()
+		for g, out := range outs {
+			if errs[g] != nil {
+				t.Fatalf("%s sweep %d: %v", pass, g, errs[g])
+			}
+			for i, v := range out {
+				th := cells[i].Spec.Threads
+				if want := (point{Threads: th, Value: 1 / float64(th+2)}); v != want {
+					t.Fatalf("%s sweep %d cell %d = %+v, want %+v", pass, g, i, v, want)
+				}
+			}
+		}
+	}
+	if w := cache.Warnings(); len(w) != 0 {
+		t.Fatalf("unexpected warnings: %v", w)
+	}
+}
+
+// fmtKey is Spec.Key as it was first written, with fmt. Cache file names
+// and the entry check hang on the key's bytes, so Key must keep them.
+func fmtKey(s Spec) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "exp=%s sys=%s threads=%d ops=%d seed=%d sim=%s",
+		s.Experiment, s.System, s.Threads, s.Ops, s.Seed, s.SimDigest)
+	if len(s.Params) > 0 {
+		keys := make([]string, 0, len(s.Params))
+		for k := range s.Params {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&b, " %s=%s", k, s.Params[k])
+		}
+	}
+	return b.String()
+}
+
+func TestSpecKeyMatchesFmtForm(t *testing.T) {
+	noParams := testSpec()
+	noParams.Params = nil
+	emptyParams := testSpec()
+	emptyParams.Params = map[string]string{}
+	extremes := Spec{Experiment: "tail", System: "stm-tl2 ±", Threads: -3, Ops: 1 << 40,
+		Seed: math.MaxUint64, SimDigest: "", Params: map[string]string{"z": "", "arrival": "poisson:0.5", "": "x"}}
+	for _, s := range []Spec{testSpec(), noParams, emptyParams, {}, extremes} {
+		if got, want := s.Key(), fmtKey(s); got != want {
+			t.Errorf("Key() = %q, want %q", got, want)
+		}
 	}
 }

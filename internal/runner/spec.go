@@ -23,7 +23,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // CacheVersion is the code-version salt folded into every cache key.
@@ -62,9 +62,19 @@ type Spec struct {
 // Key returns the canonical string form of the spec. Params are emitted
 // in sorted key order so two equal specs always produce the same key.
 func (s Spec) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "exp=%s sys=%s threads=%d ops=%d seed=%d sim=%s",
-		s.Experiment, s.System, s.Threads, s.Ops, s.Seed, s.SimDigest)
+	b := make([]byte, 0, 256) // on the stack: every catalogue key fits
+	b = append(b, "exp="...)
+	b = append(b, s.Experiment...)
+	b = append(b, " sys="...)
+	b = append(b, s.System...)
+	b = append(b, " threads="...)
+	b = strconv.AppendInt(b, int64(s.Threads), 10)
+	b = append(b, " ops="...)
+	b = strconv.AppendInt(b, int64(s.Ops), 10)
+	b = append(b, " seed="...)
+	b = strconv.AppendUint(b, s.Seed, 10)
+	b = append(b, " sim="...)
+	b = append(b, s.SimDigest...)
 	if len(s.Params) > 0 {
 		keys := make([]string, 0, len(s.Params))
 		for k := range s.Params {
@@ -72,20 +82,30 @@ func (s Spec) Key() string {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(&b, " %s=%s", k, s.Params[k])
+			b = append(b, ' ')
+			b = append(b, k...)
+			b = append(b, '=')
+			b = append(b, s.Params[k]...)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // Hash returns the content address of the spec under the given
 // code-version salt: hex(sha256(salt || 0 || key)).
 func (s Spec) Hash(salt string) string {
+	return hashKey(salt, s.Key())
+}
+
+// hashKey is Hash for a key already built, so the cache builds each
+// lookup's key once for both the file name and the entry check.
+func hashKey(salt, key string) string {
 	h := sha256.New()
 	h.Write([]byte(salt))
 	h.Write([]byte{0})
-	h.Write([]byte(s.Key()))
-	return hex.EncodeToString(h.Sum(nil))
+	h.Write([]byte(key))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // String renders the spec compactly for progress lines and errors.

@@ -4,9 +4,9 @@
 // fronted by a deterministic request router with pluggable shard maps,
 // per-shard request batching with a batch-size/deadline tradeoff, and
 // cross-shard multi-key transactions via a two-phase-commit coordinator
-// layered on single-shard TM transactions. It is ROADMAP item 1: the
-// layer that turns "which TM system wins on one 16-strand machine" (E23)
-// into "which TM system wins as a fleet" (E25).
+// layered on single-shard TM transactions. It is the layer that turns
+// "which TM system wins on one 16-strand machine" (E23) into "which TM
+// system wins as a fleet" (E25).
 //
 // Time model. Each shard machine keeps its own virtual clock ("shard CPU
 // time", advanced only while the machine executes a batch or a 2PC

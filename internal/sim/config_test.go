@@ -1,7 +1,12 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -45,6 +50,66 @@ func TestConfigDigest(t *testing.T) {
 		if c.Digest() == base.Digest() {
 			t.Errorf("changing %s did not change the config digest", name)
 		}
+	}
+}
+
+// TestConfigDigestMemo checks the memoized digest against a fresh
+// fmt.Sprintf("%#v") digest, the form Digest has always hashed, over
+// every design point × fault profile × strand count. Four goroutines
+// take each digest twice, so the memo is read and filled concurrently
+// (CI runs it under -race). A config holding a NaN is digested but never
+// stored, and configs that compare equal share one digest.
+func TestConfigDigestMemo(t *testing.T) {
+	fresh := func(c Config) string {
+		h := sha256.Sum256([]byte(fmt.Sprintf("%#v", c)))
+		return hex.EncodeToString(h[:8])
+	}
+	var cfgs []Config
+	for _, design := range DesignPointNames() {
+		for _, faults := range FaultProfileNames() {
+			for _, n := range []int{1, 2, 4, 16} {
+				c := DefaultConfig(n)
+				c.HTM = DesignPoint(design)
+				c.Faults = FaultProfile(faults)
+				cfgs = append(cfgs, c)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 2; rep++ {
+				for _, c := range cfgs {
+					if got, want := c.Digest(), fresh(c); got != want {
+						t.Errorf("Digest() = %s, want %s for %#v", got, want, c)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	nan := DefaultConfig(4)
+	nan.CTIAbortProb = math.NaN()
+	for rep := 0; rep < 2; rep++ {
+		if got, want := nan.Digest(), fresh(nan); got != want {
+			t.Errorf("NaN config: Digest() = %s, want %s", got, want)
+		}
+	}
+	digestMu.Lock()
+	for c := range digests {
+		if c != c {
+			t.Errorf("memo stored a config holding a NaN: %#v", c)
+		}
+	}
+	digestMu.Unlock()
+
+	zero, negZero := DefaultConfig(4), DefaultConfig(4)
+	zero.ExogProb, negZero.ExogProb = 0, math.Copysign(0, -1)
+	if zero.Digest() != negZero.Digest() {
+		t.Error("configs that compare equal got different digests")
 	}
 }
 

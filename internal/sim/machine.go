@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
+	"sync"
 
 	"rocktm/internal/obs"
 )
@@ -159,7 +160,35 @@ func DefaultConfig(n int) Config {
 // field that can change simulated behaviour, including the cost table.
 // The experiment runner folds it into cache keys so a result computed
 // under one machine configuration is never served for another.
+//
+// Digests are memoized per config value, because a sweep keys hundreds
+// of cells with a handful of configs and printing the whole config is
+// the costly part of each key. Configs that compare equal share the
+// first digest taken, even where they print differently (-0.0 and 0.0);
+// a config holding a NaN equals no config, itself included, so it is
+// digested afresh every time and never stored.
 func (c Config) Digest() string {
+	if c != c {
+		return c.digest()
+	}
+	digestMu.Lock()
+	defer digestMu.Unlock()
+	d, ok := digests[c]
+	if !ok {
+		d = c.digest()
+		digests[c] = d
+	}
+	return d
+}
+
+// digests is Digest's memo. Keying a map by Config keeps Config
+// comparable at compile time, which the memo relies on.
+var (
+	digestMu sync.Mutex
+	digests  = map[Config]string{}
+)
+
+func (c Config) digest() string {
 	h := sha256.Sum256([]byte(fmt.Sprintf("%#v", c)))
 	return hex.EncodeToString(h[:8])
 }
