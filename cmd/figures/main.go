@@ -56,6 +56,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -343,10 +344,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "figures: wrote %d events from %d runs to %s (load in Perfetto / chrome://tracing)\n",
 			sink.Events(), sink.Runs(), *fl.trace)
-		if d := sink.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "figures: trace rings dropped %d older events (each run keeps the newest %d per strand)\n",
-				d, obs.DefaultPerStrandEvents)
-		}
 	}
 	if tlSink != nil {
 		f, err := os.Create(*fl.timeline)
@@ -461,6 +458,11 @@ func parseThreads(s string) ([]int, error) {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n <= 0 || n > sim.MaxStrands {
 			return nil, fmt.Errorf("bad thread count %q (want 1..%d)", part, sim.MaxStrands)
+		}
+		if slices.Contains(out, n) {
+			// A repeat would submit every cell twice: one table row per
+			// count, but two CSV and JSON points per curve.
+			return nil, fmt.Errorf("repeated thread count %q", part)
 		}
 		out = append(out, n)
 	}

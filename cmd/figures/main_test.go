@@ -139,8 +139,10 @@ func TestFlagSurfaceCarriesTimeline(t *testing.T) {
 // and -timeline-window are rejected; zero keeps its documented meaning. A
 // window narrower than timeseries.MinWidth is rejected too: the recorder
 // would widen it silently while the cache keys named the narrower width.
-// The strand scheduler and a wall-clock cell budget are not command-line
-// choices: -sched and -cell-timeout are unknown flags.
+// A repeated thread count is rejected: it used to submit every cell twice,
+// printing one table row but two CSV and JSON points per curve. The strand
+// scheduler and a wall-clock cell budget are not command-line choices:
+// -sched and -cell-timeout are unknown flags.
 func TestInvalidFlagsRejected(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -152,6 +154,9 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{[]string{"-threads", "2,0"}, `"0"`},
 		{[]string{"-threads", "-3"}, `"-3"`},
 		{[]string{"-threads", "two"}, `"two"`},
+		{[]string{"-threads", "2,2"}, "repeated"},
+		{[]string{"-threads", "1,2, 1"}, "repeated"},
+		{[]string{"-threads", "4,1"}, ""},
 		{[]string{"-ops", "-5"}, "-ops"},
 		{[]string{"-ops", "0"}, "-ops"},
 		{[]string{"-msf-dim", "0"}, "-msf-dim"},

@@ -32,9 +32,6 @@ func NewPool(m *sim.Machine, nodeWords, capacity int) *Pool {
 	}
 }
 
-// NodeWords returns the block size in words.
-func (p *Pool) NodeWords() int { return p.nodeWords }
-
 // Get allocates a block for strand s: from its local free list if possible,
 // otherwise by a fetch-add on the shared bump pointer. It panics when the
 // arena is exhausted (experiments size pools up front).

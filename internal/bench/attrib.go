@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"rocktm/internal/core"
 	"rocktm/internal/cps"
@@ -150,36 +149,6 @@ func (r *AttribReport) systems() []string {
 		}
 	}
 	return out
-}
-
-// renderAligned writes rows as an aligned table with a rule under the
-// header (the same layout Figure.Render uses).
-func renderAligned(w io.Writer, rows [][]string) {
-	if len(rows) == 0 {
-		return
-	}
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for ri, row := range rows {
-		var sb strings.Builder
-		for i, cell := range row {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			sb.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
-			sb.WriteString(cell)
-		}
-		fmt.Fprintln(w, sb.String())
-		if ri == 0 {
-			fmt.Fprintln(w, strings.Repeat("-", len(sb.String())))
-		}
-	}
 }
 
 // Render writes the report: one summary table, then a per-system matrix of

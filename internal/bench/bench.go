@@ -30,13 +30,12 @@ import (
 var DefaultThreads = []int{1, 2, 3, 4, 6, 8, 12, 16}
 
 // Options scales experiments; the defaults run every figure in a few
-// minutes on a laptop. The paper's full parameters (1,000,000 operations
-// per thread, 3.6M-node roadmap) are reachable with -full.
+// minutes on a laptop. The paper ran 1,000,000 operations per thread;
+// OpsPerThread scales that down (cmd/figures' -ops flag).
 type Options struct {
 	Threads      []int
 	OpsPerThread int
 	Seed         uint64
-	Out          io.Writer
 
 	// Latency enables per-operation simulated-cycle latency capture on
 	// every workload-driven figure: each point then carries a
@@ -213,7 +212,16 @@ func (f *Figure) renderTable(w io.Writer, value func(Point) string) {
 		}
 		rows = append(rows, row)
 	}
-	widths := make([]int, len(header))
+	renderAligned(w, rows)
+}
+
+// renderAligned writes rows as an aligned table with a rule under the
+// header row: every figure table and the attribution report's tables.
+func renderAligned(w io.Writer, rows [][]string) {
+	if len(rows) == 0 {
+		return
+	}
+	widths := make([]int, len(rows[0]))
 	for _, row := range rows {
 		for i, cell := range row {
 			if len(cell) > widths[i] {

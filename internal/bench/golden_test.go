@@ -87,6 +87,25 @@ var goldenFigures = []struct {
 		},
 		digest: "b27cc7ec29aab6888fd6311100803969",
 	},
+	{
+		// The fleet experiment — the only multi-machine cells and the only
+		// consumer of an arrival process — pinned end to end: the diurnal
+		// arrival stream, routing, batching, 2PC and the per-shard window
+		// verdicts in its notes.
+		name: "fleet",
+		render: func() ([]byte, error) {
+			o := Options{OpsPerThread: 60, Seed: 1}
+			f, err := FleetFigure(o)
+			if err != nil {
+				return nil, err
+			}
+			var buf bytes.Buffer
+			f.Render(&buf)
+			f.CSV(&buf)
+			return buf.Bytes(), nil
+		},
+		digest: "d878f8e3b40e834d94a3a9a67589ad46",
+	},
 }
 
 func TestGoldenFigureBytes(t *testing.T) {

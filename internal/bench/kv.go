@@ -28,7 +28,7 @@ type kvConfig struct {
 
 	// keys optionally overrides the key distribution; the zero value means
 	// the legacy uniform draw over [0, keyRange). Skewed figures (the tail
-	// experiment) set it to a zipfian or hotspot distribution.
+	// experiment) set it to a zipfian distribution.
 	keys workload.Keys
 }
 

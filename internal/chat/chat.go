@@ -49,9 +49,6 @@ func NewServer(m *sim.Machine, vm *jvm.JVM, rooms int) *Server {
 	return srv
 }
 
-// Rooms returns the number of rooms.
-func (srv *Server) Rooms() int { return len(srv.rooms) }
-
 // Join adds a member to room i.
 func (srv *Server) Join(s *sim.Strand, i int) {
 	r := srv.rooms[i]

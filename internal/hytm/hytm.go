@@ -9,12 +9,12 @@
 // hardware path is roughly twice as expensive as PhTM's uninstrumented one
 // (the factor the paper observes in Figure 1).
 //
-// Retry intelligence lives in the shared internal/policy engine (default:
-// policy "paper" with HyTM's tuning; SetPolicy swaps in any registered
-// policy). HyTM's one system-specific wrinkle is the explicit TCC abort:
-// here it means the instrumentation found a software transaction owning
-// something we touched, and the right reaction is a charged backoff-retry
-// — not a wait — because the owner is making progress concurrently.
+// Retry intelligence lives in the shared internal/policy engine (policy
+// "paper" with HyTM's tuning). HyTM's one system-specific wrinkle is the
+// explicit TCC abort: here it means the instrumentation found a software
+// transaction owning something we touched, and the right reaction is a
+// charged backoff-retry — not a wait — because the owner is making
+// progress concurrently.
 package hytm
 
 import (
@@ -62,9 +62,7 @@ func (c Config) Tuning() policy.Tuning {
 
 // System is a HyTM instance over a HybridSTM back end.
 type System struct {
-	name  string
 	back  stm.HybridSTM
-	cfg   Config
 	pol   policy.Policy
 	stats *core.Stats
 }
@@ -73,23 +71,14 @@ type System struct {
 // concurrently, or its statistics will blend).
 func New(back stm.HybridSTM, cfg Config) *System {
 	return &System{
-		name:  "hytm",
 		back:  back,
-		cfg:   cfg,
 		pol:   policy.MustNew("paper", cfg.Tuning()),
 		stats: core.NewStats(),
 	}
 }
 
 // Name implements core.System.
-func (h *System) Name() string { return h.name }
-
-// SetName overrides the reported name.
-func (h *System) SetName(n string) { h.name = n }
-
-// SetPolicy replaces the retry policy driving the hardware attempts (the
-// default is "paper" with this system's tuning).
-func (h *System) SetPolicy(pol policy.Policy) { h.pol = pol }
+func (h *System) Name() string { return "hytm" }
 
 // Stats implements core.System: a merged snapshot of the hardware-path
 // counters and the software back end's.

@@ -49,8 +49,10 @@ func TestElisionTogglesCount(t *testing.T) {
 		if elide && st.HWCommits != 20 {
 			t.Errorf("elide=true: hw commits = %d, want 20", st.HWCommits)
 		}
-		if !elide && (st.HWCommits != 0 || st.LockAcquires != 20) {
-			t.Errorf("elide=false: hw=%d lock=%d, want 0/20", st.HWCommits, st.LockAcquires)
+		// Elision emitted but disabled (Section 7.2): no block attempts
+		// hardware, every block takes its monitor.
+		if !elide && (st.HWAttempts != 0 || st.HWCommits != 0 || st.LockAcquires != 20) {
+			t.Errorf("elide=false: attempts=%d hw=%d lock=%d, want 0/0/20", st.HWAttempts, st.HWCommits, st.LockAcquires)
 		}
 	}
 }

@@ -60,10 +60,6 @@ func (l *SpinLock) Release(s *sim.Strand) {
 	s.TraceEvent(obs.EvLockRelease, uint64(l.addr))
 }
 
-// Held reports whether the lock word is nonzero (a racy peek, used by
-// elision code inside transactions via Ctx.Load instead).
-func (l *SpinLock) Held(s *sim.Strand) bool { return s.Load(l.addr) != 0 }
-
 // RWLock is a reader-writer spinlock: the word holds 2*readers, with the
 // low bit set while a writer holds it.
 type RWLock struct {
@@ -136,9 +132,6 @@ func NewOneLock(m *sim.Machine) *OneLock {
 	return &OneLock{lock: NewSpinLock(m.Mem()), stats: core.NewStats()}
 }
 
-// Lock exposes the underlying lock (shared with a TLE system eliding it).
-func (o *OneLock) Lock() *SpinLock { return o.lock }
-
 // Name implements core.System.
 func (o *OneLock) Name() string { return "one-lock" }
 
@@ -168,9 +161,6 @@ type RW struct {
 func NewRW(m *sim.Machine) *RW {
 	return &RW{lock: NewRWLock(m.Mem()), stats: core.NewStats()}
 }
-
-// Lock exposes the underlying reader-writer lock.
-func (r *RW) Lock() *RWLock { return r.lock }
 
 // Name implements core.System.
 func (r *RW) Name() string { return "rw-lock" }

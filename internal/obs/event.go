@@ -1,15 +1,14 @@
 // Package obs is the machine-wide observability layer. The simulator's
 // transaction and lock hook points feed one stream of cycle-timestamped
 // events to every attached EventSink, and each consumer is just one sink
-// on that list: the ring-buffer Tracer behind the Chrome trace export, the
+// on that list: the Tracer behind the Chrome trace export, the
 // AbortProfile fold behind the paper's Table 4-style "why did transactions
 // fail" breakdowns, and the windowed recorder in obs/timeseries.
 //
 // The design constraint, inherited from the paper's methodology, is that
-// observing the system must not change it: recording an event is
-// allocation-free, charges no simulated cycles, and consumes no simulated
-// randomness, so a traced run is cycle-for-cycle identical to an untraced
-// one (asserted by tests). A machine with no sink attached pays one loop
+// observing the system must not change it: recording an event charges no
+// simulated cycles and consumes no simulated randomness, so a traced run
+// is cycle-for-cycle identical to an untraced one (asserted by tests). A machine with no sink attached pays one loop
 // over an empty list per hook point.
 //
 // obs sits below internal/sim in the import graph (sim calls into obs, not
@@ -79,14 +78,12 @@ func (k EventKind) String() string {
 }
 
 // Event is one cycle-timestamped trace record. It is a fixed-size value so
-// per-strand ring buffers hold events inline with no per-record allocation.
+// per-strand logs hold events inline with no per-record allocation.
 type Event struct {
 	// Cycle is the strand's virtual-time clock when the event occurred.
 	Cycle int64
 	// Arg carries kind-specific detail (CPS bits, lock address, ...).
 	Arg uint64
-	// Seq orders events recorded by one strand at the same cycle.
-	Seq uint32
 	// Strand is the recording strand's ID.
 	Strand int32
 	// Kind says what happened.
@@ -98,14 +95,13 @@ func (e Event) CPS() cps.Bits { return cps.Bits(e.Arg) }
 
 // EventSink receives the simulator's hook-point stream, one call per event,
 // as it happens (attach one with sim.Machine.AttachEventSink). The Tracer
-// retains the stream in rings that can wrap; a fold such as AbortProfile
-// or the windowed timeseries recorder keeps only its own aggregate, so it
-// never loses history.
+// keeps the whole stream; a fold such as AbortProfile or the windowed
+// timeseries recorder keeps only its own aggregate.
 //
 // Implementations must obey the observation contract: SinkEvent charges no
-// simulated cycles, consumes no simulated randomness, and its steady-state
-// path is allocation-free, so a run with a sink attached is cycle-identical
-// to one without.
+// simulated cycles and consumes no simulated randomness, so a run with a
+// sink attached is cycle-identical to one without. The folds' steady-state
+// path is allocation-free; the Tracer allocates only when a log grows.
 type EventSink interface {
 	SinkEvent(strand int, cycle int64, kind EventKind, arg uint64)
 }

@@ -158,15 +158,13 @@ type sinkRun struct {
 	label   string
 	freqGHz float64
 	events  []Event
-	dropped uint64
 	tracks  []CounterTrack
 }
 
 // Add deposits one finished run's trace under the given label: the
-// tracer's merged event stream, its clock frequency and the number of
-// events its rings overwrote.
+// tracer's merged event stream and its clock frequency.
 func (k *TraceSink) Add(label string, t *Tracer) {
-	k.runs = append(k.runs, sinkRun{label: label, freqGHz: t.FreqGHz(), events: t.Merged(), dropped: t.Dropped()})
+	k.runs = append(k.runs, sinkRun{label: label, freqGHz: t.FreqGHz(), events: t.Merged()})
 }
 
 // CounterPoint is one sample of a counter track: the simulated cycle it
@@ -222,16 +220,6 @@ func (k *TraceSink) Events() int {
 	n := 0
 	for _, r := range k.runs {
 		n += len(r.events)
-	}
-	return n
-}
-
-// Dropped returns how many events the deposited runs lost to ring
-// wrap-around; the export holds only each ring's newest events.
-func (k *TraceSink) Dropped() uint64 {
-	var n uint64
-	for _, r := range k.runs {
-		n += r.dropped
 	}
 	return n
 }

@@ -38,7 +38,7 @@ func TestTraceSinkZeroRuns(t *testing.T) {
 // shows up in Perfetto.
 func TestTraceSinkEmptyEventRun(t *testing.T) {
 	var k TraceSink
-	k.Add("idle-run", NewTracer(1, 1))
+	k.Add("idle-run", NewTracer(1))
 	var buf bytes.Buffer
 	if err := k.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestTraceSinkEmptyEventRun(t *testing.T) {
 // the document: the timeline prints its "?" mnemonic, the Chrome writer
 // skips the body but keeps the thread metadata.
 func TestExportUnknownEventKind(t *testing.T) {
-	tr := NewTracer(1, 4)
+	tr := NewTracer(1)
 	tr.SinkEvent(0, 10, EvTxBegin, 0)
 	tr.SinkEvent(0, 20, EventKind(250), 7)
 	tr.SinkEvent(0, 30, EvTxCommit, 1)
@@ -107,7 +107,7 @@ func TestExportUnknownEventKind(t *testing.T) {
 // labels deposit a counter-only run that still renders.
 func TestAddCountersMergeAndStandalone(t *testing.T) {
 	var k TraceSink
-	tr := NewTracer(1, 1)
+	tr := NewTracer(1)
 	tr.SinkEvent(0, 5, EvTxBegin, 0)
 	k.Add("run-a", tr)
 	k.AddCounters("run-a", 1.0, []CounterTrack{

@@ -14,7 +14,7 @@
 //
 // Retry intelligence lives in the shared internal/policy engine: the
 // default is the paper's Section 6.1 heuristics (policy "paper" with
-// PhTM's tuning), and SetPolicy swaps in any registered policy. The one
+// PhTM's tuning), and SetPolicy swaps in any other policy instance. The one
 // PhTM-specific rule is the explicit TCC abort — it means software
 // transactions are still draining, so the engine's Wait verdict is
 // served here by spinning until the stragglers finish (or the whole
@@ -27,7 +27,6 @@ import (
 	"rocktm/internal/policy"
 	"rocktm/internal/rock"
 	"rocktm/internal/sim"
-	"rocktm/internal/stm"
 )
 
 // Config tunes the policy.
@@ -73,10 +72,10 @@ func (c Config) Tuning() policy.Tuning {
 	}
 }
 
-// System is a PhTM instance over an STM back end.
+// System is a PhTM instance over a software TM back end.
 type System struct {
 	name    string
-	back    stm.STM
+	back    core.System
 	cfg     Config
 	pol     policy.Policy
 	swMode  sim.Addr // software-phase countdown; 0 = hardware phase
@@ -84,8 +83,8 @@ type System struct {
 	stats   *core.Stats
 }
 
-// New builds a PhTM system over machine m and back end back.
-func New(m *sim.Machine, back stm.STM, cfg Config) *System {
+// New builds a PhTM system over machine m and software TM back end back.
+func New(m *sim.Machine, back core.System, cfg Config) *System {
 	return &System{
 		name:    "phtm",
 		back:    back,

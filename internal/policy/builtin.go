@@ -2,12 +2,6 @@ package policy
 
 import "rocktm/internal/cps"
 
-func init() {
-	Register("naive", func(t Tuning) Policy { return &Naive{t: t} })
-	Register("paper", func(t Tuning) Policy { return &Paper{t: t} })
-	Register("adaptive", func(t Tuning) Policy { return NewAdaptive(t) })
-}
-
 // Naive is the "very simplistic policy" of the paper's C++ STL vector
 // experiment (Section 7.1): retry a fixed number of times, consult the
 // CPS register for nothing. Every failure counts one full point and no

@@ -29,14 +29,13 @@
 // active" under PhTM, so the engine hands Wait back to the caller, the
 // caller performs its own wait, and then consults Engine.Exhausted.
 //
-// See docs/POLICY.md for how to write and register a custom policy and
+// See docs/POLICY.md for how to write and attach a custom policy and
 // docs/ABORT-PLAYBOOK.md for what each CPS bit means and how each
 // built-in policy reacts to it.
 package policy
 
 import (
 	"fmt"
-	"sort"
 
 	"rocktm/internal/core"
 	"rocktm/internal/cps"
@@ -140,10 +139,6 @@ type Engine struct {
 func Start(pol Policy, site uint32) Engine {
 	return Engine{pol: pol, site: site}
 }
-
-// Attempt returns the number of failures consumed so far (equivalently,
-// the 0-based index of the attempt currently in flight).
-func (e *Engine) Attempt() int { return e.attempt }
 
 // Score returns the accumulated failure score.
 func (e *Engine) Score() float64 { return e.score }
@@ -262,33 +257,20 @@ func DefaultTuning() Tuning {
 	}
 }
 
-// Builder constructs a policy instance from a tuning. Registered builders
-// back New; each experiment cell builds fresh instances so learning state
-// never leaks between cells.
-type Builder func(Tuning) Policy
-
-// builders is the policy registry. Registration happens at init time (and
-// from tests); lookup is read-only afterwards, so no locking is needed
-// under the simulator's single-driver execution model.
-var builders = map[string]Builder{}
-
-// Register adds a named policy builder. Registering a name twice panics:
-// it is a programming error that would make experiment output depend on
-// package-init order.
-func Register(name string, b Builder) {
-	if _, dup := builders[name]; dup {
-		panic(fmt.Sprintf("policy: duplicate registration of %q", name))
-	}
-	builders[name] = b
-}
-
-// New builds a registered policy by name.
+// New builds one of the built-in policies ("naive", "paper", "adaptive")
+// by name. Each experiment cell builds fresh instances so learning state
+// never leaks between cells. A policy defined elsewhere needs no name: pass
+// its instance to the TM system's SetPolicy.
 func New(name string, t Tuning) (Policy, error) {
-	b, ok := builders[name]
-	if !ok {
-		return nil, fmt.Errorf("policy: unknown policy %q; registered: %v", name, Names())
+	switch name {
+	case "naive":
+		return &Naive{t: t}, nil
+	case "paper":
+		return &Paper{t: t}, nil
+	case "adaptive":
+		return NewAdaptive(t), nil
 	}
-	return b(t), nil
+	return nil, fmt.Errorf("policy: unknown policy %q; known: [adaptive naive paper]", name)
 }
 
 // MustNew is New for statically known names; it panics on error.
@@ -298,14 +280,4 @@ func MustNew(name string, t Tuning) Policy {
 		panic(err)
 	}
 	return p
-}
-
-// Names lists the registered policy names in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(builders))
-	for n := range builders {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

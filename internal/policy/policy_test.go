@@ -221,27 +221,25 @@ func TestAdaptiveTCCNotRecorded(t *testing.T) {
 	}
 }
 
-// TestRegistry checks the lookup surface: the three built-ins are
-// registered, unknown names error with the full list, and duplicate
-// registration panics.
+// TestRegistry checks New's name table: each built-in name builds a fresh
+// policy that reports that name, and an unknown name errors with the list
+// of known ones.
 func TestRegistry(t *testing.T) {
-	names := policy.Names()
-	joined := strings.Join(names, " ")
-	for _, want := range []string{"naive", "paper", "adaptive"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("Names() = %v, missing %q", names, want)
+	for _, name := range []string{"naive", "paper", "adaptive"} {
+		a, err := policy.New(name, policy.DefaultTuning())
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		if a.Name() != name {
+			t.Errorf("New(%q).Name() = %q", name, a.Name())
+		}
+		if b := policy.MustNew(name, policy.DefaultTuning()); b == a {
+			t.Errorf("New(%q) returned a shared instance", name)
 		}
 	}
 	if _, err := policy.New("no-such-policy", policy.DefaultTuning()); err == nil {
 		t.Error("New(unknown) did not error")
 	} else if !strings.Contains(err.Error(), "naive") {
-		t.Errorf("unknown-policy error does not list registered names: %v", err)
+		t.Errorf("unknown-policy error does not list the known names: %v", err)
 	}
-	policy.Register("policy-test-dup", func(policy.Tuning) policy.Policy { return nil })
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	policy.Register("policy-test-dup", func(policy.Tuning) policy.Policy { return nil })
 }

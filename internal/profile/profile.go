@@ -67,9 +67,6 @@ type OpProfile struct {
 	BankWords [2]int
 	// Upgrades counts lines read before being written.
 	Upgrades int
-	// StackWrites is always 0 in this model (documented divergence: stack
-	// traffic inside transactions is not simulated).
-	StackWrites int
 }
 
 // recorder captures read/write sets through a wrapped Ctx. All of its

@@ -31,11 +31,6 @@ type Txn struct {
 	s *sim.Strand
 }
 
-// On builds the attempt handle for strand s. It exists so callers that
-// cache per-strand hardware contexts (sky.System.HWCtx) can construct the
-// value once instead of threading it out of Try.
-func On(s *sim.Strand) Txn { return Txn{s: s} }
-
 // Strand returns the underlying strand (for cost accounting helpers).
 func (t Txn) Strand() *sim.Strand { return t.s }
 
@@ -98,9 +93,6 @@ func (t Txn) Exec(codePage int32) {
 		panic(txFailed{})
 	}
 }
-
-// StackWrite models a store to the stack (profiled, not store-queued).
-func (t Txn) StackWrite() { t.s.TxStackWrite() }
 
 // Advance charges pure compute cycles inside the transaction.
 func (t Txn) Advance(n int64) { t.s.Advance(n) }

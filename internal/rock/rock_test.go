@@ -148,7 +148,7 @@ func TestStackWriteAndAdvanceInsideTxn(t *testing.T) {
 	m := newMachine()
 	m.Run(func(s *sim.Strand) {
 		ok, _ := Try(s, func(tx Txn) {
-			tx.StackWrite()
+			tx.Strand().TxStackWrite()
 			tx.Advance(25)
 		})
 		if !ok {

@@ -83,13 +83,11 @@ func TestFleetRunCompletes(t *testing.T) {
 func TestCrossFractionDoesNotPerturbPrimaryStream(t *testing.T) {
 	trace := func(crossPct int) []Op {
 		load := testLoad(100, crossPct)
-		sp := workload.KVSpec(load.Keys, load.PctLookup)
-		sp.Arrival = load.Arrival
-		c, err := sp.Compile()
+		c, err := workload.KVSpec(load.Keys, load.PctLookup).Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := c.Source(load.Seed)
+		src := c.Source(load.Seed, load.Arrival)
 		var ops []Op
 		for i := 0; i < load.Requests; i++ {
 			src.NextArrival()
@@ -231,5 +229,14 @@ func TestFleetConfigValidation(t *testing.T) {
 	}
 	if _, err := f.Run(LoadSpec{Requests: 1, PctLookup: 50, Keys: workload.Uniform(64), CrossPct: 101}); err == nil {
 		t.Error("CrossPct=101 accepted")
+	}
+	for _, a := range []workload.Arrival{
+		{MeanGap: -1},
+		workload.Diurnal(100, 1, 0, 0.5),
+		{MeanGap: 100, Shape: workload.Shape(99)},
+	} {
+		if _, err := f.Run(LoadSpec{Requests: 1, PctLookup: 50, Keys: workload.Uniform(64), Arrival: a}); err == nil {
+			t.Errorf("arrival %+v accepted", a)
+		}
 	}
 }

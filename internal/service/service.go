@@ -291,8 +291,10 @@ type LoadSpec struct {
 // spec compiles the load into the workload layer's declarative form.
 func (l LoadSpec) spec() (workload.Spec, error) {
 	sp := workload.KVSpec(l.Keys, l.PctLookup)
-	sp.Arrival = l.Arrival
 	if err := sp.Validate(); err != nil {
+		return sp, err
+	}
+	if err := l.Arrival.Validate(); err != nil {
 		return sp, err
 	}
 	if l.Requests <= 0 {
@@ -356,7 +358,7 @@ func (f *Fleet) Run(load LoadSpec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	src := compiled.Source(load.Seed)
+	src := compiled.Source(load.Seed, load.Arrival)
 	for i := 0; i < load.Requests; i++ {
 		at := src.NextArrival()
 		opIdx, key := src.Next()

@@ -157,21 +157,6 @@ func (c *l1Cache) clearMark(line int32) {
 	}
 }
 
-// markedCountInSet returns how many ways of line's set are marked. Used by
-// the failure-analysis profiler (Section 6.1 reports the maximum number of
-// read-set lines mapping to a single L1 set).
-func (c *l1Cache) markedCountInSet(line int32) int {
-	base := c.setBase(line)
-	set := c.slots[base : base+c.ways]
-	n := 0
-	for w := range set {
-		if set[w].marked && set[w].tag != -1 {
-			n++
-		}
-	}
-	return n
-}
-
 // l2Cache models the shared, inclusive second-level cache. Evicting a line
 // from L2 back-invalidates every L1 copy; if one of those copies was
 // transactionally marked, the owning transaction aborts with CPS=COH — the

@@ -460,10 +460,10 @@ func (m *Machine) AttachEventSink(k obs.EventSink) {
 	}
 }
 
-// StartTrace attaches a fresh ring-buffer tracer, at the obs default
-// per-strand capacity and the machine's clock frequency, and returns it.
+// StartTrace attaches a fresh tracer at the machine's clock frequency and
+// returns it.
 func (m *Machine) StartTrace() *obs.Tracer {
-	t := obs.NewTracer(len(m.strands), 0)
+	t := obs.NewTracer(len(m.strands))
 	t.SetFreqGHz(m.cfg.Costs.FreqGHz)
 	m.AttachEventSink(t)
 	return t

@@ -59,8 +59,8 @@ type pageMeta struct {
 //
 // Frames are backed on a page's first touch: by the L1 fill of a load or
 // store, by the pre-fill arbitration probe of the committer-wins and
-// timestamp designs, or by Poke and PokeRange. Experiments configure tens
-// of megabytes of simulated memory and allocate large tables (SkySTM's
+// timestamp designs, or by Poke. Experiments configure tens of megabytes
+// of simulated memory and allocate large tables (SkySTM's
 // orec and reader shards alone are 5 × 2^16 words) of which a run touches
 // a few pages, so the host pays for the pages simulated code touches, not
 // for the configured size or the allocator's high-water mark. An unbacked
@@ -199,14 +199,4 @@ func (m *Memory) Peek(a Addr) Word {
 		return 0
 	}
 	return *m.frames[p].word(a)
-}
-
-// PokeRange fills [a, a+len(ws)) directly.
-func (m *Memory) PokeRange(a Addr, ws []Word) {
-	for len(ws) > 0 {
-		f := m.frame(PageOf(a))
-		n := copy(f.words[a&(PageWords-1):], ws)
-		a += Addr(n)
-		ws = ws[n:]
-	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestMemoryMatchesReference is a seeded differential test of the
-// frame-backed memory. It drives random Alloc, Poke, PokeRange, Peek and
+// frame-backed memory. It drives random Alloc, Poke, runs of Poke, Peek and
 // Remap calls between runs, and random Load, Store, CAS, Add and
 // transactional sequences inside them, on 2–4 strands under every named
 // design point, and checks every value read against a flat reference map of
@@ -116,18 +116,18 @@ func (d *memoryDiff) setup() {
 			}
 		case 2:
 			if len(d.mapped) > 0 {
-				// Up to two pages from a mapped page's start: the range
-				// may cross into the next page, which is mapped too unless
-				// a is on the last one.
+				// A run of Pokes, up to two pages from a mapped page's
+				// start: the run may cross into the next page, which is
+				// mapped too unless a is on the last one.
 				p := d.mapped[d.rng.IntN(len(d.mapped))]
 				a := Addr(p)*PageWords + Addr(d.rng.IntN(PageWords))
 				end := Addr(d.mapped[len(d.mapped)-1]+1) * PageWords
-				ws := make([]Word, min(1+d.rng.IntN(2*PageWords), int(end-a)))
-				for j := range ws {
-					ws[j] = d.rng.Uint64()
-					d.ref[a+Addr(j)] = ws[j]
+				n := min(1+d.rng.IntN(2*PageWords), int(end-a))
+				for j := 0; j < n; j++ {
+					w := d.rng.Uint64()
+					d.mem.Poke(a+Addr(j), w)
+					d.ref[a+Addr(j)] = w
 				}
-				d.mem.PokeRange(a, ws)
 			}
 		case 3:
 			d.peek(Addr(d.rng.IntN(d.mem.Size() + PageWords)))

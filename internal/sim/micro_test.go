@@ -115,11 +115,11 @@ func TestL1InvalidateAndMarkClear(t *testing.T) {
 	c := newL1(4, 2)
 	_, _, _, idx := c.access(9)
 	c.mark(idx)
-	if n := c.markedCountInSet(9); n != 1 {
-		t.Fatalf("markedCountInSet = %d", n)
+	if !c.slots[idx].marked {
+		t.Fatal("mark did not mark the slot")
 	}
 	c.clearMark(9)
-	if n := c.markedCountInSet(9); n != 0 {
+	if c.slots[idx].marked {
 		t.Fatal("clearMark left the mark")
 	}
 	c.mark(c.lookup(9))

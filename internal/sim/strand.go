@@ -111,12 +111,6 @@ func (s *Strand) ID() int { return s.id }
 // Clock returns the strand's virtual time in cycles.
 func (s *Strand) Clock() int64 { return s.clock }
 
-// Machine returns the owning machine.
-func (s *Strand) Machine() *Machine { return s.m }
-
-// Mem returns the shared simulated memory.
-func (s *Strand) Mem() *Memory { return s.m.mem }
-
 // Stats returns a copy of the strand's event counters.
 func (s *Strand) Stats() Stats { return s.stats }
 

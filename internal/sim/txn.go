@@ -47,10 +47,6 @@ type txnState struct {
 	deferred       int
 	lastLoadMissed bool
 
-	reads, writes int
-	upgrades      int // lines read first, written later
-	stackWrites   int
-
 	// Non-default HTM design state (Config.HTM); all three stay zero under
 	// the Rock default. sticky counts marked-line displacements absorbed by
 	// the sticky overflow set this attempt; rolledBack counts undo-log
@@ -89,7 +85,6 @@ func (s *Strand) TxBegin() {
 	// never perturbs the default design's streams.
 	t.ts = s.m.txSeq
 	s.m.txSeq++
-	t.reads, t.writes, t.upgrades, t.stackWrites = 0, 0, 0, 0
 	s.m.activeMask |= s.bit
 	s.stats.TxBegins++
 	s.TraceEvent(obs.EvTxBegin, 0)
@@ -211,7 +206,6 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 		if i, ok := t.fwd.get(uint32(a)); ok {
 			s.clock += s.m.cfg.Costs.L1Hit
 			t.lastLoadMissed = false
-			t.reads++
 			return t.storeVals[i], true
 		}
 	}
@@ -264,7 +258,6 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 		s.loadConflict(lm)
 	}
 	t.lastLoadMissed = !hit
-	t.reads++
 	return *f.word(a), true
 }
 
@@ -364,9 +357,6 @@ func (s *Strand) TxStore(a Addr, w Word) bool {
 	// directory deref (fill guarantees idx holds the line).
 	f := s.frames[p]
 	lm := f.dir(line)
-	if lm.marked&s.bit != 0 && lm.written&s.bit == 0 {
-		t.upgrades++
-	}
 	if lm.marked&s.bit == 0 {
 		lm.marked |= s.bit
 		t.marked = append(t.marked, line)
@@ -398,7 +388,6 @@ func (s *Strand) TxStore(a Addr, w Word) bool {
 		t.storeVals = append(t.storeVals, w)
 		t.fwd.put(uint32(a), int32(len(t.storeVals)-1))
 	}
-	t.writes++
 	return true
 }
 
@@ -453,13 +442,6 @@ func (s *Strand) TxSaveRestore() bool {
 	return false
 }
 
-// TxUnsupported models any other instruction unsupported in transactions.
-func (s *Strand) TxUnsupported() bool {
-	s.advance(s.m.cfg.Costs.Op)
-	s.txAbort(instBit)
-	return false
-}
-
 // TxDiv models a divide instruction, unsupported inside transactions
 // (CPS=FP) — the reason the Java Hashtable benchmark factored a divide out
 // of its hash function (Section 7.2).
@@ -495,12 +477,11 @@ func (s *Strand) TxExec(codePage int32) bool {
 	return true
 }
 
-// TxStackWrite models a store to the thread's stack inside the transaction
-// (counted for Section 6.1 profiling; it consumes no store-queue entry in
-// this model, a documented divergence).
+// TxStackWrite models a store to the thread's stack inside the transaction:
+// it costs one instruction and consumes no store-queue entry in this
+// model, a documented divergence.
 func (s *Strand) TxStackWrite() {
 	s.advance(s.m.cfg.Costs.Op)
-	s.tx.stackWrites++
 }
 
 // TxCommit attempts to commit: the gated stores drain to memory atomically.
@@ -550,34 +531,3 @@ func (s *Strand) TxCommit() bool {
 	s.TraceEvent(obs.EvTxCommit, uint64(drained))
 	return true
 }
-
-// ---- Profiling accessors (Section 6.1 failure analysis) ----
-
-// TxReadSetLines returns the cache lines currently transactionally marked
-// (read or written) by the in-flight or just-committed attempt. The slice
-// is a copy.
-func (s *Strand) TxReadSetLines() []int32 {
-	out := make([]int32, len(s.tx.marked))
-	copy(out, s.tx.marked)
-	return out
-}
-
-// TxWriteAddrs returns the addresses in the store queue (a copy).
-func (s *Strand) TxWriteAddrs() []Addr {
-	out := make([]Addr, len(s.tx.storeAddrs))
-	copy(out, s.tx.storeAddrs)
-	return out
-}
-
-// TxCounts returns (reads, writes, upgrades, stackWrites) for the current
-// attempt.
-func (s *Strand) TxCounts() (reads, writes, upgrades, stackWrites int) {
-	return s.tx.reads, s.tx.writes, s.tx.upgrades, s.tx.stackWrites
-}
-
-// MarkedInSet returns how many ways of the L1 set that line maps to are
-// currently transactionally marked.
-func (s *Strand) MarkedInSet(line int32) int { return s.l1.markedCountInSet(line) }
-
-// L1Sets returns the number of L1 sets (for profiling tools).
-func (s *Strand) L1Sets() int { return s.l1.sets }

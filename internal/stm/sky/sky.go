@@ -36,7 +36,6 @@ const (
 
 // System is a Sky instance.
 type System struct {
-	name    string
 	orecs   stm.OrecTable
 	readers [readerShards]sim.Addr // shard tables, each orecs.Size() words
 	stats   *core.Stats
@@ -50,7 +49,6 @@ func New(m *sim.Machine) *System { return NewSized(m, stm.DefaultOrecs) }
 // NewSized builds a Sky system with n orecs.
 func NewSized(m *sim.Machine, n int) *System {
 	sys := &System{
-		name:   "stm",
 		orecs:  stm.NewOrecTable(m.Mem(), n),
 		stats:  core.NewStats(),
 		byID:   make([]*txn, m.Config().Strands),
@@ -70,10 +68,7 @@ func NewSized(m *sim.Machine, n int) *System {
 var _ stm.HybridSTM = (*System)(nil)
 
 // Name implements core.System.
-func (y *System) Name() string { return y.name }
-
-// SetName overrides the reported name (hybrids relabel their back end).
-func (y *System) SetName(n string) { y.name = n }
+func (y *System) Name() string { return "stm" }
 
 // Stats implements core.System.
 func (y *System) Stats() *core.Stats { return y.stats }

@@ -1,6 +1,7 @@
 // Package stm holds the infrastructure shared by the software transactional
-// memories: the ownership-record (orec) table, and the interfaces through
-// which the HyTM and PhTM hybrids compose with an STM back end.
+// memories: the ownership-record (orec) table, and the interface through
+// which the HyTM hybrid composes with an STM back end (PhTM takes any
+// core.System as its back end).
 //
 // Orecs live in *simulated* memory. That single decision is what makes the
 // hybrids work the way the paper's do: a hardware transaction that loads an
@@ -67,19 +68,14 @@ func Version(o sim.Word) sim.Word { return o >> 1 }
 // MakeOrec builds an orec value from a version number.
 func MakeOrec(version sim.Word) sim.Word { return version << 1 }
 
-// STM is a software TM that can run standalone as a core.System.
-type STM interface {
-	core.System
-}
-
-// HybridSTM is an STM whose metadata a best-effort hardware transaction can
-// check access-by-access, enabling HyTM: HWCtx returns an instrumented
-// hardware execution context that aborts (explicit TCC trap) on any
-// conflict with concurrent software transactions. Of the two STMs here only
-// SkySTM supports this — hardware stores must be able to see software
-// *readers*, which requires (semi-)visible reader metadata.
+// HybridSTM is a software TM (a core.System) whose metadata a best-effort
+// hardware transaction can check access-by-access, enabling HyTM: HWCtx
+// returns an instrumented hardware execution context that aborts (explicit
+// TCC trap) on any conflict with concurrent software transactions. Of the
+// two STMs here only SkySTM supports this — hardware stores must be able to
+// see software *readers*, which requires (semi-)visible reader metadata.
 type HybridSTM interface {
-	STM
+	core.System
 	HWCtx(t rock.Txn) core.Ctx
 }
 

@@ -24,7 +24,6 @@ const bookkeepCost = 2
 // System is a TL2 instance: orec table and global clock in simulated
 // memory.
 type System struct {
-	name  string
 	orecs stm.OrecTable
 	clock sim.Addr
 	stats *core.Stats
@@ -37,7 +36,6 @@ func New(m *sim.Machine) *System { return NewSized(m, stm.DefaultOrecs) }
 // NewSized builds a TL2 system with n orecs.
 func NewSized(m *sim.Machine, n int) *System {
 	sys := &System{
-		name:  "stm-tl2",
 		orecs: stm.NewOrecTable(m.Mem(), n),
 		clock: m.Mem().AllocLines(sim.WordsPerLine),
 		stats: core.NewStats(),
@@ -47,10 +45,7 @@ func NewSized(m *sim.Machine, n int) *System {
 }
 
 // Name implements core.System.
-func (y *System) Name() string { return y.name }
-
-// SetName overrides the reported name (hybrids relabel their back end).
-func (y *System) SetName(n string) { y.name = n }
+func (y *System) Name() string { return "stm-tl2" }
 
 // Stats implements core.System.
 func (y *System) Stats() *core.Stats { return y.stats }

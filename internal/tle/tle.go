@@ -12,10 +12,10 @@
 // the JVM, MSF and ablation callers); it compiles down to either the
 // "paper" policy (UseCPS true — the Section 6.1 heuristics, with TLE's
 // back-off-on-UCTI wrinkle) or the "naive" policy (UseCPS false — the STL
-// vector experiment's fixed-count loop). SetPolicy swaps in any registered
-// policy. TLE's system-specific rule is the explicit TCC abort: it means
-// the lock is really held, so the engine's Wait verdict is served here by
-// spinning (with backoff) until the lock word reads free.
+// vector experiment's fixed-count loop). TLE's system-specific rule is the
+// explicit TCC abort: it means the lock is really held, so the engine's
+// Wait verdict is served here by spinning (with backoff) until the lock
+// word reads free.
 package tle
 
 import (
@@ -116,7 +116,7 @@ func SimplePolicy(n int) Policy {
 	return Policy{MaxFailures: float64(n), UCTIWeight: 1, UseCPS: false}
 }
 
-// build compiles the experiment-facing configuration down to a registered
+// build compiles the experiment-facing configuration down to a built-in
 // policy-engine instance: "paper" when CPS guidance is on, "naive" when it
 // is off. TLE's tuning wrinkles: it backs off on a UCTI failure whose
 // companion bits include a BackoffOn reason (PhTM and HyTM retry such
@@ -144,33 +144,20 @@ func (pol Policy) build() policy.Policy {
 type System struct {
 	name     string
 	lock     ElidableLock
-	cfg      Policy
 	pol      policy.Policy
 	stats    *core.Stats
-	enabled  bool
 	throttle *Throttle
 }
 
 // New builds a TLE system over the given lock.
 func New(name string, lock ElidableLock, pol Policy) *System {
 	return &System{
-		name:    name,
-		lock:    lock,
-		cfg:     pol,
-		pol:     pol.build(),
-		stats:   core.NewStats(),
-		enabled: true,
+		name:  name,
+		lock:  lock,
+		pol:   pol.build(),
+		stats: core.NewStats(),
 	}
 }
-
-// SetPolicy replaces the retry policy driving elision attempts (the
-// default is the one compiled from the Policy config passed to New). The
-// policy's Wait verdict is always served by the lock-held spin.
-func (t *System) SetPolicy(pol policy.Policy) { t.pol = pol }
-
-// SetEnabled turns elision off (every block acquires the lock), modelling
-// "code for TLE emitted, but with the feature disabled" (Section 7.2).
-func (t *System) SetEnabled(on bool) { t.enabled = on }
 
 // Name implements core.System.
 func (t *System) Name() string { return t.name }
@@ -201,52 +188,49 @@ func (t *System) run(s *sim.Strand, body func(core.Ctx), ro bool) {
 
 func (t *System) executeOn(s *sim.Strand, lock ElidableLock, body func(core.Ctx), ro bool) {
 	st := t.stats
-	if t.enabled {
-		// When TLE is compiled in, the wrapper itself costs a little even
-		// when disabled; charge the dispatch overhead symmetrically.
-		s.Advance(2)
-		sawCOH := false
-		fellToLock := false
-		if t.throttle != nil {
-			took := t.throttle.enter(s)
-			defer func() { t.throttle.leave(s, took, sawCOH && fellToLock) }()
-		}
-		lockAddr := lock.Addr()
-		st.HWBlocks++
-		// Bind the engine once per block; its budget check replaces the old
-		// hand-rolled failScore loop (the top-of-loop test preserves the
-		// zero-budget SimplePolicy(0) case: no attempt at all).
-		eng := policy.Start(t.pol, 0)
-	attempts:
-		for !eng.Exhausted() {
-			st.HWAttempts++
-			ok, c := Try(s, lockAddr, body)
-			if ok {
-				st.HWCommits++
-				st.Ops++
-				eng.OnCommit()
-				return
-			}
-			if c.Has(cps.COH) {
-				sawCOH = true
-			}
-			st.RecordFailure(c)
-			switch eng.OnFailure(s, c) {
-			case policy.Wait:
-				// The explicit abort: the lock was really held. Wait for it
-				// to free up, then retry (the loop condition re-checks the
-				// budget, which the wait's charge may have exhausted).
-				for spin := 0; s.Load(lockAddr) != 0; spin++ {
-					core.Backoff(s, spin)
-				}
-			case policy.Fallback:
-				break attempts
-			}
-		}
-		eng.OnFallback()
-		fellToLock = true
-		s.TraceEvent(obs.EvFallback, uint64(lock.Addr()))
+	// The elision wrapper's dispatch costs a little on every block.
+	s.Advance(2)
+	sawCOH := false
+	fellToLock := false
+	if t.throttle != nil {
+		took := t.throttle.enter(s)
+		defer func() { t.throttle.leave(s, took, sawCOH && fellToLock) }()
 	}
+	lockAddr := lock.Addr()
+	st.HWBlocks++
+	// Bind the engine once per block; its budget check replaces the old
+	// hand-rolled failScore loop (the top-of-loop test preserves the
+	// zero-budget SimplePolicy(0) case: no attempt at all).
+	eng := policy.Start(t.pol, 0)
+attempts:
+	for !eng.Exhausted() {
+		st.HWAttempts++
+		ok, c := Try(s, lockAddr, body)
+		if ok {
+			st.HWCommits++
+			st.Ops++
+			eng.OnCommit()
+			return
+		}
+		if c.Has(cps.COH) {
+			sawCOH = true
+		}
+		st.RecordFailure(c)
+		switch eng.OnFailure(s, c) {
+		case policy.Wait:
+			// The explicit abort: the lock was really held. Wait for it
+			// to free up, then retry (the loop condition re-checks the
+			// budget, which the wait's charge may have exhausted).
+			for spin := 0; s.Load(lockAddr) != 0; spin++ {
+				core.Backoff(s, spin)
+			}
+		case policy.Fallback:
+			break attempts
+		}
+	}
+	eng.OnFallback()
+	fellToLock = true
+	s.TraceEvent(obs.EvFallback, uint64(lock.Addr()))
 	lock.Acquire(s, ro)
 	body(core.Raw{S: s})
 	lock.Release(s, ro)

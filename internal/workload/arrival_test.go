@@ -4,9 +4,8 @@ import (
 	"testing"
 )
 
-// The shaped arrivals render canonically — these strings enter
-// runner.Spec.Params as cache keys, so the forms are pinned — and the
-// constant form stays byte-identical to the pre-shape rendering.
+// The arrivals render canonically — these strings enter runner.Spec.Params
+// as cache keys, so the forms are pinned.
 func TestArrivalCanonicalStrings(t *testing.T) {
 	cases := []struct {
 		a    Arrival
@@ -15,7 +14,6 @@ func TestArrivalCanonicalStrings(t *testing.T) {
 		{Arrival{}, "closed"},
 		{Arrival{MeanGap: 200, Seed: 9}, "open:200:9"},
 		{Diurnal(512, 7, 1e6, 0.5), "diurnal:512:7:1e+06:0.5"},
-		{FlashCrowd(256, 3, 50000, 20000, 8), "flash:256:3:50000:20000:8"},
 	}
 	for _, c := range cases {
 		if got := c.a.String(); got != c.want {
@@ -24,22 +22,17 @@ func TestArrivalCanonicalStrings(t *testing.T) {
 	}
 }
 
-// Shape parameters are validated through Spec.Validate.
+// Shape parameters are validated through Arrival.Validate.
 func TestArrivalShapeValidation(t *testing.T) {
-	base := Spec{Ops: KVMix(50), Roll: 100, Keys: Uniform(64)}
 	bad := []Arrival{
 		{MeanGap: -1},
 		Diurnal(100, 1, 0, 0.5),          // Period <= 0
 		Diurnal(100, 1, 1e6, 1.0),        // Amplitude out of [0,1)
 		Diurnal(100, 1, 1e6, -0.1),       // negative Amplitude
-		FlashCrowd(100, 1, 0, 10, 0),     // BurstFactor <= 0
-		FlashCrowd(100, 1, 0, -10, 2),    // negative BurstLen
 		{MeanGap: 100, Shape: Shape(99)}, // unknown shape
 	}
 	for i, a := range bad {
-		sp := base
-		sp.Arrival = a
-		if err := sp.Validate(); err == nil {
+		if err := a.Validate(); err == nil {
 			t.Errorf("case %d (%+v): invalid arrival accepted", i, a)
 		}
 	}
@@ -47,109 +40,101 @@ func TestArrivalShapeValidation(t *testing.T) {
 		{},
 		{MeanGap: 100, Seed: 1},
 		Diurnal(100, 1, 1e6, 0.9),
-		FlashCrowd(100, 1, 0, 0, 2), // zero-length burst is legal (no-op)
 	} {
-		sp := base
-		sp.Arrival = a
-		if err := sp.Validate(); err != nil {
+		if err := a.Validate(); err != nil {
 			t.Errorf("case %d (%+v): valid arrival rejected: %v", i, a, err)
 		}
 	}
 }
 
-// Shaped arrivals are seed-stable: the same spec produces the same
-// schedule, and different arrival seeds produce different schedules —
-// for both new shapes.
+// schedule returns the first n arrival times a Source draws for a.
+func schedule(a Arrival, n int) []int64 {
+	src := MustCompile(KVSpec(Uniform(64), 50)).Source(1, a)
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = src.NextArrival()
+	}
+	return out
+}
+
+// equalSchedules reports whether two arrival schedules are identical.
+func equalSchedules(a, b []int64) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Arrivals are seed-stable: the same arrival produces the same schedule,
+// and different arrival seeds produce different schedules — for both
+// shapes.
 func TestShapedArrivalSeedStability(t *testing.T) {
 	shapes := map[string]func(seed uint64) Arrival{
-		"diurnal": func(seed uint64) Arrival { return Diurnal(300, seed, 1e5, 0.8) },
-		"flash":   func(seed uint64) Arrival { return FlashCrowd(300, seed, 2e4, 4e4, 10) },
+		"constant": func(seed uint64) Arrival { return Arrival{MeanGap: 300, Seed: seed} },
+		"diurnal":  func(seed uint64) Arrival { return Diurnal(300, seed, 1e5, 0.8) },
 	}
 	for name, mk := range shapes {
-		schedule := func(seed uint64) []int64 {
-			sp := Spec{Ops: KVMix(50), Roll: 100, Keys: Uniform(64), Arrival: mk(seed)}
-			src := MustCompile(sp).Source(1)
-			var out []int64
-			for i := 0; i < 300; i++ {
-				out = append(out, src.NextArrival())
-			}
-			return out
+		a, b := schedule(mk(1), 300), schedule(mk(1), 300)
+		if !equalSchedules(a, b) {
+			t.Fatalf("%s: same seed produced different schedules", name)
 		}
-		a, b := schedule(1), schedule(1)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: same seed diverged at arrival %d: %d vs %d", name, i, a[i], b[i])
-			}
-		}
-		c := schedule(2)
-		same := true
-		for i := range a {
-			if a[i] != c[i] {
-				same = false
-				break
-			}
-		}
-		if same {
+		if equalSchedules(a, schedule(mk(2), 300)) {
 			t.Errorf("%s: seeds 1 and 2 produced identical schedules", name)
 		}
 	}
 }
 
-// The rate envelope must never perturb the op/key stream: a diurnal or
-// flash-crowd run draws exactly the ops and keys of the closed-loop twin
-// (the arrival stream is separate — same discipline as plain open loop).
-func TestShapedArrivalsDoNotPerturbOpStream(t *testing.T) {
-	closed := Spec{Ops: KVMix(30), Roll: 100, Keys: Zipfian(512, 0.99)}
-	for name, a := range map[string]Arrival{
-		"diurnal": Diurnal(700, 42, 5e4, 0.9),
-		"flash":   FlashCrowd(700, 42, 1e4, 3e4, 16),
-	} {
-		shaped := closed
-		shaped.Arrival = a
-		want := digest(collect(t, MustCompile(closed), 2, 400, 1))
-		got := digest(collect(t, MustCompile(shaped), 2, 400, 1))
-		if got != want {
-			t.Errorf("%s arrivals perturbed the op/key stream: %s vs %s", name, got, want)
-		}
+// opStream draws n (arrival, op, key) steps from a Source and returns the
+// op/key sequence, so it can be compared across arrival processes.
+func opStream(c *Compiled, a Arrival, n int) [][2]uint64 {
+	src := c.Source(1, a)
+	out := make([][2]uint64, n)
+	for i := range out {
+		src.NextArrival()
+		op, key := src.Next()
+		out[i] = [2]uint64{uint64(op), key}
+	}
+	return out
+}
+
+// Turning on open-loop arrivals must not change which ops and keys are
+// drawn: the arrival process runs on its own splitmix64 stream, never the
+// op/key stream. (Timing changes; the op/key sequence cannot.)
+func TestOpenLoopDoesNotPerturbOpStream(t *testing.T) {
+	c := MustCompile(KVSpec(Uniform(256), 30))
+	want := digest([][][2]uint64{opStream(c, Arrival{}, 400)})
+	if got := digest([][][2]uint64{opStream(c, Arrival{MeanGap: 700, Seed: 42}, 400)}); got != want {
+		t.Fatalf("open-loop arrivals perturbed the op/key stream: %s vs %s", got, want)
 	}
 }
 
-// The flash-crowd envelope actually compresses gaps inside the burst
-// window: mean gap during the burst is far below the mean outside it.
-func TestFlashCrowdCompressesBurstWindow(t *testing.T) {
-	const at, length, factor = 1e5, 1e5, 20.0
-	sp := Spec{Ops: KVMix(50), Roll: 100, Keys: Uniform(64),
-		Arrival: FlashCrowd(1000, 3, at, length, factor)}
-	src := MustCompile(sp).Source(1)
-	var inBurst, outBurst []int64
-	prev := int64(0)
-	for i := 0; i < 4000; i++ {
-		t0 := src.NextArrival()
-		gap := t0 - prev
-		ft := float64(prev)
-		if ft >= at && ft < at+length {
-			inBurst = append(inBurst, gap)
-		} else {
-			outBurst = append(outBurst, gap)
-		}
-		prev = t0
+// The rate envelope must never perturb the op/key stream either: a
+// diurnal run draws exactly the ops and keys of the closed-loop twin.
+func TestShapedArrivalsDoNotPerturbOpStream(t *testing.T) {
+	c := MustCompile(KVSpec(Zipfian(512, 0.99), 30))
+	want := digest([][][2]uint64{opStream(c, Arrival{}, 400)})
+	if got := digest([][][2]uint64{opStream(c, Diurnal(700, 42, 5e4, 0.9), 400)}); got != want {
+		t.Errorf("diurnal arrivals perturbed the op/key stream: %s vs %s", got, want)
 	}
-	mean := func(xs []int64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		var s int64
-		for _, x := range xs {
-			s += x
-		}
-		return float64(s) / float64(len(xs))
+}
+
+// An open-loop arrival process advances the arrival clock (every gap is
+// at least one cycle) and different arrival seeds give different
+// schedules.
+func TestOpenLoopAdvancesClock(t *testing.T) {
+	s1 := schedule(Arrival{MeanGap: 300, Seed: 1}, 200)
+	if last := s1[len(s1)-1]; last < 200 {
+		t.Fatalf("200 open-loop arrivals advanced the clock only %d cycles", last)
 	}
-	mi, mo := mean(inBurst), mean(outBurst)
-	if len(inBurst) < 100 || len(outBurst) < 100 {
-		t.Fatalf("burst window poorly sampled: %d in, %d out", len(inBurst), len(outBurst))
+	for i := 1; i < len(s1); i++ {
+		if s1[i] <= s1[i-1] {
+			t.Fatalf("arrival %d at %d does not follow %d", i, s1[i], s1[i-1])
+		}
 	}
-	if mi*4 > mo {
-		t.Fatalf("burst mean gap %.0f not well below outside mean %.0f (factor %g)", mi, mo, factor)
+	if equalSchedules(s1, schedule(Arrival{MeanGap: 300, Seed: 2}, 200)) {
+		t.Error("different arrival seeds produced identical schedules")
 	}
 }
 
@@ -158,45 +143,26 @@ func TestFlashCrowdCompressesBurstWindow(t *testing.T) {
 // seed, but with amplitude 0 it is bit-identical (the envelope divides by
 // exactly 1).
 func TestDiurnalEnvelopeEffect(t *testing.T) {
-	schedule := func(a Arrival) []int64 {
-		sp := Spec{Ops: KVMix(50), Roll: 100, Keys: Uniform(64), Arrival: a}
-		src := MustCompile(sp).Source(1)
-		var out []int64
-		for i := 0; i < 500; i++ {
-			out = append(out, src.NextArrival())
-		}
-		return out
-	}
-	flat := schedule(Arrival{MeanGap: 300, Seed: 7})
-	zero := schedule(Diurnal(300, 7, 1e5, 0))
+	flat := schedule(Arrival{MeanGap: 300, Seed: 7}, 500)
+	zero := schedule(Diurnal(300, 7, 1e5, 0), 500)
 	for i := range flat {
 		if flat[i] != zero[i] {
 			t.Fatalf("amplitude-0 diurnal diverged from constant at %d: %d vs %d", i, zero[i], flat[i])
 		}
 	}
-	mod := schedule(Diurnal(300, 7, 1e5, 0.9))
-	same := true
-	for i := range flat {
-		if flat[i] != mod[i] {
-			same = false
-			break
-		}
-	}
-	if same {
+	if equalSchedules(flat, schedule(Diurnal(300, 7, 1e5, 0.9), 500)) {
 		t.Error("amplitude-0.9 diurnal schedule identical to constant schedule")
 	}
 }
 
-// Source mirrors the Driver's stream-separation discipline: the primary
-// (op, key) stream is a pure function of (spec, seed) — consuming
-// arrivals and extra keys does not move it — and the extra stream is
-// independent of the primary.
+// A Source keeps its streams apart: the primary (op, key) stream is a
+// pure function of (spec, seed) — consuming arrivals and extra keys does
+// not move it — and the extra stream is independent of the primary.
 func TestSourceStreamSeparation(t *testing.T) {
-	sp := Spec{Ops: KVMix(30), Roll: 100, Keys: Zipfian(512, 0.99),
-		Arrival: Diurnal(300, 7, 1e5, 0.5)}
-	c := MustCompile(sp)
-	plain := c.Source(1)
-	noisy := c.Source(1)
+	c := MustCompile(KVSpec(Zipfian(512, 0.99), 30))
+	a := Diurnal(300, 7, 1e5, 0.5)
+	plain := c.Source(1, a)
+	noisy := c.Source(1, a)
 	for i := 0; i < 500; i++ {
 		// The noisy twin consumes arrivals and extra draws between ops.
 		noisy.NextArrival()
@@ -209,12 +175,12 @@ func TestSourceStreamSeparation(t *testing.T) {
 		}
 	}
 	// Distinct source seeds give distinct primary streams.
-	a := c.Source(1)
-	b := c.Source(2)
+	s1 := c.Source(1, a)
+	s2 := c.Source(2, a)
 	diff := false
 	for i := 0; i < 100; i++ {
-		o1, k1 := a.Next()
-		o2, k2 := b.Next()
+		o1, k1 := s1.Next()
+		o2, k2 := s2.Next()
 		if o1 != o2 || k1 != k2 {
 			diff = true
 			break
@@ -231,9 +197,8 @@ func TestSourceKeyRangeAndClosedLoop(t *testing.T) {
 	for name, keys := range map[string]Keys{
 		"uniform": Uniform(256),
 		"zipf":    Zipfian(256, 0.9),
-		"hotspot": Hotspot(256, 0.1, 90),
 	} {
-		src := MustCompile(KVSpec(keys, 50)).Source(3)
+		src := MustCompile(KVSpec(keys, 50)).Source(3, Arrival{})
 		for i := 0; i < 2000; i++ {
 			_, key := src.Next()
 			if key >= 256 {
@@ -241,7 +206,7 @@ func TestSourceKeyRangeAndClosedLoop(t *testing.T) {
 			}
 		}
 	}
-	src := MustCompile(KVSpec(Uniform(16), 50)).Source(1)
+	src := MustCompile(KVSpec(Uniform(16), 50)).Source(1, Arrival{})
 	if a1, a2 := src.NextArrival(), src.NextArrival(); a1 != 0 || a2 != 0 {
 		t.Fatalf("closed-loop arrivals = %d,%d, want 0,0", a1, a2)
 	}

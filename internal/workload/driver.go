@@ -1,49 +1,20 @@
 package workload
 
 import (
-	"math"
-
 	"rocktm/internal/obs"
 	"rocktm/internal/sim"
 )
 
-// prng is a splitmix64 stream for the open-loop arrival process. It is
-// deliberately separate from the strand's simulator RNG: an open-loop run
-// consumes exactly the same strand-RNG sequence as its closed-loop twin,
-// so turning arrivals on cannot change which keys and ops are drawn (the
-// same stream-separation discipline sim's fault injector uses).
-type prng struct{ state uint64 }
-
-func (r *prng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float01 returns a uniform float64 in (0, 1] (never 0, so ln(u) is finite).
-func (r *prng) float01() float64 {
-	return (float64(r.next()>>11) + 1) / (1 << 53)
-}
-
-// arrivalSeed folds the spec seed with the strand ID the same way
-// sim.newStrand folds the machine seed, so per-strand streams are
-// mutually independent and seed-stable.
-func arrivalSeed(seed uint64, strand int) uint64 {
-	return seed*0x9e3779b9 + uint64(strand)*0x85ebca77 + 1
-}
-
-// Driver executes a compiled workload on one strand. Create one per strand
-// per run via Compiled.Driver; the steady-state per-operation path (key
-// draw, op roll, arrival bookkeeping, latency record) allocates nothing.
+// Driver executes a compiled workload on one strand, closed loop: each
+// operation starts the instant the previous one finishes, exactly the
+// paper's drivers. Create one per strand per run via Compiled.Driver; the
+// steady-state per-operation path (key draw, op roll, latency record)
+// allocates nothing.
 type Driver struct {
-	c     *Compiled
-	s     *sim.Strand
-	lat   *obs.LatencyRecorder
-	ws    obs.LatencySink
-	arr   prng
-	tNext int64
+	c   *Compiled
+	s   *sim.Strand
+	lat *obs.LatencyRecorder
+	ws  obs.LatencySink
 }
 
 // Driver binds the compiled workload to a strand. lat may be nil (no
@@ -51,12 +22,7 @@ type Driver struct {
 // the machine baton serializes strand execution, so a single histogram is
 // race-free and merges for free.
 func (c *Compiled) Driver(s *sim.Strand, lat *obs.LatencyRecorder) Driver {
-	d := Driver{c: c, s: s, lat: lat}
-	if c.meanGap > 0 {
-		d.arr = prng{state: arrivalSeed(c.arrSeed, s.ID())}
-		d.tNext = s.Clock()
-	}
-	return d
+	return Driver{c: c, s: s, lat: lat}
 }
 
 // Observe additionally streams each operation's (completion cycle,
@@ -70,23 +36,11 @@ func (d *Driver) Observe(ws obs.LatencySink) { d.ws = ws }
 // iteration index (the legacy loops' loop variable), op indexes the spec's
 // Ops slice, and key is the drawn key (0 for keyless ops). Per-operation
 // latency — begin to completion in simulated cycles, including every
-// hardware retry, backoff and fallback inside the op, and, for open-loop
-// arrivals, any queueing delay — is recorded into the attached recorder.
+// hardware retry, backoff and fallback inside the op — is recorded into
+// the attached recorder.
 func (d *Driver) Run(n int, do func(i, op int, key uint64)) {
-	open := d.c.meanGap > 0
 	for i := 0; i < n; i++ {
 		start := d.s.Clock()
-		if open {
-			d.tNext += d.gap()
-			if d.tNext > start {
-				// The strand is idle until the next arrival.
-				d.s.Advance(d.tNext - start)
-			}
-			// Latency is measured from the *arrival* time: when the strand
-			// is running behind, the op waited in queue and that delay is
-			// part of its latency.
-			start = d.tNext
-		}
 		op, key := d.next()
 		do(i, op, key)
 		if d.lat != nil {
@@ -96,24 +50,6 @@ func (d *Driver) Run(n int, do func(i, op int, key uint64)) {
 			d.ws.RecordLatencyAt(d.s.Clock(), d.s.Clock()-start)
 		}
 	}
-}
-
-// gap draws one exponential inter-arrival gap (min 1 cycle). The mean is
-// the spec's MeanGap divided by the shape envelope's rate factor at the
-// previous arrival time; a constant shape divides by exactly 1, so the
-// draw (one stream consumption, same formula) is bit-identical to the
-// pre-shape generator.
-func (d *Driver) gap() int64 {
-	return drawGap(&d.c.arrival, &d.arr, d.tNext)
-}
-
-// drawGap is the one shared inter-arrival draw (Driver and Source).
-func drawGap(a *Arrival, r *prng, at int64) int64 {
-	g := -(a.MeanGap / a.rateFactor(at)) * math.Log(r.float01())
-	if g < 1 {
-		return 1
-	}
-	return int64(g)
 }
 
 // next draws the next (op, key) pair in the spec's declared RNG order.
@@ -156,13 +92,6 @@ func (d *Driver) key() uint64 {
 		// One 64-bit draw, mapped through the precomputed constants.
 		u := float64(d.s.Rand()>>11) / (1 << 53)
 		return k.Offset + uint64(d.c.zipf.draw(u))
-	case KeyHotspot:
-		// Two draws: the region roll, then the in-region index — both from
-		// the strand RNG so the stream stays strand-deterministic.
-		if d.s.RandIntn(100) < k.HotPct {
-			return k.Offset + uint64(d.s.RandIntn(d.c.hotN))
-		}
-		return k.Offset + uint64(d.c.hotN) + uint64(d.s.RandIntn(k.Range-d.c.hotN))
 	}
 	return 0 // KeyNone
 }

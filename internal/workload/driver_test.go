@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"math"
 	"testing"
 
 	"rocktm/internal/sim"
@@ -12,8 +11,8 @@ import (
 
 // collect runs the compiled workload on a fresh machine and returns each
 // strand's (op, key) sequence. The callback does no simulated work, so the
-// only state the driver touches is the strand RNG (and, when open-loop,
-// the strand clock via Advance) — the pure generator behaviour under test.
+// only state the driver touches is the strand RNG — the pure generator
+// behaviour under test.
 func collect(t *testing.T, c *Compiled, strands, n int, seed uint64) [][][2]uint64 {
 	t.Helper()
 	cfg := sim.DefaultConfig(strands)
@@ -49,10 +48,8 @@ func digest(seqs [][][2]uint64) string {
 // sequences) and seed-sensitive, for every key distribution.
 func TestGeneratorSeedStability(t *testing.T) {
 	specs := map[string]Spec{
-		"uniform":  KVSpec(Uniform(256), 30),
-		"zipf":     KVSpec(Zipfian(4096, 0.99), 30),
-		"hotspot":  KVSpec(Hotspot(1024, 0.1, 90), 30),
-		"openloop": {Ops: KVMix(30), Roll: 100, Keys: Uniform(256), Arrival: Arrival{MeanGap: 200, Seed: 9}},
+		"uniform": KVSpec(Uniform(256), 30),
+		"zipf":    KVSpec(Zipfian(4096, 0.99), 30),
 	}
 	for name, sp := range specs {
 		c := MustCompile(sp)
@@ -79,48 +76,6 @@ func TestGeneratorPerStrandIndependence(t *testing.T) {
 	}
 	if digest(two[:1]) == digest(two[1:]) {
 		t.Error("strands 0 and 1 share a stream")
-	}
-}
-
-// Turning on open-loop arrivals must not change which ops and keys are
-// drawn: the arrival process runs on its own splitmix64 stream, never the
-// strand RNG. (Latency and timing change; the op/key sequence cannot.)
-func TestOpenLoopDoesNotPerturbOpStream(t *testing.T) {
-	closed := Spec{Ops: KVMix(30), Roll: 100, Keys: Uniform(256)}
-	open := closed
-	open.Arrival = Arrival{MeanGap: 700, Seed: 42}
-	a := digest(collect(t, MustCompile(closed), 2, 400, 1))
-	b := digest(collect(t, MustCompile(open), 2, 400, 1))
-	if a != b {
-		t.Fatalf("open-loop arrivals perturbed the op/key stream: %s vs %s", a, b)
-	}
-}
-
-// The open-loop arrival process advances the strand clock (idle gaps) and
-// different arrival seeds give different schedules.
-func TestOpenLoopAdvancesClock(t *testing.T) {
-	run := func(arrSeed uint64) int64 {
-		sp := Spec{Ops: KVMix(100), Roll: 100, Keys: Uniform(16),
-			Arrival: Arrival{MeanGap: 300, Seed: arrSeed}}
-		cfg := sim.DefaultConfig(1)
-		cfg.MemWords = 1 << 16
-		cfg.Seed = 1
-		cfg.MaxCycles = 1 << 40
-		m := sim.New(cfg)
-		var clock int64
-		m.Run(func(s *sim.Strand) {
-			d := MustCompile(sp).Driver(s, nil)
-			d.Run(200, func(_, _ int, _ uint64) {})
-			clock = s.Clock()
-		})
-		return clock
-	}
-	c1 := run(1)
-	if c1 < 200 { // 200 ops with mean gap 300 must consume simulated time
-		t.Fatalf("open-loop run advanced the clock only %d cycles", c1)
-	}
-	if c2 := run(2); c2 == c1 {
-		t.Error("different arrival seeds produced identical schedules")
 	}
 }
 
@@ -168,35 +123,12 @@ func TestZipfDrawEdges(t *testing.T) {
 	}
 }
 
-// The hotspot distribution sends ~HotPct of draws to the hot prefix.
-func TestHotspotFractions(t *testing.T) {
-	const n, hotPct = 1000, 80
-	keys := Hotspot(n, 0.1, hotPct)
-	c := MustCompile(Spec{Ops: []Op{{Name: "get"}}, Keys: keys})
-	seqs := collect(t, c, 1, 20000, 1)
-	hotN := int(math.Ceil(0.1 * n))
-	hot := 0
-	for _, e := range seqs[0] {
-		if e[1] >= n {
-			t.Fatalf("hotspot key %d out of range", e[1])
-		}
-		if int(e[1]) < hotN {
-			hot++
-		}
-	}
-	frac := 100 * float64(hot) / float64(len(seqs[0]))
-	if frac < hotPct-3 || frac > hotPct+3 {
-		t.Errorf("hot fraction %.1f%%, want ~%d%%", frac, hotPct)
-	}
-}
-
-// The steady-state per-operation driver path (key draw, op roll, arrival
-// bookkeeping, latency record) must allocate nothing: it runs inside every
-// figure's timed loop.
+// The steady-state per-operation driver path (key draw, op roll, latency
+// record) must allocate nothing: it runs inside every figure's timed loop.
 func TestDriverSteadyStateAllocationFree(t *testing.T) {
 	for name, sp := range map[string]Spec{
-		"uniform-closed": KVSpec(Uniform(256), 30),
-		"zipf-open":      {Ops: KVMix(30), Roll: 100, Keys: Zipfian(512, 0.9), Arrival: Arrival{MeanGap: 100, Seed: 3}},
+		"uniform": KVSpec(Uniform(256), 30),
+		"zipf":    KVSpec(Zipfian(512, 0.9), 30),
 	} {
 		c := MustCompile(sp)
 		cfg := sim.DefaultConfig(1)

@@ -1,11 +1,29 @@
 package workload
 
+import "math"
+
+// prng is a splitmix64 stream. A Source keeps three of them so that its
+// op/key, secondary-key and arrival draws cannot perturb one another.
+type prng struct{ state uint64 }
+
+func (r *prng) next() uint64 {
+	r.state += 0x9e3779b97f4a7c15
+	z := r.state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// float01 returns a uniform float64 in (0, 1] (never 0, so ln(u) is finite).
+func (r *prng) float01() float64 {
+	return (float64(r.next()>>11) + 1) / (1 << 53)
+}
+
 // Source draws a compiled workload's (op, key) stream and arrival times
 // without a sim.Strand: it is the load generator of the sharded service
 // tier (internal/service), where requests are produced at the *fleet*
 // level — before any simulated machine is chosen — and only then routed
-// to a shard. Two dedicated splitmix64 streams keep the same discipline
-// the Driver enforces per strand:
+// to a shard. Dedicated splitmix64 streams keep the draws apart:
 //
 //   - the op/key stream draws exactly one roll per op selection and the
 //     distribution's draws per key, so the operation stream is a pure
@@ -17,23 +35,26 @@ package workload
 //     rationale: a cross-shard mix change must not shift the primary
 //     stream.
 type Source struct {
-	c     *Compiled
-	rng   prng // op/key stream
-	extra prng // secondary-key stream (cross-shard mixes)
-	arr   prng // arrival stream
-	tNext int64
+	c       *Compiled
+	arrival Arrival
+	rng     prng // op/key stream
+	extra   prng // secondary-key stream (cross-shard mixes)
+	arr     prng // arrival stream
+	tNext   int64
 }
 
-// Source binds the compiled workload to a fleet-level generator. The
-// op/key stream seeds from seed, the secondary-key stream from seed+1
-// folds, and the arrival stream from the spec's Arrival.Seed (folded with
+// Source binds the compiled workload and an arrival process to a
+// fleet-level generator; the arrival must be valid (Arrival.Validate).
+// The op/key stream seeds from seed, the secondary-key stream from a
+// second fold of seed, and the arrival stream from a.Seed (folded with
 // seed so two sources with different seeds are fully independent).
-func (c *Compiled) Source(seed uint64) *Source {
+func (c *Compiled) Source(seed uint64, a Arrival) *Source {
 	return &Source{
-		c:     c,
-		rng:   prng{state: seed*0x9e3779b9 + 0x1234567},
-		extra: prng{state: seed*0x85ebca77 + 0xfedcba9},
-		arr:   prng{state: arrivalSeed(c.arrSeed, 0) ^ (seed * 0xc2b2ae35)},
+		c:       c,
+		arrival: a,
+		rng:     prng{state: seed*0x9e3779b9 + 0x1234567},
+		extra:   prng{state: seed*0x85ebca77 + 0xfedcba9},
+		arr:     prng{state: (a.Seed*0x9e3779b9 + 1) ^ (seed * 0xc2b2ae35)},
 	}
 }
 
@@ -51,11 +72,6 @@ func (s *Source) keyFrom(r *prng) uint64 {
 	case KeyZipfian:
 		u := float64(r.next()>>11) / (1 << 53)
 		return k.Offset + uint64(s.c.zipf.draw(u))
-	case KeyHotspot:
-		if intn(r, 100) < k.HotPct {
-			return k.Offset + uint64(intn(r, s.c.hotN))
-		}
-		return k.Offset + uint64(s.c.hotN) + uint64(intn(r, k.Range-s.c.hotN))
 	}
 	return 0 // KeyNone
 }
@@ -99,13 +115,20 @@ func (s *Source) roll() int {
 }
 
 // NextArrival advances and returns the next arrival time in cycles. For a
-// closed-loop spec (no arrival process) it returns the previous arrival
-// time unchanged — back-to-back arrivals, so callers that always consume
-// arrivals degrade gracefully.
+// closed-loop arrival it returns the previous arrival time unchanged —
+// back-to-back arrivals, so callers that always consume arrivals degrade
+// gracefully. An open-loop gap is exponential (min 1 cycle) with mean
+// MeanGap divided by the envelope's rate factor at the previous arrival;
+// a constant shape divides by exactly 1.
 func (s *Source) NextArrival() int64 {
-	if s.c.meanGap <= 0 {
+	a := &s.arrival
+	if a.MeanGap <= 0 {
 		return s.tNext
 	}
-	s.tNext += drawGap(&s.c.arrival, &s.arr, s.tNext)
+	g := -(a.MeanGap / a.rateFactor(s.tNext)) * math.Log(s.arr.float01())
+	if g < 1 {
+		g = 1
+	}
+	s.tNext += int64(g)
 	return s.tNext
 }

@@ -1,8 +1,10 @@
 // Package workload is the declarative workload layer: every figure driver
 // in internal/bench describes *what* its per-strand operation stream looks
-// like — the operation mix, the key distribution, the prepopulation and
-// the arrival process — as a workload.Spec, and runs it through one shared,
-// allocation-free per-strand Driver instead of a hand-rolled loop.
+// like — the operation mix, the key distribution and the prepopulation —
+// as a workload.Spec, and runs it through one shared, allocation-free
+// per-strand Driver instead of a hand-rolled loop. The sharded service
+// tier draws the same kind of stream at fleet level through a Source,
+// which also carries the fleet's open-loop Arrival process.
 //
 // Two disciplines make the layer safe to adopt under the repository's
 // byte-identity regime (see internal/bench/golden_test.go):
@@ -12,14 +14,13 @@
 //     exactly the order the legacy loops did (key draw, then op roll — or
 //     roll first where the original drew in that order), so every
 //     pre-existing golden figure digest is unchanged.
-//   - Stream separation: the open-loop arrival process draws from a
-//     dedicated per-strand splitmix64 stream, never from the strand's
-//     simulator RNG, so enabling open-loop arrivals cannot perturb the
-//     op/key sequence of an otherwise-identical closed-loop run.
+//   - Stream separation: a Source draws arrivals from a dedicated
+//     splitmix64 stream, never from its op/key stream, so the arrival
+//     process cannot perturb which ops and keys are generated.
 //
-// New dimensions (zipfian/hotspot skew, open-loop arrivals) are plain Spec
-// fields; they render through Keys.String/Arrival.String into
-// runner.Spec.Params so the content-addressed result cache keys them.
+// Key skew is a plain Spec field; it renders through Keys.String (and the
+// fleet's arrival through Arrival.String) into runner.Spec.Params so the
+// content-addressed result cache keys them.
 package workload
 
 import (
@@ -39,10 +40,6 @@ const (
 	// Theta in (0,1): rank-0 keys are hottest (Gray et al.'s generator,
 	// the same family YCSB uses).
 	KeyZipfian
-	// KeyHotspot sends HotPct percent of accesses to the first
-	// ceil(HotFrac*Range) keys and the rest to the remainder, all
-	// uniformly within each region.
-	KeyHotspot
 )
 
 // Keys describes the key distribution of a Spec.
@@ -52,10 +49,6 @@ type Keys struct {
 	Offset uint64
 	// Theta is the zipfian skew parameter, in (0,1); larger is more skewed.
 	Theta float64
-	// HotFrac is the hotspot fraction of the keyspace, in (0,1).
-	HotFrac float64
-	// HotPct is the percentage of accesses sent to the hot region.
-	HotPct int
 }
 
 // Uniform draws keys uniformly from [0, r).
@@ -71,11 +64,6 @@ func Zipfian(r int, theta float64) Keys {
 	return Keys{Dist: KeyZipfian, Range: r, Theta: theta}
 }
 
-// Hotspot sends hotPct% of accesses to the first ceil(hotFrac*r) keys.
-func Hotspot(r int, hotFrac float64, hotPct int) Keys {
-	return Keys{Dist: KeyHotspot, Range: r, HotFrac: hotFrac, HotPct: hotPct}
-}
-
 // String renders the distribution canonically for cache keys and labels.
 func (k Keys) String() string {
 	switch k.Dist {
@@ -88,8 +76,6 @@ func (k Keys) String() string {
 		return fmt.Sprintf("uniform:%d", k.Range)
 	case KeyZipfian:
 		return fmt.Sprintf("zipf:%d:%g", k.Range, k.Theta)
-	case KeyHotspot:
-		return fmt.Sprintf("hot:%d:%g:%d", k.Range, k.HotFrac, k.HotPct)
 	}
 	return "invalid"
 }
@@ -120,10 +106,9 @@ const (
 )
 
 // Shape selects the time-varying envelope of an open-loop arrival
-// process. The zero value is a constant rate (the PR-5 process); the
-// diurnal and flash-crowd shapes modulate the instantaneous rate as a
-// function of the arrival clock, which is how a service tier sees load
-// curves and traffic spikes rather than a flat offered rate.
+// process. The zero value is a constant rate; the diurnal shape modulates
+// the instantaneous rate as a function of the arrival clock, which is how
+// a service tier sees a load curve rather than a flat offered rate.
 type Shape uint8
 
 const (
@@ -134,38 +119,29 @@ const (
 	// rate is base*(1 + Amplitude*sin(2*pi*t/Period)), a day/night curve
 	// compressed into simulated time.
 	ShapeDiurnal
-	// ShapeFlashCrowd multiplies the rate by BurstFactor during the window
-	// [BurstAt, BurstAt+BurstLen) cycles — a flash crowd slamming into an
-	// otherwise steady service.
-	ShapeFlashCrowd
 )
 
-// Arrival describes the arrival process. The zero value is closed-loop:
-// each operation starts the instant the previous one finishes, exactly the
-// paper's drivers. A positive MeanGap switches to an open-loop process
-// with exponentially distributed inter-arrival gaps (mean MeanGap cycles)
-// drawn from a dedicated seeded stream; operations that arrive while the
-// strand is still busy queue, and their measured latency includes the
-// queueing delay — the property that exposes tail collapse under load.
-// Shape layers a time-varying envelope (diurnal curve, flash crowd) over
+// Arrival describes a Source's arrival process. The zero value is closed
+// loop: every request arrives back to back. A positive MeanGap switches
+// to an open-loop process with exponentially distributed inter-arrival
+// gaps (mean MeanGap cycles) drawn from a dedicated seeded stream;
+// requests that arrive while the service is still busy queue, and their
+// measured latency includes the queueing delay — the property that
+// exposes tail collapse under load. Shape layers a diurnal envelope over
 // the base rate; gaps are drawn exponential with mean MeanGap divided by
 // the envelope's instantaneous rate factor at the previous arrival time.
 type Arrival struct {
 	// MeanGap is the mean inter-arrival gap in simulated cycles
 	// (0 = closed loop).
 	MeanGap float64
-	// Seed seeds the per-strand inter-arrival streams (folded with the
-	// strand ID, so strands are mutually independent). Ignored when
-	// closed-loop.
+	// Seed seeds the arrival stream (folded with the Source's seed).
+	// Ignored when closed-loop.
 	Seed uint64
-	// Shape selects the rate envelope (constant, diurnal, flash crowd).
+	// Shape selects the rate envelope (constant, diurnal).
 	Shape Shape
 	// Period and Amplitude parameterize ShapeDiurnal.
 	Period    float64
 	Amplitude float64
-	// BurstAt, BurstLen and BurstFactor parameterize ShapeFlashCrowd.
-	BurstAt, BurstLen float64
-	BurstFactor       float64
 }
 
 // Diurnal is an open-loop arrival with a sinusoidal rate envelope.
@@ -173,46 +149,29 @@ func Diurnal(meanGap float64, seed uint64, period, amplitude float64) Arrival {
 	return Arrival{MeanGap: meanGap, Seed: seed, Shape: ShapeDiurnal, Period: period, Amplitude: amplitude}
 }
 
-// FlashCrowd is an open-loop arrival whose rate multiplies by factor
-// during [at, at+length) cycles.
-func FlashCrowd(meanGap float64, seed uint64, at, length, factor float64) Arrival {
-	return Arrival{MeanGap: meanGap, Seed: seed, Shape: ShapeFlashCrowd, BurstAt: at, BurstLen: length, BurstFactor: factor}
-}
-
-// String renders the arrival process canonically for cache keys. The
-// constant-shape form is byte-identical to the pre-shape rendering, so
-// existing cache entries for plain open-loop cells still key identically.
+// String renders the arrival process canonically for cache keys.
 func (a Arrival) String() string {
 	if a.MeanGap <= 0 {
 		return "closed"
 	}
-	switch a.Shape {
-	case ShapeDiurnal:
+	if a.Shape == ShapeDiurnal {
 		return fmt.Sprintf("diurnal:%g:%d:%g:%g", a.MeanGap, a.Seed, a.Period, a.Amplitude)
-	case ShapeFlashCrowd:
-		return fmt.Sprintf("flash:%g:%d:%g:%g:%g", a.MeanGap, a.Seed, a.BurstAt, a.BurstLen, a.BurstFactor)
 	}
 	return fmt.Sprintf("open:%g:%d", a.MeanGap, a.Seed)
 }
 
 // rateFactor is the envelope's instantaneous rate multiplier at arrival
-// clock t. It is ≥ some positive floor for every valid Arrival, so the
-// derived mean gap MeanGap/rateFactor stays finite.
+// clock t. It is positive for every valid Arrival, so the derived mean
+// gap MeanGap/rateFactor stays finite.
 func (a Arrival) rateFactor(t int64) float64 {
-	switch a.Shape {
-	case ShapeDiurnal:
+	if a.Shape == ShapeDiurnal {
 		return 1 + a.Amplitude*math.Sin(2*math.Pi*float64(t)/a.Period)
-	case ShapeFlashCrowd:
-		ft := float64(t)
-		if ft >= a.BurstAt && ft < a.BurstAt+a.BurstLen {
-			return a.BurstFactor
-		}
 	}
 	return 1
 }
 
-// validate checks the shape parameters of an open-loop arrival.
-func (a Arrival) validate() error {
+// Validate checks an arrival process's parameters.
+func (a Arrival) Validate() error {
 	if a.MeanGap < 0 {
 		return fmt.Errorf("workload: negative arrival MeanGap")
 	}
@@ -227,13 +186,6 @@ func (a Arrival) validate() error {
 		}
 		if !(a.Amplitude >= 0 && a.Amplitude < 1) {
 			return fmt.Errorf("workload: diurnal Amplitude must be in [0,1), got %g", a.Amplitude)
-		}
-	case ShapeFlashCrowd:
-		if a.BurstFactor <= 0 {
-			return fmt.Errorf("workload: flash-crowd BurstFactor must be > 0, got %g", a.BurstFactor)
-		}
-		if a.BurstLen < 0 {
-			return fmt.Errorf("workload: negative flash-crowd BurstLen")
 		}
 	default:
 		return fmt.Errorf("workload: unknown arrival shape %d", a.Shape)
@@ -254,8 +206,6 @@ type Spec struct {
 	Keys Keys
 	// Order is the key-draw/op-roll order.
 	Order Order
-	// Arrival is the arrival process (zero value: closed loop).
-	Arrival Arrival
 }
 
 // KVMix returns the paper drivers' canonical lookup/insert/delete split
@@ -339,36 +289,22 @@ func (sp Spec) Validate() error {
 		if !(k.Theta > 0 && k.Theta < 1) {
 			return fmt.Errorf("workload: zipfian Theta must be in (0,1), got %g", k.Theta)
 		}
-	case KeyHotspot:
-		if k.Range < 2 {
-			return fmt.Errorf("workload: hotspot keys need Range >= 2")
-		}
-		if !(k.HotFrac > 0 && k.HotFrac < 1) {
-			return fmt.Errorf("workload: hotspot HotFrac must be in (0,1), got %g", k.HotFrac)
-		}
-		if k.HotPct < 0 || k.HotPct > 100 {
-			return fmt.Errorf("workload: hotspot HotPct must be in [0,100], got %d", k.HotPct)
-		}
 	default:
 		return fmt.Errorf("workload: unknown key distribution %d", k.Dist)
 	}
-	return sp.Arrival.validate()
+	return nil
 }
 
 // Compiled is the validated, immutable execution form of a Spec: the
 // cumulative op thresholds and the zipfian constants are precomputed once
 // and shared read-only by every strand's Driver.
 type Compiled struct {
-	ops     []Op
-	cum     []int
-	roll    int
-	order   Order
-	keys    Keys
-	hotN    int
-	zipf    zipfParams
-	arrival Arrival
-	meanGap float64
-	arrSeed uint64
+	ops   []Op
+	cum   []int
+	roll  int
+	order Order
+	keys  Keys
+	zipf  zipfParams
 }
 
 // Compile validates and precomputes a Spec.
@@ -377,13 +313,10 @@ func (sp Spec) Compile() (*Compiled, error) {
 		return nil, err
 	}
 	c := &Compiled{
-		ops:     append([]Op(nil), sp.Ops...),
-		roll:    sp.Roll,
-		order:   sp.Order,
-		keys:    sp.Keys,
-		arrival: sp.Arrival,
-		meanGap: sp.Arrival.MeanGap,
-		arrSeed: sp.Arrival.Seed,
+		ops:   append([]Op(nil), sp.Ops...),
+		roll:  sp.Roll,
+		order: sp.Order,
+		keys:  sp.Keys,
 	}
 	if sp.Roll > 0 {
 		c.cum = make([]int, len(sp.Ops))
@@ -393,17 +326,8 @@ func (sp Spec) Compile() (*Compiled, error) {
 			c.cum[i] = sum
 		}
 	}
-	switch sp.Keys.Dist {
-	case KeyZipfian:
+	if sp.Keys.Dist == KeyZipfian {
 		c.zipf = newZipf(sp.Keys.Range, sp.Keys.Theta)
-	case KeyHotspot:
-		c.hotN = int(math.Ceil(sp.Keys.HotFrac * float64(sp.Keys.Range)))
-		if c.hotN < 1 {
-			c.hotN = 1
-		}
-		if c.hotN >= sp.Keys.Range {
-			c.hotN = sp.Keys.Range - 1
-		}
 	}
 	return c, nil
 }
@@ -416,9 +340,6 @@ func MustCompile(sp Spec) *Compiled {
 	}
 	return c
 }
-
-// Ops returns the compiled op mix (read-only).
-func (c *Compiled) Ops() []Op { return c.ops }
 
 // PrepopHalf returns every second key in [0, keyRange) in ascending order —
 // the paper's standard "half full" prepopulation for hash tables.

@@ -81,20 +81,18 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{},                                    // no ops
 		{Ops: []Op{{Weight: 1}, {Weight: 1}}}, // Roll=0 with two ops
 		{Ops: []Op{{Weight: 3}}, Roll: 2},     // weights != roll
-		{Ops: []Op{{Weight: 1}}, Roll: 1, Keys: Keys{Dist: KeyUniform}},                    // uniform range 0
-		{Ops: []Op{{Weight: 1}}, Roll: 1, Keys: Zipfian(100, 0)},                           // theta out of range
-		{Ops: []Op{{Weight: 1}}, Roll: 1, Keys: Zipfian(100, 1)},                           // theta out of range
-		{Ops: []Op{{Weight: 1}}, Roll: 1, Keys: Zipfian(1, 0.9)},                           // range too small
-		{Ops: []Op{{Weight: 1}}, Roll: 1, Keys: Hotspot(100, 0, 50)},                       // hot frac 0
-		{Ops: []Op{{Weight: 1}}, Roll: 1, Keys: Hotspot(100, 0.1, 101)},                    // hot pct > 100
-		{Ops: []Op{{Weight: 1}}, Roll: 1, Keys: Uniform(4), Arrival: Arrival{MeanGap: -1}}, // negative gap
+		{Ops: []Op{{Weight: 1}}, Roll: 1, Keys: Keys{Dist: KeyUniform}},         // uniform range 0
+		{Ops: []Op{{Weight: 1}}, Roll: 1, Keys: Zipfian(100, 0)},                // theta out of range
+		{Ops: []Op{{Weight: 1}}, Roll: 1, Keys: Zipfian(100, 1)},                // theta out of range
+		{Ops: []Op{{Weight: 1}}, Roll: 1, Keys: Zipfian(1, 0.9)},                // range too small
+		{Ops: []Op{{Weight: 1}}, Roll: 1, Keys: Keys{Dist: Dist(99), Range: 4}}, // unknown distribution
 	}
 	for i, sp := range bad {
 		if err := sp.Validate(); err == nil {
 			t.Errorf("spec %d validated: %+v", i, sp)
 		}
 	}
-	good := Spec{Ops: KVMix(50), Roll: 100, Keys: Zipfian(1024, 0.99), Arrival: Arrival{MeanGap: 500, Seed: 7}}
+	good := Spec{Ops: KVMix(50), Roll: 100, Keys: Zipfian(1024, 0.99)}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good spec rejected: %v", err)
 	}
@@ -109,7 +107,6 @@ func TestCanonicalStrings(t *testing.T) {
 		{Uniform(256).String(), "uniform:256"},
 		{UniformOffset(256, 1).String(), "uniform:256+1"},
 		{Zipfian(4096, 0.99).String(), "zipf:4096:0.99"},
-		{Hotspot(1000, 0.1, 90).String(), "hot:1000:0.1:90"},
 		{Keys{}.String(), "none"},
 		{Arrival{}.String(), "closed"},
 		{Arrival{MeanGap: 800, Seed: 3}.String(), "open:800:3"},
