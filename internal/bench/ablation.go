@@ -6,6 +6,7 @@ import (
 	"rocktm/internal/core"
 	"rocktm/internal/jvm"
 	"rocktm/internal/phtm"
+	"rocktm/internal/policy"
 	"rocktm/internal/sim"
 	"rocktm/internal/stm/sky"
 	"rocktm/internal/tle"
@@ -28,8 +29,10 @@ func AblationRetryBudget(o Options) (*Figure, error) {
 	for _, budget := range []float64{1, 2, 4, 8, 16} {
 		budget := budget
 		curves = append(curves, o.kvCurve(fmt.Sprintf("budget=%g", budget), cfg, func(m *sim.Machine) core.System {
+			t := policy.PhTM()
+			t.Budget = budget
 			c := phtm.DefaultConfig()
-			c.MaxFailures = budget
+			c.Policy = policy.MustNew("paper", t)
 			return phtm.New(m, sky.New(m), c)
 		}, map[string]string{"budget": fmt.Sprintf("%g", budget)}))
 	}
@@ -53,9 +56,9 @@ func AblationUCTIWeight(o Options) (*Figure, error) {
 		w := w
 		params := map[string]string{"weight": fmt.Sprintf("%g", w), "keyrange": itoa(keyRange)}
 		curves = append(curves, o.hashtableCurve(fmt.Sprintf("ucti=%g", w), params, javaMix{2, 6, 2}, keyRange, func(m *sim.Machine) *jvm.JVM {
-			pol := tle.DefaultPolicy()
-			pol.UCTIWeight = w
-			return jvm.New(m, pol)
+			t := policy.TLE()
+			t.UCTIWeight = w
+			return jvm.New(m, policy.MustNew("paper", t))
 		}))
 	}
 	return o.figure("ablate-ucti", "Ablation: UCTI failure weight in the TLE policy (Java Hashtable, mix 2:6:2)", curves)

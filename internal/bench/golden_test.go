@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -25,15 +26,7 @@ var goldenFigures = []struct {
 	{
 		name: "fig2a",
 		render: func() ([]byte, error) {
-			o := Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}
-			f, err := Fig2a(o)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			f.Render(&buf)
-			f.CSV(&buf)
-			return buf.Bytes(), nil
+			return figureBytes(Fig2a(Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}))
 		},
 		digest: "4e173ac43af293cdf96467191d33efa7",
 	},
@@ -55,15 +48,7 @@ var goldenFigures = []struct {
 	{
 		name: "fig4-msf",
 		render: func() ([]byte, error) {
-			mo := MSFOptions{Width: 16, Height: 16, Threads: []int{1, 2}, Seed: 1}
-			f, err := Fig4(mo)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			f.Render(&buf)
-			f.CSV(&buf)
-			return buf.Bytes(), nil
+			return figureBytes(Fig4(MSFOptions{Width: 16, Height: 16, Threads: []int{1, 2}, Seed: 1}))
 		},
 		digest: "2bad19ae47781ac3fa00df620f477234",
 	},
@@ -75,15 +60,7 @@ var goldenFigures = []struct {
 		// driver's RNG sequencing shows up here.
 		name: "tail",
 		render: func() ([]byte, error) {
-			o := Options{Threads: []int{1, 2}, OpsPerThread: 200, Seed: 1}
-			f, err := TailFigure(o)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			f.Render(&buf)
-			f.CSV(&buf)
-			return buf.Bytes(), nil
+			return figureBytes(TailFigure(Options{Threads: []int{1, 2}, OpsPerThread: 200, Seed: 1}))
 		},
 		digest: "b27cc7ec29aab6888fd6311100803969",
 	},
@@ -94,18 +71,60 @@ var goldenFigures = []struct {
 		// verdicts in its notes.
 		name: "fleet",
 		render: func() ([]byte, error) {
-			o := Options{OpsPerThread: 60, Seed: 1}
-			f, err := FleetFigure(o)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			f.Render(&buf)
-			f.CSV(&buf)
-			return buf.Bytes(), nil
+			return figureBytes(FleetFigure(Options{OpsPerThread: 60, Seed: 1}))
 		},
 		digest: "d878f8e3b40e834d94a3a9a67589ad46",
 	},
+	// The retry configurations that no other digest reaches: TLE's
+	// fixed-count naive policy, PhTM's budget sweep, TLE's UCTI weight,
+	// PhTM's per-design tunings under paper and adaptive, and the
+	// Section 6.1 profile's 2- and 8-try budgets.
+	{
+		name: "fig3a",
+		render: func() ([]byte, error) {
+			return figureBytes(Fig3a(Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}))
+		},
+		digest: "32c8bfd623897df43da3fe7c50850283",
+	},
+	{
+		name: "ablate-retry",
+		render: func() ([]byte, error) {
+			return figureBytes(AblationRetryBudget(Options{Threads: []int{1, 2, 4}, OpsPerThread: 200, Seed: 1}))
+		},
+		digest: "36637878d56f0116ad3c25ed825a1a7d",
+	},
+	{
+		// At one or two threads the three weights render identically; at
+		// 16 the ucti=2 curve departs.
+		name: "ablate-ucti",
+		render: func() ([]byte, error) {
+			return figureBytes(AblationUCTIWeight(Options{Threads: []int{16}, OpsPerThread: 300, Seed: 1}))
+		},
+		digest: "346eef6a39bb3c711e7c4f45aa28c59d",
+	},
+	{
+		name:   "htmdesign",
+		render: func() ([]byte, error) { return figureBytes(HTMDesignFigure(htmTestOptions())) },
+		digest: "28d6444698d8d32bf9b46e0d68ff7771",
+	},
+	{
+		name: "profile",
+		render: func() ([]byte, error) {
+			return []byte(strings.Join(ProfileReport(150, []int{1024, 4096}), "\n")), nil
+		},
+		digest: "dbe8d24e486f08b0a1a1f476988a9e2b",
+	},
+}
+
+// figureBytes renders a figure's table and CSV, the bytes a digest pins.
+func figureBytes(f *Figure, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	f.Render(&buf)
+	f.CSV(&buf)
+	return buf.Bytes(), nil
 }
 
 func TestGoldenFigureBytes(t *testing.T) {

@@ -32,9 +32,8 @@ func policyAblationPolicies() []string { return []string{"naive", "paper", "adap
 func policyPhTM(name string) func(m *sim.Machine) core.System {
 	return func(m *sim.Machine) core.System {
 		pcfg := phtm.DefaultConfig()
-		sys := phtm.New(m, sky.New(m), pcfg)
-		sys.SetPolicy(policy.MustNew(name, policy.TuningForDesign(pcfg.Tuning(), m.Config().HTM)))
-		return sys
+		pcfg.Policy = policy.MustNew(name, policy.TuningForDesign(policy.PhTM(), m.Config().HTM))
+		return phtm.New(m, sky.New(m), pcfg)
 	}
 }
 

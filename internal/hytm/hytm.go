@@ -9,8 +9,9 @@
 // hardware path is roughly twice as expensive as PhTM's uninstrumented one
 // (the factor the paper observes in Figure 1).
 //
-// Retry intelligence lives in the shared internal/policy engine (policy
-// "paper" with HyTM's tuning). HyTM's one system-specific wrinkle is the
+// Retry intelligence lives in the shared internal/policy engine:
+// Config.Policy drives the hardware attempts, and DefaultConfig sets it to
+// "paper" over policy.HyTM(). HyTM's one system-specific wrinkle is the
 // explicit TCC abort: here it means the instrumentation found a software
 // transaction owning something we touched, and the right reaction is a
 // charged backoff-retry — not a wait — because the owner is making
@@ -26,38 +27,18 @@ import (
 	"rocktm/internal/stm"
 )
 
-// Config tunes the retry policy.
+// Config configures a HyTM system.
 type Config struct {
-	// MaxFailures is the failure score at which the block falls back to a
-	// software transaction.
-	MaxFailures float64
-	// UCTIWeight is the score of a UCTI-flagged failure.
-	UCTIWeight float64
+	// Policy decides the fate of each failed hardware attempt; a block
+	// whose attempts it abandons falls back to a software transaction. It
+	// must be set.
+	Policy policy.Policy
 }
 
-// DefaultConfig returns the policy used in the experiments: the shared
-// internal/policy defaults, except for the smaller budget — HyTM's
-// instrumented hardware path costs ~2x PhTM's, so burned attempts are
-// twice as expensive.
+// DefaultConfig returns the configuration used in the experiments: a
+// fresh "paper" policy over policy.HyTM().
 func DefaultConfig() Config {
-	return Config{MaxFailures: policy.DefaultHyTMBudget, UCTIWeight: policy.DefaultUCTIWeight}
-}
-
-// Tuning maps the config onto the shared policy-engine knobs — exported
-// so experiments can build alternative policies (policy.MustNew) with
-// HyTM's system-correct tuning: TCC (an ownership-check abort) maps to
-// Backoff with a half-failure charge, because the owning software
-// transaction is making progress concurrently.
-func (c Config) Tuning() policy.Tuning {
-	return policy.Tuning{
-		Budget:      c.MaxFailures,
-		UCTIWeight:  c.UCTIWeight,
-		UCTIBackoff: false,
-		GiveUp:      policy.DefaultGiveUp,
-		BackoffOn:   policy.DefaultBackoffOn,
-		TCCAction:   policy.Backoff,
-		TCCWeight:   policy.DefaultTCCWeight,
-	}
+	return Config{Policy: policy.MustNew("paper", policy.HyTM())}
 }
 
 // System is a HyTM instance over a HybridSTM back end.
@@ -72,7 +53,7 @@ type System struct {
 func New(back stm.HybridSTM, cfg Config) *System {
 	return &System{
 		back:  back,
-		pol:   policy.MustNew("paper", cfg.Tuning()),
+		pol:   cfg.Policy,
 		stats: core.NewStats(),
 	}
 }

@@ -9,6 +9,7 @@ package jvm
 import (
 	"rocktm/internal/core"
 	"rocktm/internal/locktm"
+	"rocktm/internal/policy"
 	"rocktm/internal/sim"
 	"rocktm/internal/tle"
 )
@@ -26,8 +27,9 @@ type JVM struct {
 	EmitTLE bool
 }
 
-// New builds a JVM for machine m with the CPS-guided elision policy.
-func New(m *sim.Machine, pol tle.Policy) *JVM {
+// New builds a JVM for machine m whose monitors elide under pol
+// (tle.DefaultPolicy is the CPS-guided one).
+func New(m *sim.Machine, pol policy.Policy) *JVM {
 	// The engine's own lock is unused (monitors carry theirs); it exists to
 	// satisfy construction.
 	engine := tle.New("jvm-tle", tle.SpinAdapter{L: locktm.NewSpinLock(m.Mem())}, pol)

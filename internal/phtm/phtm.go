@@ -12,9 +12,9 @@
 // dooms it through plain coherence — phase changes need no fences or
 // handshakes.
 //
-// Retry intelligence lives in the shared internal/policy engine: the
-// default is the paper's Section 6.1 heuristics (policy "paper" with
-// PhTM's tuning), and SetPolicy swaps in any other policy instance. The one
+// Retry intelligence lives in the shared internal/policy engine:
+// Config.Policy drives the hardware attempts, and DefaultConfig sets it to
+// the paper's Section 6.1 heuristics ("paper" over policy.PhTM()). The one
 // PhTM-specific rule is the explicit TCC abort — it means software
 // transactions are still draining, so the engine's Wait verdict is
 // served here by spinning until the stragglers finish (or the whole
@@ -29,47 +29,22 @@ import (
 	"rocktm/internal/sim"
 )
 
-// Config tunes the policy.
+// Config configures a PhTM system.
 type Config struct {
-	// MaxFailures is the failure score at which a block triggers the switch
-	// to the software phase. The paper's Section 6 analysis shows raising
-	// it lets retries warm the cache and commit transactions that a low
-	// budget would have sent to software.
-	MaxFailures float64
-	// UCTIWeight is the score of a UCTI-flagged failure.
-	UCTIWeight float64
+	// Policy decides the fate of each failed hardware attempt; a block
+	// whose attempts it abandons triggers the switch to the software
+	// phase. Its Wait verdict is always served by the software-straggler
+	// spin. It must be set.
+	Policy policy.Policy
 	// SWHold is how many software commits the software phase lasts before
 	// the system drifts back to the hardware phase.
 	SWHold sim.Word
 }
 
-// DefaultConfig returns the policy used in the experiments. The numeric
-// knobs are the shared internal/policy defaults.
+// DefaultConfig returns the configuration used in the experiments: a
+// fresh "paper" policy over policy.PhTM() and a 16-commit software hold.
 func DefaultConfig() Config {
-	return Config{
-		MaxFailures: policy.DefaultBudget,
-		UCTIWeight:  policy.DefaultUCTIWeight,
-		SWHold:      16,
-	}
-}
-
-// Tuning maps the config onto the shared policy-engine knobs — exported
-// so experiments can build alternative policies (policy.MustNew) with
-// PhTM's system-correct tuning. PhTM's hardware path is uninstrumented,
-// so a TCC abort can only be the software-straggler check firing: it is
-// handled by waiting (Wait, zero charge), and a UCTI retry goes back
-// immediately (no backoff) because the failure carries no evidence of
-// contention.
-func (c Config) Tuning() policy.Tuning {
-	return policy.Tuning{
-		Budget:      c.MaxFailures,
-		UCTIWeight:  c.UCTIWeight,
-		UCTIBackoff: false,
-		GiveUp:      policy.DefaultGiveUp,
-		BackoffOn:   policy.DefaultBackoffOn,
-		TCCAction:   policy.Wait,
-		TCCWeight:   0,
-	}
+	return Config{Policy: policy.MustNew("paper", policy.PhTM()), SWHold: 16}
 }
 
 // System is a PhTM instance over a software TM back end.
@@ -77,7 +52,6 @@ type System struct {
 	name    string
 	back    core.System
 	cfg     Config
-	pol     policy.Policy
 	swMode  sim.Addr // software-phase countdown; 0 = hardware phase
 	swCount sim.Addr // active software transactions
 	stats   *core.Stats
@@ -89,7 +63,6 @@ func New(m *sim.Machine, back core.System, cfg Config) *System {
 		name:    "phtm",
 		back:    back,
 		cfg:     cfg,
-		pol:     policy.MustNew("paper", cfg.Tuning()),
 		swMode:  m.Mem().AllocLines(sim.WordsPerLine),
 		swCount: m.Mem().AllocLines(sim.WordsPerLine),
 		stats:   core.NewStats(),
@@ -101,11 +74,6 @@ func (p *System) Name() string { return p.name }
 
 // SetName overrides the reported name ("phtm-tl2").
 func (p *System) SetName(n string) { p.name = n }
-
-// SetPolicy replaces the retry policy driving the hardware attempts (the
-// default is "paper" with this system's tuning). The policy's Wait
-// verdict is always served by the software-straggler spin.
-func (p *System) SetPolicy(pol policy.Policy) { p.pol = pol }
 
 // Stats implements core.System: a merged snapshot of hardware-path and
 // back-end counters.
@@ -129,7 +97,7 @@ func (p *System) Atomic(s *sim.Strand, body func(core.Ctx)) {
 			}
 			body(rock.Ctx{T: tx})
 		}
-		eng := policy.Start(p.pol, 0)
+		eng := policy.Start(p.cfg.Policy, 0)
 	attempts:
 		for {
 			st.HWAttempts++

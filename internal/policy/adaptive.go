@@ -102,7 +102,7 @@ func (p *Adaptive) Decide(site uint32, attempt int, c cps.Bits) Decision {
 	case c.Has(cps.UCTI):
 		// Companion bits may be misspeculation artifacts; cheap retry.
 		return Decision{Action: Retry, Score: t.UCTIWeight}
-	case c.Any(t.GiveUp):
+	case c.Any(giveUp):
 		return Decision{Action: Fallback}
 	case c.Any(capacityBits):
 		if st.capacityHopeless {

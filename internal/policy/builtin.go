@@ -43,7 +43,7 @@ func (p *Naive) Done(uint32, int, bool) {}
 //     every companion bit may be an artifact; retry, charging only
 //     UCTIWeight (the R2 chip revision added the bit for precisely this
 //     purpose, Section 3).
-//   - GiveUp bits (INST, FP, PREC by default): the block contains an
+//   - INST, FP or PREC, the give-up bits: the block contains an
 //     instruction the HTM will never execute — fall back immediately,
 //     retries are pure waste.
 //   - Anything else (COH, LD, ST, SIZ, CTI, ASYNC, EXOG): one full
@@ -80,7 +80,7 @@ func (p *Paper) Decide(_ uint32, _ int, c cps.Bits) Decision {
 			d.Action = Backoff
 		}
 		return d
-	case c.Any(t.GiveUp):
+	case c.Any(giveUp):
 		return Decision{Action: Fallback}
 	default:
 		d := Decision{Action: Retry, Score: 1}

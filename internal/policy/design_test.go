@@ -11,7 +11,7 @@ import (
 // points adjust which knobs, and that everything else passes through
 // untouched.
 func TestTuningForDesign(t *testing.T) {
-	base := DefaultTuning()
+	base := TLE()
 
 	if got := TuningForDesign(base, sim.DesignPoint("rock")); got != base {
 		t.Errorf("rock design changed the tuning: %+v", got)

@@ -5,9 +5,10 @@
 // CPS register tells you *why* a transaction failed, and that retry
 // intelligence — retry now, back off first, throttle, or give up and take
 // the fallback path (a lock or a software transaction) — must live in
-// software and be tuned per abort cause. This package centralizes that
-// intelligence, which previously lived as near-duplicate ad-hoc loops in
-// internal/tle, internal/phtm and internal/hytm.
+// software and be tuned per abort cause. This package holds all of that
+// intelligence for internal/tle, internal/phtm and internal/hytm, and
+// states each system's rules once: TLE, PhTM and HyTM return the Tuning
+// each system's policy is built from.
 //
 // The moving parts:
 //
@@ -22,8 +23,8 @@
 //     owns the failure-score budget, so every TM system shares one
 //     exhaustion rule instead of three slightly different loops.
 //
-// TM systems construct their Policy once (Engine values are per atomic
-// block) and run every hardware attempt through Engine.OnFailure. The
+// A TM system takes a built Policy (Engine values are per atomic block)
+// and runs every hardware attempt through Engine.OnFailure. The
 // Wait action is the one escape hatch for system-specific semantics: an
 // explicit TCC abort means "lock held" under TLE but "software phase
 // active" under PhTM, so the engine hands Wait back to the caller, the
@@ -162,8 +163,8 @@ func (e *Engine) Exhausted() bool { return e.score >= e.pol.Budget() }
 //     fallback path.
 //
 // OnFailure itself never returns Fallback for a Wait decision: the
-// caller's wait must happen first (the pre-engine loops waited before
-// re-checking their budgets, and cycle-identical replay preserves that).
+// caller's wait must happen first (TLE waits for the lock, PhTM for the
+// software stragglers), and only then does it re-check the budget.
 func (e *Engine) OnFailure(s *sim.Strand, c cps.Bits) Action {
 	d := e.pol.Decide(e.site, e.attempt, c)
 	e.score += d.Score
@@ -191,10 +192,10 @@ func (e *Engine) OnCommit() { e.pol.Done(e.site, e.attempt+1, false) }
 // found the budget exhausted or its condition hopeless).
 func (e *Engine) OnFallback() { e.pol.Done(e.site, e.attempt, true) }
 
-// Tuning carries the numeric knobs shared by the built-in policies. The
-// per-system defaults that previously lived as duplicated literals in
-// internal/tle, internal/phtm and internal/hytm are the Default*
-// constants below; DefaultTuning assembles them.
+// Tuning carries the numeric knobs of the built-in policies. TLE, PhTM
+// and HyTM below state each system's values once; a caller that varies a
+// knob copies its system's Tuning, changes the field and builds the policy
+// with New.
 type Tuning struct {
 	// Budget is the failure score at which the engine falls back.
 	Budget float64
@@ -205,9 +206,6 @@ type Tuning struct {
 	// UCTIBackoff also backs off on a UCTI failure whose companion bits
 	// intersect BackoffOn (TLE does; PhTM and HyTM retry immediately).
 	UCTIBackoff bool
-	// GiveUp lists the CPS bits that mean the block can never commit in
-	// hardware (unsupported instructions, divide, precise exceptions).
-	GiveUp cps.Bits
 	// BackoffOn lists the CPS bits that trigger exponential backoff
 	// before the retry (coherence conflicts).
 	BackoffOn cps.Bits
@@ -218,49 +216,40 @@ type Tuning struct {
 	TCCWeight float64
 }
 
-// The shared default knob values, unified here from the per-package
-// literals they used to be. Attempt counting and backoff behaviour are
-// unchanged from the pre-engine loops (pinned by the golden figure
-// digests in internal/bench).
-const (
-	// DefaultBudget is the failure-score budget of the paper's TLE and
-	// PhTM policies (Section 8.1 "8 and one half").
-	DefaultBudget = 8
-	// DefaultHyTMBudget is HyTM's smaller budget: its instrumented
-	// hardware path is ~2x the cost of PhTM's, so burning attempts is
-	// twice as expensive.
-	DefaultHyTMBudget = 6
-	// DefaultUCTIWeight counts a UCTI-flagged failure as half a failure.
-	DefaultUCTIWeight = 0.5
-	// DefaultTCCWeight counts a software-convention abort as half a
-	// failure where the system charges it at all.
-	DefaultTCCWeight = 0.5
-)
+// giveUp lists the CPS bits that mean the block can never commit in
+// hardware (unsupported instructions, divide, precise exceptions): the
+// Section 6.1 reasons that never go away.
+const giveUp = cps.INST | cps.FP | cps.PREC
 
-// DefaultGiveUp and DefaultBackoffOn are the Section 6.1 bit classes:
-// reasons that never go away, and reasons that call for backoff.
-const (
-	DefaultGiveUp    = cps.INST | cps.FP | cps.PREC
-	DefaultBackoffOn = cps.COH
-)
+// TLE returns lock elision's rules: a budget of 8 with a UCTI failure
+// counting one half (Section 8.1's "8 and one half"), backoff on COH, also
+// when UCTI flags it, and a TCC abort — the lock is held — served by
+// waiting for the lock at half a failure.
+func TLE() Tuning {
+	return Tuning{Budget: 8, UCTIWeight: 0.5, UCTIBackoff: true, BackoffOn: cps.COH, TCCAction: Wait, TCCWeight: 0.5}
+}
 
-// DefaultTuning returns the paper's TLE/PhTM-flavoured knobs.
-func DefaultTuning() Tuning {
-	return Tuning{
-		Budget:      DefaultBudget,
-		UCTIWeight:  DefaultUCTIWeight,
-		UCTIBackoff: true,
-		GiveUp:      DefaultGiveUp,
-		BackoffOn:   DefaultBackoffOn,
-		TCCAction:   Wait,
-		TCCWeight:   DefaultTCCWeight,
-	}
+// PhTM returns PhTM's rules: TLE's budget and UCTI weight, but a UCTI
+// failure retries at once, because PhTM's uninstrumented hardware path
+// carries no evidence of contention, and a TCC abort — software
+// transactions are still draining — is waited out free of charge.
+func PhTM() Tuning {
+	return Tuning{Budget: 8, UCTIWeight: 0.5, BackoffOn: cps.COH, TCCAction: Wait, TCCWeight: 0}
+}
+
+// HyTM returns HyTM's rules: a smaller budget of 6, because its
+// instrumented hardware path costs about twice PhTM's, and a TCC abort —
+// the ownership check found a software owner, which is making progress
+// concurrently — backs off at half a failure instead of waiting.
+func HyTM() Tuning {
+	return Tuning{Budget: 6, UCTIWeight: 0.5, BackoffOn: cps.COH, TCCAction: Backoff, TCCWeight: 0.5}
 }
 
 // New builds one of the built-in policies ("naive", "paper", "adaptive")
 // by name. Each experiment cell builds fresh instances so learning state
 // never leaks between cells. A policy defined elsewhere needs no name: pass
-// its instance to the TM system's SetPolicy.
+// its instance to tle.New or jvm.New, or set it as the Policy of
+// phtm.Config or hytm.Config.
 func New(name string, t Tuning) (Policy, error) {
 	switch name {
 	case "naive":

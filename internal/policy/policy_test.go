@@ -1,68 +1,90 @@
 package policy_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"rocktm/internal/cps"
+	"rocktm/internal/hytm"
+	"rocktm/internal/phtm"
 	"rocktm/internal/policy"
 	"rocktm/internal/sim"
+	"rocktm/internal/tle"
 )
 
-// TestBuiltinDecisionsPerCPSBit pins each built-in policy's verdict for
-// every one of the twelve Table-1 failure reasons (plus the combinations
-// the paper calls out), so a policy regression shows up as a named bit,
-// not a throughput drift. Fresh policy instances are used per case: the
-// adaptive policy's stance depends on history, and these are its
-// *cold-start* verdicts (it starts from the paper policy's reactions).
+// TestBuiltinDecisionsPerCPSBit pins, for every policy a system builds,
+// its budget and its verdict for each of the twelve Table-1 failure
+// reasons (plus the combinations the paper calls out), so a policy
+// regression shows up as a named bit, not a throughput drift. Fresh policy
+// instances are used per case: the adaptive policy's stance depends on
+// history, and these are its *cold-start* verdicts (it starts from the
+// paper policy's reactions).
 func TestBuiltinDecisionsPerCPSBit(t *testing.T) {
-	type want struct {
-		action policy.Action
-		score  float64
+	phtmOn := func(design string) func() policy.Policy {
+		return func() policy.Policy {
+			return policy.MustNew("paper", policy.TuningForDesign(policy.PhTM(), sim.DesignPoint(design)))
+		}
 	}
-	cases := []struct {
-		c cps.Bits
-		// Expected verdicts under policy.DefaultTuning (the TLE/PhTM
-		// flavour: UCTIBackoff on, TCC → Wait at half charge).
-		naive, paper, adaptive want
+	builtin := func(name string) func() policy.Policy {
+		return func() policy.Policy { return policy.MustNew(name, policy.TLE()) }
+	}
+	columns := []struct {
+		name   string
+		build  func() policy.Policy
+		budget float64
 	}{
-		{cps.EXOG, want{policy.Retry, 1}, want{policy.Retry, 1}, want{policy.Retry, 0.5}},
-		{cps.COH, want{policy.Retry, 1}, want{policy.Backoff, 1}, want{policy.Backoff, 1}},
-		{cps.TCC, want{policy.Wait, 0.5}, want{policy.Wait, 0.5}, want{policy.Wait, 0.5}},
-		{cps.INST, want{policy.Retry, 1}, want{policy.Fallback, 0}, want{policy.Fallback, 0}},
-		{cps.PREC, want{policy.Retry, 1}, want{policy.Fallback, 0}, want{policy.Fallback, 0}},
-		{cps.ASYNC, want{policy.Retry, 1}, want{policy.Retry, 1}, want{policy.Retry, 0.5}},
-		{cps.SIZ, want{policy.Retry, 1}, want{policy.Retry, 1}, want{policy.Retry, 1}},
-		{cps.LD, want{policy.Retry, 1}, want{policy.Retry, 1}, want{policy.Retry, 1}},
-		{cps.ST, want{policy.Retry, 1}, want{policy.Retry, 1}, want{policy.Retry, 1}},
-		{cps.CTI, want{policy.Retry, 1}, want{policy.Retry, 1}, want{policy.Retry, 0.5}},
-		{cps.FP, want{policy.Retry, 1}, want{policy.Fallback, 0}, want{policy.Fallback, 0}},
-		{cps.UCTI, want{policy.Retry, 1}, want{policy.Retry, 0.5}, want{policy.Retry, 0.5}},
-		// UCTI with a COH companion: paper (with UCTIBackoff, the TLE
-		// wrinkle) backs off; adaptive always retries UCTI immediately.
-		{cps.UCTI | cps.COH, want{policy.Retry, 1}, want{policy.Backoff, 0.5}, want{policy.Retry, 0.5}},
-		// ST|SIZ store-queue overflow and LD|PREC unmapped-page loads: the
-		// GiveUp bits win for LD|PREC, capacity retries for ST|SIZ.
-		{cps.ST | cps.SIZ, want{policy.Retry, 1}, want{policy.Retry, 1}, want{policy.Retry, 1}},
-		{cps.LD | cps.PREC, want{policy.Retry, 1}, want{policy.Fallback, 0}, want{policy.Fallback, 0}},
+		{"naive", builtin("naive"), 8},
+		{"paper", builtin("paper"), 8},
+		{"adaptive", builtin("adaptive"), 8},
+		{"tle.DefaultPolicy", tle.DefaultPolicy, 8},
+		{"tle.SimplePolicy(3)", func() policy.Policy { return tle.SimplePolicy(3) }, 3},
+		{"phtm", func() policy.Policy { return phtm.DefaultConfig().Policy }, 8},
+		{"hytm", func() policy.Policy { return hytm.DefaultConfig().Policy }, 6},
+		{"phtm@committer", phtmOn("committer"), 8},
+		{"phtm@eagervm", phtmOn("eagervm"), 6},
 	}
-	for _, tc := range cases {
-		for _, pc := range []struct {
-			name string
-			want want
-		}{
-			{"naive", tc.naive},
-			{"paper", tc.paper},
-			{"adaptive", tc.adaptive},
-		} {
-			p := policy.MustNew(pc.name, policy.DefaultTuning())
-			d := p.Decide(0, 0, tc.c)
-			if d.Action != pc.want.action {
-				t.Errorf("%s(%v): action = %v, want %v", pc.name, tc.c, d.Action, pc.want.action)
-			}
-			if pc.want.action != policy.Fallback && d.Score != pc.want.score {
-				// (A Fallback's score is irrelevant: the engine stops.)
-				t.Errorf("%s(%v): score = %g, want %g", pc.name, tc.c, d.Score, pc.want.score)
+	// Each verdict is the action's initial and the score charge; a
+	// Fallback's score is irrelevant (the engine stops), so it is "F".
+	cases := []struct {
+		c    cps.Bits
+		want [9]string
+	}{
+		//          naive  paper   adapt   tle     simple3 phtm    hytm    commit  eagervm
+		{cps.EXOG, [9]string{"R1", "R1", "R0.5", "R1", "R1", "R1", "R1", "R1", "R1"}},
+		{cps.COH, [9]string{"R1", "B1", "B1", "B1", "R1", "B1", "B1", "R1", "B1"}},
+		{cps.TCC, [9]string{"W0.5", "W0.5", "W0.5", "W0.5", "W0.5", "W0", "B0.5", "W0", "W0"}},
+		{cps.INST, [9]string{"R1", "F", "F", "F", "R1", "F", "F", "F", "F"}},
+		{cps.PREC, [9]string{"R1", "F", "F", "F", "R1", "F", "F", "F", "F"}},
+		{cps.ASYNC, [9]string{"R1", "R1", "R0.5", "R1", "R1", "R1", "R1", "R1", "R1"}},
+		{cps.SIZ, [9]string{"R1", "R1", "R1", "R1", "R1", "R1", "R1", "R1", "R1"}},
+		{cps.LD, [9]string{"R1", "R1", "R1", "R1", "R1", "R1", "R1", "R1", "R1"}},
+		{cps.ST, [9]string{"R1", "R1", "R1", "R1", "R1", "R1", "R1", "R1", "R1"}},
+		{cps.CTI, [9]string{"R1", "R1", "R0.5", "R1", "R1", "R1", "R1", "R1", "R1"}},
+		{cps.FP, [9]string{"R1", "F", "F", "F", "R1", "F", "F", "F", "F"}},
+		{cps.UCTI, [9]string{"R1", "R0.5", "R0.5", "R0.5", "R1", "R0.5", "R0.5", "R0.5", "R0.5"}},
+		// UCTI with a COH companion: only TLE's tuning (UCTIBackoff) backs
+		// off under paper; adaptive always retries UCTI immediately.
+		{cps.UCTI | cps.COH, [9]string{"R1", "B0.5", "R0.5", "B0.5", "R1", "R0.5", "R0.5", "R0.5", "R0.5"}},
+		// ST|SIZ store-queue overflow and LD|PREC unmapped-page loads: the
+		// give-up bits win for LD|PREC, capacity retries for ST|SIZ.
+		{cps.ST | cps.SIZ, [9]string{"R1", "R1", "R1", "R1", "R1", "R1", "R1", "R1", "R1"}},
+		{cps.LD | cps.PREC, [9]string{"R1", "F", "F", "F", "R1", "F", "F", "F", "F"}},
+	}
+	verdict := func(d policy.Decision) string {
+		code := strings.ToUpper(d.Action.String()[:1])
+		if d.Action == policy.Fallback {
+			return code
+		}
+		return code + strconv.FormatFloat(d.Score, 'g', -1, 64)
+	}
+	for i, col := range columns {
+		if got := col.build().Budget(); got != col.budget {
+			t.Errorf("%s: budget = %g, want %g", col.name, got, col.budget)
+		}
+		for _, tc := range cases {
+			if got := verdict(col.build().Decide(0, 0, tc.c)); got != tc.want[i] {
+				t.Errorf("%s(%v) = %s, want %s", col.name, tc.c, got, tc.want[i])
 			}
 		}
 	}
@@ -71,7 +93,7 @@ func TestBuiltinDecisionsPerCPSBit(t *testing.T) {
 // TestEngineBudgetExhaustion checks the shared exhaustion rule: full-point
 // failures exhaust an integer budget exactly at the budget'th failure.
 func TestEngineBudgetExhaustion(t *testing.T) {
-	tun := policy.DefaultTuning()
+	tun := policy.TLE()
 	tun.Budget = 3
 	p := policy.MustNew("paper", tun)
 	eng := policy.Start(p, 0)
@@ -94,7 +116,7 @@ func TestEngineBudgetExhaustion(t *testing.T) {
 // TestEngineUCTIHalfWeight checks the Section 8.1 "8 and one half"
 // accounting: UCTI failures charge half, so a budget of 8 tolerates 16.
 func TestEngineUCTIHalfWeight(t *testing.T) {
-	p := policy.MustNew("paper", policy.DefaultTuning()) // budget 8, UCTI 0.5
+	p := policy.MustNew("paper", policy.TLE()) // budget 8, UCTI 0.5
 	eng := policy.Start(p, 0)
 	for i := 0; i < 15; i++ {
 		if act := eng.OnFailure(nil, cps.UCTI); act != policy.Retry {
@@ -110,11 +132,10 @@ func TestEngineUCTIHalfWeight(t *testing.T) {
 }
 
 // TestEngineWaitNeverConvertsToFallback pins the Wait contract: even with
-// the budget exhausted, OnFailure hands Wait back to the caller (whose
-// system-specific wait must happen before the budget re-check) — the
-// ordering the pre-engine loops used, preserved for cycle identity.
+// the budget exhausted, OnFailure hands Wait back to the caller, whose
+// system-specific wait must happen before the budget re-check.
 func TestEngineWaitNeverConvertsToFallback(t *testing.T) {
-	tun := policy.DefaultTuning()
+	tun := policy.TLE()
 	tun.Budget = 1
 	tun.TCCWeight = 1
 	p := policy.MustNew("paper", tun)
@@ -133,7 +154,7 @@ func TestEngineWaitNeverConvertsToFallback(t *testing.T) {
 func TestEngineBackoffChargesCycles(t *testing.T) {
 	m := sim.New(sim.DefaultConfig(1))
 	m.Run(func(s *sim.Strand) {
-		p := policy.MustNew("paper", policy.DefaultTuning())
+		p := policy.MustNew("paper", policy.TLE())
 		eng := policy.Start(p, 0)
 		before := s.Clock()
 		eng.OnFailure(s, cps.ASYNC) // Retry: no delay
@@ -152,7 +173,7 @@ func TestEngineBackoffChargesCycles(t *testing.T) {
 // capacity failures with no hardware commit: the adaptive policy must
 // flip from the paper's retry-and-warm bet to immediate fallback.
 func TestAdaptiveCapacityHopeless(t *testing.T) {
-	p := policy.NewAdaptive(policy.DefaultTuning())
+	p := policy.NewAdaptive(policy.TLE())
 	const site = 7
 	var sawFallback int
 	for i := 0; i < 40; i++ {
@@ -186,7 +207,7 @@ func TestAdaptiveCapacityHopeless(t *testing.T) {
 // TestAdaptiveCOHEscalatesToThrottle drives a site through a
 // COH-dominated window: Backoff must escalate to Throttle.
 func TestAdaptiveCOHEscalatesToThrottle(t *testing.T) {
-	p := policy.NewAdaptive(policy.DefaultTuning())
+	p := policy.NewAdaptive(policy.TLE())
 	const site = 3
 	var sawThrottle bool
 	for i := 0; i < 40; i++ {
@@ -210,7 +231,7 @@ func TestAdaptiveCOHEscalatesToThrottle(t *testing.T) {
 // TestAdaptiveTCCNotRecorded checks that the system's own explicit aborts
 // are not treated as evidence about a site's hardware viability.
 func TestAdaptiveTCCNotRecorded(t *testing.T) {
-	p := policy.NewAdaptive(policy.DefaultTuning())
+	p := policy.NewAdaptive(policy.TLE())
 	for i := 0; i < 100; i++ {
 		if d := p.Decide(5, i, cps.TCC); d.Action != policy.Wait {
 			t.Fatalf("TCC: action = %v, want wait", d.Action)
@@ -226,18 +247,18 @@ func TestAdaptiveTCCNotRecorded(t *testing.T) {
 // of known ones.
 func TestRegistry(t *testing.T) {
 	for _, name := range []string{"naive", "paper", "adaptive"} {
-		a, err := policy.New(name, policy.DefaultTuning())
+		a, err := policy.New(name, policy.TLE())
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
 		if a.Name() != name {
 			t.Errorf("New(%q).Name() = %q", name, a.Name())
 		}
-		if b := policy.MustNew(name, policy.DefaultTuning()); b == a {
+		if b := policy.MustNew(name, policy.TLE()); b == a {
 			t.Errorf("New(%q) returned a shared instance", name)
 		}
 	}
-	if _, err := policy.New("no-such-policy", policy.DefaultTuning()); err == nil {
+	if _, err := policy.New("no-such-policy", policy.TLE()); err == nil {
 		t.Error("New(unknown) did not error")
 	} else if !strings.Contains(err.Error(), "naive") {
 		t.Errorf("unknown-policy error does not list the known names: %v", err)

@@ -15,6 +15,7 @@ import (
 	"rocktm/internal/cps"
 	"rocktm/internal/obs"
 	"rocktm/internal/phtm"
+	"rocktm/internal/policy"
 	"rocktm/internal/rbtree"
 	"rocktm/internal/sim"
 	"rocktm/internal/stm/sky"
@@ -227,7 +228,7 @@ func machine() *sim.Machine {
 // Run executes the two-phase analysis and returns the per-op profiles.
 func Run(cfg Config) []OpProfile {
 	if cfg.MaxHWTries == 0 {
-		cfg.MaxHWTries = 8
+		cfg.MaxHWTries = policy.PhTM().Budget
 	}
 	ops := opSequence(cfg)
 	profiles := make([]OpProfile, len(ops))
@@ -242,8 +243,10 @@ func Run(cfg Config) []OpProfile {
 		tree := rbtree.New(m, cfg.TreeKeys+64)
 		tree.Prepopulate(m.Mem(), prepKeys(cfg), 1)
 		back := sky.New(m)
+		t := policy.PhTM()
+		t.Budget = cfg.MaxHWTries
 		pcfg := phtm.DefaultConfig()
-		pcfg.MaxFailures = cfg.MaxHWTries
+		pcfg.Policy = policy.MustNew("paper", t)
 		sys := phtm.New(m, back, pcfg)
 		m.Run(func(s *sim.Strand) {
 			for i, op := range ops {

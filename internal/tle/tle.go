@@ -7,15 +7,13 @@
 // transaction has the lock word in its read set, a fallback acquisition
 // dooms all concurrent elisions, preserving lock semantics.
 //
-// Retry intelligence lives in the shared internal/policy engine. The local
-// Policy struct is the experiment-facing configuration (kept stable for
-// the JVM, MSF and ablation callers); it compiles down to either the
-// "paper" policy (UseCPS true — the Section 6.1 heuristics, with TLE's
-// back-off-on-UCTI wrinkle) or the "naive" policy (UseCPS false — the STL
-// vector experiment's fixed-count loop). TLE's system-specific rule is the
-// explicit TCC abort: it means the lock is really held, so the engine's
-// Wait verdict is served here by spinning (with backoff) until the lock
-// word reads free.
+// Retry intelligence lives in the shared internal/policy engine, and New
+// takes a built policy. DefaultPolicy is "paper" over policy.TLE() (the
+// Section 6.1 heuristics, with TLE's back-off-on-UCTI wrinkle);
+// SimplePolicy is "naive" (the STL vector experiment's fixed-count loop).
+// TLE's system-specific rule is the explicit TCC abort: it means the lock
+// is really held, so the engine's Wait verdict is served here by spinning
+// (with backoff) until the lock word reads free.
 package tle
 
 import (
@@ -74,68 +72,16 @@ func (a RWAdapter) Release(s *sim.Strand, ro bool) {
 	}
 }
 
-// Policy tunes the retry heuristics. The defaults follow the paper: try
-// until the failure score reaches MaxFailures, where a UCTI failure counts
-// only UCTIWeight because the reported reason may be misspeculation
-// (Section 8.1 uses 8 and one half); give up immediately on reasons that
-// will never go away (unsupported instructions, divide); back off before
-// retrying after a coherence conflict.
-type Policy struct {
-	// MaxFailures is the failure score at which elision gives up and the
-	// lock is acquired.
-	MaxFailures float64
-	// UCTIWeight is how much a UCTI-flagged failure adds to the score.
-	UCTIWeight float64
-	// GiveUp aborts elision immediately when any of these CPS bits is set.
-	GiveUp cps.Bits
-	// BackoffOn backs off (exponentially) before retrying when any of
-	// these bits is set.
-	BackoffOn cps.Bits
-	// UseCPS disables all CPS-based decisions when false: every failure
-	// counts 1 and nothing gives up early — the "very simplistic policy"
-	// of the C++ STL vector experiment (Section 7.1).
-	UseCPS bool
-}
-
 // DefaultPolicy returns the CPS-guided policy used by the modified JVM and
-// the MSF experiments. The numeric knobs are the shared internal/policy
-// defaults (Section 8.1's "8 and one half").
-func DefaultPolicy() Policy {
-	return Policy{
-		MaxFailures: policy.DefaultBudget,
-		UCTIWeight:  policy.DefaultUCTIWeight,
-		GiveUp:      policy.DefaultGiveUp,
-		BackoffOn:   policy.DefaultBackoffOn,
-		UseCPS:      true,
-	}
-}
+// the MSF experiments.
+func DefaultPolicy() policy.Policy { return policy.MustNew("paper", policy.TLE()) }
 
 // SimplePolicy returns the fixed-count policy of the STL vector experiment:
-// n attempts, no CPS consultation.
-func SimplePolicy(n int) Policy {
-	return Policy{MaxFailures: float64(n), UCTIWeight: 1, UseCPS: false}
-}
-
-// build compiles the experiment-facing configuration down to a built-in
-// policy-engine instance: "paper" when CPS guidance is on, "naive" when it
-// is off. TLE's tuning wrinkles: it backs off on a UCTI failure whose
-// companion bits include a BackoffOn reason (PhTM and HyTM retry such
-// failures immediately), and a TCC abort — the lock is held — maps to Wait
-// with the default half-failure charge, even under the naive policy (the
-// STL vector experiment's loop still honored the lock-held convention).
-func (pol Policy) build() policy.Policy {
-	t := policy.Tuning{
-		Budget:      pol.MaxFailures,
-		UCTIWeight:  pol.UCTIWeight,
-		UCTIBackoff: true,
-		GiveUp:      pol.GiveUp,
-		BackoffOn:   pol.BackoffOn,
-		TCCAction:   policy.Wait,
-		TCCWeight:   policy.DefaultTCCWeight,
-	}
-	if pol.UseCPS {
-		return policy.MustNew("paper", t)
-	}
+// n attempts, no CPS consultation. A TCC abort still waits for the lock at
+// TLE's charge: the experiment's loop honored the lock-held convention.
+func SimplePolicy(n int) policy.Policy {
+	t := policy.TLE()
+	t.Budget = float64(n)
 	return policy.MustNew("naive", t)
 }
 
@@ -149,12 +95,12 @@ type System struct {
 	throttle *Throttle
 }
 
-// New builds a TLE system over the given lock.
-func New(name string, lock ElidableLock, pol Policy) *System {
+// New builds a TLE system over the given lock, retrying under pol.
+func New(name string, lock ElidableLock, pol policy.Policy) *System {
 	return &System{
 		name:  name,
 		lock:  lock,
-		pol:   pol.build(),
+		pol:   pol,
 		stats: core.NewStats(),
 	}
 }
@@ -198,9 +144,9 @@ func (t *System) executeOn(s *sim.Strand, lock ElidableLock, body func(core.Ctx)
 	}
 	lockAddr := lock.Addr()
 	st.HWBlocks++
-	// Bind the engine once per block; its budget check replaces the old
-	// hand-rolled failScore loop (the top-of-loop test preserves the
-	// zero-budget SimplePolicy(0) case: no attempt at all).
+	// Bind the engine once per block. The top-of-loop budget check makes
+	// a zero budget (SimplePolicy(0)) lock every block without one
+	// hardware attempt.
 	eng := policy.Start(t.pol, 0)
 attempts:
 	for !eng.Exhausted() {

@@ -6,6 +6,7 @@ import (
 	"rocktm/internal/core"
 	"rocktm/internal/cps"
 	"rocktm/internal/locktm"
+	"rocktm/internal/policy"
 	"rocktm/internal/sim"
 )
 
@@ -16,7 +17,7 @@ func newMachine(strands int) *sim.Machine {
 	return sim.New(cfg)
 }
 
-func newTLE(m *sim.Machine, pol Policy) *System {
+func newTLE(m *sim.Machine, pol policy.Policy) *System {
 	return New("tle", SpinAdapter{L: locktm.NewSpinLock(m.Mem())}, pol)
 }
 
@@ -139,7 +140,7 @@ func TestRWAdapterReadersShareFallback(t *testing.T) {
 	rw := locktm.NewRWLock(m.Mem())
 	// A policy that always gives up forces the fallback path, exercising
 	// the shared-acquisition plumbing.
-	sys := New("tle-rw", RWAdapter{L: rw}, Policy{MaxFailures: 0, UCTIWeight: 1, UseCPS: false})
+	sys := New("tle-rw", RWAdapter{L: rw}, SimplePolicy(0))
 	a := m.Mem().AllocLines(8)
 	m.Mem().Poke(a, 9)
 	m.Run(func(s *sim.Strand) {

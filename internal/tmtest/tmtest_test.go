@@ -11,6 +11,7 @@ import (
 	"rocktm/internal/hytm"
 	"rocktm/internal/locktm"
 	"rocktm/internal/phtm"
+	"rocktm/internal/policy"
 	"rocktm/internal/sim"
 	"rocktm/internal/stm/sky"
 	"rocktm/internal/stm/tl2"
@@ -35,7 +36,30 @@ func factories() []sysFactory {
 		{"tle", func(m *sim.Machine) core.System {
 			return tle.New("tle", tle.SpinAdapter{L: locktm.NewSpinLock(m.Mem())}, tle.DefaultPolicy())
 		}},
+		// Each retrying system again under the adaptive policy, over its
+		// own system's tuning.
+		{"tle-adaptive", func(m *sim.Machine) core.System {
+			pol := policy.NewAdaptive(policy.TLE())
+			return adaptiveSystem{tle.New("tle", tle.SpinAdapter{L: locktm.NewSpinLock(m.Mem())}, pol), pol}
+		}},
+		{"phtm-adaptive", func(m *sim.Machine) core.System {
+			cfg := phtm.DefaultConfig()
+			pol := policy.NewAdaptive(policy.PhTM())
+			cfg.Policy = pol
+			return adaptiveSystem{phtm.New(m, sky.New(m), cfg), pol}
+		}},
+		{"hytm-adaptive", func(m *sim.Machine) core.System {
+			pol := policy.NewAdaptive(policy.HyTM())
+			return adaptiveSystem{hytm.New(sky.New(m), hytm.Config{Policy: pol}), pol}
+		}},
 	}
+}
+
+// adaptiveSystem is a system retrying under an adaptive policy, kept
+// beside it so that a test can read the histograms the policy learned.
+type adaptiveSystem struct {
+	core.System
+	pol *policy.Adaptive
 }
 
 func testMachine(strands int, seed uint64) *sim.Machine {

@@ -2,6 +2,7 @@ package tmtest
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"rocktm/internal/cps"
 	"rocktm/internal/obs"
 	"rocktm/internal/obs/timeseries"
+	"rocktm/internal/policy"
 	"rocktm/internal/sim"
 )
 
@@ -137,6 +139,9 @@ func TestTelemetryChannelsAgree(t *testing.T) {
 							}
 						})
 						checkChannelsAgree(t, m, sys.Stats(), prof, rec.Series())
+						if a, ok := sys.(adaptiveSystem); ok {
+							checkAdaptiveAgrees(t, a.pol, prof)
+						}
 						if got := sys.Stats().Ops; got != threads*perOps {
 							t.Errorf("Ops = %d, want %d", got, threads*perOps)
 						}
@@ -196,5 +201,28 @@ func checkChannelsAgree(t *testing.T, m *sim.Machine, st *core.Stats, prof *obs.
 		if got, want := winBits[cps.Name(bit)], prof.Hist.BitCount(bit); got != want {
 			t.Errorf("CPS bit %s: windows %d, fold %d", cps.Name(bit), got, want)
 		}
+	}
+}
+
+// checkAdaptiveAgrees reconciles the adaptive policy's learned histogram
+// with the abort fold: every system drives its blocks from site 0, and the
+// policy records every failure it decides except the exact-TCC one, the
+// system's own abort.
+func checkAdaptiveAgrees(t *testing.T, pol *policy.Adaptive, prof *obs.AbortProfile) {
+	t.Helper()
+	want := map[cps.Bits]uint64{}
+	for _, e := range prof.Hist.Entries() {
+		if e.Value != cps.TCC {
+			want[e.Value] = e.Count
+		}
+	}
+	got := map[cps.Bits]uint64{}
+	if h := pol.SiteHistogram(0); h != nil {
+		for _, e := range h.Entries() {
+			got[e.Value] = e.Count
+		}
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("adaptive site histogram %v, fold without exact TCC %v", got, want)
 	}
 }
