@@ -6,15 +6,9 @@ import (
 	"io"
 	"strconv"
 
-	"rocktm/internal/core"
 	"rocktm/internal/cps"
-	"rocktm/internal/hytm"
-	"rocktm/internal/locktm"
 	"rocktm/internal/obs"
-	"rocktm/internal/phtm"
 	"rocktm/internal/sim"
-	"rocktm/internal/stm/sky"
-	"rocktm/internal/tle"
 )
 
 // AttribRow is one (system, threads) cell of the abort-attribution report:
@@ -46,19 +40,7 @@ type AttribReport struct {
 // attribSystems lists the hardware-transaction-using systems the
 // attribution experiment traces. STM-only systems never set CPS bits, so
 // they are omitted.
-func attribSystems() []SysBuilder {
-	return []SysBuilder{
-		{"phtm", func(m *sim.Machine) core.System {
-			return phtm.New(m, sky.New(m), phtm.DefaultConfig())
-		}},
-		{"hytm", func(m *sim.Machine) core.System {
-			return hytm.New(sky.New(m), hytm.DefaultConfig())
-		}},
-		{"tle", func(m *sim.Machine) core.System {
-			return tle.New("tle", tle.SpinAdapter{L: locktm.NewSpinLock(m.Mem())}, tle.DefaultPolicy())
-		}},
-	}
-}
+func attribSystems() []SysBuilder { return systems("phtm", "hytm", "tle") }
 
 // attribCell is one attribution cell's cacheable payload: the row plus
 // any per-cell consistency notes (kept together so a cache hit restores

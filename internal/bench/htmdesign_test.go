@@ -17,9 +17,6 @@ func htmTestOptions() Options {
 // demands byte identity — the same reproducibility bar every other
 // figure meets, now across all six design points.
 func TestHTMDesignFigureDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full design-space sweep is slow")
-	}
 	render := func() []byte {
 		f, err := HTMDesignFigure(htmTestOptions())
 		if err != nil {
@@ -39,9 +36,6 @@ func TestHTMDesignFigureDeterministic(t *testing.T) {
 // TestHTMDesignFigureShape pins the sweep's cross product: one curve per
 // (design point, workload, policy) triple, every design point named.
 func TestHTMDesignFigureShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full design-space sweep is slow")
-	}
 	f, err := HTMDesignFigure(htmTestOptions())
 	if err != nil {
 		t.Fatalf("HTMDesignFigure: %v", err)

@@ -61,9 +61,6 @@ func TestParallelMatchesSerialByteForByte(t *testing.T) {
 // counters, float rates, CPS histograms) must survive the cache's JSON
 // round trip bit-for-bit too.
 func TestAttribParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("attrib cells trace every event; skip in -short")
-	}
 	o := Options{Threads: []int{1, 2}, OpsPerThread: 60, Seed: 1}
 	serialRep, err := AttributionReport(o)
 	if err != nil {

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"slices"
+
 	"rocktm/internal/core"
 	"rocktm/internal/hytm"
 	"rocktm/internal/locktm"
@@ -19,31 +21,51 @@ type SysBuilder struct {
 	Build func(m *sim.Machine) core.System
 }
 
-// Figure 1/2's six systems, in the paper's legend order.
-func tmSystems() []SysBuilder {
-	return []SysBuilder{
-		{"phtm", func(m *sim.Machine) core.System {
-			s := phtm.New(m, sky.New(m), phtm.DefaultConfig())
-			return s
-		}},
-		{"phtm-tl2", func(m *sim.Machine) core.System {
-			s := phtm.New(m, tl2.New(m), phtm.DefaultConfig())
-			s.SetName("phtm-tl2")
-			return s
-		}},
-		{"hytm", func(m *sim.Machine) core.System {
-			return hytm.New(sky.New(m), hytm.DefaultConfig())
-		}},
-		{"stm", func(m *sim.Machine) core.System {
-			return sky.New(m)
-		}},
-		{"stm-tl2", func(m *sim.Machine) core.System {
-			return tl2.New(m)
-		}},
-		{"one-lock", func(m *sim.Machine) core.System {
-			return locktm.NewOneLock(m)
-		}},
+// standardSystems is every system the figures build under its standard
+// name and default configuration. An experiment selects its set by name
+// with systems.
+var standardSystems = []SysBuilder{
+	{"phtm", func(m *sim.Machine) core.System {
+		return phtm.New(m, sky.New(m), phtm.DefaultConfig())
+	}},
+	{"phtm-tl2", func(m *sim.Machine) core.System {
+		s := phtm.New(m, tl2.New(m), phtm.DefaultConfig())
+		s.SetName("phtm-tl2")
+		return s
+	}},
+	{"hytm", func(m *sim.Machine) core.System {
+		return hytm.New(sky.New(m), hytm.DefaultConfig())
+	}},
+	{"stm", func(m *sim.Machine) core.System {
+		return sky.New(m)
+	}},
+	{"stm-tl2", func(m *sim.Machine) core.System {
+		return tl2.New(m)
+	}},
+	{"one-lock", func(m *sim.Machine) core.System {
+		return locktm.NewOneLock(m)
+	}},
+	{"tle", func(m *sim.Machine) core.System {
+		return tle.New("tle", tle.SpinAdapter{L: locktm.NewSpinLock(m.Mem())}, tle.DefaultPolicy())
+	}},
+}
+
+// systems selects standard systems by name, in the order given.
+func systems(names ...string) []SysBuilder {
+	out := make([]SysBuilder, len(names))
+	for i, name := range names {
+		j := slices.IndexFunc(standardSystems, func(sb SysBuilder) bool { return sb.Name == name })
+		if j < 0 {
+			panic("bench: unknown system " + name)
+		}
+		out[i] = standardSystems[j]
 	}
+	return out
+}
+
+// tmSystems is Figure 1/2's six systems, in the paper's legend order.
+func tmSystems() []SysBuilder {
+	return systems("phtm", "phtm-tl2", "hytm", "stm", "stm-tl2", "one-lock")
 }
 
 // tleOverSpin builds the TLE system the C++ experiments use (fixed retry

@@ -3,12 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"rocktm/internal/core"
-	"rocktm/internal/locktm"
-	"rocktm/internal/phtm"
-	"rocktm/internal/sim"
-	"rocktm/internal/stm/sky"
-	"rocktm/internal/tle"
 	"rocktm/internal/workload"
 )
 
@@ -16,22 +10,7 @@ import (
 // representative of each synchronization family (phased HTM, lock elision,
 // pure STM, plain locking), so the percentile tables contrast the families
 // rather than the intra-family variants.
-func tailSystems() []SysBuilder {
-	return []SysBuilder{
-		{"phtm", func(m *sim.Machine) core.System {
-			return phtm.New(m, sky.New(m), phtm.DefaultConfig())
-		}},
-		{"tle", func(m *sim.Machine) core.System {
-			return tle.New("tle", tle.SpinAdapter{L: locktm.NewSpinLock(m.Mem())}, tle.DefaultPolicy())
-		}},
-		{"stm", func(m *sim.Machine) core.System {
-			return sky.New(m)
-		}},
-		{"one-lock", func(m *sim.Machine) core.System {
-			return locktm.NewOneLock(m)
-		}},
-	}
-}
+func tailSystems() []SysBuilder { return systems("phtm", "tle", "stm", "one-lock") }
 
 // tailSkews is the key-distribution axis: the paper's uniform draw plus
 // two zipfian skews (YCSB's default 0.99 and a milder 0.9). Skew

@@ -128,9 +128,6 @@ func TestTimelineFigureJudgesEveryCurve(t *testing.T) {
 // PhTM's phase-flip drain with a concrete window range, and the declared
 // SLO fails with a finite burn rate.
 func TestTimelineDetectsPhaseFlipDrain(t *testing.T) {
-	if testing.Short() {
-		t.Skip("16-thread contended sweep; skipped with -short")
-	}
 	o := Options{Threads: []int{16}, OpsPerThread: 1000, Seed: 1, Latency: true}.Defaults()
 	st := timelineStructures()[1] // rbtree
 	cfg := st.cfg

@@ -9,10 +9,10 @@
 // hardware path is roughly twice as expensive as PhTM's uninstrumented one
 // (the factor the paper observes in Figure 1).
 //
-// Retry intelligence lives in the shared internal/policy engine:
-// Config.Policy drives the hardware attempts, and DefaultConfig sets it to
-// "paper" over policy.HyTM(). HyTM's one system-specific wrinkle is the
-// explicit TCC abort: here it means the instrumentation found a software
+// The retry loop is policy.Run under Config.Policy, which DefaultConfig
+// sets to "paper" over policy.HyTM(). HyTM supplies only its instrumented
+// hardware attempt and the STM transaction it falls back to; it has no
+// wait. Its explicit TCC abort means the instrumentation found a software
 // transaction owning something we touched, and the right reaction is a
 // charged backoff-retry — not a wait — because the owner is making
 // progress concurrently.
@@ -20,6 +20,7 @@ package hytm
 
 import (
 	"rocktm/internal/core"
+	"rocktm/internal/cps"
 	"rocktm/internal/obs"
 	"rocktm/internal/policy"
 	"rocktm/internal/rock"
@@ -72,39 +73,16 @@ func (h *System) Stats() *core.Stats {
 
 // Atomic implements core.System.
 func (h *System) Atomic(s *sim.Strand, body func(core.Ctx)) {
-	st := h.stats
-	st.HWBlocks++
-	// Bind the hardware attempt once per block, not once per retry, so the
-	// failure loop allocates nothing.
-	hwBody := func(tx rock.Txn) {
+	hw := func(tx rock.Txn) {
 		body(h.back.HWCtx(tx))
 	}
-	eng := policy.Start(h.pol, 0)
-	for {
-		st.HWAttempts++
-		ok, c := rock.Try(s, hwBody)
-		if ok {
-			st.HWCommits++
-			st.Ops++
-			eng.OnCommit()
-			return
-		}
-		st.RecordFailure(c)
-		act := eng.OnFailure(s, c)
-		if act == policy.Fallback {
-			break
-		}
-		if act == policy.Wait {
-			// HyTM's tuning maps TCC to Backoff, so Wait only surfaces
-			// under a custom policy; with no system condition to wait on,
-			// the budget check is all that remains.
-			if eng.Exhausted() {
-				break
-			}
-		}
+	// HyTM's tuning maps TCC to Backoff, so a Wait verdict only comes from
+	// a custom policy; with no system condition to wait on, the budget
+	// check is all that remains.
+	if policy.Run(s, h.pol, h.stats, func() (bool, cps.Bits) { return rock.Try(s, hw) }, nil) {
+		return
 	}
 	// Software fallback; the back end retries internally until it commits.
-	eng.OnFallback()
 	s.TraceEvent(obs.EvFallback, 0)
 	h.back.Atomic(s, body)
 }

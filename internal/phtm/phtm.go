@@ -12,17 +12,18 @@
 // dooms it through plain coherence — phase changes need no fences or
 // handshakes.
 //
-// Retry intelligence lives in the shared internal/policy engine:
-// Config.Policy drives the hardware attempts, and DefaultConfig sets it to
-// the paper's Section 6.1 heuristics ("paper" over policy.PhTM()). The one
-// PhTM-specific rule is the explicit TCC abort — it means software
-// transactions are still draining, so the engine's Wait verdict is
-// served here by spinning until the stragglers finish (or the whole
-// system flips to the software phase under us).
+// The retry loop is policy.Run under Config.Policy, which DefaultConfig
+// sets to the paper's Section 6.1 heuristics ("paper" over policy.PhTM()).
+// PhTM supplies only its own paths: the uninstrumented hardware attempt,
+// a wait for the policy's Wait verdict — the explicit TCC abort means
+// software transactions are still draining, so it spins until the
+// stragglers finish (or the whole system flips to the software phase
+// under us) — and the phase flip it falls back to.
 package phtm
 
 import (
 	"rocktm/internal/core"
+	"rocktm/internal/cps"
 	"rocktm/internal/obs"
 	"rocktm/internal/policy"
 	"rocktm/internal/rock"
@@ -86,47 +87,26 @@ func (p *System) Stats() *core.Stats {
 
 // Atomic implements core.System.
 func (p *System) Atomic(s *sim.Strand, body func(core.Ctx)) {
-	st := p.stats
 	if s.Load(p.swMode) == 0 {
-		st.HWBlocks++
-		// Bind the hardware attempt once per block, not once per retry, so
-		// the failure loop allocates nothing.
-		hwBody := func(tx rock.Txn) {
+		hw := func(tx rock.Txn) {
 			if tx.Load(p.swCount) != 0 {
 				tx.Abort() // software stragglers still draining
 			}
 			body(rock.Ctx{T: tx})
 		}
-		eng := policy.Start(p.cfg.Policy, 0)
-	attempts:
-		for {
-			st.HWAttempts++
-			ok, c := rock.Try(s, hwBody)
-			if ok {
-				st.HWCommits++
-				st.Ops++
-				eng.OnCommit()
-				return
+		// The explicit abort: software transactions are still active. That
+		// is not this block's fault — wait for the stragglers to drain
+		// rather than burning the failure budget, and fall back at once if
+		// the whole system moved to the software phase under us.
+		wait := func() bool {
+			for spin := 0; s.Load(p.swCount) != 0 && s.Load(p.swMode) == 0; spin++ {
+				core.Backoff(s, spin)
 			}
-			st.RecordFailure(c)
-			switch eng.OnFailure(s, c) {
-			case policy.Fallback:
-				break attempts
-			case policy.Wait:
-				// The explicit abort: software transactions are still
-				// active. That is not this block's fault — wait for the
-				// stragglers to drain rather than burning the failure
-				// budget (unless the whole system moved to the software
-				// phase under us).
-				for spin := 0; s.Load(p.swCount) != 0 && s.Load(p.swMode) == 0; spin++ {
-					core.Backoff(s, spin)
-				}
-				if s.Load(p.swMode) != 0 || eng.Exhausted() {
-					break attempts // phase moved under us
-				}
-			}
+			return s.Load(p.swMode) == 0
 		}
-		eng.OnFallback()
+		if policy.Run(s, p.cfg.Policy, p.stats, func() (bool, cps.Bits) { return rock.Try(s, hw) }, wait) {
+			return
+		}
 		// Trigger the software phase.
 		s.Store(p.swMode, p.cfg.SWHold)
 		s.TraceEvent(obs.EvModeSoftware, uint64(p.cfg.SWHold))

@@ -24,7 +24,7 @@ func (p *Naive) Name() string { return "naive" }
 func (p *Naive) Budget() float64 { return p.t.Budget }
 
 // Decide implements Policy: one point per failure, no CPS consultation.
-func (p *Naive) Decide(_ uint32, _ int, c cps.Bits) Decision {
+func (p *Naive) Decide(c cps.Bits) Decision {
 	if c == cps.TCC {
 		return Decision{Action: p.t.TCCAction, Score: p.t.TCCWeight}
 	}
@@ -32,7 +32,7 @@ func (p *Naive) Decide(_ uint32, _ int, c cps.Bits) Decision {
 }
 
 // Done implements Policy (no learning).
-func (p *Naive) Done(uint32, int, bool) {}
+func (p *Naive) Done(int, bool) {}
 
 // Paper is the Section 6.1 policy the paper's TLE, PhTM and HyTM
 // converged on, generalized over Tuning:
@@ -57,7 +57,7 @@ func (p *Naive) Done(uint32, int, bool) {}
 // failing attempt warms the caches, so a bounded number of retries
 // commits transactions that a hair-trigger fallback would needlessly
 // send to the lock or the STM. The adaptive policy sharpens this by
-// watching whether capacity failures at a site actually stop recurring.
+// watching whether capacity failures actually stop recurring.
 type Paper struct {
 	t Tuning
 }
@@ -69,7 +69,7 @@ func (p *Paper) Name() string { return "paper" }
 func (p *Paper) Budget() float64 { return p.t.Budget }
 
 // Decide implements Policy.
-func (p *Paper) Decide(_ uint32, _ int, c cps.Bits) Decision {
+func (p *Paper) Decide(c cps.Bits) Decision {
 	t := &p.t
 	switch {
 	case c == cps.TCC:
@@ -92,4 +92,4 @@ func (p *Paper) Decide(_ uint32, _ int, c cps.Bits) Decision {
 }
 
 // Done implements Policy (no learning).
-func (p *Paper) Done(uint32, int, bool) {}
+func (p *Paper) Done(int, bool) {}

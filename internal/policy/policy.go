@@ -1,5 +1,6 @@
-// Package policy is the pluggable, allocation-free retry-policy engine
-// that decides the fate of failed best-effort hardware transactions.
+// Package policy is the retry loop every hardware-first TM system runs
+// its atomic blocks through, and the pluggable policies that decide the
+// fate of each failed best-effort hardware transaction.
 //
 // The paper's central software lesson (Sections 3 and 6.1) is that the
 // CPS register tells you *why* a transaction failed, and that retry
@@ -17,18 +18,17 @@
 //   - Policy: maps one failed attempt's CPS value to a Decision. Three
 //     built-ins ship: "naive" (count failures, consult nothing), "paper"
 //     (the Section 6.1 heuristics the paper's systems converged on) and
-//     "adaptive" (learns per-site abort histograms and shifts its stance).
-//   - Engine: the per-block driver. It is a plain stack value — starting a
-//     block, consuming failures and backing off allocate nothing — and it
-//     owns the failure-score budget, so every TM system shares one
-//     exhaustion rule instead of three slightly different loops.
+//     "adaptive" (learns an abort histogram and shifts its stance).
+//   - Run: the one hardware-attempt loop. It owns the failure-score
+//     budget, applies each Decision and tells the policy how the block
+//     ended, so every TM system shares one exhaustion rule.
 //
-// A TM system takes a built Policy (Engine values are per atomic block)
-// and runs every hardware attempt through Engine.OnFailure. The
-// Wait action is the one escape hatch for system-specific semantics: an
-// explicit TCC abort means "lock held" under TLE but "software phase
-// active" under PhTM, so the engine hands Wait back to the caller, the
-// caller performs its own wait, and then consults Engine.Exhausted.
+// A TM system supplies only its own paths: a hardware attempt, a wait for
+// its Wait verdict, and the fallback it takes when Run reports that the
+// block did not commit. The Wait action is the one escape hatch for
+// system-specific semantics: an explicit TCC abort means "lock held"
+// under TLE but "software phase active" under PhTM, so Run calls the
+// system's wait and re-checks the budget before the next attempt.
 //
 // See docs/POLICY.md for how to write and attach a custom policy and
 // docs/ABORT-PLAYBOOK.md for what each CPS bit means and how each
@@ -62,9 +62,9 @@ const (
 	// Wait for a system-specific condition, then retry. Returned for the
 	// software-convention TCC abort, whose meaning only the calling
 	// system knows (TLE: the lock is held; PhTM: software transactions
-	// are draining; HyTM handles TCC with Backoff instead). The engine
-	// performs no delay itself; the caller waits and then consults
-	// Engine.Exhausted before retrying.
+	// are draining; HyTM handles TCC with Backoff instead). Run performs
+	// no delay itself; it calls the system's wait and re-checks the
+	// budget before retrying.
 	Wait
 	// Fallback: abandon hardware for this block and take the system's
 	// fallback path (acquire the lock, run the STM, flip the phase).
@@ -92,112 +92,97 @@ func (a Action) String() string {
 // take and how much the failure counts against the block's budget.
 type Decision struct {
 	Action Action
-	// Score is added to the block's failure score; the engine falls back
-	// once the score reaches the policy's Budget. Fractional scores
+	// Score is added to the block's failure score; Run falls back once
+	// the score reaches the policy's Budget. Fractional scores
 	// implement the paper's "a UCTI failure counts half" refinement.
 	Score float64
 }
 
 // Policy maps failed hardware attempts to decisions. Implementations must
 // be deterministic (no host randomness, no wall clocks): simulated-time
-// reproducibility of every experiment depends on it. A Policy instance
-// may be shared by every block of one system, so per-block state belongs
-// in the Engine, not the Policy.
+// reproducibility of every experiment depends on it. A Policy instance is
+// shared by every block of one system; per-block state (the failure score
+// and the attempt count) lives in Run.
 type Policy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
-	// Budget is the failure score at which the engine abandons hardware.
+	// Budget is the failure score at which Run abandons hardware.
 	Budget() float64
-	// Decide inspects the CPS value of the block's attempt'th failed
-	// attempt (0-based) at the given site and returns the action and
-	// score charge. It must not touch the simulator.
-	Decide(site uint32, attempt int, c cps.Bits) Decision
-	// Done notifies the policy that a block at site resolved — committed
-	// in hardware (fellBack=false) or left for the fallback path
+	// Decide inspects the CPS value of one failed attempt and returns the
+	// action and score charge. It must not touch the simulator.
+	Decide(c cps.Bits) Decision
+	// Done notifies the policy that a block resolved — committed in
+	// hardware (fellBack=false) or left for the fallback path
 	// (fellBack=true) — after the given number of hardware attempts.
 	// Stateless policies ignore it; "adaptive" learns from it.
-	Done(site uint32, attempts int, fellBack bool)
+	Done(attempts int, fellBack bool)
 }
 
 // throttleExtra deepens the backoff window for Throttle decisions: the
 // exponential window of core.Backoff is widened by this many doublings.
 const throttleExtra = 3
 
-// Engine drives one atomic block's retry loop. It is a value type: embed
-// it in a stack frame (Start), feed it every failure (OnFailure), and
-// notify the outcome (OnCommit / OnFallback). The zero Engine is not
-// usable; always construct through Start.
-type Engine struct {
-	pol     Policy
-	site    uint32
-	score   float64
-	attempt int
-}
-
-// Start opens a new block at the given site under pol. Site identifiers
-// are caller-chosen stable values (core.PC of a name, or 0 for a
-// system-wide site); the adaptive policy keys its learning on them.
-func Start(pol Policy, site uint32) Engine {
-	return Engine{pol: pol, site: site}
-}
-
-// Score returns the accumulated failure score.
-func (e *Engine) Score() float64 { return e.score }
-
-// Exhausted reports whether the failure score has reached the budget.
-// Callers consult it after handling a Wait action, because a Wait may
-// carry a score charge (TLE charges a held lock half a failure).
-func (e *Engine) Exhausted() bool { return e.score >= e.pol.Budget() }
-
-// OnFailure consumes one failed attempt's CPS value: it asks the policy,
-// applies the score charge, performs any Backoff/Throttle delay on strand
-// s (charging simulated cycles through core.Backoff's seeded exponential
-// jitter), and returns the action the caller must complete.
+// Run drives one atomic block's hardware attempts under pol on strand s
+// and reports whether the block committed in hardware. try makes one
+// attempt and returns its outcome: committed, or the failure's CPS value.
+// Run counts the block, each attempt, each commit (as an op) and each
+// failure's CPS value into st.
 //
-// The caller's contract:
+// Before every attempt Run checks the failure score against the budget,
+// so a zero budget makes no attempt. After a failure it applies the
+// policy's Decision:
 //
-//   - Retry, Backoff, Throttle: retry the hardware transaction (any
-//     delay has already been charged).
-//   - Wait: perform the system-specific wait, then consult Exhausted.
-//   - Fallback: stop attempting; call OnFallback when committing to the
-//     fallback path.
+//   - Retry: the next attempt follows at once.
+//   - Backoff, Throttle: a randomized exponential delay on s
+//     (core.Backoff), three doublings deeper for Throttle.
+//   - Wait: Run calls wait, the system's own wait, whatever the score;
+//     wait returns false when the block should fall back at once. A nil
+//     wait only re-checks the budget.
+//   - Fallback: no further attempt.
 //
-// OnFailure itself never returns Fallback for a Wait decision: the
-// caller's wait must happen first (TLE waits for the lock, PhTM for the
-// software stragglers), and only then does it re-check the budget.
-func (e *Engine) OnFailure(s *sim.Strand, c cps.Bits) Action {
-	d := e.pol.Decide(e.site, e.attempt, c)
-	e.score += d.Score
-	switch d.Action {
-	case Backoff:
-		core.Backoff(s, e.attempt)
-	case Throttle:
-		core.Backoff(s, e.attempt+throttleExtra)
+// Run tells pol how the block ended exactly once (Policy.Done). On false
+// the caller takes its fallback path, which counts its own op.
+func Run(s *sim.Strand, pol Policy, st *core.Stats, try func() (bool, cps.Bits), wait func() bool) bool {
+	st.HWBlocks++
+	budget := pol.Budget()
+	score, attempts := 0.0, 0
+loop:
+	for score < budget {
+		attempts++
+		st.HWAttempts++
+		ok, c := try()
+		if ok {
+			st.HWCommits++
+			st.Ops++
+			pol.Done(attempts, false)
+			return true
+		}
+		st.RecordFailure(c)
+		d := pol.Decide(c)
+		score += d.Score
+		switch d.Action {
+		case Backoff:
+			core.Backoff(s, attempts-1)
+		case Throttle:
+			core.Backoff(s, attempts-1+throttleExtra)
+		case Wait:
+			if wait != nil && !wait() {
+				break loop
+			}
+		case Fallback:
+			break loop
+		}
 	}
-	e.attempt++
-	if d.Action == Wait {
-		return Wait
-	}
-	if d.Action == Fallback || e.score >= e.pol.Budget() {
-		return Fallback
-	}
-	return d.Action
+	pol.Done(attempts, true)
+	return false
 }
-
-// OnCommit notifies the policy that the block committed in hardware.
-func (e *Engine) OnCommit() { e.pol.Done(e.site, e.attempt+1, false) }
-
-// OnFallback notifies the policy that the block left for the fallback
-// path (after OnFailure returned Fallback, or after a caller-side Wait
-// found the budget exhausted or its condition hopeless).
-func (e *Engine) OnFallback() { e.pol.Done(e.site, e.attempt, true) }
 
 // Tuning carries the numeric knobs of the built-in policies. TLE, PhTM
 // and HyTM below state each system's values once; a caller that varies a
 // knob copies its system's Tuning, changes the field and builds the policy
 // with New.
 type Tuning struct {
-	// Budget is the failure score at which the engine falls back.
+	// Budget is the failure score at which Run falls back.
 	Budget float64
 	// UCTIWeight is the score of a UCTI-flagged failure (Section 8.1
 	// counts it one half: the companion bits may be misspeculation

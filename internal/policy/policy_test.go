@@ -5,11 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"rocktm/internal/core"
 	"rocktm/internal/cps"
 	"rocktm/internal/hytm"
+	"rocktm/internal/locktm"
 	"rocktm/internal/phtm"
 	"rocktm/internal/policy"
 	"rocktm/internal/sim"
+	"rocktm/internal/stm/sky"
 	"rocktm/internal/tle"
 )
 
@@ -45,7 +48,7 @@ func TestBuiltinDecisionsPerCPSBit(t *testing.T) {
 		{"phtm@eagervm", phtmOn("eagervm"), 6},
 	}
 	// Each verdict is the action's initial and the score charge; a
-	// Fallback's score is irrelevant (the engine stops), so it is "F".
+	// Fallback's score is irrelevant (Run stops), so it is "F".
 	cases := []struct {
 		c    cps.Bits
 		want [9]string
@@ -83,11 +86,23 @@ func TestBuiltinDecisionsPerCPSBit(t *testing.T) {
 			t.Errorf("%s: budget = %g, want %g", col.name, got, col.budget)
 		}
 		for _, tc := range cases {
-			if got := verdict(col.build().Decide(0, 0, tc.c)); got != tc.want[i] {
+			if got := verdict(col.build().Decide(tc.c)); got != tc.want[i] {
 				t.Errorf("%s(%v) = %s, want %s", col.name, tc.c, got, tc.want[i])
 			}
 		}
 	}
+}
+
+// script returns a hardware attempt that replays outcomes, one per call
+// (0 commits), repeating the last one once they run out, and the count of
+// calls made.
+func script(outcomes ...cps.Bits) (func() (bool, cps.Bits), *int) {
+	n := new(int)
+	return func() (bool, cps.Bits) {
+		c := outcomes[min(*n, len(outcomes)-1)]
+		*n++
+		return c == 0, c
+	}, n
 }
 
 // TestEngineBudgetExhaustion checks the shared exhaustion rule: full-point
@@ -95,21 +110,13 @@ func TestBuiltinDecisionsPerCPSBit(t *testing.T) {
 func TestEngineBudgetExhaustion(t *testing.T) {
 	tun := policy.TLE()
 	tun.Budget = 3
-	p := policy.MustNew("paper", tun)
-	eng := policy.Start(p, 0)
-	for i := 0; i < 2; i++ {
-		if act := eng.OnFailure(nil, cps.ASYNC); act != policy.Retry {
-			t.Fatalf("failure %d: action = %v, want retry", i, act)
-		}
+	st := core.NewStats()
+	try, n := script(cps.ASYNC)
+	if policy.Run(nil, policy.MustNew("paper", tun), st, try, nil) {
+		t.Fatal("a block of failures committed")
 	}
-	if eng.Exhausted() {
-		t.Fatal("exhausted before budget reached")
-	}
-	if act := eng.OnFailure(nil, cps.ASYNC); act != policy.Fallback {
-		t.Fatalf("3rd failure: action = %v, want fallback", act)
-	}
-	if !eng.Exhausted() {
-		t.Fatal("not exhausted after budget reached")
+	if *n != 3 || st.HWAttempts != 3 {
+		t.Fatalf("attempts = %d (counted %d), want 3", *n, st.HWAttempts)
 	}
 }
 
@@ -117,34 +124,28 @@ func TestEngineBudgetExhaustion(t *testing.T) {
 // accounting: UCTI failures charge half, so a budget of 8 tolerates 16.
 func TestEngineUCTIHalfWeight(t *testing.T) {
 	p := policy.MustNew("paper", policy.TLE()) // budget 8, UCTI 0.5
-	eng := policy.Start(p, 0)
-	for i := 0; i < 15; i++ {
-		if act := eng.OnFailure(nil, cps.UCTI); act != policy.Retry {
-			t.Fatalf("UCTI failure %d: action = %v, want retry", i, act)
-		}
-	}
-	if act := eng.OnFailure(nil, cps.UCTI); act != policy.Fallback {
-		t.Fatalf("16th UCTI failure: action = %v, want fallback", act)
-	}
-	if got := eng.Score(); got != 8 {
-		t.Fatalf("score = %g, want 8", got)
+	try, n := script(cps.UCTI)
+	policy.Run(nil, p, core.NewStats(), try, nil)
+	if *n != 16 {
+		t.Fatalf("UCTI attempts = %d, want 16", *n)
 	}
 }
 
 // TestEngineWaitNeverConvertsToFallback pins the Wait contract: even with
-// the budget exhausted, OnFailure hands Wait back to the caller, whose
-// system-specific wait must happen before the budget re-check.
+// the budget exhausted by the Wait's own charge, Run calls the
+// system-specific wait before the budget re-check ends the block.
 func TestEngineWaitNeverConvertsToFallback(t *testing.T) {
 	tun := policy.TLE()
 	tun.Budget = 1
 	tun.TCCWeight = 1
-	p := policy.MustNew("paper", tun)
-	eng := policy.Start(p, 0)
-	if act := eng.OnFailure(nil, cps.TCC); act != policy.Wait {
-		t.Fatalf("TCC at exhausted budget: action = %v, want wait", act)
+	try, n := script(cps.TCC)
+	waits := 0
+	wait := func() bool { waits++; return true }
+	if policy.Run(nil, policy.MustNew("paper", tun), core.NewStats(), try, wait) {
+		t.Fatal("a TCC abort committed")
 	}
-	if !eng.Exhausted() {
-		t.Fatal("budget should be exhausted after the charged wait")
+	if *n != 1 || waits != 1 {
+		t.Fatalf("attempts = %d, waits = %d, want 1 and 1", *n, waits)
 	}
 }
 
@@ -155,29 +156,112 @@ func TestEngineBackoffChargesCycles(t *testing.T) {
 	m := sim.New(sim.DefaultConfig(1))
 	m.Run(func(s *sim.Strand) {
 		p := policy.MustNew("paper", policy.TLE())
-		eng := policy.Start(p, 0)
-		before := s.Clock()
-		eng.OnFailure(s, cps.ASYNC) // Retry: no delay
-		if s.Clock() != before {
-			t.Errorf("retry charged %d cycles, want 0", s.Clock()-before)
+		// delay returns the cycles Run spent between a failure with c and
+		// the retry that commits.
+		delay := func(c cps.Bits) int64 {
+			var clocks []int64
+			try, _ := script(c, 0)
+			policy.Run(s, p, core.NewStats(), func() (bool, cps.Bits) {
+				clocks = append(clocks, s.Clock())
+				return try()
+			}, nil)
+			return clocks[1] - clocks[0]
 		}
-		before = s.Clock()
-		eng.OnFailure(s, cps.COH) // Backoff: must charge
-		if s.Clock() == before {
+		if d := delay(cps.ASYNC); d != 0 { // Retry: no delay
+			t.Errorf("retry charged %d cycles, want 0", d)
+		}
+		if delay(cps.COH) == 0 { // Backoff: must charge
 			t.Error("backoff charged no cycles")
 		}
 	})
 }
 
-// TestAdaptiveCapacityHopeless drives one site through a full window of
-// capacity failures with no hardware commit: the adaptive policy must
-// flip from the paper's retry-and-warm bet to immediate fallback.
+// TestRunNotifiesDone checks that Run tells the policy how each block
+// ended exactly once: a commit after k failures as Done(k+1, false), and
+// a fallback after k failures as Done(k, true).
+func TestRunNotifiesDone(t *testing.T) {
+	tun := policy.TLE()
+	tun.Budget = 3
+	cases := []struct {
+		name     string
+		outcomes []cps.Bits
+		attempts int
+		fellBack bool
+	}{
+		{"commit at once", []cps.Bits{0}, 1, false},
+		{"commit after 2 failures", []cps.Bits{cps.ASYNC, cps.COH, 0}, 3, false},
+		{"budget spent by 3 failures", []cps.Bits{cps.ASYNC}, 3, true},
+		{"INST on the 2nd failure", []cps.Bits{cps.ASYNC, cps.INST}, 2, true},
+		{"a wait that gives up", []cps.Bits{cps.TCC}, 1, true},
+	}
+	m := sim.New(sim.DefaultConfig(1))
+	m.Run(func(s *sim.Strand) {
+		for _, tc := range cases {
+			p := &spy{Policy: policy.MustNew("paper", tun)}
+			try, _ := script(tc.outcomes...)
+			ok := policy.Run(s, p, core.NewStats(), try, func() bool { return false })
+			if ok == tc.fellBack || p.done != 1 || p.doneAttempts != tc.attempts || p.doneFellBack != tc.fellBack {
+				t.Errorf("%s: Run = %v, %d Done calls, last Done(%d, %v); want one Done(%d, %v)",
+					tc.name, ok, p.done, p.doneAttempts, p.doneFellBack, tc.attempts, tc.fellBack)
+			}
+		}
+	})
+}
+
+// TestZeroBudgetTakesFallbackPath checks each hardware-first system under
+// a zero budget: no block makes a hardware attempt, and every block
+// finishes on the system's fallback path.
+func TestZeroBudgetTakesFallbackPath(t *testing.T) {
+	const blocks = 10
+	zero := func(t policy.Tuning) policy.Policy {
+		t.Budget = 0
+		return policy.MustNew("paper", t)
+	}
+	systems := []struct {
+		name     string
+		build    func(m *sim.Machine) core.System
+		fallback func(st *core.Stats) uint64
+	}{
+		{"tle", func(m *sim.Machine) core.System {
+			return tle.New("tle", tle.SpinAdapter{L: locktm.NewSpinLock(m.Mem())}, zero(policy.TLE()))
+		}, func(st *core.Stats) uint64 { return st.LockAcquires }},
+		{"phtm", func(m *sim.Machine) core.System {
+			cfg := phtm.DefaultConfig()
+			cfg.Policy = zero(policy.PhTM())
+			return phtm.New(m, sky.New(m), cfg)
+		}, func(st *core.Stats) uint64 { return st.SWCommits }},
+		{"hytm", func(m *sim.Machine) core.System {
+			return hytm.New(sky.New(m), hytm.Config{Policy: zero(policy.HyTM())})
+		}, func(st *core.Stats) uint64 { return st.SWCommits }},
+	}
+	for _, sys := range systems {
+		cfg := sim.DefaultConfig(1)
+		cfg.MemWords = 1 << 21
+		m := sim.New(cfg)
+		tm := sys.build(m)
+		a := m.Mem().AllocLines(1)
+		m.Run(func(s *sim.Strand) {
+			for i := 0; i < blocks; i++ {
+				tm.Atomic(s, func(c core.Ctx) { c.Store(a, c.Load(a)+1) })
+			}
+		})
+		st := tm.Stats()
+		if st.HWAttempts != 0 || sys.fallback(st) != blocks || m.Mem().Peek(a) != blocks {
+			t.Errorf("%s: %d hardware attempts, %d fallbacks, counter %d; want 0, %d, %d",
+				sys.name, st.HWAttempts, sys.fallback(st), m.Mem().Peek(a), blocks, blocks)
+		}
+		m.Recycle()
+	}
+}
+
+// TestAdaptiveCapacityHopeless drives a full window of capacity failures
+// with no hardware commit: the adaptive policy must flip from the paper's
+// retry-and-warm bet to immediate fallback.
 func TestAdaptiveCapacityHopeless(t *testing.T) {
 	p := policy.NewAdaptive(policy.TLE())
-	const site = 7
 	var sawFallback int
 	for i := 0; i < 40; i++ {
-		d := p.Decide(site, i, cps.SIZ)
+		d := p.Decide(cps.SIZ)
 		switch d.Action {
 		case policy.Retry:
 			if sawFallback > 0 {
@@ -194,24 +278,19 @@ func TestAdaptiveCapacityHopeless(t *testing.T) {
 	}
 	// A hardware commit after retries is direct evidence the bet pays
 	// again: the hopeless verdict must lift immediately.
-	p.Done(site, 3, false)
-	if d := p.Decide(site, 0, cps.SIZ); d.Action != policy.Retry {
+	p.Done(3, false)
+	if d := p.Decide(cps.SIZ); d.Action != policy.Retry {
 		t.Fatalf("after commit: action = %v, want retry", d.Action)
-	}
-	// Another site is unaffected by site 7's history.
-	if d := p.Decide(9, 0, cps.SIZ); d.Action != policy.Retry {
-		t.Fatalf("fresh site: action = %v, want retry", d.Action)
 	}
 }
 
-// TestAdaptiveCOHEscalatesToThrottle drives a site through a
-// COH-dominated window: Backoff must escalate to Throttle.
+// TestAdaptiveCOHEscalatesToThrottle drives a COH-dominated window:
+// Backoff must escalate to Throttle.
 func TestAdaptiveCOHEscalatesToThrottle(t *testing.T) {
 	p := policy.NewAdaptive(policy.TLE())
-	const site = 3
 	var sawThrottle bool
 	for i := 0; i < 40; i++ {
-		d := p.Decide(site, i, cps.COH)
+		d := p.Decide(cps.COH)
 		switch d.Action {
 		case policy.Backoff:
 			if sawThrottle {
@@ -229,15 +308,15 @@ func TestAdaptiveCOHEscalatesToThrottle(t *testing.T) {
 }
 
 // TestAdaptiveTCCNotRecorded checks that the system's own explicit aborts
-// are not treated as evidence about a site's hardware viability.
+// are not treated as evidence about the hardware's viability.
 func TestAdaptiveTCCNotRecorded(t *testing.T) {
 	p := policy.NewAdaptive(policy.TLE())
 	for i := 0; i < 100; i++ {
-		if d := p.Decide(5, i, cps.TCC); d.Action != policy.Wait {
+		if d := p.Decide(cps.TCC); d.Action != policy.Wait {
 			t.Fatalf("TCC: action = %v, want wait", d.Action)
 		}
 	}
-	if h := p.SiteHistogram(5); h != nil {
+	if h := p.Histogram(); h.Total() != 0 {
 		t.Fatalf("TCC aborts were recorded: histogram %v", h)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"rocktm/internal/rbtree"
 	"rocktm/internal/sim"
 	"rocktm/internal/stm/sky"
+	"rocktm/internal/workload"
 )
 
 // OpKind is the red-black tree operation type.
@@ -200,24 +201,6 @@ func opSequence(cfg Config) []struct {
 	return ops
 }
 
-func prepKeys(cfg Config) []uint64 {
-	// Shuffled deterministically: ascending prepopulation would alias the
-	// tree's upper spine into a single L1 set (see bench.shuffledEvenKeys).
-	keys := make([]uint64, 0, cfg.TreeKeys/2)
-	for k := 0; k < cfg.TreeKeys; k += 2 {
-		keys = append(keys, uint64(k))
-	}
-	state := cfg.Seed*31 + 11
-	for i := len(keys) - 1; i > 0; i-- {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		j := int(state % uint64(i+1))
-		keys[i], keys[j] = keys[j], keys[i]
-	}
-	return keys
-}
-
 func machine() *sim.Machine {
 	mcfg := sim.DefaultConfig(1)
 	mcfg.MemWords = 1 << 23
@@ -241,7 +224,7 @@ func Run(cfg Config) []OpProfile {
 	{
 		m := machine()
 		tree := rbtree.New(m, cfg.TreeKeys+64)
-		tree.Prepopulate(m.Mem(), prepKeys(cfg), 1)
+		tree.Prepopulate(m.Mem(), workload.PrepopHalfShuffled(cfg.TreeKeys, cfg.Seed*31+11), 1)
 		back := sky.New(m)
 		t := policy.PhTM()
 		t.Budget = cfg.MaxHWTries
@@ -265,7 +248,7 @@ func Run(cfg Config) []OpProfile {
 	{
 		m := machine()
 		tree := rbtree.New(m, cfg.TreeKeys+64)
-		tree.Prepopulate(m.Mem(), prepKeys(cfg), 1)
+		tree.Prepopulate(m.Mem(), workload.PrepopHalfShuffled(cfg.TreeKeys, cfg.Seed*31+11), 1)
 		sys := sky.New(m)
 		rec := newRecorder(m.Config().L1Sets)
 		m.Run(func(s *sim.Strand) {

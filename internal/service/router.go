@@ -8,7 +8,7 @@ import "fmt"
 // router is consulted once per request leg on the fleet's hot path and
 // the same mapping is reused to place the prepopulated keys.
 type ShardMap interface {
-	// Name is the canonical router name ("hash", "range", "hot:K"); it
+	// Name is the canonical router name ("hash", "hot:K"); it
 	// enters the runner cache key, so two routers that can disagree on any
 	// key must render differently.
 	Name() string
@@ -31,37 +31,6 @@ func (h hashMap) Shards() int  { return h.n }
 func (h hashMap) Shard(key uint64) int {
 	key *= 0x9e3779b97f4a7c15
 	return int((key >> 40) % uint64(h.n))
-}
-
-// rangeMap assigns contiguous key ranges — the router of ordered stores
-// (range scans stay shard-local). Under zipfian skew it is the worst
-// case: the hottest ranks are adjacent keys, so shard 0 owns the entire
-// storm.
-type rangeMap struct {
-	n   int
-	per uint64
-}
-
-// NewRangeMap routes [0, keyRange) in n contiguous slices.
-func NewRangeMap(n, keyRange int) ShardMap {
-	if keyRange <= 0 {
-		panic("service: range router needs keyRange > 0")
-	}
-	per := (uint64(keyRange) + uint64(n) - 1) / uint64(mustShards(n))
-	if per == 0 {
-		per = 1
-	}
-	return rangeMap{n: n, per: per}
-}
-
-func (r rangeMap) Name() string { return "range" }
-func (r rangeMap) Shards() int  { return r.n }
-func (r rangeMap) Shard(key uint64) int {
-	s := int(key / r.per)
-	if s >= r.n {
-		s = r.n - 1
-	}
-	return s
 }
 
 // hotAwareMap is the hot-shard mitigation router: the top hotKeys keys of
@@ -95,17 +64,15 @@ func (h hotAwareMap) Shard(key uint64) int {
 
 // RouterNames lists the canonical router family names accepted by
 // NewRouter, in experiment order.
-func RouterNames() []string { return []string{"hash", "range", "hot"} }
+func RouterNames() []string { return []string{"hash", "hot"} }
 
 // NewRouter builds a router by family name over n shards of a keyRange
 // keyspace. The "hot" family splits the top 4*n keys (a few hot ranks per
-// shard) round-robin.
+// shard) round-robin. Neither family depends on keyRange.
 func NewRouter(name string, n, keyRange int) (ShardMap, error) {
 	switch name {
 	case "hash":
 		return NewHashMap(n), nil
-	case "range":
-		return NewRangeMap(n, keyRange), nil
 	case "hot":
 		return NewHotAwareMap(n, 4*n), nil
 	}

@@ -33,23 +33,6 @@ func TestRoutersCoverAndDeterministic(t *testing.T) {
 	}
 }
 
-// The range router must assign contiguous slices: shard indices are
-// non-decreasing in key order.
-func TestRangeMapContiguous(t *testing.T) {
-	r := NewRangeMap(4, 1000)
-	prev := 0
-	for k := uint64(0); k < 1000; k++ {
-		s := r.Shard(k)
-		if s < prev {
-			t.Fatalf("range shard decreased at key %d: %d -> %d", k, prev, s)
-		}
-		prev = s
-	}
-	if prev != 3 {
-		t.Fatalf("last key landed on shard %d, want 3", prev)
-	}
-}
-
 // The hot-aware router must spread the hottest keys (the lowest key
 // values under the zipfian generator) across ALL shards, while the plain
 // hash may concentrate them anywhere.
@@ -75,7 +58,7 @@ func TestHotAwareSpreadsHotKeys(t *testing.T) {
 // Router names are canonical (they enter runner cache keys) and unknown
 // names are rejected.
 func TestRouterNames(t *testing.T) {
-	want := map[string]string{"hash": "hash", "range": "range", "hot": "hot:8"}
+	want := map[string]string{"hash": "hash", "hot": "hot:8"}
 	for _, fam := range RouterNames() {
 		r, err := NewRouter(fam, 2, 64)
 		if err != nil {

@@ -7,13 +7,14 @@
 // transaction has the lock word in its read set, a fallback acquisition
 // dooms all concurrent elisions, preserving lock semantics.
 //
-// Retry intelligence lives in the shared internal/policy engine, and New
-// takes a built policy. DefaultPolicy is "paper" over policy.TLE() (the
-// Section 6.1 heuristics, with TLE's back-off-on-UCTI wrinkle);
-// SimplePolicy is "naive" (the STL vector experiment's fixed-count loop).
-// TLE's system-specific rule is the explicit TCC abort: it means the lock
-// is really held, so the engine's Wait verdict is served here by spinning
-// (with backoff) until the lock word reads free.
+// The retry loop is policy.Run, and New takes the policy it runs under.
+// DefaultPolicy is "paper" over policy.TLE() (the Section 6.1 heuristics,
+// with TLE's back-off-on-UCTI wrinkle); SimplePolicy is "naive" (the STL
+// vector experiment's fixed-count loop). TLE supplies only its own paths:
+// a hardware attempt that reads the lock word, a wait for the policy's
+// Wait verdict — the explicit TCC abort means the lock is really held, so
+// it spins (with backoff) until the lock word reads free — and the lock
+// acquisition it falls back to.
 package tle
 
 import (
@@ -113,87 +114,57 @@ func (t *System) Stats() *core.Stats { return t.stats }
 
 // Atomic implements core.System.
 func (t *System) Atomic(s *sim.Strand, body func(core.Ctx)) {
-	t.run(s, body, false)
+	t.Execute(s, t.lock, body, false)
 }
 
 // AtomicRO implements core.System.
 func (t *System) AtomicRO(s *sim.Strand, body func(core.Ctx)) {
-	t.run(s, body, true)
+	t.Execute(s, t.lock, body, true)
 }
 
-// Execute runs body under elision of an arbitrary caller-supplied lock
-// (used by the mini-JVM, which has one monitor per object rather than one
-// global lock).
+// Execute runs body under elision of lock, which Atomic and AtomicRO pass
+// as the system's own lock and the mini-JVM as one of its per-object
+// monitors. Each hardware attempt reads the lock word (placing it in the
+// transaction's read set) and aborts explicitly if the lock is held; the
+// policy's Wait verdict spins until the lock reads free; a block that
+// leaves hardware acquires the lock.
 func (t *System) Execute(s *sim.Strand, lock ElidableLock, body func(core.Ctx), ro bool) {
-	t.executeOn(s, lock, body, ro)
-}
-
-func (t *System) run(s *sim.Strand, body func(core.Ctx), ro bool) {
-	t.executeOn(s, t.lock, body, ro)
-}
-
-func (t *System) executeOn(s *sim.Strand, lock ElidableLock, body func(core.Ctx), ro bool) {
-	st := t.stats
 	// The elision wrapper's dispatch costs a little on every block.
 	s.Advance(2)
-	sawCOH := false
-	fellToLock := false
+	took, sawCOH := false, false
 	if t.throttle != nil {
-		took := t.throttle.enter(s)
-		defer func() { t.throttle.leave(s, took, sawCOH && fellToLock) }()
+		took = t.throttle.enter(s)
 	}
 	lockAddr := lock.Addr()
-	st.HWBlocks++
-	// Bind the engine once per block. The top-of-loop budget check makes
-	// a zero budget (SimplePolicy(0)) lock every block without one
-	// hardware attempt.
-	eng := policy.Start(t.pol, 0)
-attempts:
-	for !eng.Exhausted() {
-		st.HWAttempts++
-		ok, c := Try(s, lockAddr, body)
-		if ok {
-			st.HWCommits++
-			st.Ops++
-			eng.OnCommit()
-			return
-		}
-		if c.Has(cps.COH) {
-			sawCOH = true
-		}
-		st.RecordFailure(c)
-		switch eng.OnFailure(s, c) {
-		case policy.Wait:
-			// The explicit abort: the lock was really held. Wait for it
-			// to free up, then retry (the loop condition re-checks the
-			// budget, which the wait's charge may have exhausted).
-			for spin := 0; s.Load(lockAddr) != 0; spin++ {
-				core.Backoff(s, spin)
-			}
-		case policy.Fallback:
-			break attempts
-		}
-	}
-	eng.OnFallback()
-	fellToLock = true
-	s.TraceEvent(obs.EvFallback, uint64(lock.Addr()))
-	lock.Acquire(s, ro)
-	body(core.Raw{S: s})
-	lock.Release(s, ro)
-	st.LockAcquires++
-	st.Ops++
-}
-
-// Try runs body once as an elided hardware transaction: the transaction
-// reads the lock word (placing it in its read set), aborts explicitly if
-// the lock is held, and otherwise runs the critical section speculatively.
-func Try(s *sim.Strand, lockAddr sim.Addr, body func(core.Ctx)) (bool, cps.Bits) {
-	return rock.Try(s, func(tx rock.Txn) {
+	hw := func(tx rock.Txn) {
 		if tx.Load(lockAddr) != 0 {
 			tx.Abort()
 		}
 		body(rock.Ctx{T: tx})
-	})
+	}
+	try := func() (bool, cps.Bits) {
+		ok, c := rock.Try(s, hw)
+		sawCOH = sawCOH || c.Has(cps.COH)
+		return ok, c
+	}
+	wait := func() bool {
+		for spin := 0; s.Load(lockAddr) != 0; spin++ {
+			core.Backoff(s, spin)
+		}
+		return true
+	}
+	committed := policy.Run(s, t.pol, t.stats, try, wait)
+	if !committed {
+		s.TraceEvent(obs.EvFallback, uint64(lockAddr))
+		lock.Acquire(s, ro)
+		body(core.Raw{S: s})
+		lock.Release(s, ro)
+		t.stats.LockAcquires++
+		t.stats.Ops++
+	}
+	if t.throttle != nil {
+		t.throttle.leave(s, took, sawCOH && !committed)
+	}
 }
 
 // Throttle is the adaptive concurrency limiter sketched as future work in

@@ -205,9 +205,8 @@ func checkChannelsAgree(t *testing.T, m *sim.Machine, st *core.Stats, prof *obs.
 }
 
 // checkAdaptiveAgrees reconciles the adaptive policy's learned histogram
-// with the abort fold: every system drives its blocks from site 0, and the
-// policy records every failure it decides except the exact-TCC one, the
-// system's own abort.
+// with the abort fold: the policy records every failure it decides except
+// the exact-TCC one, the system's own abort.
 func checkAdaptiveAgrees(t *testing.T, pol *policy.Adaptive, prof *obs.AbortProfile) {
 	t.Helper()
 	want := map[cps.Bits]uint64{}
@@ -217,12 +216,10 @@ func checkAdaptiveAgrees(t *testing.T, pol *policy.Adaptive, prof *obs.AbortProf
 		}
 	}
 	got := map[cps.Bits]uint64{}
-	if h := pol.SiteHistogram(0); h != nil {
-		for _, e := range h.Entries() {
-			got[e.Value] = e.Count
-		}
+	for _, e := range pol.Histogram().Entries() {
+		got[e.Value] = e.Count
 	}
 	if !maps.Equal(got, want) {
-		t.Errorf("adaptive site histogram %v, fold without exact TCC %v", got, want)
+		t.Errorf("adaptive histogram %v, fold without exact TCC %v", got, want)
 	}
 }

@@ -41,7 +41,7 @@ func (d *Driver) Observe(ws obs.LatencySink) { d.ws = ws }
 func (d *Driver) Run(n int, do func(i, op int, key uint64)) {
 	for i := 0; i < n; i++ {
 		start := d.s.Clock()
-		op, key := d.next()
+		op, key := d.c.draw(d.s.Rand)
 		do(i, op, key)
 		if d.lat != nil {
 			d.lat.Record(d.s.Clock() - start)
@@ -50,48 +50,4 @@ func (d *Driver) Run(n int, do func(i, op int, key uint64)) {
 			d.ws.RecordLatencyAt(d.s.Clock(), d.s.Clock()-start)
 		}
 	}
-}
-
-// next draws the next (op, key) pair in the spec's declared RNG order.
-func (d *Driver) next() (op int, key uint64) {
-	if d.c.order == KeyThenOp {
-		key = d.key()
-		op = d.roll()
-		return op, key
-	}
-	op = d.roll()
-	if !d.c.ops[op].NoKey {
-		key = d.key()
-	}
-	return op, key
-}
-
-// roll selects an op by cumulative weight, consuming one RandIntn(Roll)
-// from the strand RNG — or nothing at all for single-op no-roll specs,
-// matching the legacy drivers that never rolled.
-func (d *Driver) roll() int {
-	if d.c.roll == 0 {
-		return 0
-	}
-	r := d.s.RandIntn(d.c.roll)
-	for i, cum := range d.c.cum {
-		if r < cum {
-			return i
-		}
-	}
-	return len(d.c.cum) - 1
-}
-
-// key draws one key from the spec's distribution.
-func (d *Driver) key() uint64 {
-	k := &d.c.keys
-	switch k.Dist {
-	case KeyUniform:
-		return k.Offset + uint64(d.s.RandIntn(k.Range))
-	case KeyZipfian:
-		// One 64-bit draw, mapped through the precomputed constants.
-		u := float64(d.s.Rand()>>11) / (1 << 53)
-		return k.Offset + uint64(d.c.zipf.draw(u))
-	}
-	return 0 // KeyNone
 }

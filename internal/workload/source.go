@@ -58,61 +58,18 @@ func (c *Compiled) Source(seed uint64, a Arrival) *Source {
 	}
 }
 
-// intn draws a uniform int in [0, n) from a stream.
-func intn(r *prng, n int) int {
-	return int(r.next() % uint64(n))
-}
-
-// keyFrom draws one key of the spec's distribution from the given stream.
-func (s *Source) keyFrom(r *prng) uint64 {
-	k := &s.c.keys
-	switch k.Dist {
-	case KeyUniform:
-		return k.Offset + uint64(intn(r, k.Range))
-	case KeyZipfian:
-		u := float64(r.next()>>11) / (1 << 53)
-		return k.Offset + uint64(s.c.zipf.draw(u))
-	}
-	return 0 // KeyNone
-}
-
 // Next draws the next (op, key) pair in the spec's declared order from
 // the primary stream.
-func (s *Source) Next() (op int, key uint64) {
-	if s.c.order == KeyThenOp {
-		key = s.keyFrom(&s.rng)
-		op = s.roll()
-		return op, key
-	}
-	op = s.roll()
-	if !s.c.ops[op].NoKey {
-		key = s.keyFrom(&s.rng)
-	}
-	return op, key
-}
+func (s *Source) Next() (op int, key uint64) { return s.c.draw(s.rng.next) }
 
 // ExtraKey draws one additional key from the dedicated secondary stream —
 // the second leg of a cross-shard transaction. Consuming it does not move
 // the primary op/key stream.
-func (s *Source) ExtraKey() uint64 { return s.keyFrom(&s.extra) }
+func (s *Source) ExtraKey() uint64 { return s.c.key(s.extra.next) }
 
 // ExtraRoll draws a uniform int in [0, n) from the secondary stream (the
 // cross-shard-fraction roll, coordinator-fault rolls, ...).
-func (s *Source) ExtraRoll(n int) int { return intn(&s.extra, n) }
-
-// roll selects an op by cumulative weight from the primary stream.
-func (s *Source) roll() int {
-	if s.c.roll == 0 {
-		return 0
-	}
-	r := intn(&s.rng, s.c.roll)
-	for i, cum := range s.c.cum {
-		if r < cum {
-			return i
-		}
-	}
-	return len(s.c.cum) - 1
-}
+func (s *Source) ExtraRoll(n int) int { return int(s.extra.next() % uint64(n)) }
 
 // NextArrival advances and returns the next arrival time in cycles. For a
 // closed-loop arrival it returns the previous arrival time unchanged —

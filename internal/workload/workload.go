@@ -332,6 +332,46 @@ func (sp Spec) Compile() (*Compiled, error) {
 	return c, nil
 }
 
+// draw draws the next (op, key) pair in the spec's declared order from a
+// generator of uniform 64-bit values: a strand's RNG for a Driver, a
+// splitmix64 stream for a Source. The roll draws next() mod Roll once per
+// op selection — nothing at all for a single-op spec with Roll 0, like
+// the legacy drivers that never rolled — and ops are selected by
+// cumulative weight.
+func (c *Compiled) draw(next func() uint64) (op int, key uint64) {
+	if c.order == KeyThenOp {
+		key = c.key(next)
+	}
+	if c.roll > 0 {
+		r := int(next() % uint64(c.roll))
+		op = len(c.cum) - 1
+		for i, cum := range c.cum {
+			if r < cum {
+				op = i
+				break
+			}
+		}
+	}
+	if c.order == OpThenKey && !c.ops[op].NoKey {
+		key = c.key(next)
+	}
+	return op, key
+}
+
+// key draws one key from the spec's distribution.
+func (c *Compiled) key(next func() uint64) uint64 {
+	k := &c.keys
+	switch k.Dist {
+	case KeyUniform:
+		return k.Offset + next()%uint64(k.Range)
+	case KeyZipfian:
+		// One 64-bit draw, mapped through the precomputed constants.
+		u := float64(next()>>11) / (1 << 53)
+		return k.Offset + uint64(c.zipf.draw(u))
+	}
+	return 0 // KeyNone
+}
+
 // MustCompile is Compile for statically known specs.
 func MustCompile(sp Spec) *Compiled {
 	c, err := sp.Compile()
