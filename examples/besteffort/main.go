@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"rocktm"
 )
@@ -70,7 +72,7 @@ func main() {
 	fmt.Printf("final balances: a=%d b=%d (sum %d, expected 2000)\n",
 		m.Mem().Peek(a), m.Mem().Peek(b), m.Mem().Peek(a)+m.Mem().Peek(b))
 	fmt.Println("abort reasons observed while retrying:")
-	for k, v := range hist {
-		fmt.Printf("  %-10s %d\n", k, v)
+	for _, k := range slices.Sorted(maps.Keys(hist)) {
+		fmt.Printf("  %-10s %d\n", k, hist[k])
 	}
 }

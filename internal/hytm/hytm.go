@@ -9,6 +9,11 @@
 // hardware path is roughly twice as expensive as PhTM's uninstrumented one
 // (the factor the paper observes in Figure 1).
 //
+// The software side is SkySTM (internal/stm/sky): a hardware store must
+// see software *readers*, and only Sky's semi-visible readers leave a mark
+// a hardware transaction can check. Its HWCtx is the instrumented
+// hardware context.
+//
 // The retry loop is policy.Run under Config.Policy, which DefaultConfig
 // sets to "paper" over policy.HyTM(). HyTM supplies only its instrumented
 // hardware attempt and the STM transaction it falls back to; it has no
@@ -25,7 +30,7 @@ import (
 	"rocktm/internal/policy"
 	"rocktm/internal/rock"
 	"rocktm/internal/sim"
-	"rocktm/internal/stm"
+	"rocktm/internal/stm/sky"
 )
 
 // Config configures a HyTM system.
@@ -42,16 +47,17 @@ func DefaultConfig() Config {
 	return Config{Policy: policy.MustNew("paper", policy.HyTM())}
 }
 
-// System is a HyTM instance over a HybridSTM back end.
+// System is a HyTM instance over a SkySTM back end, the STM whose
+// semi-visible readers a hardware store can check.
 type System struct {
-	back  stm.HybridSTM
+	back  *sky.System
 	pol   policy.Policy
 	stats *core.Stats
 }
 
 // New builds a HyTM system over back (which must not be used standalone
 // concurrently, or its statistics will blend).
-func New(back stm.HybridSTM, cfg Config) *System {
+func New(back *sky.System, cfg Config) *System {
 	return &System{
 		back:  back,
 		pol:   cfg.Policy,

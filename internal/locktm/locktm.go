@@ -42,18 +42,6 @@ func (l *SpinLock) Acquire(s *sim.Strand) {
 	}
 }
 
-// TryAcquire attempts to take the lock once.
-func (l *SpinLock) TryAcquire(s *sim.Strand) bool {
-	if s.Load(l.addr) != 0 {
-		return false
-	}
-	_, ok := s.CAS(l.addr, 0, 1)
-	if ok {
-		s.TraceEvent(obs.EvLockAcquire, uint64(l.addr))
-	}
-	return ok
-}
-
 // Release frees the lock.
 func (l *SpinLock) Release(s *sim.Strand) {
 	s.Store(l.addr, 0)
@@ -61,39 +49,19 @@ func (l *SpinLock) Release(s *sim.Strand) {
 }
 
 // RWLock is a reader-writer spinlock: the word holds 2*readers, with the
-// low bit set while a writer holds it.
+// low bit set while a writer holds it. The write side is the embedded
+// SpinLock on the same word: Acquire takes the word from 0 to 1 and
+// Release frees it.
 type RWLock struct {
-	addr sim.Addr
+	SpinLock
 }
 
 // NewRWLock allocates a reader-writer lock on its own cache line.
 func NewRWLock(mem *sim.Memory) *RWLock {
-	return &RWLock{addr: mem.AllocLines(sim.WordsPerLine)}
+	return &RWLock{SpinLock{addr: mem.AllocLines(sim.WordsPerLine)}}
 }
-
-// Addr returns the lock word's address.
-func (l *RWLock) Addr() sim.Addr { return l.addr }
 
 const rwWriter = 1
-
-// AcquireWrite takes the lock exclusively.
-func (l *RWLock) AcquireWrite(s *sim.Strand) {
-	for attempt := 0; ; attempt++ {
-		if s.Load(l.addr) == 0 {
-			if _, ok := s.CAS(l.addr, 0, rwWriter); ok {
-				s.TraceEvent(obs.EvLockAcquire, uint64(l.addr))
-				return
-			}
-		}
-		core.Backoff(s, attempt)
-	}
-}
-
-// ReleaseWrite frees the exclusive lock.
-func (l *RWLock) ReleaseWrite(s *sim.Strand) {
-	s.Store(l.addr, 0)
-	s.TraceEvent(obs.EvLockRelease, uint64(l.addr))
-}
 
 // AcquireRead takes the lock shared.
 func (l *RWLock) AcquireRead(s *sim.Strand) {
@@ -167,9 +135,9 @@ func (r *RW) Name() string { return "rw-lock" }
 
 // Atomic implements core.System.
 func (r *RW) Atomic(s *sim.Strand, body func(core.Ctx)) {
-	r.lock.AcquireWrite(s)
+	r.lock.Acquire(s)
 	body(core.Raw{S: s})
-	r.lock.ReleaseWrite(s)
+	r.lock.Release(s)
 	r.stats.Ops++
 	r.stats.LockAcquires++
 }

@@ -33,23 +33,6 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	m := newMachine(1)
-	lock := NewSpinLock(m.Mem())
-	m.Run(func(s *sim.Strand) {
-		if !lock.TryAcquire(s) {
-			t.Fatal("TryAcquire on free lock failed")
-		}
-		if lock.TryAcquire(s) {
-			t.Fatal("TryAcquire on held lock succeeded")
-		}
-		lock.Release(s)
-		if !lock.TryAcquire(s) {
-			t.Fatal("TryAcquire after release failed")
-		}
-	})
-}
-
 func TestRWLockReadersExcludeWriter(t *testing.T) {
 	const threads = 4
 	m := newMachine(threads)
@@ -60,11 +43,11 @@ func TestRWLockReadersExcludeWriter(t *testing.T) {
 	m.Run(func(s *sim.Strand) {
 		for i := 0; i < 100; i++ {
 			if s.ID() == 0 {
-				lock.AcquireWrite(s)
+				lock.Acquire(s)
 				s.Store(a, sim.Word(i))
 				s.Advance(30)
 				s.Store(b, sim.Word(i))
-				lock.ReleaseWrite(s)
+				lock.Release(s)
 			} else {
 				lock.AcquireRead(s)
 				if s.Load(a) != s.Load(b) {

@@ -92,7 +92,7 @@ func (p *System) Atomic(s *sim.Strand, body func(core.Ctx)) {
 			if tx.Load(p.swCount) != 0 {
 				tx.Abort() // software stragglers still draining
 			}
-			body(rock.Ctx{T: tx})
+			body(tx)
 		}
 		// The explicit abort: software transactions are still active. That
 		// is not this block's fault — wait for the stragglers to drain

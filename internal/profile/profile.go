@@ -71,12 +71,13 @@ type OpProfile struct {
 	Upgrades int
 }
 
-// recorder captures read/write sets through a wrapped Ctx. All of its
-// state (including the fill scratch map) is reused across operations, so
+// recorder captures read/write sets through a wrapped Ctx: it embeds the
+// Ctx it wraps and overrides only Load and Store. All of its state
+// (including the fill scratch map) is reused across operations, so
 // recording an operation is allocation-free in the steady state — the
 // property BenchmarkRecorderOp and TestRecorderSteadyStateAllocFree guard.
 type recorder struct {
-	inner  core.Ctx
+	core.Ctx
 	l1Sets int
 
 	readLines  map[int32]struct{}
@@ -98,7 +99,7 @@ func newRecorder(l1Sets int) *recorder {
 }
 
 func (r *recorder) reset(inner core.Ctx) {
-	r.inner = inner
+	r.Ctx = inner
 	clear(r.readLines)
 	clear(r.writeLines)
 	r.writeWords = 0
@@ -110,7 +111,7 @@ func (r *recorder) reset(inner core.Ctx) {
 // Load implements core.Ctx.
 func (r *recorder) Load(a sim.Addr) sim.Word {
 	r.readLines[sim.LineOf(a)] = struct{}{}
-	return r.inner.Load(a)
+	return r.Ctx.Load(a)
 }
 
 // Store implements core.Ctx.
@@ -126,20 +127,8 @@ func (r *recorder) Store(a sim.Addr, w sim.Word) {
 	r.readLines[line] = struct{}{}
 	r.writeWords++
 	r.bank[line&1]++
-	r.inner.Store(a, w)
+	r.Ctx.Store(a, w)
 }
-
-// Branch implements core.Ctx.
-func (r *recorder) Branch(pc uint32, taken bool, dep bool) { r.inner.Branch(pc, taken, dep) }
-
-// Div implements core.Ctx.
-func (r *recorder) Div() { r.inner.Div() }
-
-// Call implements core.Ctx.
-func (r *recorder) Call() { r.inner.Call() }
-
-// Strand implements core.Ctx.
-func (r *recorder) Strand() *sim.Strand { return r.inner.Strand() }
 
 func (r *recorder) fill(p *OpProfile) {
 	p.ReadLines = len(r.readLines)

@@ -27,6 +27,9 @@ type txFailed struct{}
 // Txn is a one-word value (the strand pointer) passed by value: taking its
 // address inside Try used to escape one Txn to the heap per hardware
 // attempt, which dominated the allocation profile of the retry loops.
+// It has every core.Ctx method, so a body written against core.Ctx runs
+// on it directly, and converting it to core.Ctx stores the pointer in the
+// interface without allocating.
 type Txn struct {
 	s *sim.Strand
 }

@@ -3,6 +3,7 @@ package rock
 import (
 	"testing"
 
+	"rocktm/internal/core"
 	"rocktm/internal/cps"
 	"rocktm/internal/sim"
 )
@@ -100,7 +101,7 @@ func TestCtxAdapterRoutesEverything(t *testing.T) {
 		s.Store(a, 3)
 		// A transaction exercising every Ctx operation that can commit.
 		ok, c := Try(s, func(tx Txn) {
-			cx := Ctx{T: tx}
+			var cx core.Ctx = tx
 			if cx.Strand() != s {
 				t.Error("Strand() mismatch")
 			}
@@ -111,11 +112,11 @@ func TestCtxAdapterRoutesEverything(t *testing.T) {
 		if !ok {
 			t.Fatalf("ctx txn failed: %v", c)
 		}
-		// Each aborting instruction through the adapter.
-		if ok, c := Try(s, func(tx Txn) { Ctx{T: tx}.Div() }); ok || c != cps.FP {
+		// Each aborting instruction through the Ctx interface.
+		if ok, c := Try(s, func(tx Txn) { core.Ctx(tx).Div() }); ok || c != cps.FP {
 			t.Errorf("Div: (%v,%v)", ok, c)
 		}
-		if ok, c := Try(s, func(tx Txn) { Ctx{T: tx}.Call() }); ok || c != cps.INST {
+		if ok, c := Try(s, func(tx Txn) { core.Ctx(tx).Call() }); ok || c != cps.INST {
 			t.Errorf("Call: (%v,%v)", ok, c)
 		}
 		if ok, c := Try(s, func(tx Txn) { tx.Trap(true) }); ok || c != cps.TCC {

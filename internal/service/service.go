@@ -27,6 +27,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 
 	"rocktm/internal/core"
 	"rocktm/internal/hashtable"
@@ -368,10 +369,10 @@ func (f *Fleet) Run(load LoadSpec) (Result, error) {
 		if load.CrossPct > 0 && src.ExtraRoll(100) < load.CrossPct {
 			r.ops = append(r.ops, Op{Kind: kind, Key: src.ExtraKey(), Val: sim.Word(i + 1)})
 		}
-		f.flushDue(at)
+		f.flushBy(at, nil)
 		f.enqueue(r, at, src)
 	}
-	f.drain(src)
+	f.flushBy(math.MaxInt64, src)
 	return f.result(load), nil
 }
 
@@ -401,32 +402,14 @@ func (f *Fleet) enqueue(r *Request, at int64, src *workload.Source) {
 	}
 }
 
-// flushDue flushes every batch whose deadline has passed by fleet time t,
-// in (deadline, shard ID) order — the deterministic event order.
-func (f *Fleet) flushDue(t int64) {
+// flushBy flushes every batch whose deadline is at or before fleet time t,
+// in (deadline, shard ID) order — the deterministic event order — passing
+// src to each flush.
+func (f *Fleet) flushBy(t int64, src *workload.Source) {
 	for {
 		var sh *Shard
 		for _, s := range f.shards {
 			if len(s.queue) == 0 || s.closeAt > t {
-				continue
-			}
-			if sh == nil || s.closeAt < sh.closeAt || (s.closeAt == sh.closeAt && s.id < sh.id) {
-				sh = s
-			}
-		}
-		if sh == nil {
-			return
-		}
-		f.flush(sh, sh.closeAt, nil)
-	}
-}
-
-// drain flushes every remaining batch in (deadline, shard ID) order.
-func (f *Fleet) drain(src *workload.Source) {
-	for {
-		var sh *Shard
-		for _, s := range f.shards {
-			if len(s.queue) == 0 {
 				continue
 			}
 			if sh == nil || s.closeAt < sh.closeAt || (s.closeAt == sh.closeAt && s.id < sh.id) {

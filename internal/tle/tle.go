@@ -60,7 +60,7 @@ func (a RWAdapter) Acquire(s *sim.Strand, ro bool) {
 	if ro {
 		a.L.AcquireRead(s)
 	} else {
-		a.L.AcquireWrite(s)
+		a.L.Acquire(s)
 	}
 }
 
@@ -69,7 +69,7 @@ func (a RWAdapter) Release(s *sim.Strand, ro bool) {
 	if ro {
 		a.L.ReleaseRead(s)
 	} else {
-		a.L.ReleaseWrite(s)
+		a.L.Release(s)
 	}
 }
 
@@ -140,7 +140,7 @@ func (t *System) Execute(s *sim.Strand, lock ElidableLock, body func(core.Ctx), 
 		if tx.Load(lockAddr) != 0 {
 			tx.Abort()
 		}
-		body(rock.Ctx{T: tx})
+		body(tx)
 	}
 	try := func() (bool, cps.Bits) {
 		ok, c := rock.Try(s, hw)

@@ -13,7 +13,7 @@ import (
 func newMachine(strands int) *sim.Machine {
 	cfg := sim.DefaultConfig(strands)
 	cfg.MemWords = 1 << 20
-	cfg.MaxCycles = 1 << 42
+	cfg.MaxCycles = 1 << 24
 	return sim.New(cfg)
 }
 

@@ -66,7 +66,7 @@ func testMachine(strands int, seed uint64) *sim.Machine {
 	cfg := sim.DefaultConfig(strands)
 	cfg.MemWords = 1 << 21
 	cfg.Seed = seed
-	cfg.MaxCycles = 1 << 42
+	cfg.MaxCycles = 1 << 24
 	return sim.New(cfg)
 }
 

@@ -121,7 +121,7 @@ func TestTelemetryChannelsAgree(t *testing.T) {
 						cfg := sim.DefaultConfig(threads)
 						cfg.MemWords = 1 << 21
 						cfg.Seed = 5
-						cfg.MaxCycles = 1 << 42
+						cfg.MaxCycles = 1 << 24
 						cfg.Faults = sim.FaultProfile(fault)
 						cfg.HTM = sim.DesignPoint(design)
 						m := sim.New(cfg)
