@@ -203,8 +203,7 @@ func exogenous(iters int) {
 
 func eviction(iters int) {
 	m := newMachine(1)
-	cfg := m.Config()
-	lines := cfg.L1Sets*cfg.L1Ways + 64
+	lines := sim.L1Sets*sim.L1Ways + 64
 	a := m.Mem().AllocLines(lines * sim.WordsPerLine)
 	h := cps.NewHistogram()
 	m.Run(func(s *sim.Strand) {
@@ -223,8 +222,7 @@ func eviction(iters int) {
 
 func cacheSet(iters int) {
 	m := newMachine(1)
-	cfg := m.Config()
-	stride := cfg.L1Sets * sim.WordsPerLine
+	stride := sim.L1Sets * sim.WordsPerLine
 	a := m.Mem().Alloc(stride*6, stride)
 	h := cps.NewHistogram()
 	m.Run(func(s *sim.Strand) {
@@ -306,8 +304,7 @@ func idleLoopCOH() {
 	//-running idle loop does on the real chip.
 	mcfg.L2Sets, mcfg.L2Ways = 256, 8
 	m := sim.New(mcfg)
-	cfg := m.Config()
-	stride := cfg.L1Sets * sim.WordsPerLine
+	stride := sim.L1Sets * sim.WordsPerLine
 	a := m.Mem().Alloc(stride*4, stride)
 	const sweepWords = 1 << 17
 	sweep := m.Mem().AllocLines(sweepWords)

@@ -14,14 +14,9 @@ import (
 	"os"
 
 	"rocktm/internal/bench"
-	"rocktm/internal/core"
 	"rocktm/internal/graphgen"
-	"rocktm/internal/locktm"
-	"rocktm/internal/msf"
 	"rocktm/internal/runner"
 	"rocktm/internal/sim"
-	"rocktm/internal/stm/sky"
-	"rocktm/internal/tle"
 )
 
 // cliFlags holds every command-line option. Registration happens on an
@@ -147,52 +142,18 @@ func main() {
 	}
 	fmt.Printf("graph: %d vertices, %d undirected edges\n", n, len(edges))
 
-	cfg := sim.DefaultConfig(*fl.threads)
-	cfg.Mode = mode
-	cfg.Seed = *fl.seed
-	cfg.MaxCycles = 1 << 48
-	need := 8*(2*len(edges)+2*n) + 16*n + 1<<21
-	cfg.MemWords = 1 << 22
-	for cfg.MemWords < need {
-		cfg.MemWords <<= 1
+	if *fl.variant == "seq" && *fl.threads != 1 {
+		fatal(fmt.Errorf("seq requires -threads 1"))
 	}
-	m := sim.New(cfg)
-	g := graphgen.Build(m, n, edges)
-
-	var v msf.Variant
-	var sys core.System
-	switch *fl.variant {
-	case "seq":
-		v, sys = msf.Orig, locktm.NewSeq()
-		if *fl.threads != 1 {
-			fatal(fmt.Errorf("seq requires -threads 1"))
-		}
-	case "orig-sky":
-		v, sys = msf.Orig, sky.New(m)
-	case "opt-sky":
-		v, sys = msf.Opt, sky.New(m)
-	case "orig-lock":
-		v, sys = msf.Orig, locktm.NewOneLock(m)
-	case "opt-lock":
-		v, sys = msf.Opt, locktm.NewOneLock(m)
-	case "orig-le":
-		v, sys = msf.Orig, tle.New("le", tle.SpinAdapter{L: locktm.NewSpinLock(m.Mem())}, tle.DefaultPolicy())
-	case "opt-le":
-		v, sys = msf.Opt, tle.New("le", tle.SpinAdapter{L: locktm.NewSpinLock(m.Mem())}, tle.DefaultPolicy())
-	default:
-		fatal(fmt.Errorf("unknown variant %q", *fl.variant))
-	}
-
-	r := msf.NewRunner(m, g, sys, v)
-	res := r.Run(m)
-	if err := r.Validate(res); err != nil {
+	run, err := bench.RunMSFGraph("msf-"+*fl.variant, n, edges, *fl.threads, *fl.seed, mode)
+	if err != nil {
 		fatal(err)
 	}
-	st := sys.Stats()
+	res, st := run.Result, run.Stats
 	fmt.Printf("msf-%s x%d: weight=%d edges=%d trees=%d\n", *fl.variant, *fl.threads,
 		res.TotalWeight, res.Edges, res.Trees)
 	fmt.Printf("running time: %.6f simulated seconds (%.0f cycles)\n",
-		m.ElapsedSeconds(), float64(m.MaxClock()))
+		run.Seconds, float64(run.Cycles))
 	if st.HWAttempts > 0 {
 		fmt.Printf("hardware: %d attempts, %d commits, retry fraction %.2f%%\n",
 			st.HWAttempts, st.HWCommits, 100*st.RetryFraction())

@@ -108,7 +108,7 @@ func (o Options) run(c cell) (workload.Result, timeseries.Series, error) {
 	var rec *timeseries.Recorder
 	if o.Timeline != nil || c.slos != nil {
 		rec = timeseries.NewRecorder(o.TimelineWindow)
-		rec.SetFreqGHz(c.cfg.Costs.FreqGHz)
+		rec.SetFreqGHz(sim.FreqGHz)
 		m.AttachEventSink(rec)
 	}
 	m.Run(func(s *sim.Strand) {

@@ -58,16 +58,12 @@ func (o MSFOptions) Defaults() MSFOptions {
 // sizing are all in Params, and sizing-code changes are covered by the
 // cache-version salt like any other code change.
 func (o MSFOptions) spec(experiment, variant string, threads int) runner.Spec {
-	cfg := sim.DefaultConfig(threads)
-	cfg.Seed = o.Seed
-	cfg.Mode = o.Mode
-	cfg.MaxCycles = 1 << 48
 	return runner.Spec{
 		Experiment: experiment,
 		System:     variant,
 		Threads:    threads,
 		Seed:       o.Seed,
-		SimDigest:  cfg.Digest(),
+		SimDigest:  msfConfig(threads, o.Seed, o.Mode).Digest(),
 		Params: map[string]string{
 			"width":  itoa(o.Width),
 			"height": itoa(o.Height),
@@ -110,9 +106,30 @@ func MSFVariantNames() []string {
 	return out
 }
 
-// msfMemWords sizes simulated memory for a graph.
+// msfVariantNamed returns the variant called name.
+func msfVariantNamed(name string) (msfVariant, error) {
+	for _, v := range msfVariants() {
+		if v.name == name {
+			return v, nil
+		}
+	}
+	return msfVariant{}, fmt.Errorf("unknown MSF variant %q (valid: %v)", name, MSFVariantNames())
+}
+
+// msfConfig is the machine configuration of an MSF run before its memory
+// is sized for the graph; spec digests it.
+func msfConfig(threads int, seed uint64, mode sim.Mode) sim.Config {
+	cfg := sim.DefaultConfig(threads)
+	cfg.Seed = seed
+	cfg.Mode = mode
+	cfg.MaxCycles = 1 << 48
+	return cfg
+}
+
+// msfMemWords sizes simulated memory for a graph of n vertices and mEdges
+// undirected edges: a power of two of at least 4M words.
 func msfMemWords(n, mEdges int) int {
-	need := 4*n + 8*(2*mEdges+2*n) + 8*n + 1<<20
+	need := 8*(2*mEdges+2*n) + 16*n + 1<<21
 	words := 1 << 22
 	for words < need {
 		words <<= 1
@@ -120,15 +137,28 @@ func msfMemWords(n, mEdges int) int {
 	return words
 }
 
-// RunMSF measures one variant at one thread count, returning the running
-// time in simulated seconds plus fallback statistics.
-func RunMSF(o MSFOptions, v msfVariant, threads int) (float64, string, error) {
-	cfg := sim.DefaultConfig(threads)
-	n, edges := graphgen.RoadmapEdges(o.Width, o.Height, o.Extra, 1<<20, o.Seed)
+// MSFRun is one validated MSF run.
+type MSFRun struct {
+	Result msf.Result
+	Stats  *core.Stats
+	// Cycles is the run's elapsed virtual time; Seconds is the same in
+	// simulated seconds.
+	Cycles  int64
+	Seconds float64
+}
+
+// RunMSFGraph runs the MSF variant called name (one of MSFVariantNames)
+// with threads strands over the graph (n, edges), on a machine sized for
+// the graph, and validates the forest against sequential Kruskal. It is
+// the one MSF run: the Figure 4 and Section 8.1 cells and cmd/msf all
+// call it.
+func RunMSFGraph(name string, n int, edges []graphgen.Edge, threads int, seed uint64, mode sim.Mode) (MSFRun, error) {
+	v, err := msfVariantNamed(name)
+	if err != nil {
+		return MSFRun{}, err
+	}
+	cfg := msfConfig(threads, seed, mode)
 	cfg.MemWords = msfMemWords(n, len(edges))
-	cfg.Seed = o.Seed
-	cfg.Mode = o.Mode
-	cfg.MaxCycles = 1 << 48
 	m := sim.New(cfg)
 	defer m.Recycle()
 	g := graphgen.Build(m, n, edges)
@@ -136,9 +166,21 @@ func RunMSF(o MSFOptions, v msfVariant, threads int) (float64, string, error) {
 	r := msf.NewRunner(m, g, sys, v.variant)
 	res := r.Run(m)
 	if err := r.Validate(res); err != nil {
-		return 0, "", fmt.Errorf("%s/%d threads: %w", v.name, threads, err)
+		return MSFRun{}, fmt.Errorf("%s/%d threads: %w", name, threads, err)
 	}
-	return m.ElapsedSeconds(), workload.StatsSummary(sys.Stats()), nil
+	return MSFRun{Result: res, Stats: sys.Stats(), Cycles: m.MaxClock(), Seconds: m.ElapsedSeconds()}, nil
+}
+
+// runMSF measures variant name at one thread count on o's synthetic
+// roadmap, returning the running time in simulated seconds plus fallback
+// statistics.
+func runMSF(o MSFOptions, name string, threads int) (float64, string, error) {
+	n, edges := graphgen.RoadmapEdges(o.Width, o.Height, o.Extra, 1<<20, o.Seed)
+	run, err := RunMSFGraph(name, n, edges, threads, o.Seed, o.Mode)
+	if err != nil {
+		return 0, "", err
+	}
+	return run.Seconds, workload.StatsSummary(run.Stats), nil
 }
 
 // pointCell is one MSF measurement as a runner cell.
@@ -149,7 +191,7 @@ func msfCell(o MSFOptions, experiment string, v msfVariant, threads int) pointCe
 	return pointCell{
 		Spec: o.spec(experiment, v.name, threads),
 		Compute: func() (Point, error) {
-			secs, extra, err := RunMSF(o, v, threads)
+			secs, extra, err := runMSF(o, v.name, threads)
 			if err != nil {
 				return Point{}, err
 			}
@@ -234,11 +276,9 @@ func SEModeMSF(o MSFOptions) (*Figure, error) {
 		Title:  "Section 8.1 msf-opt-le in SSE vs SE mode",
 		YLabel: "running time (simulated seconds; lower is better)",
 	}
-	var leVariant msfVariant
-	for _, v := range msfVariants() {
-		if v.name == "msf-opt-le" {
-			leVariant = v
-		}
+	leVariant, err := msfVariantNamed("msf-opt-le")
+	if err != nil {
+		return nil, err
 	}
 	var curves []msfCurve
 	for _, mode := range []sim.Mode{sim.SSE, sim.SE} {
@@ -254,7 +294,6 @@ func SEModeMSF(o MSFOptions) (*Figure, error) {
 		}
 		curves = append(curves, c)
 	}
-	var err error
 	if fig.Curves, err = msfCurves(o.Runner, curves); err != nil {
 		return nil, err
 	}
@@ -276,15 +315,11 @@ func MSFSweepFigure(o MSFOptions, variants []string) (*Figure, error) {
 	if len(variants) == 0 {
 		variants = MSFVariantNames()
 	}
-	byName := map[string]msfVariant{}
-	for _, v := range msfVariants() {
-		byName[v.name] = v
-	}
 	var sel []msfVariant
 	for _, name := range variants {
-		v, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown MSF variant %q (valid: %v)", name, MSFVariantNames())
+		v, err := msfVariantNamed(name)
+		if err != nil {
+			return nil, err
 		}
 		sel = append(sel, v)
 	}
@@ -337,12 +372,6 @@ func ProfileReport(ops int, sizes []int) []string {
 // RunMSFVariant measures a single named variant at one thread count
 // (convenience for benchmarks).
 func RunMSFVariant(o MSFOptions, name string, threads int) (float64, error) {
-	o = o.Defaults()
-	for _, v := range msfVariants() {
-		if v.name == name {
-			secs, _, err := RunMSF(o, v, threads)
-			return secs, err
-		}
-	}
-	return 0, fmt.Errorf("unknown MSF variant %q", name)
+	secs, _, err := runMSF(o.Defaults(), name, threads)
+	return secs, err
 }

@@ -78,7 +78,6 @@ type OpProfile struct {
 // property BenchmarkRecorderOp and TestRecorderSteadyStateAllocFree guard.
 type recorder struct {
 	core.Ctx
-	l1Sets int
 
 	readLines  map[int32]struct{}
 	writeLines map[int32]struct{}
@@ -89,9 +88,8 @@ type recorder struct {
 	upgrades   int
 }
 
-func newRecorder(l1Sets int) *recorder {
+func newRecorder() *recorder {
 	return &recorder{
-		l1Sets:     l1Sets,
 		readLines:  make(map[int32]struct{}),
 		writeLines: make(map[int32]struct{}),
 		perSet:     make(map[int]int),
@@ -135,7 +133,7 @@ func (r *recorder) fill(p *OpProfile) {
 	perSet := r.perSet
 	clear(perSet)
 	for line := range r.readLines {
-		perSet[int(line)%r.l1Sets]++
+		perSet[int(line)%sim.L1Sets]++
 	}
 	for _, n := range perSet {
 		if n > p.MaxLinesPerSet {
@@ -239,7 +237,7 @@ func Run(cfg Config) []OpProfile {
 		tree := rbtree.New(m, cfg.TreeKeys+64)
 		tree.Prepopulate(m.Mem(), workload.PrepopHalfShuffled(cfg.TreeKeys, cfg.Seed*31+11), 1)
 		sys := sky.New(m)
-		rec := newRecorder(m.Config().L1Sets)
+		rec := newRecorder()
 		m.Run(func(s *sim.Strand) {
 			for i, op := range ops {
 				runOp(tree, sys, s, op.kind, op.key, func(inner core.Ctx) core.Ctx {

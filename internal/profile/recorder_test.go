@@ -35,7 +35,7 @@ func recordOneOp(rec *recorder, p *OpProfile) {
 // must not allocate (an allocating recorder would skew the very run it is
 // measuring via GC pauses in real time — and regress the profiler's speed).
 func TestRecorderSteadyStateAllocFree(t *testing.T) {
-	rec := newRecorder(128)
+	rec := newRecorder()
 	var p OpProfile
 	recordOneOp(rec, &p) // warm the maps
 	allocs := testing.AllocsPerRun(100, func() { recordOneOp(rec, &p) })
@@ -50,7 +50,7 @@ func TestRecorderSteadyStateAllocFree(t *testing.T) {
 // BenchmarkRecorderOp measures the per-operation cost of the read/write-set
 // recorder (reset + 24 loads + 6 stores + fill).
 func BenchmarkRecorderOp(b *testing.B) {
-	rec := newRecorder(128)
+	rec := newRecorder()
 	var p OpProfile
 	recordOneOp(rec, &p)
 	b.ReportAllocs()

@@ -201,25 +201,31 @@ func TestFleetConfigValidation(t *testing.T) {
 		KeyRange: 64,
 		System:   func(m *sim.Machine) core.System { return locktm.NewOneLock(m) },
 	}
-	bad := base
-	bad.Shards = 0
-	if _, err := New(bad); err == nil {
-		t.Error("Shards=0 accepted")
-	}
-	bad = base
-	bad.KeyRange = 0
-	if _, err := New(bad); err == nil {
-		t.Error("KeyRange=0 accepted")
-	}
-	bad = base
-	bad.System = nil
-	if _, err := New(bad); err == nil {
-		t.Error("nil System accepted")
-	}
-	bad = base
-	bad.Router = NewHashMap(3)
-	if _, err := New(bad); err == nil {
-		t.Error("router/shard mismatch accepted")
+	// Every bad config returns an error, and none panics.
+	for name, mutate := range map[string]func(*Config){
+		"Shards=0":              func(c *Config) { c.Shards = 0 },
+		"KeyRange=0":            func(c *Config) { c.KeyRange = 0 },
+		"nil System":            func(c *Config) { c.System = nil },
+		"router/shard mismatch": func(c *Config) { c.Router = NewHashMap(3) },
+		"Strands=65":            func(c *Config) { c.Strands = 65 },
+		"Strands=-1":            func(c *Config) { c.Strands = -1 },
+		"Buckets=1000":          func(c *Config) { c.Buckets = 1000 },
+		"Buckets=-8":            func(c *Config) { c.Buckets = -8 },
+		"MemWords=-1":           func(c *Config) { c.MemWords = -1 },
+		"Faults.InterruptProb":  func(c *Config) { c.Faults.InterruptProb = 2 },
+	} {
+		bad := base
+		mutate(&bad)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: New panicked: %v", name, r)
+				}
+			}()
+			if _, err := New(bad); err == nil {
+				t.Errorf("%s accepted", name)
+			}
+		}()
 	}
 	f, err := New(base)
 	if err != nil {

@@ -208,6 +208,9 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.KeyRange <= 0 {
 		return nil, fmt.Errorf("service: KeyRange must be positive, got %d", cfg.KeyRange)
 	}
+	if cfg.Buckets <= 0 || cfg.Buckets&(cfg.Buckets-1) != 0 {
+		return nil, fmt.Errorf("service: Buckets must be a positive power of two, got %d", cfg.Buckets)
+	}
 	if cfg.System == nil {
 		return nil, fmt.Errorf("service: Config.System is required")
 	}
@@ -218,9 +221,16 @@ func New(cfg Config) (*Fleet, error) {
 	if router.Shards() != cfg.Shards {
 		return nil, fmt.Errorf("service: router routes over %d shards, fleet has %d", router.Shards(), cfg.Shards)
 	}
+	mcs := make([]sim.Config, cfg.Shards)
+	for i := range mcs {
+		mcs[i] = MachineConfig(cfg, i)
+		if err := mcs[i].Validate(); err != nil {
+			return nil, fmt.Errorf("service: shard %d: %w", i, err)
+		}
+	}
 	f := &Fleet{cfg: cfg, router: router, lat: obs.NewLatencyRecorder(), nextTxn: 1}
-	for i := 0; i < cfg.Shards; i++ {
-		m := sim.New(MachineConfig(cfg, i))
+	for i, mc := range mcs {
+		m := sim.New(mc)
 		sh := &Shard{
 			id:  i,
 			m:   m,
@@ -228,7 +238,7 @@ func New(cfg Config) (*Fleet, error) {
 			lat: obs.NewLatencyRecorder(),
 			rec: timeseries.NewRecorder(cfg.Window),
 		}
-		sh.rec.SetFreqGHz(m.Config().Costs.FreqGHz)
+		sh.rec.SetFreqGHz(sim.FreqGHz)
 		m.AttachEventSink(sh.rec)
 		// Capacity: every key can be resident, plus in-flight churn headroom.
 		sh.tab = hashtable.New(m, cfg.Buckets, cfg.KeyRange+2*cfg.Strands+64)

@@ -8,9 +8,9 @@ import "sync"
 // aborts the transaction with CPS=LD, and five loads mapping to one 4-way
 // set can never all be marked at once (the "cache set test" of Section 3).
 //
-// Sets are powers of two (enforced by sim.New), so set selection is a mask
-// instead of a modulo, and access resolves hit/victim in one pass over the
-// ways instead of the old lookup-then-scan double pass. Victim choice is
+// L1Sets is a power of two, so set selection is a mask instead of a
+// modulo, and access resolves hit/victim in one pass over the ways instead
+// of the old lookup-then-scan double pass. Victim choice is
 // bit-identical to the original: the *first* invalid way by index wins,
 // then the least-recently-used unmarked way, then the least-recently-used
 // marked way (ages are unique monotonic ticks, so LRU ties cannot occur).

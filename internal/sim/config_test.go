@@ -10,16 +10,10 @@ import (
 	"testing"
 )
 
-// TestMicroDTLBDefaultsConsistent guards against the configuration drift
-// where DefaultConfig advertised a 64-entry micro-DTLB while New's
-// zero-value fallback silently installed an 8-entry one: a hand-rolled
-// Config that left MicroDTLB unset simulated a machine with 8x the
-// store-TLB pressure (and thus wildly more ST-flagged transaction
-// failures) than the documented default. Both paths must agree.
 // TestConfigDigest pins the properties the experiment runner's cache
 // keys depend on: the digest is stable for equal configs and changes
-// when any behaviour-relevant field changes — including cost-table
-// entries, which live in a nested struct.
+// when any behaviour-relevant field changes — including the fault plan
+// and the HTM design, which live in nested structs.
 func TestConfigDigest(t *testing.T) {
 	base := DefaultConfig(4)
 	if base.Digest() != DefaultConfig(4).Digest() {
@@ -31,10 +25,9 @@ func TestConfigDigest(t *testing.T) {
 		"mode":     func(c *Config) { c.Mode = SE },
 		"seed":     func(c *Config) { c.Seed = 7 },
 		"quantum":  func(c *Config) { c.Quantum = 8 },
-		"l1sets":   func(c *Config) { c.L1Sets = 256 },
-		"sq/bank":  func(c *Config) { c.StoreQueuePerBank = 4 },
-		"cost":     func(c *Config) { c.Costs.L2Hit = 99 },
+		"l2sets":   func(c *Config) { c.L2Sets = 256 },
 		"ucti":     func(c *Config) { c.UCTIAbortProb = 0.99 },
+		"faults":   func(c *Config) { c.Faults.SqueezeStoreQueue = 4 },
 		// The HTM design axes must key the cache: serving a Rock result
 		// for an eager-VM config (or vice versa) would silently corrupt
 		// every htmdesign sweep.
@@ -42,7 +35,6 @@ func TestConfigDigest(t *testing.T) {
 		"htm/detect":  func(c *Config) { c.HTM.Detect = DetectLazy },
 		"htm/resolve": func(c *Config) { c.HTM.Resolve = ResCommitterWins },
 		"htm/sticky":  func(c *Config) { c.HTM.StickyLines = 8 },
-		"cost/nack":   func(c *Config) { c.Costs.NackStall = 99 },
 	}
 	for name, mutate := range mutations {
 		c := DefaultConfig(4)
@@ -113,80 +105,152 @@ func TestConfigDigestMemo(t *testing.T) {
 	}
 }
 
-// TestNewRejectsNonPowerOfTwoGeometry pins the loud-failure contract the
-// mask-indexing fast paths depend on: every cache/TLB geometry parameter
-// must be a power of two, and the panic message must name the offending
-// field, the bad value, and the next power of two to round up to. A
-// cache's way count need only be positive: with no ways, the first access
-// used to crash with an index out of range, and negative ways crashed New
-// in makeslice.
+// TestNewRejectsNonPowerOfTwoGeometry checks every rule of Validate, the
+// machine's only check: each bad value is rejected with an error that
+// names its field, and New panics with the same text. The cache set index
+// uses mask arithmetic, so the L2's set count must be a power of two, and
+// the error names the power of two to round up to.
 func TestNewRejectsNonPowerOfTwoGeometry(t *testing.T) {
+	nan := math.NaN()
 	cases := []struct {
 		field   string
 		mutate  func(*Config)
 		wantMsg string
 	}{
-		{"L1Sets", func(c *Config) { c.L1Sets = 100 },
-			"L1Sets must be a power of two for mask indexing, got 100 (round up to 128)"},
+		{"Strands=0", func(c *Config) { c.Strands = 0 }, "Strands must be in [1,64], got 0"},
+		{"Strands=65", func(c *Config) { c.Strands = 65 }, "Strands must be in [1,64], got 65"},
+		{"MemWords=0", func(c *Config) { c.MemWords = 0 }, "MemWords must be in [1,4294967296], got 0"},
+		{"MemWords=2^32+1", func(c *Config) { c.MemWords = 1<<32 + 1 }, "MemWords must be in [1,4294967296], got 4294967297"},
+		{"Mode", func(c *Config) { c.Mode = 2 }, "Mode must be SSE (0) or SE (1), got 2"},
+		{"Quantum=0", func(c *Config) { c.Quantum = 0 }, "Quantum must be in [1,4611686018427387904], got 0"},
+		{"Quantum=2^62+1", func(c *Config) { c.Quantum = 1<<62 + 1 }, "Quantum must be in [1,4611686018427387904], got 4611686018427387905"},
+		{"MaxCycles", func(c *Config) { c.MaxCycles = -1 }, "MaxCycles must be >= 0 (0 disables), got -1"},
 		{"L2Sets", func(c *Config) { c.L2Sets = 5000 },
 			"L2Sets must be a power of two for mask indexing, got 5000 (round up to 8192)"},
-		{"MicroDTLB", func(c *Config) { c.MicroDTLB = 48 },
-			"MicroDTLB must be a power of two for mask indexing, got 48 (round up to 64)"},
-		{"MainDTLB", func(c *Config) { c.MainDTLB = 513 },
-			"MainDTLB must be a power of two for mask indexing, got 513 (round up to 1024)"},
-		{"ITLB", func(c *Config) { c.ITLB = -8 },
-			"ITLB must be a power of two for mask indexing, got -8"},
-		{"L1Ways=0", func(c *Config) { c.L1Ways = 0 }, "L1Ways must be positive, got 0"},
-		{"L1Ways=-4", func(c *Config) { c.L1Ways = -4 }, "L1Ways must be positive, got -4"},
+		{"L2Sets=0", func(c *Config) { c.L2Sets = 0 }, "L2Sets must be a power of two for mask indexing, got 0"},
 		{"L2Ways=0", func(c *Config) { c.L2Ways = 0 }, "L2Ways must be positive, got 0"},
 		{"L2Ways=-8", func(c *Config) { c.L2Ways = -8 }, "L2Ways must be positive, got -8"},
+		{"CTIAbortProb", func(c *Config) { c.CTIAbortProb = 1.5 }, "CTIAbortProb must be a probability in [0,1], got 1.5"},
+		{"UCTIAbortProb", func(c *Config) { c.UCTIAbortProb = -0.1 }, "UCTIAbortProb must be a probability in [0,1], got -0.1"},
+		{"StoreAfterMissProb", func(c *Config) { c.StoreAfterMissProb = nan }, "StoreAfterMissProb must be a probability in [0,1], got NaN"},
+		{"ExogProb", func(c *Config) { c.ExogProb = 2 }, "ExogProb must be a probability in [0,1], got 2"},
+		{"Faults.InterruptProb", func(c *Config) { c.Faults.InterruptProb = nan }, "Faults.InterruptProb must be a probability in [0,1], got NaN"},
+		{"Faults.TLBShootdownProb", func(c *Config) { c.Faults.TLBShootdownProb = -1 }, "Faults.TLBShootdownProb must be a probability in [0,1], got -1"},
+		{"Faults.InvalidateProb", func(c *Config) { c.Faults.InvalidateProb = 1.01 }, "Faults.InvalidateProb must be a probability in [0,1], got 1.01"},
+		{"Faults.EvictMarkedProb", func(c *Config) { c.Faults.EvictMarkedProb = math.Inf(1) }, "Faults.EvictMarkedProb must be a probability in [0,1], got +Inf"},
+		{"Faults.SqueezeStoreQueue", func(c *Config) { c.Faults.SqueezeStoreQueue = -1 }, "Faults.SqueezeStoreQueue must be >= 0 (0 keeps the mode's), got -1"},
+		{"Faults.SqueezeDeferredQueue", func(c *Config) { c.Faults.SqueezeDeferredQueue = -4 }, "Faults.SqueezeDeferredQueue must be >= 0 (0 keeps the mode's), got -4"},
+		{"HTM.VM", func(c *Config) { c.HTM.VM = 2 }, "HTM.VM must be VMLazy or VMEager, got 2"},
+		{"HTM.Detect", func(c *Config) { c.HTM.Detect = 2 }, "HTM.Detect must be DetectEager or DetectLazy, got 2"},
+		{"HTM.Resolve", func(c *Config) { c.HTM.Resolve = 3 }, "HTM.Resolve must be ResRequesterWins, ResCommitterWins or ResTimestamp, got 3"},
+		{"HTM.StickyLines", func(c *Config) { c.HTM.StickyLines = -1 }, "HTM.StickyLines must be >= 0, got -1"},
+		{"HTM.VM+Detect", func(c *Config) { c.HTM = HTMDesign{VM: VMEager, Detect: DetectLazy} }, "HTM{VM: VMEager, Detect: DetectLazy} is incoherent"},
+		{"HTM.Detect+Resolve", func(c *Config) { c.HTM = HTMDesign{Detect: DetectLazy, Resolve: ResTimestamp} }, "HTM with DetectLazy arbitrates at commit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.field, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("New accepted invalid %s", tc.field)
-				}
-				msg, ok := r.(string)
-				if !ok {
-					t.Fatalf("panic value %v (%T), want string", r, r)
-				}
-				if !strings.Contains(msg, tc.wantMsg) {
-					t.Fatalf("panic %q does not contain %q", msg, tc.wantMsg)
-				}
-			}()
 			cfg := DefaultConfig(1)
 			cfg.MemWords = 1 << 16
 			tc.mutate(&cfg)
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatalf("Validate accepted invalid %s", tc.field)
+			}
+			if !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Fatalf("Validate error %q does not contain %q", err, tc.wantMsg)
+			}
+			defer func() {
+				if r := recover(); r != err.Error() {
+					t.Fatalf("New panicked with %v, want Validate's %q", r, err)
+				}
+			}()
 			New(cfg)
 		})
 	}
 }
 
 // TestNewAcceptsPowerOfTwoGeometry is the positive half: a non-default but
-// valid power-of-two geometry constructs fine.
+// valid power-of-two L2 geometry constructs fine, and New applies no
+// default of its own.
 func TestNewAcceptsPowerOfTwoGeometry(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.MemWords = 1 << 16
-	cfg.L1Sets, cfg.L2Sets = 256, 8192
-	cfg.MicroDTLB, cfg.MainDTLB, cfg.ITLB = 32, 1024, 128
-	m := New(cfg)
-	if m.Config().L1Sets != 256 {
-		t.Fatalf("config not honoured: L1Sets = %d", m.Config().L1Sets)
+	cfg.L2Sets, cfg.L2Ways = 8192, 1
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := New(cfg).Config(); got != cfg {
+		t.Fatalf("config not honoured: New built %+v from %+v", got, cfg)
 	}
 }
 
-func TestMicroDTLBDefaultsConsistent(t *testing.T) {
-	def := DefaultConfig(1)
-	if def.MicroDTLB != DefaultMicroDTLB {
-		t.Errorf("DefaultConfig.MicroDTLB = %d, want DefaultMicroDTLB (%d)", def.MicroDTLB, DefaultMicroDTLB)
-	}
-	m := New(Config{Strands: 1, MemWords: 1 << 16})
-	if got := m.Config().MicroDTLB; got != DefaultMicroDTLB {
-		t.Errorf("New zero-value fallback MicroDTLB = %d, want DefaultMicroDTLB (%d)", got, DefaultMicroDTLB)
-	}
-	if m.Config().MicroDTLB != def.MicroDTLB {
-		t.Errorf("New fallback (%d) and DefaultConfig (%d) disagree", m.Config().MicroDTLB, def.MicroDTLB)
-	}
+// Bounds FuzzConfig puts on valid inputs to keep each run cheap: memory
+// and the L2 cost host memory in proportion to their size.
+const (
+	fuzzMaxMemWords = 1 << 24
+	fuzzMaxL2Sets   = 1 << 16
+	fuzzMaxL2Ways   = 64
+)
+
+// FuzzConfig fuzzes every settable value of Config, its HTMDesign and its
+// FaultPlan. For each input either Validate returns an error, which New
+// must panic with, or a fixed-length run finishes without a panic: every
+// strand makes a few hardware attempts over shared lines, each followed
+// by a plain store. The run replaces the fuzzed MaxCycles with its own
+// budget, so that the guard trips only on a run that stalls.
+func FuzzConfig(f *testing.F) {
+	f.Fuzz(func(t *testing.T, strands, memWords, mode int, seed uint64, quantum, maxCycles int64,
+		l2Sets, l2Ways int, cti, ucti, storeAfterMiss, exog float64,
+		interrupt, shootdown, invalidate, evict float64, squeezeSQ, squeezeDQ int,
+		vm, detect, resolve uint8, sticky int) {
+		cfg := Config{
+			Strands: strands, MemWords: memWords, Mode: Mode(mode), Seed: seed,
+			Quantum: quantum, MaxCycles: maxCycles, L2Sets: l2Sets, L2Ways: l2Ways,
+			CTIAbortProb: cti, UCTIAbortProb: ucti, StoreAfterMissProb: storeAfterMiss, ExogProb: exog,
+			Faults: FaultPlan{
+				InterruptProb: interrupt, TLBShootdownProb: shootdown,
+				InvalidateProb: invalidate, EvictMarkedProb: evict,
+				SqueezeStoreQueue: squeezeSQ, SqueezeDeferredQueue: squeezeDQ,
+			},
+			HTM: HTMDesign{
+				VM: VersionMgmt(vm), Detect: ConflictDetection(detect),
+				Resolve: ConflictResolution(resolve), StickyLines: sticky,
+			},
+		}
+		if err := cfg.Validate(); err != nil {
+			defer func() {
+				if r := recover(); r != err.Error() {
+					t.Fatalf("New panicked with %v, want Validate's %q", r, err)
+				}
+			}()
+			New(cfg)
+			return
+		}
+		if memWords > fuzzMaxMemWords || l2Sets > fuzzMaxL2Sets || l2Ways > fuzzMaxL2Ways {
+			t.Skip("valid, but too large to run cheaply")
+		}
+		cfg.MaxCycles = 1 << 24
+		m := New(cfg)
+		defer m.Recycle()
+		const lines = 8
+		a := m.Mem().AllocLines(lines * WordsPerLine)
+		line := func(i int) Addr { return a + Addr(i%lines*WordsPerLine) }
+		m.Run(func(s *Strand) {
+			for i := 0; i < 4; i++ {
+				s.TxBegin()
+				ok := true
+				for k := 0; ok && k < 3; k++ {
+					var v Word
+					if v, ok = s.TxLoad(line(s.ID() + i + k)); ok {
+						ok = s.TxBranch(uint32(k), v&1 == 0, true) && s.TxStore(line(s.ID()+i+k), v+1)
+					}
+				}
+				if ok {
+					s.TxCommit()
+				}
+				s.CPS()
+				s.Store(line(s.ID()+i), Word(i))
+			}
+		})
+	})
 }

@@ -1,80 +1,60 @@
 package sim
 
-// Costs is the cycle-cost table of the simulated machine. The values are
-// plausible for a ~2.3 GHz aggressive out-of-order part of the Rock era; they
-// are not measurements of Rock itself. Experiments care about the *shape* of
+// FreqGHz is the simulated clock frequency; it converts cycles to
+// wall-clock time when reporting throughput.
+const FreqGHz = 2.3
+
+// The cycle-cost table of the simulated machine. The values are plausible
+// for a ~2.3 GHz aggressive out-of-order part of the Rock era; they are not
+// measurements of Rock itself. Experiments care about the *shape* of
 // results, which is governed by the ratios here (an L2 miss is two orders of
 // magnitude more expensive than an L1 hit, a CAS costs tens of cycles, ...).
-type Costs struct {
-	// FreqGHz converts cycles to wall-clock time when reporting throughput.
-	FreqGHz float64
-
-	// Op is the base cost of one simulated instruction (ALU work, issue).
-	Op int64
-	// L1Hit is the additional cost of a load/store that hits in the L1.
-	L1Hit int64
-	// L2Hit is the additional cost of an access that misses L1, hits L2.
-	L2Hit int64
-	// MemAccess is the additional cost of an access that misses both caches.
-	MemAccess int64
-	// CASExtra is the additional cost of an atomic compare-and-swap beyond
-	// the underlying memory access.
-	CASExtra int64
-	// Mispredict is the pipeline-refill penalty of a mispredicted branch.
-	Mispredict int64
-	// Chkpt is the cost of taking a register checkpoint (chkpt instruction).
-	Chkpt int64
-	// CommitBase is the fixed cost of committing a transaction.
-	CommitBase int64
-	// CommitPerStore is the per-store cost of draining the store queue at
-	// commit.
-	CommitPerStore int64
-	// AbortPenalty is the pipeline-flush/restore cost of an aborted
+const (
+	// costOp is the base cost of one simulated instruction (ALU work, issue).
+	costOp int64 = 1
+	// costL1Hit is the additional cost of a load/store that hits in the L1.
+	costL1Hit int64 = 2
+	// costL2Hit is the additional cost of an access that misses L1, hits L2.
+	costL2Hit int64 = 24
+	// costMemAccess is the additional cost of an access that misses both
+	// caches.
+	costMemAccess int64 = 220
+	// costCASExtra is the additional cost of an atomic compare-and-swap
+	// beyond the underlying memory access.
+	costCASExtra int64 = 30
+	// costMispredict is the pipeline-refill penalty of a mispredicted branch.
+	costMispredict int64 = 16
+	// costChkpt is the cost of taking a register checkpoint (chkpt
+	// instruction).
+	costChkpt int64 = 6
+	// costCommitBase is the fixed cost of committing a transaction.
+	costCommitBase int64 = 14
+	// costCommitPerStore is the per-store cost of draining the store queue
+	// at commit.
+	costCommitPerStore int64 = 2
+	// costAbortPenalty is the pipeline-flush/restore cost of an aborted
 	// transaction, charged before control reaches the fail address.
-	AbortPenalty int64
-	// TLBWalk is the cost of a hardware table walk that services a TLB miss
-	// outside a transaction.
-	TLBWalk int64
-	// PageFault is the cost of the OS servicing a page fault (first touch
-	// of an unmapped or read-only page outside a transaction).
-	PageFault int64
+	costAbortPenalty int64 = 24
+	// costTLBWalk is the cost of a hardware table walk that services a TLB
+	// miss outside a transaction.
+	costTLBWalk int64 = 140
+	// costPageFault is the cost of the OS servicing a page fault (first
+	// touch of an unmapped or read-only page outside a transaction).
+	costPageFault int64 = 1800
 
 	// The three costs below price the non-default HTM design points
-	// (Config.HTM); none is charged under the all-default Rock design, so
-	// adding them left every golden digest untouched.
+	// (Config.HTM); none is charged under the all-default Rock design.
 
-	// LogWrite is the cost of appending one undo-log entry under eager
+	// costLogWrite is the cost of appending one undo-log entry under eager
 	// version management (HTMDesign.VM = VMEager), charged per
 	// transactional store; an abort re-pays it per rolled-back entry.
-	LogWrite int64
-	// NackStall is the stall window a requester waits after being NACKed
-	// by a conflicting holder under committer-wins or timestamp conflict
-	// resolution, before re-checking the line once.
-	NackStall int64
-	// StickyEvict is the cost of spilling a transactionally marked line
+	costLogWrite int64 = 3
+	// costNackStall is the stall window a requester waits after being
+	// NACKed by a conflicting holder under committer-wins or timestamp
+	// conflict resolution, before re-checking the line once.
+	costNackStall int64 = 40
+	// costStickyEvict is the cost of spilling a transactionally marked line
 	// into the bounded sticky overflow set (HTMDesign.StickyLines > 0)
 	// instead of aborting on its L1 displacement.
-	StickyEvict int64
-}
-
-// DefaultCosts returns the cost table used throughout the experiments.
-func DefaultCosts() Costs {
-	return Costs{
-		FreqGHz:        2.3,
-		Op:             1,
-		L1Hit:          2,
-		L2Hit:          24,
-		MemAccess:      220,
-		CASExtra:       30,
-		Mispredict:     16,
-		Chkpt:          6,
-		CommitBase:     14,
-		CommitPerStore: 2,
-		AbortPenalty:   24,
-		TLBWalk:        140,
-		PageFault:      1800,
-		LogWrite:       3,
-		NackStall:      40,
-		StickyEvict:    12,
-	}
-}
+	costStickyEvict int64 = 12
+)

@@ -26,11 +26,11 @@ const (
 	VMLazy VersionMgmt = iota
 	// VMEager writes memory in place at each transactional store and
 	// records the previous value in a per-transaction undo log (the
-	// LogTM-style design). Each store pays Costs.LogWrite for the log
+	// LogTM-style design). Each store pays costLogWrite for the log
 	// append; commit is constant-time (nothing to drain, no per-store
 	// cost, no store-queue bank bound); an abort must restore the log in
-	// reverse order, paying Costs.LogWrite per entry on top of the usual
-	// AbortPenalty. Requires DetectEager: in-place speculative data must
+	// reverse order, paying costLogWrite per entry on top of the usual
+	// costAbortPenalty. Requires DetectEager: in-place speculative data must
 	// never be visible to a conflicting access, so the conflict (and the
 	// victim's rollback) has to happen at access time.
 	VMEager
@@ -65,7 +65,7 @@ const (
 	// the Section 4 livelock that software backoff must defeat.
 	ResRequesterWins ConflictResolution = iota
 	// ResCommitterWins favours the transaction already holding the line:
-	// the requester stalls one Costs.NackStall window (the holder may
+	// the requester stalls one costNackStall window (the holder may
 	// commit or abort meanwhile), re-checks once, and self-aborts with
 	// COH if the conflict persists. COH therefore flips meaning: it names
 	// the requester that lost, not a victim doomed from outside, and
@@ -92,7 +92,7 @@ type HTMDesign struct {
 	// displaced from the L1 per attempt without aborting: the directory
 	// marks survive in a bounded "sticky" overflow set (cf. gem5's
 	// allow_read_set_l1_cache_evictions + sticky-S states and the FORTH
-	// limited-set HTM), each spill charging Costs.StickyEvict. 0 — the
+	// limited-set HTM), each spill charging costStickyEvict. 0 — the
 	// default — aborts on the first displacement (CPS=LD, Rock);
 	// displacements beyond the bound abort with CPS=LD|SIZ (the overflow
 	// set itself filled). L2 back-invalidations still abort: only L1
@@ -100,51 +100,55 @@ type HTMDesign struct {
 	StickyLines int
 }
 
-// validate rejects incoherent design points loudly at machine
-// construction; a silent fallback would sweep a design that does not
-// exist.
-func (d HTMDesign) validate() {
-	if d.VM == VMEager && d.Detect == DetectLazy {
-		panic("sim: HTMDesign{VM: VMEager, Detect: DetectLazy} is incoherent — " +
-			"in-place speculative stores must detect conflicts at access time (use DetectEager)")
-	}
-	if d.Detect == DetectLazy && d.Resolve != ResRequesterWins {
-		panic("sim: HTMDesign with DetectLazy arbitrates at commit (first committer wins); " +
-			"leave Resolve at the default")
-	}
-	if d.StickyLines < 0 {
-		panic(fmt.Sprintf("sim: HTMDesign.StickyLines must be >= 0, got %d", d.StickyLines))
-	}
+// designPoints is the htmdesign sweep's table, in sweep order: "rock"
+// (the all-default baseline) first, then "eagervm" (undo-log version
+// management), "lazydet" (validate-at-commit detection), "committer" and
+// "timestamp" (alternative conflict resolution), and "sticky" (an 8-line
+// eviction-tolerant overflow set).
+var designPoints = []named[HTMDesign]{
+	{"rock", HTMDesign{}},
+	{"eagervm", HTMDesign{VM: VMEager}},
+	{"lazydet", HTMDesign{Detect: DetectLazy}},
+	{"committer", HTMDesign{Resolve: ResCommitterWins}},
+	{"timestamp", HTMDesign{Resolve: ResTimestamp}},
+	{"sticky", HTMDesign{StickyLines: 8}},
 }
 
 // DesignPointNames lists the named design points in sweep order; the
 // first is always the Rock default.
-func DesignPointNames() []string {
-	return []string{"rock", "eagervm", "lazydet", "committer", "timestamp", "sticky"}
+func DesignPointNames() []string { return names(designPoints) }
+
+// DesignPoint returns the named HTM design point of the htmdesign sweep
+// (see DesignPointNames). It panics on unknown names; design points are
+// always requested from code.
+func DesignPoint(name string) HTMDesign {
+	return lookup(designPoints, "HTM design point", name)
 }
 
-// DesignPoint returns a named HTM design point for the htmdesign sweep:
-// "rock" (the all-default baseline), "eagervm" (undo-log version
-// management), "lazydet" (validate-at-commit detection), "committer" and
-// "timestamp" (alternative conflict resolution), and "sticky" (an
-// 8-line eviction-tolerant overflow set). It panics on unknown names;
-// design points are always requested from code.
-func DesignPoint(name string) HTMDesign {
-	switch name {
-	case "rock":
-		return HTMDesign{}
-	case "eagervm":
-		return HTMDesign{VM: VMEager}
-	case "lazydet":
-		return HTMDesign{Detect: DetectLazy}
-	case "committer":
-		return HTMDesign{Resolve: ResCommitterWins}
-	case "timestamp":
-		return HTMDesign{Resolve: ResTimestamp}
-	case "sticky":
-		return HTMDesign{StickyLines: 8}
+// named is one row of a table of named values.
+type named[T any] struct {
+	name string
+	v    T
+}
+
+// names returns the names of table's rows, in order.
+func names[T any](table []named[T]) []string {
+	out := make([]string, len(table))
+	for i, r := range table {
+		out[i] = r.name
 	}
-	panic(fmt.Sprintf("sim: unknown HTM design point %q (known: %v)", name, DesignPointNames()))
+	return out
+}
+
+// lookup returns the value of table's row called name, and panics, naming
+// what kind of value it is and every known name, when there is none.
+func lookup[T any](table []named[T], what, name string) T {
+	for _, r := range table {
+		if r.name == name {
+			return r.v
+		}
+	}
+	panic(fmt.Sprintf("sim: unknown %s %q (known: %v)", what, name, names(table)))
 }
 
 // ---- Conflict arbitration (non-default resolution) ----
@@ -214,7 +218,7 @@ func (s *Strand) resolveArb(line int32, store bool) bool {
 	// once. A conflict that persists aborts the requester with COH —
 	// stalling again instead could deadlock two transactions holding each
 	// other's lines.
-	s.advance(s.m.cfg.Costs.NackStall)
+	s.advance(costNackStall)
 	if s.checkDoom() {
 		return false
 	}
@@ -257,7 +261,7 @@ func (s *Strand) doomYounger(mask uint64) uint64 {
 func (s *Strand) spillMarked(lm *lineMeta) bool {
 	if s.m.stickyCap > 0 && s.tx.sticky < s.m.stickyCap {
 		s.tx.sticky++
-		s.clock += s.m.cfg.Costs.StickyEvict
+		s.clock += costStickyEvict
 		return true
 	}
 	lm.marked &^= s.bit

@@ -379,7 +379,7 @@ func TestEagerVMNoStoreQueueBound(t *testing.T) {
 // L1 set (line numbers congruent mod L1Sets; with 128 sets and 8-word
 // lines the same-set stride is exactly one 1024-word page per line).
 func stickySetLines(m *Machine, n int) []Addr {
-	stride := Addr(m.Config().L1Sets * WordsPerLine)
+	stride := Addr(L1Sets * WordsPerLine)
 	base := m.Mem().Alloc(int(stride)*n, WordsPerLine)
 	// Round up to the next same-set boundary so every address is stride-aligned.
 	first := (base + stride - 1) &^ (stride - 1)

@@ -1,28 +1,21 @@
 package sim
 
-import "fmt"
-
 // FaultPlan configures deterministic fault injection: seeded adversarial
 // events that stress a TM system's retry policy by manufacturing the abort
 // causes the paper catalogues in Table 1, without changing the workload.
 //
 // Faults are drawn from a dedicated per-strand RNG stream (seeded from the
-// machine seed, the plan's Seed and the strand ID) that is only created
-// when the plan enables at least one probabilistic fault — so a machine
-// with a zero FaultPlan is bit-for-bit identical to one built before fault
-// injection existed, and enabling one fault class never perturbs the draws
-// of another run's main RNG stream.
+// machine seed and the strand ID) that is only created when the plan
+// enables at least one probabilistic fault — so a machine with a zero
+// FaultPlan is bit-for-bit identical to one built before fault injection
+// existed, and enabling one fault class never perturbs the draws of the
+// run's main RNG stream.
 //
 // Every fault fires through the simulator's real abort machinery (doom
 // bits, micro-DTLB misses, queue-capacity checks), so the CPS values a
 // policy observes under injection are the same values the organic versions
 // of those events produce.
 type FaultPlan struct {
-	// Seed perturbs the fault RNG stream independently of the machine
-	// seed, so experiments can vary the fault schedule while holding the
-	// workload schedule fixed (or vice versa).
-	Seed uint64
-
 	// InterruptProb is the per-transactional-access probability of a
 	// spurious asynchronous interrupt dooming the in-flight transaction
 	// with CPS=ASYNC — the "interrupts, TLB misses, etc." background noise
@@ -90,9 +83,7 @@ func newFaultInjector(cfg *Config, id int) *faultInjector {
 	}
 	return &faultInjector{
 		plan: f,
-		rng: newRNG(cfg.Seed*0xbf58476d1ce4e5b9 +
-			f.Seed*0x94d049bb133111eb +
-			uint64(id)*0x2545f4914f6cdd1d + 1),
+		rng:  newRNG(cfg.Seed*0xbf58476d1ce4e5b9 + uint64(id)*0x2545f4914f6cdd1d + 1),
 	}
 }
 
@@ -146,34 +137,29 @@ func (f *faultInjector) onTxStorePage(s *Strand, page int32) {
 	}
 }
 
-// FaultProfileNames lists the named fault profiles in experiment order;
-// the first is always the no-fault baseline.
-func FaultProfileNames() []string {
-	return []string{"none", "interrupts", "tlb", "inval", "evict", "squeeze"}
+// faultProfiles is the policy-ablation experiments' table, in experiment
+// order: "none" (the no-fault baseline) first, then "interrupts" (spurious
+// ASYNC), "tlb" (micro-DTLB shootdowns on stores), "inval" (adversarial
+// COH invalidations), "evict" (adversarial displacement of marked lines
+// from the attempt's own L1 — LD dooms under the default design, absorbed
+// up to the sticky bound under Config.HTM.StickyLines) and "squeeze"
+// (store/deferred queue capacity squeeze).
+var faultProfiles = []named[FaultPlan]{
+	{"none", FaultPlan{}},
+	{"interrupts", FaultPlan{InterruptProb: 0.02}},
+	{"tlb", FaultPlan{TLBShootdownProb: 0.35}},
+	{"inval", FaultPlan{InvalidateProb: 0.02}},
+	{"evict", FaultPlan{EvictMarkedProb: 0.02}},
+	{"squeeze", FaultPlan{SqueezeStoreQueue: 4, SqueezeDeferredQueue: 8}},
 }
 
-// FaultProfile returns a named fault plan for the policy-ablation
-// experiments: "none" (baseline), "interrupts" (spurious ASYNC),
-// "tlb" (micro-DTLB shootdowns on stores), "inval" (adversarial COH
-// invalidations), "evict" (adversarial displacement of marked lines from
-// the attempt's own L1 — LD dooms under the default design, absorbed up
-// to the sticky bound under Config.HTM.StickyLines) and "squeeze"
-// (store/deferred queue capacity squeeze).
-// It panics on unknown names; profiles are always requested from code.
+// FaultProfileNames lists the named fault profiles in experiment order;
+// the first is always the no-fault baseline.
+func FaultProfileNames() []string { return names(faultProfiles) }
+
+// FaultProfile returns the named fault plan of the policy-ablation
+// experiments (see FaultProfileNames). It panics on unknown names;
+// profiles are always requested from code.
 func FaultProfile(name string) FaultPlan {
-	switch name {
-	case "none":
-		return FaultPlan{}
-	case "interrupts":
-		return FaultPlan{InterruptProb: 0.02}
-	case "tlb":
-		return FaultPlan{TLBShootdownProb: 0.35}
-	case "inval":
-		return FaultPlan{InvalidateProb: 0.02}
-	case "evict":
-		return FaultPlan{EvictMarkedProb: 0.02}
-	case "squeeze":
-		return FaultPlan{SqueezeStoreQueue: 4, SqueezeDeferredQueue: 8}
-	}
-	panic(fmt.Sprintf("sim: unknown fault profile %q (known: %v)", name, FaultProfileNames()))
+	return lookup(faultProfiles, "fault profile", name)
 }

@@ -14,7 +14,14 @@ import (
 // newFaultTestMachine) every transaction commits — any abort observed is
 // the injector's doing.
 func runFaultWorkload(plan FaultPlan, txs, linesPerTx int) (map[cps.Bits]int, int64) {
+	return runFaultWorkloadSeeded(plan, DefaultConfig(1).Seed, txs, linesPerTx)
+}
+
+// runFaultWorkloadSeeded is runFaultWorkload on a machine with the given
+// seed.
+func runFaultWorkloadSeeded(plan FaultPlan, seed uint64, txs, linesPerTx int) (map[cps.Bits]int, int64) {
 	cfg := DefaultConfig(1)
+	cfg.Seed = seed
 	cfg.MemWords = 1 << 18
 	cfg.MaxCycles = 1 << 40
 	cfg.CTIAbortProb = 0
@@ -156,8 +163,8 @@ func TestFaultEvictProfileInjectsLD(t *testing.T) {
 }
 
 // TestFaultDeterminism checks that the fault schedule is a pure function
-// of the seeds: identical plans replay bit-for-bit, and the plan's own
-// Seed field changes the schedule without touching the workload seed.
+// of the plan and the machine seed: identical plans replay bit-for-bit,
+// and another machine seed draws another schedule.
 func TestFaultDeterminism(t *testing.T) {
 	plan := FaultPlan{InterruptProb: 0.03, TLBShootdownProb: 0.2, InvalidateProb: 0.05}
 	h1, c1 := runFaultWorkload(plan, 300, 4)
@@ -165,21 +172,9 @@ func TestFaultDeterminism(t *testing.T) {
 	if c1 != c2 || !reflect.DeepEqual(h1, h2) {
 		t.Fatalf("same plan diverged: clocks %d vs %d, hists %v vs %v", c1, c2, h1, h2)
 	}
-	plan.Seed = 99
-	h3, c3 := runFaultWorkload(plan, 300, 4)
+	h3, c3 := runFaultWorkloadSeeded(plan, 99, 300, 4)
 	if c1 == c3 && reflect.DeepEqual(h1, h3) {
-		t.Fatal("changing FaultPlan.Seed changed nothing (suspiciously)")
-	}
-}
-
-// TestFaultSeedAloneIsInert checks that a plan with only a Seed (no
-// enabled fault) perturbs nothing: the fault RNG must not exist unless a
-// probabilistic fault can consume it.
-func TestFaultSeedAloneIsInert(t *testing.T) {
-	_, base := runFaultWorkload(FaultPlan{}, 100, 4)
-	hist, seeded := runFaultWorkload(FaultPlan{Seed: 12345}, 100, 4)
-	if len(hist) != 0 || seeded != base {
-		t.Fatalf("seed-only plan perturbed the run: clock %d vs %d, hist %v", seeded, base, hist)
+		t.Fatal("changing the machine seed changed nothing (suspiciously)")
 	}
 }
 

@@ -27,39 +27,42 @@ import (
 
 // goldenCase is one machine configuration of the identity matrix.
 type goldenCase struct {
-	name      string
-	strands   int
-	mode      Mode
-	interrupt int64
-	maxClock  int64
-	digest    string
+	name     string
+	strands  int
+	mode     Mode
+	faults   string // FaultProfile name; "" injects nothing
+	maxClock int64
+	digest   string
 }
 
 // goldenMatrix spans the scheduler (1/4/16 strands), the store-queue
-// geometry (SSE vs SE) and the asynchronous-interrupt machinery (on/off).
+// geometry (SSE vs SE) and asynchronous-interrupt delivery (off, or on
+// under the "interrupts" fault profile, the only ASYNC source).
 var goldenMatrix = []goldenCase{
-	{name: "s1-sse", strands: 1, mode: SSE, interrupt: 0, maxClock: 167548, digest: "26be8038b5076a34a0134be68d1254fa"},
-	{name: "s1-sse-intr", strands: 1, mode: SSE, interrupt: 2500, maxClock: 159811, digest: "848d5dd7008401fe9968a79106c8b4a4"},
-	{name: "s1-se", strands: 1, mode: SE, interrupt: 0, maxClock: 166495, digest: "2edeb7f10ada8c2723a8989438ddc3ce"},
-	{name: "s1-se-intr", strands: 1, mode: SE, interrupt: 2500, maxClock: 160524, digest: "b0ed8cfdeaf67eb2980b04de0ccefa21"},
-	{name: "s4-sse", strands: 4, mode: SSE, interrupt: 0, maxClock: 155853, digest: "17f37179bc98cc879341c8f9894c4e25"},
-	{name: "s4-sse-intr", strands: 4, mode: SSE, interrupt: 2500, maxClock: 145827, digest: "f3812d848bcb803c78946c773e19be52"},
-	{name: "s4-se", strands: 4, mode: SE, interrupt: 0, maxClock: 154121, digest: "4f1eeafa7c1d2dafae7dbc4032a9d733"},
-	{name: "s4-se-intr", strands: 4, mode: SE, interrupt: 2500, maxClock: 145456, digest: "3c2e6dba6aa82c9db298eff1bd44e8a2"},
-	{name: "s16-sse", strands: 16, mode: SSE, interrupt: 0, maxClock: 152466, digest: "e13af8f5eee70885b754205053dcb407"},
-	{name: "s16-sse-intr", strands: 16, mode: SSE, interrupt: 2500, maxClock: 142817, digest: "5418572a399fddaddd041d428081dfd3"},
-	{name: "s16-se", strands: 16, mode: SE, interrupt: 0, maxClock: 152844, digest: "3028813dba357b4d7aea55104c32e827"},
-	{name: "s16-se-intr", strands: 16, mode: SE, interrupt: 2500, maxClock: 142871, digest: "1459393c9989618b4eb8f8da77d61f78"},
+	{name: "s1-sse", strands: 1, mode: SSE, maxClock: 167548, digest: "26be8038b5076a34a0134be68d1254fa"},
+	{name: "s1-sse-interrupts", strands: 1, mode: SSE, faults: "interrupts", maxClock: 166003, digest: "e70ad918e2fc7dcce7d880cf43b03e72"},
+	{name: "s1-se", strands: 1, mode: SE, maxClock: 166495, digest: "2edeb7f10ada8c2723a8989438ddc3ce"},
+	{name: "s1-se-interrupts", strands: 1, mode: SE, faults: "interrupts", maxClock: 165314, digest: "b78f1dc1e0ae6b13931c943f2619e83e"},
+	{name: "s4-sse", strands: 4, mode: SSE, maxClock: 155853, digest: "17f37179bc98cc879341c8f9894c4e25"},
+	{name: "s4-sse-interrupts", strands: 4, mode: SSE, faults: "interrupts", maxClock: 152265, digest: "b920d02f287f159dac2a44264f8df4e7"},
+	{name: "s4-se", strands: 4, mode: SE, maxClock: 154121, digest: "4f1eeafa7c1d2dafae7dbc4032a9d733"},
+	{name: "s4-se-interrupts", strands: 4, mode: SE, faults: "interrupts", maxClock: 148170, digest: "56ed2e018d7514834719e6dcfc41f3c1"},
+	{name: "s16-sse", strands: 16, mode: SSE, maxClock: 152466, digest: "e13af8f5eee70885b754205053dcb407"},
+	{name: "s16-sse-interrupts", strands: 16, mode: SSE, faults: "interrupts", maxClock: 146130, digest: "94b60d25a60e2de2569203ff5f656b34"},
+	{name: "s16-se", strands: 16, mode: SE, maxClock: 152844, digest: "3028813dba357b4d7aea55104c32e827"},
+	{name: "s16-se-interrupts", strands: 16, mode: SE, faults: "interrupts", maxClock: 147524, digest: "85a72a6237ec7d0ab2a0bac87d957450"},
 }
 
-const goldenArenaPages = 700 // > MainDTLB (512): forces main-DTLB capacity evictions
+const goldenArenaPages = 700 // > the main DTLB's 512 entries: forces its capacity evictions
 
 // goldenConfig builds the machine configuration for one matrix case.
 func goldenConfig(c goldenCase) Config {
 	cfg := DefaultConfig(c.strands)
 	cfg.MemWords = 1 << 20 // 1024 pages: arena + shared + code fit
 	cfg.Mode = c.mode
-	cfg.InterruptEvery = c.interrupt
+	if c.faults != "" {
+		cfg.Faults = FaultProfile(c.faults)
+	}
 	cfg.MaxCycles = 1 << 40
 	return cfg
 }
@@ -226,8 +229,8 @@ func TestGoldenCycleIdentity(t *testing.T) {
 	for _, c := range goldenMatrix {
 		maxClock, digest := goldenRun(c)
 		if regen {
-			fmt.Printf("\t{name: %q, strands: %d, mode: %v, interrupt: %d, maxClock: %d, digest: %q},\n",
-				c.name, c.strands, c.mode, c.interrupt, maxClock, digest)
+			fmt.Printf("\t{name: %q, strands: %d, mode: %v, faults: %q, maxClock: %d, digest: %q},\n",
+				c.name, c.strands, c.mode, c.faults, maxClock, digest)
 			continue
 		}
 		if maxClock != c.maxClock || digest != c.digest {
@@ -244,7 +247,7 @@ func TestGoldenCycleIdentity(t *testing.T) {
 // fresh machines with the same configuration must produce identical
 // digests, otherwise the matrix above would be meaningless.
 func TestGoldenRunIsSelfDeterministic(t *testing.T) {
-	c := goldenCase{name: "det", strands: 4, mode: SSE, interrupt: 2500}
+	c := goldenCase{name: "det", strands: 4, mode: SSE, faults: "interrupts"}
 	mc1, d1 := goldenRun(c)
 	mc2, d2 := goldenRun(c)
 	if mc1 != mc2 || d1 != d2 {

@@ -199,7 +199,7 @@ func BenchmarkLoadL1Hit(b *testing.B) {
 // holds: every access walks and fills, stressing translation end to end.
 func BenchmarkLoadTLBChurn(b *testing.B) {
 	m := benchMachine1()
-	const pages = 600 // > MainDTLB (512)
+	const pages = 600 // > the main DTLB's 512 entries
 	arena := m.Mem().Alloc(pages*PageWords, PageWords)
 	b.ReportAllocs()
 	b.ResetTimer()

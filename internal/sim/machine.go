@@ -23,6 +23,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"iter"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -33,14 +34,24 @@ import (
 // coherence directory uses 64-bit presence masks). A Rock chip has 32.
 const MaxStrands = 64
 
-// DefaultMicroDTLB is the micro-DTLB size used both by DefaultConfig and by
-// New's zero-value fallback. All of the paper-reconstruction experiments
-// run with this value: it is large enough that micro-DTLB capacity misses
-// are not the dominant ST cause in steady state, while a store to a freshly
-// mapped page still misses it and needs the dummy-CAS warmup of Section
-// 3.1. (Historically DefaultConfig said 64 while New's fallback said 8; the
-// single constant removes that trap.)
-const DefaultMicroDTLB = 64
+// Geometry of each strand's private structures. Every experiment runs
+// Rock's: a 32 KB L1 of 128 sets × 4 ways, a micro-DTLB large enough that
+// its capacity misses are not the dominant ST cause in steady state (a
+// store to a freshly mapped page still misses it and needs the dummy-CAS
+// warmup of Section 3.1), a 512-entry main DTLB and a 64-entry ITLB. The
+// set index and the TLBs' free-slot bitmaps use mask arithmetic, so every
+// size is a power of two.
+const (
+	L1Sets      = 128
+	L1Ways      = 4
+	microDTLB   = 64
+	mainDTLB    = 512
+	itlbEntries = 64
+)
+
+// deferPerMiss is how many deferred-queue entries each in-transaction L1
+// miss consumes.
+const deferPerMiss = 4
 
 // Mode selects the chip execution mode (Section 2 of the paper).
 type Mode int
@@ -48,13 +59,14 @@ type Mode int
 const (
 	// SSE — Simultaneous Scout Execution — dedicates both hardware threads
 	// of a core to one software thread: the store queue holds 32 entries
-	// (two banks of 16) and the deferred queue is larger. All headline data
+	// (two banks of 16) and the deferred queue holds 32. All headline data
 	// in the paper is taken in SSE mode.
 	SSE Mode = iota
 	// SE — Scout Execution — runs two software threads per core; each gets
-	// a 16-entry store queue (two banks of 8), which makes transactional
-	// stores overflow much sooner (the paper's Section 8.1 observes MSF
-	// transactions failing with ST|SIZ in SE mode).
+	// a 16-entry store queue (two banks of 8) and a 16-entry deferred
+	// queue, which makes transactional stores overflow much sooner (the
+	// paper's Section 8.1 observes MSF transactions failing with ST|SIZ in
+	// SE mode).
 	SE
 )
 
@@ -77,27 +89,8 @@ type Config struct {
 	// it is a guard against virtual-time livelock in tests. 0 disables.
 	MaxCycles int64
 
-	// Costs is the cycle-cost table.
-	Costs Costs
-
-	// L1Sets and L1Ways shape each strand's L1 (default 128×4 = 32 KB).
-	L1Sets, L1Ways int
 	// L2Sets and L2Ways shape the shared L2 (default 4096×8 = 2 MB).
 	L2Sets, L2Ways int
-	// MicroDTLB, MainDTLB and ITLB are the translation-buffer sizes.
-	MicroDTLB, MainDTLB, ITLB int
-
-	// StoreQueuePerBank is the per-bank store-queue capacity; there are two
-	// banks selected by a line-address bit. 0 means mode default (16 in
-	// SSE, 8 in SE).
-	StoreQueuePerBank int
-	// DeferredQueue is the capacity of the deferred-instruction queue;
-	// loads that miss the L1 inside a transaction defer their dependents,
-	// and overflow aborts with CPS=SIZ. 0 means mode default (32 SSE/16 SE).
-	DeferredQueue int
-	// DeferPerMiss is how many deferred-queue entries each in-transaction
-	// L1 miss consumes.
-	DeferPerMiss int
 
 	// CTIAbortProb is the probability that a mispredicted branch inside a
 	// transaction aborts it (CPS=CTI).
@@ -114,10 +107,6 @@ type Config struct {
 	// ExogProb is the probability that intervening code runs between an
 	// abort and the CPS read, replacing the register contents with EXOG.
 	ExogProb float64
-	// InterruptEvery delivers an asynchronous interrupt to each strand
-	// every so many cycles; a transaction in flight aborts with CPS=ASYNC.
-	// 0 disables.
-	InterruptEvery int64
 
 	// Faults configures deterministic fault injection (see FaultPlan). The
 	// zero value injects nothing and leaves every RNG stream untouched, so
@@ -133,7 +122,8 @@ type Config struct {
 	HTM HTMDesign
 }
 
-// DefaultConfig returns a Rock-flavoured configuration for n strands.
+// DefaultConfig returns a Rock-flavoured configuration for n strands. It is
+// the only source of defaults: New uses every value as given.
 func DefaultConfig(n int) Config {
 	return Config{
 		Strands:            n,
@@ -141,25 +131,88 @@ func DefaultConfig(n int) Config {
 		Mode:               SSE,
 		Seed:               1,
 		Quantum:            64,
-		Costs:              DefaultCosts(),
-		L1Sets:             128,
-		L1Ways:             4,
 		L2Sets:             4096,
 		L2Ways:             8,
-		MicroDTLB:          DefaultMicroDTLB,
-		MainDTLB:           512,
-		ITLB:               64,
-		DeferPerMiss:       4,
 		CTIAbortProb:       0.05,
 		UCTIAbortProb:      0.15,
 		StoreAfterMissProb: 0.3,
 	}
 }
 
+// maxMemWords is the largest memory an Addr, a 32-bit word address, can
+// reach.
+const maxMemWords = 1 << 32
+
+// Validate reports the first value of c that no machine can be built from,
+// as an error that names the field. It is the machine's only check: New
+// panics with its text.
+func (c Config) Validate() error {
+	switch {
+	case c.Strands < 1 || c.Strands > MaxStrands:
+		return fmt.Errorf("sim: Strands must be in [1,%d], got %d", MaxStrands, c.Strands)
+	case c.MemWords < 1 || c.MemWords > maxMemWords:
+		return fmt.Errorf("sim: MemWords must be in [1,%d], got %d", maxMemWords, c.MemWords)
+	case c.Mode != SSE && c.Mode != SE:
+		return fmt.Errorf("sim: Mode must be SSE (%d) or SE (%d), got %d", SSE, SE, c.Mode)
+	case c.Quantum < 1 || c.Quantum > yieldSentinel:
+		// A larger quantum could overflow a strand's yield deadline.
+		return fmt.Errorf("sim: Quantum must be in [1,%d], got %d", yieldSentinel, c.Quantum)
+	case c.MaxCycles < 0:
+		return fmt.Errorf("sim: MaxCycles must be >= 0 (0 disables), got %d", c.MaxCycles)
+	case c.L2Sets < 1:
+		return fmt.Errorf("sim: L2Sets must be a power of two for mask indexing, got %d", c.L2Sets)
+	case c.L2Sets&(c.L2Sets-1) != 0:
+		return fmt.Errorf("sim: L2Sets must be a power of two for mask indexing, got %d (round up to %d)",
+			c.L2Sets, 1<<bits.Len(uint(c.L2Sets)))
+	case c.L2Ways < 1:
+		return fmt.Errorf("sim: L2Ways must be positive, got %d", c.L2Ways)
+	}
+	for _, p := range []struct {
+		field string
+		v     float64
+	}{
+		{"CTIAbortProb", c.CTIAbortProb},
+		{"UCTIAbortProb", c.UCTIAbortProb},
+		{"StoreAfterMissProb", c.StoreAfterMissProb},
+		{"ExogProb", c.ExogProb},
+		{"Faults.InterruptProb", c.Faults.InterruptProb},
+		{"Faults.TLBShootdownProb", c.Faults.TLBShootdownProb},
+		{"Faults.InvalidateProb", c.Faults.InvalidateProb},
+		{"Faults.EvictMarkedProb", c.Faults.EvictMarkedProb},
+	} {
+		if !(p.v >= 0 && p.v <= 1) {
+			return fmt.Errorf("sim: %s must be a probability in [0,1], got %v", p.field, p.v)
+		}
+	}
+	f, d := c.Faults, c.HTM
+	switch {
+	case f.SqueezeStoreQueue < 0:
+		return fmt.Errorf("sim: Faults.SqueezeStoreQueue must be >= 0 (0 keeps the mode's), got %d", f.SqueezeStoreQueue)
+	case f.SqueezeDeferredQueue < 0:
+		return fmt.Errorf("sim: Faults.SqueezeDeferredQueue must be >= 0 (0 keeps the mode's), got %d", f.SqueezeDeferredQueue)
+	case d.VM > VMEager:
+		return fmt.Errorf("sim: HTM.VM must be VMLazy or VMEager, got %d", d.VM)
+	case d.Detect > DetectLazy:
+		return fmt.Errorf("sim: HTM.Detect must be DetectEager or DetectLazy, got %d", d.Detect)
+	case d.Resolve > ResTimestamp:
+		return fmt.Errorf("sim: HTM.Resolve must be ResRequesterWins, ResCommitterWins or ResTimestamp, got %d", d.Resolve)
+	case d.StickyLines < 0:
+		return fmt.Errorf("sim: HTM.StickyLines must be >= 0, got %d", d.StickyLines)
+	case d.VM == VMEager && d.Detect == DetectLazy:
+		// A silent fallback would sweep a design that does not exist.
+		return fmt.Errorf("sim: HTM{VM: VMEager, Detect: DetectLazy} is incoherent — " +
+			"in-place speculative stores must detect conflicts at access time (use DetectEager)")
+	case d.Detect == DetectLazy && d.Resolve != ResRequesterWins:
+		return fmt.Errorf("sim: HTM with DetectLazy arbitrates at commit (first committer wins); " +
+			"leave Resolve at the default")
+	}
+	return nil
+}
+
 // Digest returns a short content hash of the full configuration — every
-// field that can change simulated behaviour, including the cost table.
-// The experiment runner folds it into cache keys so a result computed
-// under one machine configuration is never served for another.
+// field that can change simulated behaviour. The experiment runner folds
+// it into cache keys so a result computed under one machine configuration
+// is never served for another.
 //
 // Digests are memoized per config value, because a sweep keys hundreds
 // of cells with a handful of configs and printing the whole config is
@@ -193,26 +246,6 @@ func (c Config) digest() string {
 	return hex.EncodeToString(h[:8])
 }
 
-func (c *Config) storeQueuePerBank() int {
-	if c.StoreQueuePerBank > 0 {
-		return c.StoreQueuePerBank
-	}
-	if c.Mode == SE {
-		return 8
-	}
-	return 16
-}
-
-func (c *Config) deferredQueue() int {
-	if c.DeferredQueue > 0 {
-		return c.DeferredQueue
-	}
-	if c.Mode == SE {
-		return 16
-	}
-	return 32
-}
-
 // Machine is one simulated chip: shared memory, shared L2, and a set of
 // strands driven in virtual-time order.
 type Machine struct {
@@ -222,8 +255,9 @@ type Machine struct {
 
 	strands []*Strand
 
-	// Mode-dependent queue capacities, resolved once at construction so
-	// the transaction hot paths never re-branch on cfg.Mode.
+	// Queue capacities, resolved once at construction from the mode and
+	// any capacity-squeeze fault, so the transaction hot paths never
+	// re-branch on cfg.Mode.
 	sqPerBank int
 	defQueue  int
 
@@ -317,90 +351,28 @@ func (b *strandBox) loop(yield func(finished bool) bool) {
 	}
 }
 
-// requirePow2 validates that a geometry parameter is a power of two — the
-// cache set indexes and the free-slot bitmaps rely on mask arithmetic.
-func requirePow2(field string, v int) {
-	if v <= 0 || v&(v-1) != 0 {
-		panic(fmt.Sprintf("sim: %s must be a power of two for mask indexing, got %d (round up to %d)",
-			field, v, nextPow2(v)))
-	}
-}
-
-// requirePositive validates a cache's way count: a set with no ways has
-// nowhere to put a line.
-func requirePositive(field string, v int) {
-	if v <= 0 {
-		panic(fmt.Sprintf("sim: %s must be positive, got %d", field, v))
-	}
-}
-
-// nextPow2 returns the smallest power of two >= v (for the panic hint).
-func nextPow2(v int) int {
-	p := 1
-	for p < v {
-		p <<= 1
-	}
-	return p
-}
-
-// New builds a machine. It panics on nonsensical configurations; machines
-// are always constructed from code, not external input.
+// New builds a machine. It panics with Config.Validate's error on a
+// configuration no machine can be built from; machines are always
+// constructed from code, not external input.
 func New(cfg Config) *Machine {
-	if cfg.Strands <= 0 || cfg.Strands > MaxStrands {
-		panic(fmt.Sprintf("sim: Strands must be in [1,%d], got %d", MaxStrands, cfg.Strands))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 64
-	}
-	if cfg.Costs.FreqGHz == 0 {
-		cfg.Costs = DefaultCosts()
-	}
-	if cfg.L1Sets == 0 {
-		cfg.L1Sets, cfg.L1Ways = 128, 4
-	}
-	if cfg.L2Sets == 0 {
-		cfg.L2Sets, cfg.L2Ways = 4096, 8
-	}
-	if cfg.MicroDTLB == 0 {
-		cfg.MicroDTLB = DefaultMicroDTLB
-	}
-	if cfg.MainDTLB == 0 {
-		cfg.MainDTLB = 512
-	}
-	if cfg.ITLB == 0 {
-		cfg.ITLB = 64
-	}
-	if cfg.DeferPerMiss == 0 {
-		cfg.DeferPerMiss = 4
-	}
-	if cfg.MemWords == 0 {
-		cfg.MemWords = 1 << 22
-	}
-	// The set indexes and TLB free-slot bitmaps use mask arithmetic, which
-	// is only equivalent to the original modulo indexing for power-of-two
-	// geometries. Every real machine (and the paper's Rock) is a power of
-	// two anyway, so reject anything else loudly instead of simulating a
-	// machine subtly different from the one asked for.
-	requirePow2("L1Sets", cfg.L1Sets)
-	requirePositive("L1Ways", cfg.L1Ways)
-	requirePow2("L2Sets", cfg.L2Sets)
-	requirePositive("L2Ways", cfg.L2Ways)
-	requirePow2("MicroDTLB", cfg.MicroDTLB)
-	requirePow2("MainDTLB", cfg.MainDTLB)
-	requirePow2("ITLB", cfg.ITLB)
-	cfg.HTM.validate()
 	m := &Machine{
 		cfg:       cfg,
 		mem:       newMemory(cfg.MemWords),
 		l2:        newL2(cfg.L2Sets, cfg.L2Ways),
-		sqPerBank: cfg.storeQueuePerBank(),
-		defQueue:  cfg.deferredQueue(),
+		sqPerBank: 16,
+		defQueue:  32,
 		vmEager:   cfg.HTM.VM == VMEager,
 		detLazy:   cfg.HTM.Detect == DetectLazy,
 		resolve:   cfg.HTM.Resolve,
 		stickyCap: cfg.HTM.StickyLines,
 	}
-	// Capacity-squeeze faults override the mode-resolved queue capacities.
+	if cfg.Mode == SE {
+		m.sqPerBank, m.defQueue = 8, 16
+	}
+	// Capacity-squeeze faults override the mode's queue capacities.
 	if q := cfg.Faults.SqueezeStoreQueue; q > 0 {
 		m.sqPerBank = q
 	}
@@ -464,7 +436,7 @@ func (m *Machine) AttachEventSink(k obs.EventSink) {
 // returns it.
 func (m *Machine) StartTrace() *obs.Tracer {
 	t := obs.NewTracer(len(m.strands))
-	t.SetFreqGHz(m.cfg.Costs.FreqGHz)
+	t.SetFreqGHz(FreqGHz)
 	m.AttachEventSink(t)
 	return t
 }
@@ -678,7 +650,7 @@ func (m *Machine) MaxClock() int64 {
 
 // Seconds converts cycles to simulated seconds at the configured frequency.
 func (m *Machine) Seconds(cycles int64) float64 {
-	return float64(cycles) / (m.cfg.Costs.FreqGHz * 1e9)
+	return float64(cycles) / (FreqGHz * 1e9)
 }
 
 // ElapsedSeconds returns MaxClock in simulated seconds.

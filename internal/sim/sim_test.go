@@ -463,8 +463,7 @@ func TestCacheSetTestFiveWays(t *testing.T) {
 	// Five loads mapping to the same 4-way L1 set can never all stay
 	// marked: CPS=LD (the Section 3 "cache set test").
 	m := newTestMachine(1)
-	cfg := m.Config()
-	stride := cfg.L1Sets * WordsPerLine
+	stride := L1Sets * WordsPerLine
 	a := m.Mem().Alloc(stride*6, stride)
 	m.Run(func(s *Strand) {
 		s.TxBegin()
@@ -483,8 +482,7 @@ func TestCacheSetTestFiveWays(t *testing.T) {
 func TestEvictionTest(t *testing.T) {
 	// Long line-stride load sequences cannot fit in L1: LD or SIZ.
 	m := newTestMachine(1)
-	cfg := m.Config()
-	lines := cfg.L1Sets*cfg.L1Ways + 64
+	lines := L1Sets*L1Ways + 64
 	a := m.Mem().Alloc(lines*WordsPerLine, WordsPerLine)
 	m.Run(func(s *Strand) {
 		s.TxBegin()
@@ -549,38 +547,6 @@ func TestSEModeStoreQueue(t *testing.T) {
 			}
 		}
 		t.Fatal("17 stores fit a 16-entry SE store queue")
-	})
-}
-
-func TestAsyncInterrupt(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.MemWords = 1 << 16
-	cfg.InterruptEvery = 500
-	cfg.StoreAfterMissProb = 0
-	m := New(cfg)
-	a := m.Mem().Alloc(8, WordsPerLine)
-	m.Run(func(s *Strand) {
-		s.Store(a, 0)
-		sawAsync := false
-		for i := 0; i < 50 && !sawAsync; i++ {
-			s.TxBegin()
-			okRun := true
-			for j := 0; j < 30; j++ {
-				if _, ok := s.TxLoad(a); !ok {
-					okRun = false
-					break
-				}
-			}
-			if okRun && s.TxCommit() {
-				continue
-			}
-			if s.CPS().Has(cps.ASYNC) {
-				sawAsync = true
-			}
-		}
-		if !sawAsync {
-			t.Error("never observed an ASYNC abort with InterruptEvery=500")
-		}
 	})
 }
 

@@ -49,10 +49,10 @@ type Strand struct {
 	// and must hand the baton over. While the strand runs nothing else can
 	// touch the parked heap, so the hot-path check is one compare.
 	yieldLimit int64
-	// limit folds every per-advance deadline — yieldLimit, the next
-	// interrupt delivery, and the MaxCycles guard — into one value, so the
-	// inlined advance fast path is a single compare. advanceSlow sorts out
-	// which deadline actually fired and recomputes the fold.
+	// limit folds both per-advance deadlines — yieldLimit and the
+	// MaxCycles guard — into one value, so the inlined advance fast path is
+	// a single compare. advanceSlow sorts out which deadline actually fired
+	// and recomputes the fold.
 	limit int64
 
 	rng rng
@@ -71,8 +71,6 @@ type Strand struct {
 	// transactional access and draw no extra randomness.
 	flt *faultInjector
 
-	nextInterrupt int64
-
 	tx txnState
 
 	stats Stats
@@ -90,18 +88,15 @@ func newStrand(m *Machine, id int) *Strand {
 		id:  id,
 		bit: 1 << uint(id),
 		rng: newRNG(m.cfg.Seed*0x9e3779b9 + uint64(id)*0x85ebca77 + 1),
-		l1:  newL1(m.cfg.L1Sets, m.cfg.L1Ways),
+		l1:  newL1(L1Sets, L1Ways),
 		bp:  newBranchPredictor(),
 
 		frames: m.mem.frames,
 	}
-	s.mmu.init(m.cfg.MicroDTLB, m.cfg.MainDTLB, m.cfg.ITLB)
+	s.mmu.init(microDTLB, mainDTLB, itlbEntries)
 	s.flt = newFaultInjector(&m.cfg, id)
 	s.tx.fwd = newU32Map()
 	s.tx.lineSet = newU32Map()
-	if m.cfg.InterruptEvery > 0 {
-		s.nextInterrupt = m.cfg.InterruptEvery
-	}
 	return s
 }
 
@@ -136,9 +131,9 @@ func (s *Strand) Advance(n int64) { s.advance(n) }
 
 // advance is the per-event hot path: it is small enough to inline into
 // every memory-operation method, so the common case costs one add and one
-// compare. The checks the old per-advance code did unconditionally
-// (MaxCycles guard, interrupt delivery, yield) all trigger only once clock
-// passes a known deadline, so they fold into the single cached limit.
+// compare. Both per-advance checks (MaxCycles guard, yield) trigger only
+// once clock passes a known deadline, so they fold into the single cached
+// limit.
 func (s *Strand) advance(n int64) {
 	s.clock += n
 	if s.clock > s.limit {
@@ -146,35 +141,25 @@ func (s *Strand) advance(n int64) {
 	}
 }
 
-// advanceSlow handles a crossed deadline, in the same order the checks ran
-// when they were unconditional: MaxCycles guard, interrupt delivery, yield.
+// advanceSlow handles a crossed deadline: the MaxCycles guard first, then
+// the yield.
 func (s *Strand) advanceSlow() {
 	if max := s.m.cfg.MaxCycles; max > 0 && s.clock > max {
 		panic(fmt.Sprintf("sim: strand %d exceeded MaxCycles=%d (virtual livelock?)", s.id, max))
 	}
-	if s.nextInterrupt > 0 && s.clock >= s.nextInterrupt {
-		s.nextInterrupt = s.clock + s.m.cfg.InterruptEvery
-		if s.tx.active {
-			s.tx.doomed |= asyncBit
-		}
-	}
 	if s.clock > s.yieldLimit {
-		// The driver's grant() recomputes the folded limit (after any
-		// nextInterrupt update above) when it resumes us, so there is
-		// nothing left to refresh here.
+		// The driver's grant() recomputes the folded limit when it resumes
+		// us, so there is nothing left to refresh here.
 		s.yieldBaton()
 		return
 	}
 	s.recomputeLimit()
 }
 
-// recomputeLimit refreshes the folded advance deadline after any of its
-// inputs (yieldLimit, nextInterrupt) changed.
+// recomputeLimit refreshes the folded advance deadline after yieldLimit
+// changed.
 func (s *Strand) recomputeLimit() {
 	lim := s.yieldLimit
-	if s.nextInterrupt > 0 && s.nextInterrupt-1 < lim {
-		lim = s.nextInterrupt - 1
-	}
 	if max := s.m.cfg.MaxCycles; max > 0 && max < lim {
 		lim = max
 	}
@@ -217,7 +202,7 @@ func (s *Strand) translateLoad(a Addr) {
 	if !pg.walkable {
 		s.pageFault(p, false)
 	} else {
-		s.clock += s.m.cfg.Costs.TLBWalk
+		s.clock += costTLBWalk
 		s.stats.TLBWalks++
 	}
 	s.mmu.main.fill(p, pg.gen)
@@ -234,7 +219,7 @@ func (s *Strand) translateStore(a Addr) {
 			if !pg.walkable {
 				s.pageFault(p, true)
 			} else {
-				s.clock += s.m.cfg.Costs.TLBWalk
+				s.clock += costTLBWalk
 				s.stats.TLBWalks++
 			}
 			s.mmu.main.fill(p, pg.gen)
@@ -252,7 +237,7 @@ func (s *Strand) pageFault(p int32, write bool) {
 	if !pg.mapped {
 		panic(fmt.Sprintf("sim: strand %d faulted on unallocated page %d", s.id, p))
 	}
-	s.clock += s.m.cfg.Costs.PageFault
+	s.clock += costPageFault
 	s.stats.PageFaults++
 	pg.walkable = true
 	if write {
@@ -273,7 +258,7 @@ func (s *Strand) fill(line int32) (l1Hit bool, evictedMarked bool, idx int) {
 	// L1-hit fast path: touch inlines here, so the common case is a masked
 	// index, a short tag scan, and one latency charge.
 	if i := s.l1.touch(line); i >= 0 {
-		s.clock += s.m.cfg.Costs.L1Hit
+		s.clock += costL1Hit
 		return true, false, i
 	}
 	return s.fillMiss(line)
@@ -283,7 +268,7 @@ func (s *Strand) fill(line int32) (l1Hit bool, evictedMarked bool, idx int) {
 // advanced the L1 LRU tick): pick a victim, consult the shared L2, and
 // maintain the coherence directory.
 func (s *Strand) fillMiss(line int32) (l1Hit bool, evictedMarked bool, idx int) {
-	c := &s.m.cfg.Costs
+	// Pick the victim before an L2 back-invalidation can free another slot.
 	evicted, evMark, idx := s.l1.fillVictim(line)
 	s.stats.L1Misses++
 	if evicted != -1 {
@@ -303,9 +288,9 @@ func (s *Strand) fillMiss(line int32) (l1Hit bool, evictedMarked bool, idx int) 
 	}
 	l2hit, l2evicted := s.m.l2.access(line)
 	if l2hit {
-		s.clock += c.L2Hit
+		s.clock += costL2Hit
 	} else {
-		s.clock += c.MemAccess
+		s.clock += costMemAccess
 		s.stats.L2Misses++
 	}
 	if l2evicted != -1 && l2evicted != line {
@@ -408,7 +393,7 @@ func (s *Strand) assertNoTxn(op string) {
 // Load performs an ordinary (non-transactional) load.
 func (s *Strand) Load(a Addr) Word {
 	s.assertNoTxn("Load")
-	s.advance(s.m.cfg.Costs.Op)
+	s.advance(costOp)
 	s.stats.Loads++
 	line := LineOf(a)
 	s.translateLoad(a)
@@ -422,7 +407,7 @@ func (s *Strand) Load(a Addr) Word {
 // other cached copies and dooms any transaction that had the line marked.
 func (s *Strand) Store(a Addr, w Word) {
 	s.assertNoTxn("Store")
-	s.advance(s.m.cfg.Costs.Op)
+	s.advance(costOp)
 	s.stats.Stores++
 	*s.own(a) = w
 }
@@ -446,7 +431,7 @@ func (s *Strand) own(a Addr) *Word {
 // warming the TLB and write permission without changing data (Section 3).
 func (s *Strand) CAS(a Addr, old, new Word) (Word, bool) {
 	s.assertNoTxn("CAS")
-	s.advance(s.m.cfg.Costs.Op + s.m.cfg.Costs.CASExtra)
+	s.advance(costOp + costCASExtra)
 	s.stats.CASes++
 	w := s.own(a)
 	cur := *w
@@ -461,7 +446,7 @@ func (s *Strand) CAS(a Addr, old, new Word) (Word, bool) {
 // (a CAS loop in real code; modelled as one CAS-priced operation).
 func (s *Strand) Add(a Addr, delta Word) Word {
 	s.assertNoTxn("Add")
-	s.advance(s.m.cfg.Costs.Op + s.m.cfg.Costs.CASExtra)
+	s.advance(costOp + costCASExtra)
 	s.stats.CASes++
 	w := s.own(a)
 	*w += delta
@@ -472,20 +457,20 @@ func (s *Strand) Add(a Addr, delta Word) Word {
 // counter pc with the given outcome, charging the mispredict penalty when
 // the predictor is wrong.
 func (s *Strand) Branch(pc uint32, taken bool) {
-	s.advance(s.m.cfg.Costs.Op)
+	s.advance(costOp)
 	if s.bp.predict(pc, taken) {
 		s.stats.Mispredicts++
-		s.clock += s.m.cfg.Costs.Mispredict
+		s.clock += costMispredict
 	}
 }
 
 // Exec models fetching code from the page containing codePage, filling the
 // ITLB on a miss (outside transactions the walk just costs time).
 func (s *Strand) Exec(codePage int32) {
-	s.advance(s.m.cfg.Costs.Op)
+	s.advance(costOp)
 	pg := &s.m.mem.pages[codePage]
 	if !s.mmu.itlb.lookup(codePage, pg.gen) {
-		s.clock += s.m.cfg.Costs.TLBWalk
+		s.clock += costTLBWalk
 		s.stats.TLBWalks++
 		s.mmu.itlb.fill(codePage, pg.gen)
 	}

@@ -66,7 +66,7 @@ func (s *Strand) TxBegin() {
 	if s.tx.active {
 		panic("sim: nested TxBegin")
 	}
-	s.advance(s.m.cfg.Costs.Chkpt)
+	s.advance(costChkpt)
 	t := &s.tx
 	t.active = true
 	t.doomed = 0
@@ -137,7 +137,7 @@ func (s *Strand) txAbort(reason uint32) {
 	// variability; without it, symmetric transactions retrying in lockstep
 	// can doom each other in a perfectly periodic ring forever, which even
 	// Rock's "requester wins" policy does not quite manage.
-	s.clock += s.m.cfg.Costs.AbortPenalty + int64(rolled)*s.m.cfg.Costs.LogWrite + int64(s.rng.Next()&7)
+	s.clock += costAbortPenalty + int64(rolled)*costLogWrite + int64(s.rng.Next()&7)
 }
 
 // TxAbortTrap executes an always-taken trap instruction, the software
@@ -147,7 +147,7 @@ func (s *Strand) TxAbortTrap() {
 	if !s.tx.active {
 		panic("sim: TxAbortTrap outside transaction")
 	}
-	s.advance(s.m.cfg.Costs.Op)
+	s.advance(costOp)
 	s.txAbort(tccBit)
 }
 
@@ -167,7 +167,7 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 	if !s.tx.active {
 		panic("sim: TxLoad outside transaction")
 	}
-	s.advance(s.m.cfg.Costs.Op)
+	s.advance(costOp)
 	s.stats.Loads++
 	if s.flt != nil {
 		s.flt.onTxAccess(s) // injected ASYNC/COH dooms, delivered below
@@ -190,7 +190,7 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 				s.txAbort(ldBit | precBit)
 				return 0, false
 			}
-			s.clock += s.m.cfg.Costs.TLBWalk
+			s.clock += costTLBWalk
 			s.stats.TLBWalks++
 			s.mmu.main.fill(p, pg.gen)
 		}
@@ -204,7 +204,7 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 	// — so the probe falls through to the ordinary read.
 	if len(t.storeAddrs) > 0 {
 		if i, ok := t.fwd.get(uint32(a)); ok {
-			s.clock += s.m.cfg.Costs.L1Hit
+			s.clock += costL1Hit
 			t.lastLoadMissed = false
 			return t.storeVals[i], true
 		}
@@ -226,7 +226,7 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 		return 0, false
 	}
 	if !hit {
-		t.deferred += s.m.cfg.DeferPerMiss
+		t.deferred += deferPerMiss
 		if t.deferred > s.m.defQueue {
 			// Too many instructions deferred waiting on cache fills
 			// (CPS=SIZ). The fill above already happened, so a retry
@@ -268,7 +268,7 @@ func (s *Strand) TxStore(a Addr, w Word) bool {
 	if !s.tx.active {
 		panic("sim: TxStore outside transaction")
 	}
-	s.advance(s.m.cfg.Costs.Op)
+	s.advance(costOp)
 	s.stats.Stores++
 	if s.flt != nil {
 		s.flt.onTxAccess(s) // injected ASYNC/COH dooms, delivered below
@@ -378,7 +378,7 @@ func (s *Strand) TxStore(a Addr, w Word) bool {
 		// Eager version management: write memory in place, logging the
 		// previous value for rollback. Every store appends an entry (no
 		// coalescing — the log is a sequential record).
-		s.clock += s.m.cfg.Costs.LogWrite
+		s.clock += costLogWrite
 		word := f.word(a)
 		t.storeAddrs = append(t.storeAddrs, a)
 		t.storeVals = append(t.storeVals, *word)
@@ -400,7 +400,7 @@ func (s *Strand) TxBranch(pc uint32, taken bool, dependsOnLoad bool) bool {
 	if !s.tx.active {
 		panic("sim: TxBranch outside transaction")
 	}
-	s.advance(s.m.cfg.Costs.Op)
+	s.advance(costOp)
 	if s.checkDoom() {
 		return false
 	}
@@ -421,7 +421,7 @@ func (s *Strand) TxBranch(pc uint32, taken bool, dependsOnLoad bool) bool {
 	t.lastLoadMissed = false
 	if s.bp.predict(pc, taken) {
 		s.stats.Mispredicts++
-		s.clock += s.m.cfg.Costs.Mispredict
+		s.clock += costMispredict
 		if s.rng.Chance(s.m.cfg.CTIAbortProb) {
 			s.txAbort(ctiBit)
 			return false
@@ -437,7 +437,7 @@ func (s *Strand) TxSaveRestore() bool {
 	if !s.tx.active {
 		panic("sim: TxSaveRestore outside transaction")
 	}
-	s.advance(s.m.cfg.Costs.Op)
+	s.advance(costOp)
 	s.txAbort(instBit)
 	return false
 }
@@ -446,7 +446,7 @@ func (s *Strand) TxSaveRestore() bool {
 // (CPS=FP) — the reason the Java Hashtable benchmark factored a divide out
 // of its hash function (Section 7.2).
 func (s *Strand) TxDiv() bool {
-	s.advance(s.m.cfg.Costs.Op)
+	s.advance(costOp)
 	s.txAbort(fpBit)
 	return false
 }
@@ -454,7 +454,7 @@ func (s *Strand) TxDiv() bool {
 // TxTrap models a conditional trap: if taken the transaction aborts with
 // CPS=TCC; if not taken execution continues.
 func (s *Strand) TxTrap(taken bool) bool {
-	s.advance(s.m.cfg.Costs.Op)
+	s.advance(costOp)
 	if taken {
 		s.txAbort(tccBit)
 		return false
@@ -465,7 +465,7 @@ func (s *Strand) TxTrap(taken bool) bool {
 // TxExec models executing code on the given page inside the transaction; an
 // ITLB miss takes a precise exception (CPS=PREC).
 func (s *Strand) TxExec(codePage int32) bool {
-	s.advance(s.m.cfg.Costs.Op)
+	s.advance(costOp)
 	if s.checkDoom() {
 		return false
 	}
@@ -481,7 +481,7 @@ func (s *Strand) TxExec(codePage int32) bool {
 // it costs one instruction and consumes no store-queue entry in this
 // model, a documented divergence.
 func (s *Strand) TxStackWrite() {
-	s.advance(s.m.cfg.Costs.Op)
+	s.advance(costOp)
 }
 
 // TxCommit attempts to commit: the gated stores drain to memory atomically.
@@ -492,11 +492,11 @@ func (s *Strand) TxCommit() bool {
 		panic("sim: TxCommit outside transaction")
 	}
 	t := &s.tx
-	commitCost := s.m.cfg.Costs.CommitBase
+	commitCost := costCommitBase
 	if !s.m.vmEager {
 		// Eager version management commits in constant time — the data is
 		// already in place; only the lazy designs pay the per-store drain.
-		commitCost += int64(len(t.storeAddrs)) * s.m.cfg.Costs.CommitPerStore
+		commitCost += int64(len(t.storeAddrs)) * costCommitPerStore
 	}
 	s.advance(commitCost)
 	if s.checkDoom() {
