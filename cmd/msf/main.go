@@ -12,6 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"rocktm/internal/bench"
 	"rocktm/internal/graphgen"
@@ -59,8 +61,18 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 // default" (0.05 and 1), so it rejects both rather than build another
 // graph than the single-variant path builds from the same flags.
 func validate(fl *cliFlags) (sim.Mode, error) {
+	if *fl.variant != "all" && !slices.Contains(bench.MSFVariantNames(), "msf-"+*fl.variant) {
+		var names []string
+		for _, name := range bench.MSFVariantNames() {
+			names = append(names, strings.TrimPrefix(name, "msf-"))
+		}
+		return 0, fmt.Errorf("-variant must be all or one of %s, got %q", strings.Join(names, ", "), *fl.variant)
+	}
 	if *fl.threads < 1 || *fl.threads > sim.MaxStrands {
 		return 0, fmt.Errorf("-threads must be in [1,%d], got %d", sim.MaxStrands, *fl.threads)
+	}
+	if *fl.variant == "seq" && *fl.threads != 1 {
+		return 0, fmt.Errorf("-variant seq requires -threads 1, got %d", *fl.threads)
 	}
 	if *fl.dim <= 0 {
 		return 0, fmt.Errorf("-dim must be positive, got %d", *fl.dim)
@@ -142,9 +154,6 @@ func main() {
 	}
 	fmt.Printf("graph: %d vertices, %d undirected edges\n", n, len(edges))
 
-	if *fl.variant == "seq" && *fl.threads != 1 {
-		fatal(fmt.Errorf("seq requires -threads 1"))
-	}
 	run, err := bench.RunMSFGraph("msf-"+*fl.variant, n, edges, *fl.threads, *fl.seed, mode)
 	if err != nil {
 		fatal(err)

@@ -14,7 +14,8 @@ import (
 // simulator, a negative -dim validated an empty graph, an unknown -mode
 // silently ran SSE, a negative -parallel was accepted, and -variant all
 // silently ran -extra 0 as 0.05 and -seed 0 as 1. The single-variant path
-// honours both zeros.
+// honours both zeros. An unknown -variant, and seq at more than one
+// thread, used to fail only after the graph was built and printed.
 func TestInvalidFlagsRejected(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -36,6 +37,10 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{[]string{"-variant", "all", "-extra", "0.05", "-seed", "1"}, "", sim.SSE},
 		{[]string{"-variant", "all", "-extra", "0"}, "-extra", 0},
 		{[]string{"-variant", "all", "-seed", "0"}, "-seed", 0},
+		{[]string{"-variant", "bogus", "-dim", "8"}, "-variant", 0},
+		{[]string{"-variant", "seq", "-threads", "2"}, "-threads 1", 0},
+		{[]string{"-variant", "seq", "-threads", "1"}, "", sim.SSE},
+		{[]string{"-variant", "orig-sky"}, "", sim.SSE},
 	}
 	for _, c := range cases {
 		fs := flag.NewFlagSet("msf", flag.ContinueOnError)

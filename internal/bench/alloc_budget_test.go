@@ -1,16 +1,21 @@
 package bench
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // fig2aCellAllocBudget is the allocation budget for one BenchmarkFig2aCell
-// iteration, which reads ~1,445 allocs/op. Machine.Recycle returns the
-// memory frames a cell touched and its L2 to pools that the next cell
-// draws from, so what remains is per-strand construction — caches, TLBs,
-// coroutines — plus workload compilation and JSON digests. The budget pins
-// that with ~4% headroom: a change that quietly reintroduces per-operation
-// or per-attempt allocation on the cell path fails here long before it is
+// iteration, which reads ~837 allocs/op (~1,403 when each machine
+// allocated its own strands). Machine.Recycle hands every strand, with its
+// caches, TLBs and predictor, the page tables, the memory frames a cell
+// touched and its L2 to pools that the next cell draws from, so what
+// remains is each strand's coroutine, the machine's own small structs,
+// workload compilation and JSON digests. The budget pins that with ~5%
+// headroom: a change that quietly reintroduces per-operation or
+// per-attempt allocation on the cell path fails here long before it is
 // visible in wall-clock.
-const fig2aCellAllocBudget = 1500
+const fig2aCellAllocBudget = 880
 
 // TestFig2aCellAllocBudget runs the cell benchmark through the testing
 // harness and fails if allocs/op regresses above the budget. It complements
@@ -39,12 +44,42 @@ func TestFig2aCellAllocBudget(t *testing.T) {
 	}
 }
 
+// fig2aPassBytesBudget caps the bytes that one fig2a pass allocates when
+// it starts from empty pools, as the benchmark's rbtree-read workload runs
+// it (`figures -exp fig2a -ops 1000`: 48 cells over eight thread counts).
+// It reads ~1.28 MB; when each machine allocated its own strands and page
+// tables, it read ~12.0 MB and ran three GC cycles. The budget stays well
+// under the Go GC's 4 MB minimum heap goal: a pass that keeps to it runs
+// no GC cycle, so its peak RSS stays near the process floor.
+const fig2aPassBytesBudget = 3 << 19 // 1.5 MB
+
+// TestFig2aPassBytesBudget runs one fig2a pass after two GC cycles have
+// emptied every pool, and fails if it allocates more than the budget.
+func TestFig2aPassBytesBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget needs a whole fig2a pass")
+	}
+	runtime.GC()
+	runtime.GC() // the second cycle drops the pools' victim caches
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Fig2a(Options{OpsPerThread: 1000, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > fig2aPassBytesBudget {
+		t.Errorf("a fig2a pass allocates %d bytes, budget is %d — machine construction allocates again",
+			got, fig2aPassBytesBudget)
+	}
+}
+
 // fleetCellAllocBudget is the allocation budget for one BenchmarkFleetCell
-// iteration, which reads ~3,950 allocs/op. Each strand keeps one coroutine
-// from its machine's first Run until Recycle; when every Run started a
-// fresh coroutine per strand, the cell read ~16,360. The budget catches
-// per-Run allocation creeping back in.
-const fleetCellAllocBudget = 5000
+// iteration, which reads ~3,702 allocs/op (~3,947 when each machine
+// allocated its own strands and page tables). Each strand keeps one
+// coroutine from its machine's first Run until Recycle; when every Run
+// started a fresh coroutine per strand, the cell read ~16,360. The budget,
+// ~5% over the reading, catches per-Run allocation creeping back in.
+const fleetCellAllocBudget = 3900
 
 // TestFleetCellAllocBudget runs BenchmarkFleetCell through the testing
 // harness and fails if allocs/op regresses above the budget.

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"rocktm/internal/core"
@@ -213,6 +214,9 @@ func TestFleetConfigValidation(t *testing.T) {
 		"Buckets=-8":            func(c *Config) { c.Buckets = -8 },
 		"MemWords=-1":           func(c *Config) { c.MemWords = -1 },
 		"Faults.InterruptProb":  func(c *Config) { c.Faults.InterruptProb = 2 },
+		"MemWords too small": func(c *Config) {
+			c.KeyRange, c.MemWords = 1<<20, 1<<16
+		},
 	} {
 		bad := base
 		mutate(&bad)
@@ -227,6 +231,24 @@ func TestFleetConfigValidation(t *testing.T) {
 			}
 		}()
 	}
+	// A shard whose memory cannot hold its tables is named in the error;
+	// a panic that is not the memory's still propagates.
+	small := base
+	small.KeyRange, small.MemWords = 1<<20, 1<<16
+	if _, err := New(small); err == nil || !strings.Contains(err.Error(), "shard 0") ||
+		!strings.Contains(err.Error(), "out of simulated memory") {
+		t.Errorf("MemWords too small: error %v, want shard 0 out of simulated memory", err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "system panicked" {
+				t.Errorf("a System panic: New recovered %v, want it to propagate", r)
+			}
+		}()
+		bad := base
+		bad.System = func(*sim.Machine) core.System { panic("system panicked") }
+		New(bad)
+	}()
 	f, err := New(base)
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)

@@ -230,24 +230,10 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{cfg: cfg, router: router, lat: obs.NewLatencyRecorder(), nextTxn: 1}
 	for i, mc := range mcs {
-		m := sim.New(mc)
-		sh := &Shard{
-			id:  i,
-			m:   m,
-			sys: cfg.System(m),
-			lat: obs.NewLatencyRecorder(),
-			rec: timeseries.NewRecorder(cfg.Window),
-		}
-		sh.rec.SetFreqGHz(sim.FreqGHz)
-		m.AttachEventSink(sh.rec)
-		// Capacity: every key can be resident, plus in-flight churn headroom.
-		sh.tab = hashtable.New(m, cfg.Buckets, cfg.KeyRange+2*cfg.Strands+64)
-		sh.lockOwner = m.Mem().Alloc(cfg.KeyRange, sim.WordsPerLine)
-		sh.stagedVal = m.Mem().Alloc(cfg.KeyRange, sim.WordsPerLine)
-		sh.stagedOp = m.Mem().Alloc(cfg.KeyRange, sim.WordsPerLine)
-		sh.ses = make([]*hashtable.Session, cfg.Strands)
-		for s := 0; s < cfg.Strands; s++ {
-			sh.ses[s] = sh.tab.NewSession(sh.sys, m.Strand(s))
+		sh, err := newShard(cfg, i, mc)
+		if err != nil {
+			f.Recycle()
+			return nil, err
 		}
 		f.shards = append(f.shards, sh)
 	}
@@ -260,13 +246,50 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
+// newShard builds shard i on a machine of config mc: its TM system, store,
+// 2PC tables and telemetry. A machine whose memory cannot hold them is an
+// error that names the shard, because a fleet's MemWords comes from its
+// Config; any other panic propagates.
+func newShard(cfg Config, i int, mc sim.Config) (sh *Shard, err error) {
+	m := sim.New(mc)
+	defer func() {
+		if r := recover(); r != nil {
+			oom, ok := r.(sim.OutOfMemory)
+			if !ok {
+				panic(r)
+			}
+			m.Recycle()
+			sh, err = nil, fmt.Errorf("service: shard %d: MemWords %d cannot hold its tables: %w", i, mc.MemWords, oom)
+		}
+	}()
+	sh = &Shard{
+		id:  i,
+		m:   m,
+		sys: cfg.System(m),
+		lat: obs.NewLatencyRecorder(),
+		rec: timeseries.NewRecorder(cfg.Window),
+	}
+	sh.rec.SetFreqGHz(sim.FreqGHz)
+	m.AttachEventSink(sh.rec)
+	// Capacity: every key can be resident, plus in-flight churn headroom.
+	sh.tab = hashtable.New(m, cfg.Buckets, cfg.KeyRange+2*cfg.Strands+64)
+	sh.lockOwner = m.Mem().Alloc(cfg.KeyRange, sim.WordsPerLine)
+	sh.stagedVal = m.Mem().Alloc(cfg.KeyRange, sim.WordsPerLine)
+	sh.stagedOp = m.Mem().Alloc(cfg.KeyRange, sim.WordsPerLine)
+	sh.ses = make([]*hashtable.Session, cfg.Strands)
+	for s := 0; s < cfg.Strands; s++ {
+		sh.ses[s] = sh.tab.NewSession(sh.sys, m.Strand(s))
+	}
+	return sh, nil
+}
+
 // Shards returns the fleet's shard count.
 func (f *Fleet) Shards() int { return len(f.shards) }
 
 // Recycle stops every shard machine's strand coroutines and hands its
-// memory frames and L2 to the process-wide pools (see
+// strands, memory and L2 to the process-wide pools (see
 // sim.Machine.Recycle). Call only after the fleet's last use; the shards'
-// simulated memory must not be touched afterwards.
+// strands and simulated memory must not be touched afterwards.
 func (f *Fleet) Recycle() {
 	for _, sh := range f.shards {
 		sh.m.Recycle()

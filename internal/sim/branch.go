@@ -23,6 +23,13 @@ func newBranchPredictor() *branchPredictor {
 	}
 }
 
+// reset zeroes every counter and the history, the state newBranchPredictor
+// gives a predictor, so a recycled strand's predictor has learned nothing.
+func (b *branchPredictor) reset() {
+	clear(b.table)
+	b.history = 0
+}
+
 // predict records the outcome of the branch at pc and reports whether the
 // prediction was wrong. The two outcome arms are fully split (rather than
 // computing the prediction up front and comparing) so the function fits the

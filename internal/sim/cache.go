@@ -39,10 +39,17 @@ func newL1(sets, ways int) *l1Cache {
 		setMask: int32(sets - 1),
 		slots:   make([]l1Slot, sets*ways),
 	}
-	for i := range c.slots {
-		c.slots[i].tag = -1
-	}
+	c.reset()
 	return c
+}
+
+// reset invalidates every way and restarts the LRU clock, the state newL1
+// gives a cache, so a recycled strand's L1 starts empty.
+func (c *l1Cache) reset() {
+	for i := range c.slots {
+		c.slots[i] = l1Slot{tag: -1}
+	}
+	c.tick = 0
 }
 
 // setBase returns the first slot of line's set.

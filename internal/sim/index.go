@@ -18,15 +18,34 @@ type u32map struct {
 	used  int
 }
 
+// u32mapSize is a new map's table size, > 2x the SSE store-queue line
+// capacity.
+const u32mapSize = 64
+
 func newU32Map() *u32map {
-	const initial = 64 // > 2x the SSE store-queue line capacity
-	return &u32map{
-		keys:  make([]uint32, initial),
-		vals:  make([]int32, initial),
-		epoch: make([]uint32, initial),
-		cur:   1,
-		mask:  initial - 1,
+	m := &u32map{
+		keys:  make([]uint32, u32mapSize),
+		vals:  make([]int32, u32mapSize),
+		epoch: make([]uint32, u32mapSize),
 	}
+	m.init()
+	return m
+}
+
+// init empties m into a table of u32mapSize entries at epoch 1, reusing
+// its arrays: a map that grew keeps the first u32mapSize entries of its
+// table.
+func (m *u32map) init() {
+	*m = u32map{
+		keys:  m.keys[:u32mapSize],
+		vals:  m.vals[:u32mapSize],
+		epoch: m.epoch[:u32mapSize],
+		cur:   1,
+		mask:  u32mapSize - 1,
+	}
+	clear(m.keys)
+	clear(m.vals)
+	clear(m.epoch)
 }
 
 // reset empties the map in O(1) by advancing the epoch.

@@ -292,8 +292,9 @@ type Machine struct {
 	parked  []heapNode
 	running bool
 
-	// recycled is set by Recycle: the memory's frames and the L2 belong to
-	// the pools from then on, and the machine must not run again.
+	// recycled is set by Recycle: the strands, the memory's tables and
+	// frames and the L2 belong to the pools from then on, and the machine
+	// must not run again.
 	recycled bool
 
 	// coros stops the strand coroutines of a machine nobody recycles (see
@@ -397,16 +398,20 @@ func (m *Machine) Config() Config { return m.cfg }
 func (m *Machine) Mem() *Memory { return m.mem }
 
 // Recycle stops the strand coroutines, returning once they have exited,
-// then scrubs the frames of every page the machine touched and hands them,
-// with the L2, to process-wide pools, so the next machine's construction
-// and first touches reuse them instead of allocating. The machine that
-// draws the L2 clears its set index and stores the sets its own run
-// touches in the slots' capacity. Call it only after the machine's last
-// use (including Peek-based validation): afterwards the simulated memory
-// reads as zero and must not be written, and Run panics.
-// A second call does nothing. A machine that is never recycled releases
-// its coroutines when it is collected. Recycling is a host-side allocation
-// strategy only — it never changes what a simulation computes.
+// then hands everything else New allocated to process-wide pools, so the
+// next machine's construction and first touches reuse it instead of
+// allocating: each strand with its L1, TLBs, predictor and store-queue
+// indexes; the memory's page tables, and the frames of every page the
+// machine touched, scrubbed; and the L2. Each machine that draws a part
+// resets it to the state a fresh allocation has; the L2 keeps its slots'
+// capacity for the sets its new run touches. Call Recycle only after the
+// machine's last use, including Peek-based validation and every Strand
+// method (Stats and Clock too): the strands belong to other machines from
+// then on, the simulated memory reads as zero and must not be written,
+// and Run panics. A second call does nothing. A machine that is never
+// recycled releases its coroutines when it is collected. Recycling is a
+// host-side allocation strategy only — it never changes what a simulation
+// computes.
 func (m *Machine) Recycle() {
 	if m.recycled {
 		return
@@ -414,6 +419,10 @@ func (m *Machine) Recycle() {
 	m.recycled = true
 	m.stopCoroutines()
 	runtime.SetFinalizer(m.coros, nil)
+	for _, s := range m.strands {
+		s.recycle()
+	}
+	m.strands = nil
 	m.mem.recycle()
 	l2Pool.Put(m.l2)
 	m.l2 = nil
@@ -469,7 +478,7 @@ func (m *Machine) Run(body func(*Strand)) {
 	m.running = true
 	m.parked = m.parked[:0]
 	for _, s := range m.strands {
-		s.parked = true
+		// Every strand enters the run parked in the scheduler heap.
 		m.heapPush(s)
 		// A strand's first Run starts its coroutine; later Runs reuse it.
 		if s.resume == nil {
@@ -488,13 +497,13 @@ func (m *Machine) Run(body func(*Strand)) {
 	// to the laggard until every body has returned.
 	c := m.heapPop()
 	for {
-		c.parked = false
+		// c holds the baton from here until it yields or finishes.
 		m.grant(c)
 		if finished, _ := c.resume(); !finished {
 			// c's body called yieldBaton: park it, resume the laggard.
 			// heapReplaceMin(c) is the pop-then-push of the old handoff
-			// fused into one sift-down.
-			c.parked = true
+			// fused into one sift-down; the heap is the one record of
+			// which strands are parked.
 			c = m.heapReplaceMin(c)
 			continue
 		}

@@ -100,18 +100,37 @@ func (f *frame) dir(line int32) *lineMeta { return &f.lines[line&(linesPerPage-1
 // a sync.Pool.
 var framePool = sync.Pool{New: func() any { return new(frame) }}
 
+// pageTables is a recycled Memory's frames and pages tables, as
+// tablesPool holds them. Every frame pointer in them is nil, to the end of
+// their capacity.
+type pageTables struct {
+	frames []*frame
+	pages  []pageMeta
+}
+
+// tablesPool holds the page tables of recycled memories, so the next
+// machine reuses them instead of allocating two tables of one entry per
+// page (64 KB at the default 32 MB).
+var tablesPool sync.Pool
+
 func newMemory(words int) *Memory {
 	if words < PageWords {
 		words = PageWords
 	}
 	// Round up to whole pages.
 	words = (words + PageWords - 1) &^ (PageWords - 1)
-	return &Memory{
-		limit:  words,
-		frames: make([]*frame, words/PageWords),
-		pages:  make([]pageMeta, words/PageWords),
-		next:   WordsPerLine, // skip line 0 so Addr 0 stays "null"
+	n := words / PageWords
+	m := &Memory{
+		limit: words,
+		next:  WordsPerLine, // skip line 0 so Addr 0 stays "null"
 	}
+	if t, _ := tablesPool.Get().(*pageTables); t != nil && cap(t.frames) >= n {
+		m.frames, m.pages = t.frames[:n], t.pages[:n]
+		clear(m.pages)
+	} else {
+		m.frames, m.pages = make([]*frame, n), make([]pageMeta, n)
+	}
+	return m
 }
 
 // frame returns page p's frame, backing it from the pool on the first touch.
@@ -124,9 +143,9 @@ func (m *Memory) frame(p int32) *frame {
 	return f
 }
 
-// recycle scrubs every backed frame and returns it to the pool. Afterwards
-// every page is unbacked again, so the Memory reads as zero; it must not
-// be written.
+// recycle scrubs every backed frame and returns it to framePool, then
+// hands the emptied page tables to tablesPool. Afterwards the Memory has
+// no pages, so it reads as zero; it must not be written.
 func (m *Memory) recycle() {
 	for p, f := range m.frames {
 		if f != nil {
@@ -135,16 +154,30 @@ func (m *Memory) recycle() {
 			m.frames[p] = nil
 		}
 	}
+	tablesPool.Put(&pageTables{m.frames, m.pages})
+	m.frames, m.pages = nil, nil
 }
 
 // Size returns the number of words of simulated memory.
 func (m *Memory) Size() int { return m.limit }
 
+// OutOfMemory is the value Alloc panics with when simulated memory cannot
+// hold an allocation.
+type OutOfMemory struct {
+	Want int  // words asked for
+	At   Addr // where the aligned allocation would have started
+	Have int  // the memory's size, in words
+}
+
+func (e OutOfMemory) Error() string {
+	return fmt.Sprintf("sim: out of simulated memory (want %d words at %d, have %d)", e.Want, e.At, e.Have)
+}
+
 // Alloc hands out n words aligned to align words (align must be a power of
 // two; 0 or 1 means word alignment). The returned range is mapped, walkable
 // and writable — equivalent to memory that the process has already touched.
-// Alloc panics if the simulated memory is exhausted; experiments size their
-// machines up front.
+// Alloc panics with an OutOfMemory if the simulated memory is exhausted;
+// experiments size their machines up front.
 func (m *Memory) Alloc(n int, align int) Addr {
 	if n <= 0 {
 		panic("sim: Alloc of non-positive size")
@@ -154,7 +187,7 @@ func (m *Memory) Alloc(n int, align int) Addr {
 	}
 	a := (m.next + Addr(align) - 1) &^ (Addr(align) - 1)
 	if int(a)+n > m.limit {
-		panic(fmt.Sprintf("sim: out of simulated memory (want %d words at %d, have %d)", n, a, m.limit))
+		panic(OutOfMemory{Want: n, At: a, Have: m.limit})
 	}
 	m.next = a + Addr(n)
 	for p := PageOf(a); p <= PageOf(a+Addr(n)-1); p++ {

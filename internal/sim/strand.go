@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"rocktm/internal/obs"
 )
@@ -25,14 +26,14 @@ type Stats struct {
 // Strand is one simulated hardware strand. All of its methods must be
 // called from the goroutine that Machine.Run started for it; the baton
 // discipline then guarantees mutual exclusion over all shared simulator
-// state without locks.
+// state without locks. None may be called once its machine is recycled:
+// the strand then belongs to another machine.
 type Strand struct {
 	m   *Machine
 	id  int
 	bit uint64
 
-	clock  int64
-	parked bool
+	clock int64
 
 	// Coroutine plumbing, owned by Machine.Run. The strand keeps one
 	// coroutine from its first Run until Recycle, or a failed Run, stops
@@ -82,22 +83,55 @@ type Strand struct {
 	sinks []obs.EventSink
 }
 
-func newStrand(m *Machine, id int) *Strand {
-	s := &Strand{
-		m:   m,
-		id:  id,
-		bit: 1 << uint(id),
-		rng: newRNG(m.cfg.Seed*0x9e3779b9 + uint64(id)*0x85ebca77 + 1),
-		l1:  newL1(L1Sets, L1Ways),
-		bp:  newBranchPredictor(),
+// strandPool holds the strands of recycled machines (Machine.Recycle). A
+// pooled strand keeps only its hardware: its L1, TLBs, predictor,
+// store-queue indexes and transaction slices. Every machine has the same
+// strand shape, so each new strand draws one and resets its hardware
+// instead of allocating ~28 KB of it.
+var strandPool sync.Pool
 
-		frames: m.mem.frames,
+// newStrand returns strand id of m, drawn from strandPool when it holds one
+// and reset to the state a freshly allocated strand has.
+func newStrand(m *Machine, id int) *Strand {
+	s, _ := strandPool.Get().(*Strand)
+	if s == nil {
+		s = &Strand{l1: newL1(L1Sets, L1Ways), bp: newBranchPredictor()}
+		s.mmu.init(microDTLB, mainDTLB, itlbEntries)
+		s.tx.fwd = newU32Map()
+		s.tx.lineSet = newU32Map()
+	} else {
+		s.l1.reset()
+		s.mmu.reset()
+		s.bp.reset()
+		s.tx.fwd.init()
+		s.tx.lineSet.init()
 	}
-	s.mmu.init(microDTLB, mainDTLB, itlbEntries)
+	s.m = m
+	s.id = id
+	s.bit = 1 << uint(id)
+	s.rng = newRNG(m.cfg.Seed*0x9e3779b9 + uint64(id)*0x85ebca77 + 1)
+	s.frames = m.mem.frames
 	s.flt = newFaultInjector(&m.cfg, id)
-	s.tx.fwd = newU32Map()
-	s.tx.lineSet = newU32Map()
 	return s
+}
+
+// recycle strips s down to its hardware, emptying the transaction slices,
+// and hands it to strandPool. Its coroutine must already be stopped.
+func (s *Strand) recycle() {
+	t := &s.tx
+	*s = Strand{
+		l1:  s.l1,
+		mmu: s.mmu,
+		bp:  s.bp,
+		tx: txnState{
+			marked:     t.marked[:0],
+			storeAddrs: t.storeAddrs[:0],
+			storeVals:  t.storeVals[:0],
+			fwd:        t.fwd,
+			lineSet:    t.lineSet,
+		},
+	}
+	strandPool.Put(s)
 }
 
 // ID returns the strand number, in [0, Strands).

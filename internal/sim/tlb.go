@@ -50,10 +50,17 @@ func (t *tlb) init(entries int) {
 	t.head = -1
 	t.tail = -1
 	t.free = make([]uint64, (entries+63)/64)
+	t.reset()
+}
+
+// reset empties t into the state init gives a TLB, keeping its arrays. The
+// page index keeps its length, so a recycled strand's index regrows only
+// past the highest page any of its machines translated, and maps no page.
+func (t *tlb) reset() {
+	t.flush()
 	for i := range t.ent {
-		t.ent[i].page = -1
+		t.ent[i] = tlbEntry{page: -1}
 	}
-	t.setAllFree()
 }
 
 func (t *tlb) setAllFree() {
@@ -237,4 +244,11 @@ func (u *mmu) init(microEntries, mainEntries, itlbEntries int) {
 	u.micro.init(microEntries)
 	u.main.init(mainEntries)
 	u.itlb.init(itlbEntries)
+}
+
+// reset empties all three TLBs (tlb.reset).
+func (u *mmu) reset() {
+	u.micro.reset()
+	u.main.reset()
+	u.itlb.reset()
 }
