@@ -5,6 +5,7 @@ import (
 
 	"rocktm/internal/bench"
 	"rocktm/internal/counter"
+	"rocktm/internal/graphgen"
 	"rocktm/internal/sim"
 )
 
@@ -91,14 +92,14 @@ func BenchmarkVolanoTLE(b *testing.B) { reportFigure(b, bench.VolanoFigure, "TLE
 // small roadmap; the metric is simulated milliseconds of running time.
 func benchMSF(b *testing.B, variantName string) {
 	b.Helper()
-	o := bench.MSFOptions{Width: 32, Height: 32, Threads: []int{4}, Seed: 1}
+	n, edges := graphgen.RoadmapEdges(32, 32, 0.05, 1<<20, 1)
 	var last float64
 	for i := 0; i < b.N; i++ {
-		secs, err := bench.RunMSFVariant(o, variantName, 4)
+		run, err := bench.RunMSFGraph(variantName, n, edges, 4, 1, sim.SSE)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = secs * 1e3
+		last = run.Seconds * 1e3
 	}
 	b.ReportMetric(last, "simMs")
 }

@@ -434,6 +434,9 @@ func validate(fl *cliFlags) ([]int, error) {
 			return nil, fmt.Errorf("-%s must be positive, got %d", f.name, f.v)
 		}
 	}
+	if err := bench.CheckMSFGrid(*fl.msfDim, *fl.msfDim, bench.MSFOptions{}.Defaults().Extra); err != nil {
+		return nil, fmt.Errorf("-msf-dim %d: %w", *fl.msfDim, err)
+	}
 	// The experiments read seed 0 as "use seed 1", so it would silently
 	// print another seed's figures.
 	if *fl.seed == 0 {

@@ -142,7 +142,9 @@ func TestFlagSurfaceCarriesTimeline(t *testing.T) {
 // A repeated thread count is rejected: it used to submit every cell twice,
 // printing one table row but two CSV and JSON points per curve. The strand
 // scheduler and a wall-clock cell budget are not command-line choices:
-// -sched and -cell-timeout are unknown flags.
+// -sched and -cell-timeout are unknown flags. An -msf-dim whose roadmap
+// needs more simulated memory than a machine can have is rejected before
+// any graph is generated.
 func TestInvalidFlagsRejected(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -161,6 +163,7 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{[]string{"-ops", "0"}, "-ops"},
 		{[]string{"-msf-dim", "0"}, "-msf-dim"},
 		{[]string{"-msf-dim", "-4"}, "-msf-dim"},
+		{[]string{"-msf-dim", "8192"}, "-msf-dim 8192"},
 		{[]string{"-profile-ops", "0"}, "-profile-ops"},
 		{[]string{"-seed", "2"}, ""},
 		{[]string{"-seed", "0"}, "-seed"},

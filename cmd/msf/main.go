@@ -80,6 +80,11 @@ func validate(fl *cliFlags) (sim.Mode, error) {
 	if !(*fl.extra >= 0) {
 		return 0, fmt.Errorf("-extra must not be negative, got %v", *fl.extra)
 	}
+	if *fl.dimacs == "" {
+		if err := bench.CheckMSFGrid(*fl.dim, *fl.dim, *fl.extra); err != nil {
+			return 0, fmt.Errorf("-dim %d with -extra %g: %w", *fl.dim, *fl.extra, err)
+		}
+	}
 	if *fl.parallel < 0 {
 		return 0, fmt.Errorf("-parallel must not be negative, got %d (0 = GOMAXPROCS)", *fl.parallel)
 	}

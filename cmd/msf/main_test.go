@@ -15,7 +15,9 @@ import (
 // silently ran SSE, a negative -parallel was accepted, and -variant all
 // silently ran -extra 0 as 0.05 and -seed 0 as 1. The single-variant path
 // honours both zeros. An unknown -variant, and seq at more than one
-// thread, used to fail only after the graph was built and printed.
+// thread, used to fail only after the graph was built and printed. A
+// synthetic grid too large for a machine's memory was generated in host
+// memory and then panicked in sim.New; a -dimacs graph skips that check.
 func TestInvalidFlagsRejected(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -41,6 +43,11 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{[]string{"-variant", "seq", "-threads", "2"}, "-threads 1", 0},
 		{[]string{"-variant", "seq", "-threads", "1"}, "", sim.SSE},
 		{[]string{"-variant", "orig-sky"}, "", sim.SSE},
+		{[]string{"-dim", "8192"}, "-dim 8192", 0},
+		{[]string{"-dim", "100000", "-variant", "all"}, "-dim", 0},
+		{[]string{"-extra", "1e9"}, "-extra 1e+09", 0},
+		{[]string{"-extra", "+Inf"}, "-extra", 0},
+		{[]string{"-dim", "8192", "-dimacs", "g.gr"}, "", sim.SSE},
 	}
 	for _, c := range cases {
 		fs := flag.NewFlagSet("msf", flag.ContinueOnError)

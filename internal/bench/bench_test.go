@@ -2,8 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"rocktm/internal/graphgen"
+	"rocktm/internal/sim"
 )
 
 func tinyOptions() Options {
@@ -106,16 +110,56 @@ func TestQualitativeClaims(t *testing.T) {
 // TestMSFVariantRunsAndValidates runs one tiny MSF cell end to end (the
 // runner validates against Kruskal internally).
 func TestMSFVariantRunsAndValidates(t *testing.T) {
-	o := MSFOptions{Width: 16, Height: 16, Threads: []int{2}, Seed: 3}
-	secs, err := RunMSFVariant(o, "msf-opt-le", 2)
+	n, edges := graphgen.RoadmapEdges(16, 16, 0.05, 1<<20, 3)
+	run, err := RunMSFGraph("msf-opt-le", n, edges, 2, 3, sim.SSE)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if secs <= 0 {
+	if run.Seconds <= 0 {
 		t.Fatal("nonpositive running time")
 	}
-	if _, err := RunMSFVariant(o, "nope", 2); err == nil {
+	if _, err := RunMSFGraph("nope", n, edges, 2, 3, sim.SSE); err == nil {
 		t.Fatal("unknown variant accepted")
+	}
+}
+
+// TestCheckMSFGrid checks the MSF grid bound against grids whose memory
+// msfMemWords computes from their generated edges, and rejects grids
+// whose simulated memory would exceed sim's limit. Every rejected grid is
+// rejected before anything is allocated; none is generated here.
+func TestCheckMSFGrid(t *testing.T) {
+	for _, g := range []struct {
+		dim   int
+		extra float64
+	}{{1, 0}, {16, 0.05}, {64, 0.5}, {96, 0.05}} {
+		if err := CheckMSFGrid(g.dim, g.dim, g.extra); err != nil {
+			t.Errorf("%d×%d, extra %g rejected: %v", g.dim, g.dim, g.extra, err)
+		}
+		n, edges := graphgen.RoadmapEdges(g.dim, g.dim, g.extra, 1<<20, 1)
+		grid := 2 * g.dim * (g.dim - 1)
+		if bound := grid + int(g.extra*float64(grid)); len(edges) > bound || n != g.dim*g.dim {
+			t.Errorf("%d×%d, extra %g: %d vertices and %d edges, bound assumes %d and at most %d",
+				g.dim, g.dim, g.extra, n, len(edges), g.dim*g.dim, bound)
+		}
+	}
+	// About 8,100 per side at extra 0.05 needs more than 2^32 words.
+	if err := CheckMSFGrid(8000, 8000, 0.05); err != nil {
+		t.Errorf("8000×8000 rejected: %v", err)
+	}
+	for _, g := range []struct {
+		w, h  int
+		extra float64
+	}{
+		{8192, 8192, 0.05},
+		{64, 64, 1e9},
+		{64, 64, math.Inf(1)},
+		{1 << 17, 1 << 17, 0},
+		{1 << 40, 1 << 40, 0.05},
+		{math.MaxInt, math.MaxInt, 0.05},
+	} {
+		if err := CheckMSFGrid(g.w, g.h, g.extra); err == nil {
+			t.Errorf("%d×%d, extra %g accepted", g.w, g.h, g.extra)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 
 	"rocktm/internal/core"
 	"rocktm/internal/graphgen"
@@ -135,6 +136,29 @@ func msfMemWords(n, mEdges int) int {
 		words <<= 1
 	}
 	return words
+}
+
+// CheckMSFGrid reports an error when the width×height roadmap grid with
+// the extra shortcut fraction (graphgen.RoadmapEdges) needs more simulated
+// memory than a machine can have, by msfMemWords over the grid's largest
+// possible edge count. It allocates nothing, and it sizes the grid in
+// float64, so no count overflows. The memory bound also keeps every
+// vertex id within graphgen's uint32.
+func CheckMSFGrid(width, height int, extra float64) error {
+	n := float64(width) * float64(height)
+	grid := float64(width-1)*float64(height) + float64(width)*float64(height-1)
+	edges := grid + math.Floor(extra*grid)
+	if !(n+edges < 1<<40) { // beyond any machine; msfMemWords would overflow
+		return fmt.Errorf("a %d×%d grid with extra %g has %.3g vertices and up to %.3g edges, too many to simulate",
+			width, height, extra, n, edges)
+	}
+	cfg := sim.DefaultConfig(1)
+	cfg.MemWords = msfMemWords(int(n), int(edges))
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("a %d×%d grid with extra %g needs %d words of simulated memory: %w",
+			width, height, extra, cfg.MemWords, err)
+	}
+	return nil
 }
 
 // MSFRun is one validated MSF run.
@@ -367,11 +391,4 @@ func ProfileReport(ops int, sizes []int) []string {
 		)
 	}
 	return lines
-}
-
-// RunMSFVariant measures a single named variant at one thread count
-// (convenience for benchmarks).
-func RunMSFVariant(o MSFOptions, name string, threads int) (float64, error) {
-	secs, _, err := runMSF(o.Defaults(), name, threads)
-	return secs, err
 }

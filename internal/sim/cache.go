@@ -7,21 +7,20 @@ import "sync"
 // tracking lives here: a transactionally marked line that gets displaced
 // aborts the transaction with CPS=LD, and five loads mapping to one 4-way
 // set can never all be marked at once (the "cache set test" of Section 3).
+// The marks themselves are kept once, in the coherence directory
+// (lineMeta.marked): the L1 holds only tags and LRU ages, and victim
+// choice reads a way's mark from its line's directory entry.
 //
 // L1Sets is a power of two, so set selection is a mask instead of a
-// modulo, and access resolves hit/victim in one pass over the ways instead
-// of the old lookup-then-scan double pass. Victim choice is
-// bit-identical to the original: the *first* invalid way by index wins,
-// then the least-recently-used unmarked way, then the least-recently-used
-// marked way (ages are unique monotonic ticks, so LRU ties cannot occur).
-// l1Slot is one L1 way: tag, transactional mark and LRU timestamp packed
-// into 16 bytes, so a whole 4-way set occupies a single 64-byte host cache
-// line — an access touches one line where the old parallel tag/age/marked
-// arrays touched three.
+// modulo. Victim choice is bit-identical to the original: the *first*
+// invalid way by index wins, then the least-recently-used unmarked way,
+// then the least-recently-used marked way (ages are unique monotonic
+// ticks, so LRU ties cannot occur).
+// l1Slot is one L1 way: tag and LRU timestamp packed into 16 bytes, so a
+// whole 4-way set occupies a single 64-byte host cache line.
 type l1Slot struct {
-	tag    int32 // -1 = invalid
-	marked bool
-	age    int64 // LRU timestamp (unique monotonic tick)
+	tag int32 // -1 = invalid
+	age int64 // LRU timestamp (unique monotonic tick)
 }
 
 type l1Cache struct {
@@ -69,99 +68,64 @@ func (c *l1Cache) lookup(line int32) int {
 	return -1
 }
 
-// touch probes line, refreshing its LRU timestamp on a hit, and returns
-// the slot index holding it or -1. It advances the LRU tick whether or not
-// the probe hits — exactly as the fused access did — so a following
-// fillVictim must NOT advance it again. touch is small enough to inline,
-// which keeps the L1-hit path (the overwhelmingly common case) free of any
-// function-call overhead in Strand.fill.
-func (c *l1Cache) touch(line int32) int {
+// touch probes line, refreshing its LRU timestamp on a hit, and reports
+// whether it hit. It advances the LRU tick whether or not the probe hits,
+// so a following fillVictim must NOT advance it again. touch is small
+// enough to inline, which keeps the L1-hit path (the overwhelmingly
+// common case) free of any function-call overhead in Strand.fill.
+func (c *l1Cache) touch(line int32) bool {
 	c.tick++
 	base := int(line&c.setMask) * c.ways
 	set := c.slots[base : base+c.ways]
 	for w := range set {
 		if set[w].tag == line {
 			set[w].age = c.tick
-			return base + w
+			return true
 		}
 	}
-	return -1
+	return false
 }
 
 // fillVictim installs line after a touch miss (the tick was already
-// advanced by touch), returning the displaced line (-1 if a way was free),
-// whether it was transactionally marked, and the slot now holding line.
+// advanced by touch), returning the displaced line (-1 if a way was free)
+// and whether it was transactionally marked. A way is marked when its
+// line's directory entry, found through frames, holds bit in its marked
+// mask; a strand outside a transaction holds no marks and passes bit 0,
+// and then no directory entry is read.
 //
 // On a miss with all ways transactionally marked, the LRU *marked* way is
 // displaced — that is the mechanism behind LD aborts: the hardware cannot
 // keep the read set pinned. Victim preference: first invalid way by index,
 // else LRU unmarked, else LRU marked.
-func (c *l1Cache) fillVictim(line int32) (evicted int32, evictedMark bool, idx int) {
+func (c *l1Cache) fillVictim(line int32, frames []*frame, bit uint64) (evicted int32, evictedMark bool) {
 	base := c.setBase(line)
 	set := c.slots[base : base+c.ways]
-	var firstInvalid, bestUnmarked, bestMarked = -1, -1, -1
+	victim, victimMarked := -1, false
 	for w := range set {
 		s := &set[w]
 		if s.tag == -1 {
-			if firstInvalid == -1 {
-				firstInvalid = w
-			}
-			continue
+			victim, victimMarked = w, false
+			break
 		}
-		if !s.marked {
-			if bestUnmarked == -1 || s.age < set[bestUnmarked].age {
-				bestUnmarked = w
-			}
-		} else if bestMarked == -1 || s.age < set[bestMarked].age {
-			bestMarked = w
-		}
-	}
-	victim, victimMarked := firstInvalid, false
-	if victim == -1 {
-		if bestUnmarked >= 0 {
-			victim = bestUnmarked
-		} else {
-			victim, victimMarked = bestMarked, true
+		marked := bit != 0 && frames[s.tag>>linePageShift].dir(s.tag).marked&bit != 0
+		if victim == -1 || victimMarked && !marked || marked == victimMarked && s.age < set[victim].age {
+			victim, victimMarked = w, marked
 		}
 	}
 	v := &set[victim]
 	evicted = v.tag
-	evictedMark = victimMarked && evicted != -1
 	v.tag = line
 	v.age = c.tick
-	v.marked = false
-	return evicted, evictedMark, base + victim
+	return evicted, victimMarked
 }
 
-// access touches line, filling it on a miss (touch + fillVictim fused; the
-// hot machine path calls the two halves directly so the hit half inlines).
-func (c *l1Cache) access(line int32) (hit bool, evicted int32, evictedMark bool, idx int) {
-	if i := c.touch(line); i >= 0 {
-		return true, -1, false, i
-	}
-	evicted, evictedMark, idx = c.fillVictim(line)
-	return false, evicted, evictedMark, idx
-}
-
-// invalidate drops line if present, returning (wasPresent, wasMarked).
-func (c *l1Cache) invalidate(line int32) (bool, bool) {
+// invalidate drops line if present, reporting whether it was.
+func (c *l1Cache) invalidate(line int32) bool {
 	if i := c.lookup(line); i >= 0 {
-		m := c.slots[i].marked
 		c.slots[i].tag = -1
-		c.slots[i].marked = false
-		return true, m
+		return true
 	}
-	return false, false
-}
-
-// mark flags slot idx as transactionally marked.
-func (c *l1Cache) mark(idx int) { c.slots[idx].marked = true }
-
-// clearMark removes the transactional mark from line if present.
-func (c *l1Cache) clearMark(line int32) {
-	if i := c.lookup(line); i >= 0 {
-		c.slots[i].marked = false
-	}
+	return false
 }
 
 // l2Cache models the shared, inclusive second-level cache. Evicting a line

@@ -194,10 +194,11 @@ const (
 
 // FuzzConfig fuzzes every settable value of Config, its HTMDesign and its
 // FaultPlan. For each input either Validate returns an error, which New
-// must panic with, or a fixed-length run finishes without a panic: every
-// strand makes a few hardware attempts over shared lines, each followed
-// by a plain store. The run replaces the fuzzed MaxCycles with its own
-// budget, so that the guard trips only on a run that stalls.
+// must panic with, or a fixed-length run finishes without a panic and
+// passes the machine audit at every transaction begin, commit and abort:
+// every strand makes a few hardware attempts over shared lines, each
+// followed by a plain store. The run replaces the fuzzed MaxCycles with
+// its own budget, so that the guard trips only on a run that stalls.
 func FuzzConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, strands, memWords, mode int, seed uint64, quantum, maxCycles int64,
 		l2Sets, l2Ways int, cti, ucti, storeAfterMiss, exog float64,
@@ -232,6 +233,7 @@ func FuzzConfig(f *testing.F) {
 		cfg.MaxCycles = 1 << 24
 		m := New(cfg)
 		defer m.Recycle()
+		audit := attachAudit(m)
 		const lines = 8
 		a := m.Mem().AllocLines(lines * WordsPerLine)
 		line := func(i int) Addr { return a + Addr(i%lines*WordsPerLine) }
@@ -252,5 +254,8 @@ func FuzzConfig(f *testing.F) {
 				s.Store(line(s.ID()+i), Word(i))
 			}
 		})
+		if audit.err != nil {
+			t.Fatal(audit.err)
+		}
 	})
 }

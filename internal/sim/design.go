@@ -187,15 +187,16 @@ func (t *txnState) rollbackUndo(mem *Memory) int {
 }
 
 // arbMask returns the conflicting holders a transactional access to line
-// must arbitrate against: every active marker for a store, every active
-// writer for a load. It runs before the line is filled, so it may be the
-// first touch of the line's page and backs its frame.
+// must arbitrate against: every other marker for a store, every other
+// writer for a load. Only a strand with an active transaction holds
+// marks, so each holder is active. It runs before the line is filled, so
+// it may be the first touch of the line's page and backs its frame.
 func (s *Strand) arbMask(line int32, store bool) uint64 {
 	lm := s.m.mem.frame(line >> linePageShift).dir(line)
 	if store {
 		return lm.marked &^ s.bit
 	}
-	return lm.written & s.m.activeMask &^ s.bit
+	return lm.written &^ s.bit
 }
 
 // resolveArb arbitrates a transactional access against active holders of

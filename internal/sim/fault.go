@@ -114,8 +114,7 @@ func (f *faultInjector) onTxAccess(s *Strand) {
 // happens at the access's own checkDoom like every asynchronous event.
 func (f *faultInjector) evictMarked(s *Strand) {
 	line := s.tx.marked[f.rng.Intn(len(s.tx.marked))]
-	wasPresent, _ := s.l1.invalidate(line)
-	if !wasPresent {
+	if !s.l1.invalidate(line) {
 		// Already absent from the L1 (e.g. an earlier spill made it
 		// sticky); nothing to displace.
 		return

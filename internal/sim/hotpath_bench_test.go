@@ -116,12 +116,11 @@ func benchMachineNew(b *testing.B, cfg Config) {
 	}
 }
 
-// BenchmarkMachineNew measures construction: pooled strands whose caches,
-// TLBs, predictor and store-queue indexes are reset, a coroutine per
-// strand, pooled page tables, and a pooled L2 whose set index is cleared
-// and whose touched sets are stored again. What it allocates is the
-// coroutines and the machine's own small structs
-// (TestMachineNewBytesBudget).
+// BenchmarkMachineNew measures construction: pooled strands whose
+// caches, TLBs and predictor are reset, a coroutine per strand, pooled
+// page tables, and a pooled L2 whose set index is cleared and whose
+// touched sets are stored again. What it allocates is the coroutines
+// and the machine's own small structs (TestMachineNewBytesBudget).
 func BenchmarkMachineNew(b *testing.B) {
 	for _, strands := range []int{1, 16} {
 		b.Run(fmt.Sprintf("strands=%d", strands), func(b *testing.B) {
@@ -320,8 +319,7 @@ func BenchmarkTxLoadRun(b *testing.B) {
 
 // BenchmarkTxLoadForwarding fills the store queue with stores to
 // distinct lines, then loads each stored address back: every load must
-// forward from the store queue. The linear-scan queue pays O(entries)
-// per forwarded load.
+// forward from the store queue, which it scans youngest-first.
 func BenchmarkTxLoadForwarding(b *testing.B) {
 	m := benchMachine1()
 	const lines = 24 // fits two SSE banks of 16
@@ -348,4 +346,44 @@ func BenchmarkTxLoadForwarding(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTxLoadOwnWrite times a transactional load of the word a
+// transaction stored first, behind k-1 younger stores to the words of the
+// same few lines. Read-own-writes forwarding finds it by scanning the
+// store queue youngest-first, which it does only when the coherence
+// directory says the line is written, so this is the one access path
+// whose cost grows with the queue.
+func BenchmarkTxLoadOwnWrite(b *testing.B) {
+	for _, k := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("stores=%d", k), func(b *testing.B) {
+			m := benchMachine1()
+			a := m.Mem().AllocLines(32)
+			b.ReportAllocs()
+			b.ResetTimer()
+			m.Run(func(s *Strand) {
+				for w := 0; w < 32; w += WordsPerLine {
+					s.CAS(a+Addr(w), 0, 0) // warm translation, write permission and L1
+				}
+				i := 0
+				for i < b.N {
+					s.TxBegin()
+					ok := true
+					for j := 0; ok && j < k; j++ {
+						ok = s.TxStore(a+Addr(j), Word(j+1))
+					}
+					for n := 0; ok && n < 4096 && i < b.N; n++ {
+						var v Word
+						if v, ok = s.TxLoad(a); ok && v != 1 {
+							b.Fatalf("load of the first store read %d, want 1", v)
+						}
+						i++
+					}
+					if ok {
+						s.TxCommit()
+					}
+				}
+			})
+		})
+	}
 }

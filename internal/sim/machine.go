@@ -275,11 +275,6 @@ type Machine struct {
 	// Resolve knob never perturbs the RNG streams.
 	txSeq uint64
 
-	// activeMask mirrors each strand's tx.active flag, one bit per strand
-	// (set at TxBegin, cleared at commit and abort), so a load conflict
-	// visits only the directory's writers that are still live.
-	activeMask uint64
-
 	// Scheduler state; only Run's driver goroutine touches it.
 	//
 	// parked is a binary min-heap of parked, not-done strands keyed
@@ -400,18 +395,17 @@ func (m *Machine) Mem() *Memory { return m.mem }
 // Recycle stops the strand coroutines, returning once they have exited,
 // then hands everything else New allocated to process-wide pools, so the
 // next machine's construction and first touches reuse it instead of
-// allocating: each strand with its L1, TLBs, predictor and store-queue
-// indexes; the memory's page tables, and the frames of every page the
-// machine touched, scrubbed; and the L2. Each machine that draws a part
-// resets it to the state a fresh allocation has; the L2 keeps its slots'
-// capacity for the sets its new run touches. Call Recycle only after the
-// machine's last use, including Peek-based validation and every Strand
-// method (Stats and Clock too): the strands belong to other machines from
-// then on, the simulated memory reads as zero and must not be written,
-// and Run panics. A second call does nothing. A machine that is never
-// recycled releases its coroutines when it is collected. Recycling is a
-// host-side allocation strategy only — it never changes what a simulation
-// computes.
+// allocating: each strand with its L1, TLBs and predictor; the memory's
+// page tables, and the frames of every page the machine touched, scrubbed;
+// and the L2. Each machine that draws a part resets it to the state a
+// fresh allocation has; the L2 keeps its slots' capacity for the sets its
+// new run touches. Call Recycle only after the machine's last use,
+// including Peek-based validation and every Strand method (Stats and Clock
+// too): the strands belong to other machines from then on, the simulated
+// memory reads as zero and must not be written, and Run panics. A second
+// call does nothing. A machine that is never recycled releases its
+// coroutines when it is collected. Recycling is a host-side allocation
+// strategy only — it never changes what a simulation computes.
 func (m *Machine) Recycle() {
 	if m.recycled {
 		return

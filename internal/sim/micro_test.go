@@ -73,62 +73,88 @@ func TestTLBLRUEviction(t *testing.T) {
 
 // ---- L1 cache ----
 
+// l1Access touches line and fills it on a miss, as Strand.fill does, with
+// the marks of bit read from frames. It reports whether the access hit,
+// the line it displaced and whether that line was marked.
+func l1Access(c *l1Cache, frames []*frame, bit uint64, line int32) (hit bool, evicted int32, evictedMark bool) {
+	if c.touch(line) {
+		return true, -1, false
+	}
+	evicted, evictedMark = c.fillVictim(line, frames, bit)
+	return false, evicted, evictedMark
+}
+
 func TestL1HitsAndLRU(t *testing.T) {
 	c := newL1(2, 2) // 2 sets × 2 ways
-	if hit, _, _, _ := c.access(0); hit {
+	if hit, _, _ := l1Access(c, nil, 0, 0); hit {
 		t.Fatal("cold access hit")
 	}
-	if hit, _, _, _ := c.access(0); !hit {
+	if hit, _, _ := l1Access(c, nil, 0, 0); !hit {
 		t.Fatal("warm access missed")
 	}
 	// Lines 0, 2, 4 all map to set 0; with 2 ways the LRU (0) goes first.
-	c.access(2)
-	c.access(0) // touch 0 so 2 is LRU
-	_, evicted, _, _ := c.access(4)
-	if evicted != 2 {
+	l1Access(c, nil, 0, 2)
+	l1Access(c, nil, 0, 0) // touch 0 so 2 is LRU
+	if _, evicted, _ := l1Access(c, nil, 0, 4); evicted != 2 {
 		t.Fatalf("evicted line %d, want 2", evicted)
 	}
 }
 
+// TestL1MarkedLinesPinned checks that victim choice reads each way's mark
+// from the line's directory entry: a way marked by this strand is kept
+// while an unmarked way remains, another strand's mark pins nothing, and
+// a set full of marked ways reports a marked eviction. Outside a
+// transaction the strand passes bit 0, and no mark is read.
 func TestL1MarkedLinesPinned(t *testing.T) {
-	c := newL1(1, 2) // one set, two ways
-	_, _, _, i0 := c.access(0)
-	c.mark(i0)
-	c.access(1)
-	// Line 2 must evict line 1 (unmarked), not the marked line 0.
-	_, evicted, wasMarked, _ := c.access(2)
-	if evicted != 1 || wasMarked {
+	c := newL1(1, 2)               // one set, two ways
+	frames := []*frame{new(frame)} // lines 0..127 lie on page 0
+	const bit, other = 1 << 3, 1 << 5
+	l1Access(c, frames, bit, 0)
+	frames[0].dir(0).marked |= bit
+	l1Access(c, frames, bit, 1)
+	frames[0].dir(1).marked |= other
+	// Line 2 must evict line 1, unmarked for this strand, not the LRU but
+	// marked line 0.
+	if _, evicted, wasMarked := l1Access(c, frames, bit, 2); evicted != 1 || wasMarked {
 		t.Fatalf("evicted (%d,%v), want (1,false)", evicted, wasMarked)
 	}
-	// Now both resident lines: 0 (marked) and 2. Mark 2 as well; the next
-	// fill has no unmarked victim and must report a marked eviction.
-	if i2 := c.lookup(2); i2 >= 0 {
-		c.mark(i2)
+	// Both resident lines, 0 and 2, are now marked: the next fill has no
+	// unmarked victim and must report a marked eviction of the LRU line.
+	frames[0].dir(2).marked |= bit
+	if _, evicted, wasMarked := l1Access(c, frames, bit, 3); evicted != 0 || !wasMarked {
+		t.Fatalf("full-of-marked set evicted (%d,%v), want (0,true)", evicted, wasMarked)
 	}
-	_, _, wasMarked, _ = c.access(3)
-	if !wasMarked {
-		t.Fatal("full-of-marked set did not report a marked eviction")
+	// With bit 0 the marked LRU line 2 goes like any other.
+	if _, evicted, wasMarked := l1Access(c, frames, 0, 4); evicted != 2 || wasMarked {
+		t.Fatalf("outside a transaction evicted (%d,%v), want (2,false)", evicted, wasMarked)
 	}
 }
 
+// TestL1InvalidateAndMarkClear checks that clearing a line's directory
+// mark, as commit and abort do, unpins it for victim choice, and that
+// invalidate drops a line and frees its way for the next fill.
 func TestL1InvalidateAndMarkClear(t *testing.T) {
-	c := newL1(4, 2)
-	_, _, _, idx := c.access(9)
-	c.mark(idx)
-	if !c.slots[idx].marked {
-		t.Fatal("mark did not mark the slot")
+	c := newL1(1, 2)
+	frames := []*frame{new(frame)}
+	const bit = 1
+	l1Access(c, frames, bit, 0)
+	l1Access(c, frames, bit, 1)
+	frames[0].dir(0).marked |= bit
+	if _, evicted, _ := l1Access(c, frames, bit, 2); evicted != 1 {
+		t.Fatalf("evicted line %d past the marked line 0, want 1", evicted)
 	}
-	c.clearMark(9)
-	if c.slots[idx].marked {
-		t.Fatal("clearMark left the mark")
+	frames[0].dir(0).marked &^= bit
+	if _, evicted, wasMarked := l1Access(c, frames, bit, 3); evicted != 0 || wasMarked {
+		t.Fatalf("after the mark cleared evicted (%d,%v), want (0,false)", evicted, wasMarked)
 	}
-	c.mark(c.lookup(9))
-	present, wasMarked := c.invalidate(9)
-	if !present || !wasMarked {
-		t.Fatalf("invalidate = (%v,%v)", present, wasMarked)
+	if !c.invalidate(2) {
+		t.Fatal("invalidate missed a resident line")
 	}
-	if c.lookup(9) != -1 {
+	if c.lookup(2) != -1 || c.invalidate(2) {
 		t.Fatal("line still present after invalidate")
+	}
+	if _, evicted, _ := l1Access(c, frames, bit, 4); evicted != -1 || c.lookup(3) == -1 {
+		t.Fatalf("fill after invalidate evicted line %d, want the freed way", evicted)
 	}
 }
 

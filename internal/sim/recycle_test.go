@@ -9,14 +9,13 @@ import (
 
 // TestRecycledMachineStartsFresh checks that a machine built from
 // recycled parts starts empty: Recycle pools every strand, with its L1,
-// TLBs, predictor, store-queue indexes and transaction slices, and the
-// memory's page tables, and New must reset each to the state a fresh
-// allocation has. A machine fills every pooled part and is recycled, and
-// the machine that draws its parts must equal, field by field, one built
-// while the pools were empty. The page tables travel between two memory
-// sizes, so a large table serves a small memory and then a large one
-// again, with the pages past the small prefix still dirty from the first
-// machine.
+// TLBs, predictor and transaction slices, and the memory's page tables,
+// and New must reset each to the state a fresh allocation has. A
+// machine fills every pooled part and is recycled, and the machine that
+// draws its parts must equal, field by field, one built while the pools
+// were empty. The page tables travel between two memory sizes, so a
+// large table serves a small memory and then a large one again, with
+// the pages past the small prefix still dirty from the first machine.
 func TestRecycledMachineStartsFresh(t *testing.T) {
 	const small, big = 1 << 18, 1 << 20
 	for _, strands := range []int{1, 4, 16} {
@@ -95,10 +94,9 @@ func recycledInto(t *testing.T, cfg0, cfg Config) *Machine {
 // fresh one lacks, and checks that it does. Each strand loads from and
 // executes on 96 pages near the top of memory, past the 64 entries of a
 // TLB page index's first size, trains its predictor, and returns with a
-// hardware transaction open over four lines of its own: marked L1 lines,
-// a store queue and, unless version management is eager, both
-// store-queue indexes. A tracer is attached, and one page is remapped
-// after the run.
+// hardware transaction open over four lines of its own: filled L1 lines,
+// a marked list and a store queue. A tracer is attached, and one page is
+// remapped after the run.
 func fillEveryPart(t *testing.T, m *Machine) {
 	t.Helper()
 	mem := m.Mem()
@@ -130,7 +128,7 @@ func fillEveryPart(t *testing.T, m *Machine) {
 	})
 	mem.Remap(farPage(0), 1)
 
-	var marked, queued, indexed bool
+	var filled, marked, queued bool
 	for _, s := range m.strands {
 		for _, tl := range []*tlb{&s.mmu.micro, &s.mmu.main, &s.mmu.itlb} {
 			if len(tl.slotOf) <= 64 {
@@ -141,14 +139,14 @@ func fillEveryPart(t *testing.T, m *Machine) {
 			t.Fatalf("strand %d: the predictor holds no history", s.id)
 		}
 		for _, sl := range s.l1.slots {
-			marked = marked || sl.marked
+			filled = filled || sl.tag != -1
 		}
+		marked = marked || len(s.tx.marked) > 0
 		queued = queued || len(s.tx.storeAddrs) > 0
-		indexed = indexed || s.tx.fwd.used > 0 && s.tx.lineSet.used > 0
 	}
-	if !marked || !queued || !indexed && !m.vmEager || mem.pages[PageOf(farPage(0))].gen == 0 {
-		t.Fatalf("filled machine: marked L1 line %v, store queue %v, store-queue indexes %v, remapped page %v",
-			marked, queued, indexed, mem.pages[PageOf(farPage(0))].gen != 0)
+	if !filled || !marked || !queued || mem.pages[PageOf(farPage(0))].gen == 0 {
+		t.Fatalf("filled machine: L1 line %v, marked line %v, store queue %v, remapped page %v",
+			filled, marked, queued, mem.pages[PageOf(farPage(0))].gen != 0)
 	}
 }
 

@@ -83,11 +83,11 @@ type Strand struct {
 	sinks []obs.EventSink
 }
 
-// strandPool holds the strands of recycled machines (Machine.Recycle). A
-// pooled strand keeps only its hardware: its L1, TLBs, predictor,
-// store-queue indexes and transaction slices. Every machine has the same
-// strand shape, so each new strand draws one and resets its hardware
-// instead of allocating ~28 KB of it.
+// strandPool holds the strands of recycled machines (Machine.Recycle).
+// A pooled strand keeps only its hardware: its L1, TLBs, predictor and
+// transaction slices. Every machine has the same strand shape, so each
+// new strand draws one and resets its hardware instead of allocating
+// ~28 KB of it.
 var strandPool sync.Pool
 
 // newStrand returns strand id of m, drawn from strandPool when it holds one
@@ -97,14 +97,10 @@ func newStrand(m *Machine, id int) *Strand {
 	if s == nil {
 		s = &Strand{l1: newL1(L1Sets, L1Ways), bp: newBranchPredictor()}
 		s.mmu.init(microDTLB, mainDTLB, itlbEntries)
-		s.tx.fwd = newU32Map()
-		s.tx.lineSet = newU32Map()
 	} else {
 		s.l1.reset()
 		s.mmu.reset()
 		s.bp.reset()
-		s.tx.fwd.init()
-		s.tx.lineSet.init()
 	}
 	s.m = m
 	s.id = id
@@ -127,8 +123,6 @@ func (s *Strand) recycle() {
 			marked:     t.marked[:0],
 			storeAddrs: t.storeAddrs[:0],
 			storeVals:  t.storeVals[:0],
-			fwd:        t.fwd,
-			lineSet:    t.lineSet,
 		},
 	}
 	strandPool.Put(s)
@@ -283,17 +277,16 @@ func (s *Strand) pageFault(p int32, write bool) {
 
 // fill brings line into the strand's L1 (and the shared L2), charging the
 // appropriate latency and maintaining the coherence directory. It reports
-// whether the access hit in L1, whether a transactionally marked line was
-// displaced to make room, and the slot now holding line — after fill the
-// line is always resident (an L2 back-invalidation triggered by the fill
-// can only target a different line), so callers need no re-lookup, and
-// its page's frame is backed.
-func (s *Strand) fill(line int32) (l1Hit bool, evictedMarked bool, idx int) {
+// whether the access hit in L1 and whether a transactionally marked line
+// was displaced to make room. After fill the line is always resident (an
+// L2 back-invalidation triggered by the fill can only target a different
+// line), and its page's frame is backed.
+func (s *Strand) fill(line int32) (l1Hit bool, evictedMarked bool) {
 	// L1-hit fast path: touch inlines here, so the common case is a masked
 	// index, a short tag scan, and one latency charge.
-	if i := s.l1.touch(line); i >= 0 {
+	if s.l1.touch(line) {
 		s.clock += costL1Hit
-		return true, false, i
+		return true, false
 	}
 	return s.fillMiss(line)
 }
@@ -301,9 +294,9 @@ func (s *Strand) fill(line int32) (l1Hit bool, evictedMarked bool, idx int) {
 // fillMiss services the L1 miss half of fill (the touch above already
 // advanced the L1 LRU tick): pick a victim, consult the shared L2, and
 // maintain the coherence directory.
-func (s *Strand) fillMiss(line int32) (l1Hit bool, evictedMarked bool, idx int) {
+func (s *Strand) fillMiss(line int32) (l1Hit bool, evictedMarked bool) {
 	// Pick the victim before an L2 back-invalidation can free another slot.
-	evicted, evMark, idx := s.l1.fillVictim(line)
+	evicted, evMark := s.l1.fillVictim(line, s.frames, s.markBit())
 	s.stats.L1Misses++
 	if evicted != -1 {
 		lm := s.dir(evicted)
@@ -315,10 +308,10 @@ func (s *Strand) fillMiss(line int32) (l1Hit bool, evictedMarked bool, idx int) 
 			// (always, under the default) the marks are dropped and the
 			// caller aborts.
 			evMark = !s.spillMarked(lm)
-		} else {
-			lm.marked &^= s.bit
-			lm.written &^= s.bit
 		}
+		// An unmarked victim holds no mark of this strand, and written
+		// lines are a subset of marked ones, so of its directory bits only
+		// present changes.
 	}
 	l2hit, l2evicted := s.m.l2.access(line)
 	if l2hit {
@@ -331,7 +324,16 @@ func (s *Strand) fillMiss(line int32) (l1Hit bool, evictedMarked bool, idx int) 
 		s.backInvalidate(l2evicted)
 	}
 	s.m.mem.frame(line >> linePageShift).dir(line).present |= s.bit
-	return false, evMark, idx
+	return false, evMark
+}
+
+// markBit is the bit by which the strand's marks appear in the directory
+// while a transaction is active, and 0 outside one, when it holds none.
+func (s *Strand) markBit() uint64 {
+	if s.tx.active {
+		return s.bit
+	}
+	return 0
 }
 
 // dir returns line's coherence-directory entry. Only a line that has been
@@ -358,8 +360,8 @@ func (s *Strand) backInvalidate(line int32) {
 	// old full scan) instead of all strands.
 	for rest := lm.present | lm.marked; rest != 0; rest &= rest - 1 {
 		t := s.m.strands[bits.TrailingZeros64(rest)]
-		_, wasMarked := t.l1.invalidate(line)
-		if wasMarked || lm.marked&t.bit != 0 {
+		t.l1.invalidate(line)
+		if lm.marked&t.bit != 0 {
 			s.m.doomRemote(t, cohBit)
 		}
 	}
@@ -394,12 +396,12 @@ func (s *Strand) storeInvalidate(line int32, lm *lineMeta) {
 }
 
 // loadConflict dooms transactions holding line in their *write* set: their
-// buffered store cannot coexist with our read (requester wins). Masking
-// with activeMask is exactly doomRemote's tx.active test, so only live
-// writers are visited. Under eager version management doomRemote also
-// unrolls each writer's undo log before this load reads memory.
+// buffered store cannot coexist with our read (requester wins). Only a
+// strand with an active transaction holds marks, so every writer visited
+// is live. Under eager version management doomRemote also unrolls each
+// writer's undo log before this load reads memory.
 func (s *Strand) loadConflict(lm *lineMeta) {
-	for rest := lm.written & s.m.activeMask &^ s.bit; rest != 0; rest &= rest - 1 {
+	for rest := lm.written &^ s.bit; rest != 0; rest &= rest - 1 {
 		s.m.doomRemote(s.m.strands[bits.TrailingZeros64(rest)], cohBit)
 	}
 }

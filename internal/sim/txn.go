@@ -32,17 +32,13 @@ type txnState struct {
 
 	marked []int32 // lines transactionally marked in this attempt
 
+	// storeAddrs and storeVals are the store queue under lazy version
+	// management and the undo log under eager. bankCount counts the
+	// store queue's distinct lines per bank; the coherence directory's
+	// written bits name those lines.
 	storeAddrs []Addr
 	storeVals  []Word
 	bankCount  [2]int
-
-	// fwd indexes storeAddrs by address (latest entry wins) so TxLoad's
-	// read-own-writes forwarding is O(1) instead of a queue scan; lineSet
-	// holds the distinct lines in the store queue (entries coalesce at
-	// line granularity) so TxStore's bank-occupancy check is O(1) too.
-	// Both clear in O(1) via epoch bump at TxBegin.
-	fwd     *u32map
-	lineSet *u32map
 
 	deferred       int
 	lastLoadMissed bool
@@ -73,8 +69,6 @@ func (s *Strand) TxBegin() {
 	t.marked = t.marked[:0]
 	t.storeAddrs = t.storeAddrs[:0]
 	t.storeVals = t.storeVals[:0]
-	t.fwd.reset()
-	t.lineSet.reset()
 	t.bankCount[0], t.bankCount[1] = 0, 0
 	t.deferred = 0
 	t.lastLoadMissed = false
@@ -85,7 +79,6 @@ func (s *Strand) TxBegin() {
 	// never perturbs the default design's streams.
 	t.ts = s.m.txSeq
 	s.m.txSeq++
-	s.m.activeMask |= s.bit
 	s.stats.TxBegins++
 	s.TraceEvent(obs.EvTxBegin, 0)
 }
@@ -111,7 +104,6 @@ func (s *Strand) txAbort(reason uint32) {
 	t := &s.tx
 	reason |= t.doomed
 	t.doomed = 0
-	s.m.activeMask &^= s.bit
 	t.cpsReg = reason
 	// Eager version management: restore memory from the undo log (a remote
 	// conflict may have already unrolled part or all of it — rolledBack —
@@ -122,11 +114,11 @@ func (s *Strand) txAbort(reason uint32) {
 		t.rolledBack = 0
 	}
 	s.TraceEvent(obs.EvTxAbort, uint64(reason))
+	// The event precedes the clearing, so a sink still sees the marks.
 	for _, line := range t.marked {
 		lm := s.dir(line)
 		lm.marked &^= s.bit
 		lm.written &^= s.bit
-		s.l1.clearMark(line)
 	}
 	t.marked = t.marked[:0]
 	t.storeAddrs = t.storeAddrs[:0]
@@ -197,16 +189,16 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 		s.mmu.micro.fill(p, pg.gen)
 	}
 
-	// Read-own-writes: forward from the store queue if present (fwd maps
-	// each address to its latest queue entry, so this matches the old
-	// backwards scan's youngest-store-wins exactly). Under eager version
-	// management fwd is never populated — own writes are already in memory
-	// — so the probe falls through to the ordinary read.
-	if len(t.storeAddrs) > 0 {
-		if i, ok := t.fwd.get(uint32(a)); ok {
-			s.clock += costL1Hit
-			t.lastLoadMissed = false
-			return t.storeVals[i], true
+	// Read-own-writes: forward the youngest queued store to a, scanning
+	// the queue only when a's line is written (an undoomed attempt's
+	// written lines are its queue's). Eager VM's writes are in memory.
+	if f := s.frames[p]; !s.m.vmEager && f != nil && f.dir(line).written&s.bit != 0 {
+		for i := len(t.storeAddrs) - 1; i >= 0; i-- {
+			if t.storeAddrs[i] == a {
+				s.clock += costL1Hit
+				t.lastLoadMissed = false
+				return t.storeVals[i], true
+			}
 		}
 	}
 
@@ -217,7 +209,7 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 		return 0, false
 	}
 
-	hit, evictedMarked, idx := s.fill(line)
+	hit, evictedMarked := s.fill(line)
 	if evictedMarked {
 		// A transactionally marked line left the L1 and the design did not
 		// absorb it into a sticky overflow set: the read set can no longer
@@ -244,16 +236,16 @@ func (s *Strand) TxLoad(a Addr) (w Word, ok bool) {
 		}
 	}
 	// Mark the line and doom its active writers off one directory deref
-	// (fill guarantees idx holds the line — see fill). Under lazy
-	// detection nobody is doomed here: the conflict surfaces when a
-	// committer's drain invalidates this mark.
+	// (fill left the line resident and its frame backed). The directory
+	// entry is the mark's one record: the L1 reads it back when it picks
+	// a victim. Under lazy detection nobody is doomed here: the conflict
+	// surfaces when a committer's drain invalidates this mark.
 	f := s.frames[p]
 	lm := f.dir(line)
 	if lm.marked&s.bit == 0 {
 		lm.marked |= s.bit
 		t.marked = append(t.marked, line)
 	}
-	s.l1.mark(idx)
 	if !s.m.detLazy {
 		s.loadConflict(lm)
 	}
@@ -324,7 +316,7 @@ func (s *Strand) TxStore(a Addr, w Word) bool {
 	// Stores are gated in the store queue, so a store miss does not defer
 	// dependent instructions the way a load miss does; it only pays the
 	// ownership-request latency.
-	hit, evictedMarked, idx := s.fill(line)
+	hit, evictedMarked := s.fill(line)
 	if evictedMarked {
 		s.txAbort(s.evictAbortReason())
 		return false
@@ -338,30 +330,27 @@ func (s *Strand) TxStore(a Addr, w Word) bool {
 	// Store queue: entries coalesce at cache-line granularity (which is
 	// why the paper's overflow test stores to 33 *different* lines), and
 	// two banks are selected by a line-address bit; per-bank overflow
-	// aborts with ST|SIZ (the Section 3 "overflow" test). Eager version
-	// management bypasses the store queue entirely — its write-set bound
-	// is the undo log, which this model does not cap.
-	if !s.m.vmEager {
-		if _, seen := t.lineSet.get(uint32(line)); !seen {
-			t.lineSet.put(uint32(line), 0)
-			bank := int(line & 1)
-			t.bankCount[bank]++
-			if t.bankCount[bank] > s.m.sqPerBank {
-				s.txAbort(stBit | sizBit)
-				return false
-			}
+	// aborts with ST|SIZ (the Section 3 "overflow" test). The attempt is
+	// undoomed here, so a line not yet written is new to the queue. Eager
+	// version management bypasses the store queue entirely — its
+	// write-set bound is the undo log, which this model does not cap.
+	f := s.frames[p]
+	lm := f.dir(line)
+	if !s.m.vmEager && lm.written&s.bit == 0 {
+		bank := int(line & 1)
+		t.bankCount[bank]++
+		if t.bankCount[bank] > s.m.sqPerBank {
+			s.txAbort(stBit | sizBit)
+			return false
 		}
 	}
 
-	// Mark, record the write and request exclusive ownership off one
-	// directory deref (fill guarantees idx holds the line).
-	f := s.frames[p]
-	lm := f.dir(line)
+	// Mark, record the write and request exclusive ownership off the one
+	// directory deref above.
 	if lm.marked&s.bit == 0 {
 		lm.marked |= s.bit
 		t.marked = append(t.marked, line)
 	}
-	s.l1.mark(idx)
 	lm.written |= s.bit
 
 	// Eager detection: demand exclusive ownership now. Under the default
@@ -386,7 +375,6 @@ func (s *Strand) TxStore(a Addr, w Word) bool {
 	} else {
 		t.storeAddrs = append(t.storeAddrs, a)
 		t.storeVals = append(t.storeVals, w)
-		t.fwd.put(uint32(a), int32(len(t.storeVals)-1))
 	}
 	return true
 }
@@ -519,13 +507,11 @@ func (s *Strand) TxCommit() bool {
 		lm := s.dir(line)
 		lm.marked &^= s.bit
 		lm.written &^= s.bit
-		s.l1.clearMark(line)
 	}
 	t.marked = t.marked[:0]
 	t.storeAddrs = t.storeAddrs[:0]
 	t.storeVals = t.storeVals[:0]
 	t.active = false
-	s.m.activeMask &^= s.bit
 	t.cpsReg = 0
 	s.stats.TxCommits++
 	s.TraceEvent(obs.EvTxCommit, uint64(drained))
