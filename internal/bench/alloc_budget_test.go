@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
 // fig2aCellAllocBudget is the allocation budget for one BenchmarkFig2aCell
 // iteration, which reads ~837 allocs/op (~1,403 when each machine
 // allocated its own strands). Machine.Recycle hands every strand, with its
@@ -74,12 +77,16 @@ func TestFig2aPassBytesBudget(t *testing.T) {
 }
 
 // fleetCellAllocBudget is the allocation budget for one BenchmarkFleetCell
-// iteration, which reads ~3,702 allocs/op (~3,947 when each machine
-// allocated its own strands and page tables). Each strand keeps one
-// coroutine from its machine's first Run until Recycle; when every Run
-// started a fresh coroutine per strand, the cell read ~16,360. The budget,
-// ~5% over the reading, catches per-Run allocation creeping back in.
-const fleetCellAllocBudget = 3900
+// iteration, which reads ~305 allocs/op: the shard machines' own structs,
+// coroutines and sessions, the TM systems and the result. Requests ride
+// inline in their shard's batch queue, the batch and 2PC bodies are bound
+// once per fleet, and the latency histograms come from obs's pool; when
+// each request, batch and leg allocated its own storage the cell read
+// ~3,702 (~3,947 when each machine allocated its own strands and page
+// tables, ~16,360 when every Run started a fresh coroutine per strand).
+// The budget, ~5% over the reading, catches per-request, per-batch or
+// per-Run allocation creeping back in.
+const fleetCellAllocBudget = 320
 
 // TestFleetCellAllocBudget runs BenchmarkFleetCell through the testing
 // harness and fails if allocs/op regresses above the budget.
@@ -92,8 +99,41 @@ func TestFleetCellAllocBudget(t *testing.T) {
 		t.Fatal("benchmark did not run")
 	}
 	if allocs := res.AllocsPerOp(); allocs > fleetCellAllocBudget {
-		t.Errorf("fleet cell allocates %d allocs/op, budget is %d — per-Run allocation crept back in",
+		t.Errorf("fleet cell allocates %d allocs/op, budget is %d — per-request or per-Run allocation crept back in",
 			allocs, fleetCellAllocBudget)
+	}
+}
+
+// fleetPassAllocBudget caps the objects one fleet pass allocates when it
+// starts from empty pools, as the benchmark's fleet workload runs it
+// (`figures -exp fleet -ops 500`: 72 cells, 84,000 requests). It reads
+// ~32,600 objects (6.0–6.3 MB, two GC cycles); when each request, batch, 2PC
+// leg and latency histogram allocated its own storage it read ~422,800
+// (33.5 MB, 15 GC cycles). The budget is ~10% over the reading, so one
+// allocation per request fails it.
+const fleetPassAllocBudget = 36000
+
+// TestFleetPassAllocBudget runs one fleet pass after two GC cycles have
+// emptied every pool, and fails if it allocates more objects than the
+// budget.
+func TestFleetPassAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budget needs a whole fleet pass")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	runtime.GC()
+	runtime.GC() // the second cycle drops the pools' victim caches
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := FleetFigure(Options{OpsPerThread: 500, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > fleetPassAllocBudget {
+		t.Errorf("a fleet pass allocates %d objects, budget is %d — the service tier allocates per request again",
+			got, fleetPassAllocBudget)
 	}
 }
 

@@ -89,7 +89,9 @@ func (o Options) cells(experiment string, curves []curve) []cell {
 // run executes one cell on a fresh machine and returns the run's result
 // and, when the cell or the options capture one, its window series. The
 // latency recorder, tracer and window recorder only observe, so the
-// result is bit-identical with capture on or off.
+// result is bit-identical with capture on or off. The latency and window
+// recorders go back to obs's pool once digested, as the machine goes back
+// to sim's.
 func (o Options) run(c cell) (workload.Result, timeseries.Series, error) {
 	m := sim.New(c.cfg)
 	defer m.Recycle()
@@ -128,6 +130,7 @@ func (o Options) run(c cell) (workload.Result, timeseries.Series, error) {
 	var series timeseries.Series
 	if rec != nil {
 		series = rec.Series()
+		rec.Recycle()
 	}
 	switch {
 	case o.Timeline != nil && c.slos != nil:
@@ -144,7 +147,11 @@ func (o Options) run(c cell) (workload.Result, timeseries.Series, error) {
 	if b.stats != nil {
 		st = b.stats.Stats()
 	}
-	return workload.NewResult(uint64(c.spec.Threads*c.spec.Ops), m.ElapsedSeconds(), st, lat), series, nil
+	res := workload.NewResult(uint64(c.spec.Threads*c.spec.Ops), m.ElapsedSeconds(), st, lat)
+	if lat != nil {
+		lat.Recycle()
+	}
+	return res, series, nil
 }
 
 // runCells runs cells through the pool and returns their payloads in

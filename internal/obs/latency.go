@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Log-bucketed operation-latency histogram.
@@ -34,8 +35,25 @@ type LatencyRecorder struct {
 	max    int64
 }
 
-// NewLatencyRecorder returns an empty recorder.
-func NewLatencyRecorder() *LatencyRecorder { return &LatencyRecorder{} }
+// latencyPool holds recycled recorders. A recorder is 15 KB (the 16 KB size
+// class), and one is made per run, per fleet shard and per timeseries
+// window that sees a latency; the runner's workers draw and return them
+// concurrently, so the pool is a sync.Pool.
+var latencyPool sync.Pool
+
+// NewLatencyRecorder returns an empty recorder, drawn from the pool of
+// recycled ones when it holds one.
+func NewLatencyRecorder() *LatencyRecorder {
+	if r, _ := latencyPool.Get().(*LatencyRecorder); r != nil {
+		*r = LatencyRecorder{}
+		return r
+	}
+	return &LatencyRecorder{}
+}
+
+// Recycle hands r to the pool NewLatencyRecorder draws from. Call it only
+// after r's last use: a later NewLatencyRecorder may return r emptied.
+func (r *LatencyRecorder) Recycle() { latencyPool.Put(r) }
 
 // latBucketOf maps a non-negative latency to its bucket index.
 func latBucketOf(v int64) int {

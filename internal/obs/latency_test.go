@@ -116,3 +116,49 @@ func BenchmarkLatencyRecord(b *testing.B) {
 		r.Record(int64(i)&0xfffff + 1)
 	}
 }
+
+// raceEnabled is set under the race detector (race_test.go), where
+// sync.Pool drops a quarter of its Puts at random.
+var raceEnabled bool
+
+// A recycled recorder comes back empty — count, max and every quantile 0 —
+// and then summarises a sample stream exactly as a new recorder does.
+// sync.Pool may hand out another recorder than the one just recycled, so
+// the check runs on each draw that returns it, and at least one must.
+func TestLatencyRecorderRecycle(t *testing.T) {
+	record := func(r *LatencyRecorder, seed uint64) {
+		v := seed
+		for i := 0; i < 5000; i++ {
+			v = v*6364136223846793005 + 1442695040888963407
+			r.Record(int64(v >> (24 + v%32)))
+		}
+	}
+	reused := 0
+	for trial := uint64(1); trial <= 20; trial++ {
+		old := NewLatencyRecorder()
+		record(old, trial)
+		old.Recycle()
+		r := NewLatencyRecorder()
+		if r != old {
+			continue
+		}
+		reused++
+		if r.Count() != 0 || r.Max() != 0 || r.Summarize() != (LatencySummary{}) {
+			t.Fatalf("recycled recorder not empty: %+v", r.Summarize())
+		}
+		for _, q := range []float64{0.001, 0.5, 0.9, 0.99, 0.999, 1} {
+			if got := r.Quantile(q); got != 0 {
+				t.Fatalf("recycled recorder: quantile %g = %d, want 0", q, got)
+			}
+		}
+		fresh := &LatencyRecorder{}
+		record(r, 100+trial)
+		record(fresh, 100+trial)
+		if *r != *fresh || r.Summarize() != fresh.Summarize() {
+			t.Fatalf("recycled recorder summarises %+v, a new one %+v", r.Summarize(), fresh.Summarize())
+		}
+	}
+	if reused == 0 && !raceEnabled {
+		t.Fatal("the pool never handed back a recycled recorder")
+	}
+}

@@ -24,8 +24,9 @@
 // simulated randomness, and the steady-state intake path (an event or
 // latency sample landing in an existing window) allocates nothing, so a
 // run with capture enabled is cycle-identical to one without. Window
-// rollover allocates the new window's bucket array on the host — an
-// amortized host-side cost that cannot perturb virtual time.
+// rollover draws the new window's latency histogram from obs's recorder
+// pool, and Recorder.Recycle returns them — a host-side cost that cannot
+// perturb virtual time.
 package timeseries
 
 import (
@@ -45,8 +46,8 @@ const DefaultWidth = 32768
 const MinWidth = 256
 
 // window accumulates one fixed-width interval of the run. Counters are
-// folded in as events arrive; the latency histogram is allocated lazily
-// on the window's first operation completion.
+// folded in as events arrive; the latency histogram is drawn lazily on
+// the window's first operation completion.
 type window struct {
 	begins    uint64
 	commits   uint64
@@ -194,6 +195,18 @@ func (r *Recorder) RecordLatencyAt(cycle, latency int64) {
 	w.lat.Record(latency)
 }
 
+// Recycle hands every window's latency histogram back to the pool that
+// obs.NewLatencyRecorder draws from and drops the windows. Call it only
+// after the recorder's last use (take its Series first).
+func (r *Recorder) Recycle() {
+	for i := range r.windows {
+		if lat := r.windows[i].lat; lat != nil {
+			lat.Recycle()
+		}
+	}
+	r.windows = nil
+}
+
 // WindowStats is the published, JSON-stable view of one window. Rates and
 // percentiles are precomputed so a series survives the experiment
 // runner's content-addressed cache byte-identically.
@@ -265,6 +278,9 @@ func (r *Recorder) Series() Series {
 		if r.windows[i].active() {
 			last = i
 		}
+	}
+	if last >= 0 {
+		s.Windows = make([]WindowStats, 0, last+1)
 	}
 	usPerWindow := float64(r.width) / (r.freqGHz * 1e3)
 	for i := 0; i <= last; i++ {

@@ -226,3 +226,31 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		t.Errorf("steady-state intake allocates %.1f times per op, want 0", allocs)
 	}
 }
+
+// A recorder built after another was recycled draws that one's window
+// histograms from the pool, and its series must equal the first
+// recorder's for the same stream; the recycled recorder reads empty.
+func TestRecorderRecycleSeriesLikeFresh(t *testing.T) {
+	feed := func(r *Recorder) {
+		v := uint64(7)
+		for i := int64(0); i < 4000; i++ {
+			v = v*6364136223846793005 + 1442695040888963407
+			cycle := i * 37
+			r.SinkEvent(int(v%4), cycle, obs.EvTxCommit, 0)
+			r.RecordLatencyAt(cycle, int64(v>>40))
+		}
+	}
+	first := NewRecorder(MinWidth)
+	feed(first)
+	want := first.Series()
+	first.Recycle()
+	if s := first.Series(); len(s.Windows) != 0 {
+		t.Fatalf("recycled recorder still holds %d windows", len(s.Windows))
+	}
+	second := NewRecorder(MinWidth)
+	feed(second)
+	if got := second.Series(); !reflect.DeepEqual(got, want) {
+		t.Fatal("a recorder drawing recycled histograms recorded a different series")
+	}
+	second.Recycle()
+}

@@ -2,12 +2,17 @@ package service
 
 import (
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"rocktm/internal/core"
 	"rocktm/internal/locktm"
+	"rocktm/internal/phtm"
 	"rocktm/internal/sim"
+	"rocktm/internal/stm/sky"
 	"rocktm/internal/workload"
 )
 
@@ -267,5 +272,74 @@ func TestFleetConfigValidation(t *testing.T) {
 		if _, err := f.Run(LoadSpec{Requests: 1, PctLookup: 50, Keys: workload.Uniform(64), Arrival: a}); err == nil {
 			t.Errorf("arrival %+v accepted", a)
 		}
+	}
+}
+
+// A fleet built from the pools an earlier fleet filled — the shard
+// machines' strands, memory and L2 (sim.Machine.Recycle) and the fleet's,
+// shards' and windows' latency histograms (Fleet.Recycle) — runs exactly
+// as one built from drained pools: the same latency summaries, per-shard
+// series, 2PC counts and merged stats. The runner's workers share the
+// pools, so fleets that build, run and recycle concurrently must each
+// run as the fresh one did too.
+func TestRecycledFleetRunsLikeFresh(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		run := func() (Result, error) {
+			f, err := New(Config{
+				Shards:       shards,
+				Strands:      4,
+				KeyRange:     256,
+				Buckets:      1 << 7,
+				MemWords:     1 << 20,
+				Seed:         5,
+				System:       func(m *sim.Machine) core.System { return phtm.New(m, sky.New(m), phtm.DefaultConfig()) },
+				CoordFailPct: 20,
+				Faults:       sim.FaultProfile("inval"),
+				Window:       4096,
+			})
+			if err != nil {
+				return Result{}, err
+			}
+			defer f.Recycle()
+			return f.Run(LoadSpec{
+				Requests:  200 * shards,
+				PctLookup: 50,
+				Keys:      workload.Zipfian(256, 0.99),
+				Arrival:   workload.Arrival{MeanGap: 600 / float64(shards), Seed: 3},
+				CrossPct:  10,
+				Seed:      11,
+			})
+		}
+		runtime.GC()
+		runtime.GC() // the second cycle drops the pools' victim caches
+		fresh, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recycled, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh.Committed2PC+fresh.Aborted2PC == 0 {
+			t.Fatalf("%d shards: no cross-shard transaction ran", shards)
+		}
+		if !reflect.DeepEqual(recycled, fresh) {
+			t.Errorf("%d shards: a fleet on recycled parts ran differently:\nfresh    %+v %d/%d %+v\nrecycled %+v %d/%d %+v",
+				shards, fresh.Lat, fresh.Committed2PC, fresh.Aborted2PC, fresh.Shards,
+				recycled.Lat, recycled.Committed2PC, recycled.Aborted2PC, recycled.Shards)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 2; i++ {
+					if res, err := run(); err != nil || !reflect.DeepEqual(res, fresh) {
+						t.Errorf("%d shards: a fleet run beside others ran differently (%v): %+v", shards, err, res.Lat)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

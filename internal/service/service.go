@@ -148,10 +148,13 @@ func MachineConfig(cfg Config, shard int) sim.Config {
 	return mc
 }
 
-// pending is one queued request with its arrival time.
-type pending struct {
-	req     *Request
+// request is one unit of offered load as its coordinator shard's batch
+// queue holds it: its arrival and its ops, inline. A single-shard request
+// has one op; a cross-shard transaction has two.
+type request struct {
 	arrival int64
+	n       int
+	ops     [2]Op
 }
 
 // Shard is one machine of the fleet plus its service-tier state.
@@ -173,15 +176,11 @@ type Shard struct {
 	rec *timeseries.Recorder
 	ops uint64
 
-	queue   []pending
+	// queue is the pending batch and multis the flushing batch's
+	// cross-shard requests; both keep their storage across flushes.
+	queue   []request
+	multis  []request
 	closeAt int64
-}
-
-// Request is one unit of offered load.
-type Request struct {
-	id      uint64
-	arrival int64
-	ops     []Op
 }
 
 // Fleet is a running sharded service.
@@ -195,6 +194,26 @@ type Fleet struct {
 	committed2PC uint64
 	aborted2PC   uint64
 	lastComplete int64
+
+	// The machine bodies of a batch and of a 2PC leg are bound once, in
+	// New, as hashtable.Session binds its operations: they read what they
+	// run from batch and leg, so a flush or a leg makes no closure.
+	batch       batch
+	leg         leg
+	singlesBody func(*sim.Strand)
+	// parts and partOps are participants' scratch.
+	parts   []participant
+	partOps []Op
+}
+
+// batch is the flushing batch's single-shard half: its shard, its
+// single-op requests and the fleet cycle it starts; dur is the longest
+// strand's run.
+type batch struct {
+	sh      *Shard
+	singles []request
+	start   int64
+	dur     int64
 }
 
 // New builds the fleet: Shards machines, each with its own TM system,
@@ -229,6 +248,8 @@ func New(cfg Config) (*Fleet, error) {
 		}
 	}
 	f := &Fleet{cfg: cfg, router: router, lat: obs.NewLatencyRecorder(), nextTxn: 1}
+	f.singlesBody = f.runSingles
+	f.leg.bind()
 	for i, mc := range mcs {
 		sh, err := newShard(cfg, i, mc)
 		if err != nil {
@@ -288,12 +309,21 @@ func (f *Fleet) Shards() int { return len(f.shards) }
 
 // Recycle stops every shard machine's strand coroutines and hands its
 // strands, memory and L2 to the process-wide pools (see
-// sim.Machine.Recycle). Call only after the fleet's last use; the shards'
-// strands and simulated memory must not be touched afterwards.
+// sim.Machine.Recycle), and the fleet's and shards' latency histograms to
+// obs's (see obs.LatencyRecorder.Recycle). Call only after the fleet's
+// last use; the fleet must not be touched afterwards. A Result from Run
+// holds none of this storage.
 func (f *Fleet) Recycle() {
+	if f.lat == nil {
+		return // already recycled
+	}
 	for _, sh := range f.shards {
 		sh.m.Recycle()
+		sh.lat.Recycle()
+		sh.rec.Recycle()
 	}
+	f.lat.Recycle()
+	f.shards, f.lat = nil, nil
 }
 
 // Router returns the fleet's shard map.
@@ -396,14 +426,15 @@ func (f *Fleet) Run(load LoadSpec) (Result, error) {
 	for i := 0; i < load.Requests; i++ {
 		at := src.NextArrival()
 		opIdx, key := src.Next()
-		r := &Request{id: uint64(i), arrival: at}
 		kind := opKindOf(opIdx)
-		r.ops = append(r.ops, Op{Kind: kind, Key: key, Val: sim.Word(i + 1)})
+		r := request{arrival: at, n: 1}
+		r.ops[0] = Op{Kind: kind, Key: key, Val: sim.Word(i + 1)}
 		if load.CrossPct > 0 && src.ExtraRoll(100) < load.CrossPct {
-			r.ops = append(r.ops, Op{Kind: kind, Key: src.ExtraKey(), Val: sim.Word(i + 1)})
+			r.ops[1] = Op{Kind: kind, Key: src.ExtraKey(), Val: sim.Word(i + 1)}
+			r.n = 2
 		}
 		f.flushBy(at, nil)
-		f.enqueue(r, at, src)
+		f.enqueue(r, src)
 	}
 	f.flushBy(math.MaxInt64, src)
 	return f.result(load), nil
@@ -420,18 +451,18 @@ func opKindOf(idx int) OpKind {
 	return Lookup
 }
 
-// enqueue routes a request to its coordinator shard's batch, flushing the
-// batch immediately when it reaches MaxSize. The coordinator is the first
-// op's shard; a multi-op request rides the same queue and runs its 2PC
-// when the batch executes.
-func (f *Fleet) enqueue(r *Request, at int64, src *workload.Source) {
+// enqueue routes a request, arriving now, to its coordinator shard's
+// batch, flushing the batch immediately when it reaches MaxSize. The
+// coordinator is the first op's shard; a multi-op request rides the same
+// queue and runs its 2PC when the batch executes.
+func (f *Fleet) enqueue(r request, src *workload.Source) {
 	sh := f.shards[f.router.Shard(r.ops[0].Key)]
 	if len(sh.queue) == 0 {
-		sh.closeAt = at + f.cfg.Batch.MaxDelay
+		sh.closeAt = r.arrival + f.cfg.Batch.MaxDelay
 	}
-	sh.queue = append(sh.queue, pending{req: r, arrival: at})
+	sh.queue = append(sh.queue, r)
 	if len(sh.queue) >= f.cfg.Batch.MaxSize {
-		f.flush(sh, at, src)
+		f.flush(sh, r.arrival, src)
 	}
 }
 
@@ -462,55 +493,63 @@ func (f *Fleet) flushBy(t int64, src *workload.Source) {
 // coordinator. closeTime is the fleet cycle the batch closed; execution
 // starts once the shard machine is free.
 func (f *Fleet) flush(sh *Shard, closeTime int64, src *workload.Source) {
-	batch := sh.queue
-	sh.queue = nil
 	start := closeTime
 	if sh.busyUntil > start {
 		start = sh.busyUntil
 	}
-	var singles, multis []pending
-	for _, p := range batch {
-		if len(p.req.ops) == 1 {
-			singles = append(singles, p)
+	// Split the batch in place: the single-op requests keep their order at
+	// the front of the queue, the cross-shard ones move to sh.multis.
+	singles, multis := sh.queue[:0], sh.multis[:0]
+	for _, r := range sh.queue {
+		if r.n == 1 {
+			singles = append(singles, r)
 		} else {
-			multis = append(multis, p)
+			multis = append(multis, r)
 		}
 	}
+	sh.multis = multis
 	if len(singles) > 0 {
-		strands := f.cfg.Strands
-		var dur int64
-		sh.m.Run(func(st *sim.Strand) {
-			t0 := st.Clock()
-			ses := sh.ses[st.ID()]
-			for idx := st.ID(); idx < len(singles); idx += strands {
-				p := singles[idx]
-				op := p.req.ops[0]
-				switch op.Kind {
-				case Lookup:
-					ses.Lookup(op.Key)
-				case Insert:
-					ses.Insert(op.Key, op.Val)
-				default:
-					ses.Delete(op.Key)
-				}
-				off := st.Clock() - t0
-				f.complete(sh, st.Clock(), start+off, p.arrival)
-			}
-			if d := st.Clock() - t0; d > dur {
-				dur = d
-			}
-		})
-		sh.busyUntil = start + dur
+		f.batch = batch{sh: sh, singles: singles, start: start}
+		sh.m.Run(f.singlesBody)
+		sh.busyUntil = start + f.batch.dur
 	} else if sh.busyUntil < start {
 		sh.busyUntil = start
 	}
-	for _, p := range multis {
+	for i := range multis {
+		r := &multis[i]
 		failAfter := -1
 		if src != nil && f.cfg.CoordFailPct > 0 && src.ExtraRoll(100) < f.cfg.CoordFailPct {
-			failAfter = src.ExtraRoll(len(p.req.ops))
+			failAfter = src.ExtraRoll(r.n)
 		}
-		out := f.RunTxn(sh.busyUntil, p.req.ops, failAfter)
-		f.complete(sh, sh.m.Strand(0).Clock(), out.Completed, p.arrival)
+		out := f.RunTxn(sh.busyUntil, r.ops[:r.n], failAfter)
+		f.complete(sh, sh.m.Strand(0).Clock(), out.Completed, r.arrival)
+	}
+	sh.queue = sh.queue[:0]
+}
+
+// runSingles is the batch body, bound once per fleet as singlesBody:
+// strand s runs the flushing batch's single-op requests s, s+Strands,
+// s+2*Strands, ….
+func (f *Fleet) runSingles(st *sim.Strand) {
+	b := &f.batch
+	t0 := st.Clock()
+	ses := b.sh.ses[st.ID()]
+	for idx := st.ID(); idx < len(b.singles); idx += f.cfg.Strands {
+		r := &b.singles[idx]
+		op := r.ops[0]
+		switch op.Kind {
+		case Lookup:
+			ses.Lookup(op.Key)
+		case Insert:
+			ses.Insert(op.Key, op.Val)
+		default:
+			ses.Delete(op.Key)
+		}
+		off := st.Clock() - t0
+		f.complete(b.sh, st.Clock(), b.start+off, r.arrival)
+	}
+	if d := st.Clock() - t0; d > b.dur {
+		b.dur = d
 	}
 }
 
@@ -537,6 +576,8 @@ func (f *Fleet) result(load LoadSpec) Result {
 		Lat:           f.lat.Summarize(),
 		Committed2PC:  f.committed2PC,
 		Aborted2PC:    f.aborted2PC,
+		Shards:        make([]ShardSummary, 0, len(f.shards)),
+		Series:        make([]timeseries.Series, 0, len(f.shards)),
 		Stats:         core.NewStats(),
 	}
 	for _, sh := range f.shards {

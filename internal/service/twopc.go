@@ -1,6 +1,8 @@
 package service
 
 import (
+	"slices"
+
 	"rocktm/internal/core"
 	"rocktm/internal/sim"
 )
@@ -39,23 +41,28 @@ type participant struct {
 
 // participants groups ops by shard in first-touch order. A transaction
 // touching the same shard twice collapses to one participant with both
-// ops — one prepare, one commit — not two independent legs.
+// ops — one prepare, one commit — not two independent legs. The groups
+// and their ops live in the fleet's scratch, valid until the next call.
 func (f *Fleet) participants(ops []Op) []participant {
-	var parts []participant
+	parts := f.parts[:0]
 	for _, op := range ops {
 		id := f.router.Shard(op.Key)
-		merged := false
-		for i := range parts {
-			if parts[i].sh.id == id {
-				parts[i].ops = append(parts[i].ops, op)
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			parts = append(parts, participant{sh: f.shards[id], ops: []Op{op}})
+		if !slices.ContainsFunc(parts, func(p participant) bool { return p.sh.id == id }) {
+			parts = append(parts, participant{sh: f.shards[id]})
 		}
 	}
+	// Each group's ops, in their transaction order, are one run of grouped.
+	grouped := slices.Grow(f.partOps[:0], len(ops))
+	for i := range parts {
+		lo := len(grouped)
+		for _, op := range ops {
+			if f.router.Shard(op.Key) == parts[i].sh.id {
+				grouped = append(grouped, op)
+			}
+		}
+		parts[i].ops = grouped[lo:]
+	}
+	f.parts, f.partOps = parts, grouped
 	return parts
 }
 
@@ -68,26 +75,63 @@ type TxnOutcome struct {
 	Completed int64
 }
 
-// phase runs body on strand 0 of sh's machine, starting no earlier than
-// fleet cycle earliest and no earlier than the shard being free, and
-// returns the fleet cycle at which the phase completes. Shard CPU time
-// advances by exactly the cycles the body consumed.
-func (f *Fleet) phase(sh *Shard, earliest int64, body func(st *sim.Strand)) int64 {
+// leg is the 2PC phase being run on one participant — its prepare, commit
+// or abort — and what its bodies read and write. The bodies are bound
+// once per fleet (bind), as hashtable.Session binds its operations, and
+// the commit's scratch grows to the largest leg and is reused, so a leg
+// makes no closure and, once the scratch has grown, allocates nothing.
+type leg struct {
+	sh   *Shard
+	txid uint64
+	ops  []Op
+	// body is the leg's strand-0 body; dur the cycles it took.
+	body func(*sim.Strand)
+	dur  int64
+	// voted is the prepare body's vote.
+	voted bool
+	// nodes, inserted and removed are the commit body's per-op scratch.
+	nodes    []sim.Addr
+	inserted []bool
+	removed  []sim.Addr
+
+	// Bound bodies: onStrand0 is the phase's machine body; prepare, commit
+	// and abort its strand bodies; the *Tx fields their TM transactions.
+	onStrand0, prepare, commit, abort func(*sim.Strand)
+	prepareTx, commitTx, abortTx      func(core.Ctx)
+}
+
+// bind binds l's bodies to l, once per fleet.
+func (l *leg) bind() {
+	l.onStrand0 = l.runStrand0
+	l.prepare, l.commit, l.abort = l.runPrepare, l.runCommit, l.runAbort
+	l.prepareTx, l.commitTx, l.abortTx = l.prepareBody, l.commitBody, l.abortBody
+}
+
+// phase runs body on strand 0 of sh's machine for txid's ops, starting no
+// earlier than fleet cycle earliest and no earlier than the shard being
+// free, and returns the fleet cycle at which the phase completes. Shard
+// CPU time advances by exactly the cycles the body consumed.
+func (f *Fleet) phase(sh *Shard, earliest int64, txid uint64, ops []Op, body func(*sim.Strand)) int64 {
 	start := earliest
 	if sh.busyUntil > start {
 		start = sh.busyUntil
 	}
-	var dur int64
-	sh.m.Run(func(st *sim.Strand) {
-		if st.ID() != 0 {
-			return
-		}
-		t0 := st.Clock()
-		body(st)
-		dur = st.Clock() - t0
-	})
-	sh.busyUntil = start + dur
+	l := &f.leg
+	l.sh, l.txid, l.ops, l.body = sh, txid, ops, body
+	sh.m.Run(l.onStrand0)
+	sh.busyUntil = start + l.dur
 	return sh.busyUntil
+}
+
+// runStrand0 runs the leg's body on strand 0 and times it; the other
+// strands have nothing to do.
+func (l *leg) runStrand0(st *sim.Strand) {
+	if st.ID() != 0 {
+		return
+	}
+	t0 := st.Clock()
+	l.body(st)
+	l.dur = st.Clock() - t0
 }
 
 // PrepareShard runs the prepare transaction for txid's ops on shard i,
@@ -97,33 +141,34 @@ func (f *Fleet) phase(sh *Shard, earliest int64, body func(st *sim.Strand)) int6
 // owners and stages op kind and value in simulated memory. It reports
 // whether the participant voted yes and the fleet cycle of the ack.
 func (f *Fleet) PrepareShard(i int, at int64, txid uint64, ops []Op) (bool, int64) {
-	sh := f.shards[i]
-	voted := false
-	done := f.phase(sh, at, func(st *sim.Strand) {
-		sh.sys.Atomic(st, func(c core.Ctx) {
-			ok := true
-			for _, op := range ops {
-				owner := c.Load(sh.lockOwner + sim.Addr(op.Key))
-				c.Branch(pcPrepOwner, owner != 0, true)
-				if owner != 0 && uint64(owner) != txid {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				for _, op := range ops {
-					sh.tab.Lookup(c, op.Key) // validation read
-					c.Store(sh.lockOwner+sim.Addr(op.Key), sim.Word(txid))
-					c.Store(sh.stagedOp+sim.Addr(op.Key), sim.Word(op.Kind)+1)
-					c.Store(sh.stagedVal+sim.Addr(op.Key), op.Val)
-				}
-			}
-			// Host flag is written unconditionally at the end of the body, so
-			// an aborted-and-retried attempt cannot leave a stale vote.
-			voted = ok
-		})
-	})
-	return voted, done
+	done := f.phase(f.shards[i], at, txid, ops, f.leg.prepare)
+	return f.leg.voted, done
+}
+
+func (l *leg) runPrepare(st *sim.Strand) { l.sh.sys.Atomic(st, l.prepareTx) }
+
+func (l *leg) prepareBody(c core.Ctx) {
+	sh := l.sh
+	ok := true
+	for _, op := range l.ops {
+		owner := c.Load(sh.lockOwner + sim.Addr(op.Key))
+		c.Branch(pcPrepOwner, owner != 0, true)
+		if owner != 0 && uint64(owner) != l.txid {
+			ok = false
+			break
+		}
+	}
+	if ok {
+		for _, op := range l.ops {
+			sh.tab.Lookup(c, op.Key) // validation read
+			c.Store(sh.lockOwner+sim.Addr(op.Key), sim.Word(l.txid))
+			c.Store(sh.stagedOp+sim.Addr(op.Key), sim.Word(op.Kind)+1)
+			c.Store(sh.stagedVal+sim.Addr(op.Key), op.Val)
+		}
+	}
+	// Host flag is written unconditionally at the end of the body, so an
+	// aborted-and-retried attempt cannot leave a stale vote.
+	l.voted = ok
 }
 
 // CommitShard runs the commit transaction for txid's ops on shard i:
@@ -132,45 +177,51 @@ func (f *Fleet) PrepareShard(i int, at int64, txid uint64, ops []Op) (bool, int6
 // the atomic block (the Session pattern), and losers are returned to the
 // pool after it.
 func (f *Fleet) CommitShard(i int, at int64, txid uint64, ops []Op) int64 {
-	sh := f.shards[i]
-	return f.phase(sh, at, func(st *sim.Strand) {
-		nodes := make([]sim.Addr, len(ops))
-		for j, op := range ops {
-			if op.Kind == Insert {
-				nodes[j] = sh.tab.AllocNode(st, op.Key, op.Val)
-			}
+	return f.phase(f.shards[i], at, txid, ops, f.leg.commit)
+}
+
+func (l *leg) runCommit(st *sim.Strand) {
+	sh, n := l.sh, len(l.ops)
+	l.nodes = slices.Grow(l.nodes[:0], n)[:n]
+	l.inserted = slices.Grow(l.inserted[:0], n)[:n]
+	l.removed = slices.Grow(l.removed[:0], n)[:n]
+	for j, op := range l.ops {
+		l.nodes[j] = 0
+		if op.Kind == Insert {
+			l.nodes[j] = sh.tab.AllocNode(st, op.Key, op.Val)
 		}
-		inserted := make([]bool, len(ops))
-		removed := make([]sim.Addr, len(ops))
-		sh.sys.Atomic(st, func(c core.Ctx) {
-			// Reset host-side results first: the body may retry.
-			for j := range ops {
-				inserted[j] = false
-				removed[j] = 0
-			}
-			for j, op := range ops {
-				switch op.Kind {
-				case Lookup:
-					sh.tab.Lookup(c, op.Key)
-				case Insert:
-					inserted[j] = sh.tab.InsertNode(c, op.Key, nodes[j])
-				default:
-					removed[j] = sh.tab.DeleteNode(c, op.Key)
-				}
-				c.Store(sh.lockOwner+sim.Addr(op.Key), 0)
-				c.Store(sh.stagedOp+sim.Addr(op.Key), 0)
-				c.Store(sh.stagedVal+sim.Addr(op.Key), 0)
-			}
-		})
-		for j, op := range ops {
-			if op.Kind == Insert && !inserted[j] {
-				sh.tab.FreeNode(st, nodes[j])
-			}
-			if removed[j] != 0 {
-				sh.tab.FreeNode(st, removed[j])
-			}
+	}
+	sh.sys.Atomic(st, l.commitTx)
+	for j, op := range l.ops {
+		if op.Kind == Insert && !l.inserted[j] {
+			sh.tab.FreeNode(st, l.nodes[j])
 		}
-	})
+		if l.removed[j] != 0 {
+			sh.tab.FreeNode(st, l.removed[j])
+		}
+	}
+}
+
+func (l *leg) commitBody(c core.Ctx) {
+	sh := l.sh
+	// Reset host-side results first: the body may retry.
+	for j := range l.ops {
+		l.inserted[j] = false
+		l.removed[j] = 0
+	}
+	for j, op := range l.ops {
+		switch op.Kind {
+		case Lookup:
+			sh.tab.Lookup(c, op.Key)
+		case Insert:
+			l.inserted[j] = sh.tab.InsertNode(c, op.Key, l.nodes[j])
+		default:
+			l.removed[j] = sh.tab.DeleteNode(c, op.Key)
+		}
+		c.Store(sh.lockOwner+sim.Addr(op.Key), 0)
+		c.Store(sh.stagedOp+sim.Addr(op.Key), 0)
+		c.Store(sh.stagedVal+sim.Addr(op.Key), 0)
+	}
 }
 
 // AbortShard runs the abort transaction for txid's ops on shard i:
@@ -179,19 +230,20 @@ func (f *Fleet) CommitShard(i int, at int64, txid uint64, ops []Op) int64 {
 // the owner words, and both are exactly their pre-transaction values
 // after an abort.
 func (f *Fleet) AbortShard(i int, at int64, txid uint64, ops []Op) int64 {
-	sh := f.shards[i]
-	return f.phase(sh, at, func(st *sim.Strand) {
-		sh.sys.Atomic(st, func(c core.Ctx) {
-			for _, op := range ops {
-				a := sh.lockOwner + sim.Addr(op.Key)
-				owner := c.Load(a)
-				c.Branch(pcAbortOwner, uint64(owner) == txid, true)
-				if uint64(owner) == txid {
-					c.Store(a, 0)
-				}
-			}
-		})
-	})
+	return f.phase(f.shards[i], at, txid, ops, f.leg.abort)
+}
+
+func (l *leg) runAbort(st *sim.Strand) { l.sh.sys.Atomic(st, l.abortTx) }
+
+func (l *leg) abortBody(c core.Ctx) {
+	for _, op := range l.ops {
+		a := l.sh.lockOwner + sim.Addr(op.Key)
+		owner := c.Load(a)
+		c.Branch(pcAbortOwner, uint64(owner) == l.txid, true)
+		if uint64(owner) == l.txid {
+			c.Store(a, 0)
+		}
+	}
 }
 
 // crashRecoveryRPCs is the extra round trips a crashed coordinator's

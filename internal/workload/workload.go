@@ -26,6 +26,8 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Dist selects a key distribution.
@@ -381,30 +383,52 @@ func MustCompile(sp Spec) *Compiled {
 	return c
 }
 
+// prepopMemo maps a prepopKey to its key slice. Every cell of a
+// key-value or tree experiment prepopulates its structure, so the cells
+// ask for the same few slices again and again; runner workers ask
+// concurrently.
+var prepopMemo sync.Map
+
+// prepopKey names one prepopulation slice: the keys of keyRange, shuffled
+// by seed when shuffled is set.
+type prepopKey struct {
+	keyRange int
+	seed     uint64
+	shuffled bool
+}
+
 // PrepopHalf returns every second key in [0, keyRange) in ascending order —
-// the paper's standard "half full" prepopulation for hash tables.
+// the paper's standard "half full" prepopulation for hash tables. The
+// slice is computed once per keyRange and shared by every caller, so it is
+// read-only: a caller must not modify it.
 func PrepopHalf(keyRange int) []uint64 {
-	keys := make([]uint64, 0, (keyRange+1)/2)
-	for k := 0; k < keyRange; k += 2 {
-		keys = append(keys, uint64(k))
-	}
-	return keys
+	return memoized(&prepopMemo, prepopKey{keyRange: keyRange}, func() []uint64 {
+		keys := make([]uint64, 0, (keyRange+1)/2)
+		for k := 0; k < keyRange; k += 2 {
+			keys = append(keys, uint64(k))
+		}
+		return keys
+	})
 }
 
 // PrepopHalfShuffled returns the same keys in a deterministic
 // xorshift-shuffled order. Prepopulating a red-black tree in ascending
 // order is pathological in a way the paper's random workloads are not:
 // with sequential node allocation the tree's upper spine lands on node
-// indices 2^k-1, aliasing the whole hot path into one L1 set.
+// indices 2^k-1, aliasing the whole hot path into one L1 set. Like
+// PrepopHalf's, the slice is computed once per (keyRange, seed), shared
+// and read-only.
 func PrepopHalfShuffled(keyRange int, seed uint64) []uint64 {
-	keys := PrepopHalf(keyRange)
-	state := seed
-	for i := len(keys) - 1; i > 0; i-- {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		j := int(state % uint64(i+1))
-		keys[i], keys[j] = keys[j], keys[i]
-	}
-	return keys
+	return memoized(&prepopMemo, prepopKey{keyRange, seed, true}, func() []uint64 {
+		keys := slices.Clone(PrepopHalf(keyRange))
+		state := seed
+		for i := len(keys) - 1; i > 0; i-- {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			j := int(state % uint64(i+1))
+			keys[i], keys[j] = keys[j], keys[i]
+		}
+		return keys
+	})
 }

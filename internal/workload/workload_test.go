@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -142,5 +143,13 @@ func TestPrepop(t *testing.T) {
 	}
 	if fmt.Sprint(a) == fmt.Sprint(plain) {
 		t.Fatal("shuffle left keys in ascending order")
+	}
+	// Both slices are computed once and shared; the shuffle works on a
+	// copy, so the ascending slice stays ascending.
+	if again := PrepopHalf(256); &again[0] != &plain[0] || !slices.IsSorted(again) {
+		t.Fatal("PrepopHalf's shared slice was recomputed or reordered")
+	}
+	if again := PrepopHalfShuffled(256, 7); &again[0] != &a[0] {
+		t.Fatal("PrepopHalfShuffled recomputed its slice")
 	}
 }

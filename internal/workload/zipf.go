@@ -41,12 +41,18 @@ type zipfKey struct {
 // newZipf returns the constants for (n, theta), computing them on the
 // process's first request.
 func newZipf(n int, theta float64) zipfParams {
-	k := zipfKey{n, theta}
-	z, ok := zipfMemo.Load(k)
+	return memoized(&zipfMemo, zipfKey{n, theta}, func() zipfParams { return computeZipf(n, theta) })
+}
+
+// memoized returns m's value for key, storing compute's result on the
+// process's first request; concurrent first requests may each compute it,
+// and all get the stored one.
+func memoized[V any](m *sync.Map, key any, compute func() V) V {
+	v, ok := m.Load(key)
 	if !ok {
-		z, _ = zipfMemo.LoadOrStore(k, computeZipf(n, theta))
+		v, _ = m.LoadOrStore(key, compute())
 	}
-	return z.(zipfParams)
+	return v.(V)
 }
 
 func computeZipf(n int, theta float64) zipfParams {
