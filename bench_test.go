@@ -109,8 +109,7 @@ func BenchmarkMSFFig4(b *testing.B) { benchMSF(b, "msf-opt-le") }
 // BenchmarkProfileSection61 runs the failure-analysis pipeline.
 func BenchmarkProfileSection61(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		lines := bench.ProfileReport(200, []int{1024})
-		if len(lines) == 0 {
+		if rep := bench.ProfileReport(200, []int{1024}); len(rep.Rows) == 0 {
 			b.Fatal("empty profile report")
 		}
 	}

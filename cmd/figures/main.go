@@ -10,13 +10,8 @@
 //	figures -ops 20000               # more operations per thread
 //	figures -csv                     # machine-readable output too
 //	figures -json                    # one JSON document per figure
-//	figures -exp attrib              # Table-4-style abort attribution
-//	figures -exp tail                # skew x system latency percentiles
 //	figures -latency -exp fig2b      # add p50/p90/p99/p99.9 to any figure
 //	figures -exp fig1a -trace t.json # Chrome/Perfetto event trace, one run per cell
-//	figures -exp timeline            # windowed timeseries + detectors + SLOs
-//	figures -exp fleet               # sharded service tier: router x batching x 2PC
-//	figures -exp htmdesign           # HTM design space: design point x workload x policy
 //	figures -exp tail -timeline w.json    # window series, one per cell
 //	figures -timeline-window 16384   # window width in simulated cycles
 //	figures -parallel 8              # worker-pool size (0 = GOMAXPROCS)
@@ -24,30 +19,15 @@
 //	figures -cache-dir /tmp/rc       # result cache location
 //	figures -progress                # per-cell progress on stderr
 //
+// The experiments, and which of them -trace and -timeline capture, are
+// the rows of bench.Catalogue (internal/bench/catalogue.go); -exp list
+// prints their names.
+//
 // Every experiment decomposes into independent deterministic cells (one
 // simulated machine per (system, threads) pair) that are scheduled onto
 // a host worker pool and memoized in a content-addressed result cache,
 // so unchanged figures re-render instantly and interrupted runs resume.
 // Parallel output is byte-identical to serial output.
-//
-// -trace and -timeline capture every cell of every experiment except
-// fig4, msfse, fleet and profile: one event trace and one window series
-// per cell, each labelled with the cell's name, experiment/curve@NT — the
-// name -progress prints after "last=".
-//
-// Experiments: fig1a fig1b fig1ro fig2a fig2b fig3a fig3b counter dcas
-// divide inline treemap volano fig4 msfse profile attrib, the tail
-// latency experiment tail (zipfian skew × system, percentile tables, see
-// docs/WORKLOADS.md), the windowed-timeseries experiment timeline
-// (pathology detectors + SLO burn rates, see docs/OBSERVABILITY.md), the
-// sharded service-tier experiment fleet (router × batching × 2PC over
-// the shard-count axis, see docs/SERVICE.md),
-// plus the ablations ablate-retry (PhTM retry budget), ablate-ucti (UCTI
-// failure weight), ablate-throttle (adaptive concurrency throttling
-// extension), policy (retry policy × fault-injection profile, see
-// docs/POLICY.md and docs/ABORT-PLAYBOOK.md), and the design-space sweep
-// htmdesign (HTM design point × workload × retry policy, see
-// docs/HTM-DESIGN.md).
 package main
 
 import (
@@ -68,22 +48,13 @@ import (
 	"rocktm/internal/sim"
 )
 
-// experiment is one runnable entry; exactly one of fig/report/lines is
-// produced by run.
-type experiment struct {
-	name string
-	run  func() (*bench.Figure, error)
-}
-
-// experimentNames returns every valid -exp name, including the two
-// non-figure reports, sorted so `-exp list` output is stable and
-// scannable regardless of catalogue growth.
-func experimentNames(experiments []experiment) []string {
-	names := make([]string, 0, len(experiments)+2)
-	for _, e := range experiments {
-		names = append(names, e.name)
+// experimentNames returns every valid -exp name, the catalogue's, sorted
+// so that -exp list is stable and scannable.
+func experimentNames() []string {
+	names := make([]string, len(bench.Catalogue))
+	for i, e := range bench.Catalogue {
+		names[i] = e.Name
 	}
-	names = append(names, "attrib", "profile")
 	sort.Strings(names)
 	return names
 }
@@ -151,7 +122,7 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		csv:      fs.Bool("csv", false, "also emit CSV rows"),
 		latency:  fs.Bool("latency", false, "record per-operation latency and add p50/p90/p99/p99.9 columns to every workload-driven figure"),
 		json:     fs.Bool("json", false, "also emit one JSON document per figure/report"),
-		trace:    fs.String("trace", "", "write a Chrome trace_event JSON file with one run per cell of every experiment but fig4, msfse, fleet and profile, labelled experiment/curve@NT (forces serial, uncached cells)"),
+		trace:    fs.String("trace", "", "write a Chrome trace_event JSON file with one run per cell of each experiment that captures (see bench.Catalogue), labelled experiment/curve@NT (forces serial, uncached cells)"),
 		timeline: fs.String("timeline", "", "write the windowed timeseries of the same cells, under the same labels, to this file (.csv for CSV, else JSON; forces serial, uncached cells)"),
 		tlWindow: fs.Int64("timeline-window", 0, "timeseries window width in simulated cycles (0 = default, else at least 256)"),
 		msfDim:   fs.Int("msf-dim", 96, "roadmap grid dimension (msf-dim x msf-dim vertices)"),
@@ -244,8 +215,7 @@ func main() {
 	}
 	mo := bench.MSFOptions{Width: *fl.msfDim, Height: *fl.msfDim, Threads: threads, Seed: *fl.seed, Runner: pool}
 
-	experiments := buildExperiments(o, mo)
-	valid := experimentNames(experiments)
+	valid := experimentNames()
 
 	if *fl.exp == "list" {
 		for _, n := range valid {
@@ -276,30 +246,13 @@ func main() {
 		exitCode = 1
 	}
 
-	for _, e := range experiments {
-		if !all && !selected[e.name] {
+	for _, e := range bench.Catalogue {
+		if !all && !selected[e.Name] {
 			continue
 		}
-		fig, err := e.run()
+		rep, err := e.Run(o, mo, *fl.profOps)
 		if err != nil {
-			fail("figures: %s: %v\n", e.name, err)
-			return
-		}
-		fig.Render(os.Stdout)
-		if *fl.csv {
-			fig.CSV(os.Stdout)
-		}
-		if *fl.json {
-			if err := fig.JSON(os.Stdout); err != nil {
-				fail("figures: %s: json: %v\n", e.name, err)
-				return
-			}
-		}
-	}
-	if all || selected["attrib"] {
-		rep, err := bench.AttributionReport(o)
-		if err != nil {
-			fail("figures: attrib: %v\n", err)
+			fail("figures: %s: %v\n", e.Name, err)
 			return
 		}
 		rep.Render(os.Stdout)
@@ -308,17 +261,10 @@ func main() {
 		}
 		if *fl.json {
 			if err := rep.JSON(os.Stdout); err != nil {
-				fail("figures: attrib: json: %v\n", err)
+				fail("figures: %s: json: %v\n", e.Name, err)
 				return
 			}
 		}
-	}
-	if all || selected["profile"] {
-		fmt.Println("== Section 6.1 transaction-failure analysis (single-thread PhTM vs STM replay) ==")
-		for _, line := range bench.ProfileReport(*fl.profOps, nil) {
-			fmt.Println(line)
-		}
-		fmt.Println()
 	}
 	if sink != nil {
 		// When both -trace and -timeline are active, fold each run's window
@@ -364,37 +310,6 @@ func main() {
 			return
 		}
 		fmt.Fprintf(os.Stderr, "figures: wrote window series of %d runs to %s\n", tlSink.Runs(), *fl.timeline)
-	}
-}
-
-// buildExperiments assembles the full figure catalogue in display order.
-// Factored out of main so tests can assert the catalogue (and therefore
-// -exp list and the unknown-name error) includes every documented name.
-func buildExperiments(o bench.Options, mo bench.MSFOptions) []experiment {
-	return []experiment{
-		{"counter", func() (*bench.Figure, error) { return bench.CounterFigure(o) }},
-		{"dcas", func() (*bench.Figure, error) { return bench.DCASFigure(o) }},
-		{"fig1a", func() (*bench.Figure, error) { return bench.Fig1a(o) }},
-		{"fig1b", func() (*bench.Figure, error) { return bench.Fig1b(o) }},
-		{"fig1ro", func() (*bench.Figure, error) { return bench.Fig1ReadOnly(o) }},
-		{"fig2a", func() (*bench.Figure, error) { return bench.Fig2a(o) }},
-		{"fig2b", func() (*bench.Figure, error) { return bench.Fig2b(o) }},
-		{"fig3a", func() (*bench.Figure, error) { return bench.Fig3a(o) }},
-		{"fig3b", func() (*bench.Figure, error) { return bench.Fig3b(o) }},
-		{"divide", func() (*bench.Figure, error) { return bench.DivideHashDemo(o) }},
-		{"inline", func() (*bench.Figure, error) { return bench.InlineDemo(o) }},
-		{"treemap", func() (*bench.Figure, error) { return bench.TreeMapDemo(o) }},
-		{"volano", func() (*bench.Figure, error) { return bench.VolanoFigure(o) }},
-		{"tail", func() (*bench.Figure, error) { return bench.TailFigure(o) }},
-		{"timeline", func() (*bench.Figure, error) { return bench.TimelineFigure(o) }},
-		{"fleet", func() (*bench.Figure, error) { return bench.FleetFigure(o) }},
-		{"fig4", func() (*bench.Figure, error) { return bench.Fig4(mo) }},
-		{"msfse", func() (*bench.Figure, error) { return bench.SEModeMSF(mo) }},
-		{"ablate-retry", func() (*bench.Figure, error) { return bench.AblationRetryBudget(o) }},
-		{"ablate-ucti", func() (*bench.Figure, error) { return bench.AblationUCTIWeight(o) }},
-		{"ablate-throttle", func() (*bench.Figure, error) { return bench.AblationThrottle(o) }},
-		{"policy", func() (*bench.Figure, error) { return bench.PolicyFigure(o) }},
-		{"htmdesign", func() (*bench.Figure, error) { return bench.HTMDesignFigure(o) }},
 	}
 }
 

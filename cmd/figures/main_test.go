@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -54,65 +55,54 @@ func TestParseExpFlagSelection(t *testing.T) {
 	}
 }
 
-// Every name the command documents must be accepted, and the reports
-// must be included in the valid list.
+// documentedNames is what -exp list prints: every experiment the paper
+// reproduction and its extensions document, the attribution report and
+// the profile among them, each once and sorted.
+var documentedNames = []string{
+	"ablate-retry", "ablate-throttle", "ablate-ucti", "attrib", "counter",
+	"dcas", "divide", "fig1a", "fig1b", "fig1ro", "fig2a", "fig2b", "fig3a",
+	"fig3b", "fig4", "fleet", "htmdesign", "inline", "msfse", "policy",
+	"profile", "tail", "timeline", "treemap", "volano",
+}
+
+// -exp list is exactly the documented names: a catalogue row dropped,
+// added or repeated changes it, so none of them can happen unnoticed.
 func TestExperimentNamesIncludeReports(t *testing.T) {
-	names := experimentNames([]experiment{{name: "fig1a"}, {name: "fig4"}})
-	got := strings.Join(names, " ")
-	for _, want := range []string{"fig1a", "fig4", "attrib", "profile"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("experimentNames missing %q: %v", want, names)
-		}
+	if got := experimentNames(); !slices.Equal(got, documentedNames) {
+		t.Errorf("-exp list is %v, want %v", got, documentedNames)
 	}
 }
 
-// The real catalogue (what -exp list prints) must carry the tail latency
-// experiment alongside the legacy figures, and the unknown-name error must
-// enumerate it so users discover it from a typo.
-func TestCatalogueIncludesTail(t *testing.T) {
-	valid := experimentNames(buildExperiments(bench.Options{}, bench.MSFOptions{}))
-	set := map[string]bool{}
-	for _, n := range valid {
-		set[n] = true
-	}
-	for _, want := range []string{"tail", "fig1a", "fig4", "policy", "attrib", "profile"} {
-		if !set[want] {
-			t.Errorf("experiment catalogue missing %q: %v", want, valid)
-		}
-	}
-	if _, err := parseExpFlag("tial", valid); err == nil {
-		t.Fatal("unknown experiment accepted")
-	} else if !strings.Contains(err.Error(), "tail") {
-		t.Errorf("unknown-experiment error does not enumerate tail: %v", err)
-	}
-	if sel, err := parseExpFlag("tail", valid); err != nil || !sel["tail"] {
-		t.Fatalf("-exp tail rejected: sel=%v err=%v", sel, err)
-	}
-}
-
-// The timeline experiment is part of the catalogue, and the valid-name
-// list (what -exp list prints) comes out sorted so users can scan it.
-func TestCatalogueIncludesTimelineAndIsSorted(t *testing.T) {
-	valid := experimentNames(buildExperiments(bench.Options{}, bench.MSFOptions{}))
+// acceptsAndSuggests checks that -exp list is sorted, that -exp name
+// selects the experiment and that the typo is rejected with an error that
+// enumerates it, so users discover it from a typo.
+func acceptsAndSuggests(t *testing.T, name, typo string) {
+	t.Helper()
+	valid := experimentNames()
 	if !sort.StringsAreSorted(valid) {
 		t.Errorf("-exp list is not sorted: %v", valid)
 	}
-	set := map[string]bool{}
-	for _, n := range valid {
-		set[n] = true
+	if sel, err := parseExpFlag(name, valid); err != nil || !sel[name] {
+		t.Fatalf("-exp %s rejected: sel=%v err=%v", name, sel, err)
 	}
-	if !set["timeline"] {
-		t.Fatalf("experiment catalogue missing \"timeline\": %v", valid)
-	}
-	if sel, err := parseExpFlag("timeline", valid); err != nil || !sel["timeline"] {
-		t.Fatalf("-exp timeline rejected: sel=%v err=%v", sel, err)
-	}
-	if _, err := parseExpFlag("timelien", valid); err == nil {
-		t.Fatal("unknown experiment accepted")
-	} else if !strings.Contains(err.Error(), "timeline") {
-		t.Errorf("unknown-experiment error does not enumerate timeline: %v", err)
+	if _, err := parseExpFlag(typo, valid); err == nil {
+		t.Fatalf("unknown experiment %q accepted", typo)
+	} else if !strings.Contains(err.Error(), name) {
+		t.Errorf("unknown-experiment error does not enumerate %s: %v", name, err)
 	}
 }
+
+// The tail latency, timeline, fleet and htmdesign experiments are in the
+// catalogue.
+func TestCatalogueIncludesTail(t *testing.T) { acceptsAndSuggests(t, "tail", "tial") }
+
+func TestCatalogueIncludesTimelineAndIsSorted(t *testing.T) {
+	acceptsAndSuggests(t, "timeline", "timelien")
+}
+
+func TestCatalogueIncludesFleet(t *testing.T) { acceptsAndSuggests(t, "fleet", "fleeet") }
+
+func TestCatalogueIncludesHTMDesign(t *testing.T) { acceptsAndSuggests(t, "htmdesign", "htmdeisgn") }
 
 // The flag surface carries the timeline exports: -timeline selects the
 // output file, -timeline-window the window width.
@@ -199,55 +189,6 @@ func TestInvalidFlagsRejected(t *testing.T) {
 	}
 }
 
-// The fleet experiment (sharded service tier) is part of the catalogue,
-// the list stays sorted, and the unknown-name error enumerates it.
-func TestCatalogueIncludesFleet(t *testing.T) {
-	valid := experimentNames(buildExperiments(bench.Options{}, bench.MSFOptions{}))
-	if !sort.StringsAreSorted(valid) {
-		t.Errorf("-exp list is not sorted: %v", valid)
-	}
-	set := map[string]bool{}
-	for _, n := range valid {
-		set[n] = true
-	}
-	if !set["fleet"] {
-		t.Fatalf("experiment catalogue missing \"fleet\": %v", valid)
-	}
-	if sel, err := parseExpFlag("fleet", valid); err != nil || !sel["fleet"] {
-		t.Fatalf("-exp fleet rejected: sel=%v err=%v", sel, err)
-	}
-	if _, err := parseExpFlag("fleeet", valid); err == nil {
-		t.Fatal("unknown experiment accepted")
-	} else if !strings.Contains(err.Error(), "fleet") {
-		t.Errorf("unknown-experiment error does not enumerate fleet: %v", err)
-	}
-}
-
-// The htmdesign experiment (HTM design-space sweep) is part of the
-// catalogue, the list stays sorted, and the unknown-name error
-// enumerates it.
-func TestCatalogueIncludesHTMDesign(t *testing.T) {
-	valid := experimentNames(buildExperiments(bench.Options{}, bench.MSFOptions{}))
-	if !sort.StringsAreSorted(valid) {
-		t.Errorf("-exp list is not sorted: %v", valid)
-	}
-	set := map[string]bool{}
-	for _, n := range valid {
-		set[n] = true
-	}
-	if !set["htmdesign"] {
-		t.Fatalf("experiment catalogue missing \"htmdesign\": %v", valid)
-	}
-	if sel, err := parseExpFlag("htmdesign", valid); err != nil || !sel["htmdesign"] {
-		t.Fatalf("-exp htmdesign rejected: sel=%v err=%v", sel, err)
-	}
-	if _, err := parseExpFlag("htmdeisgn", valid); err == nil {
-		t.Fatal("unknown experiment accepted")
-	} else if !strings.Contains(err.Error(), "htmdesign") {
-		t.Errorf("unknown-experiment error does not enumerate htmdesign: %v", err)
-	}
-}
-
 // The -progress line layout is an interface: the repository benchmark
 // derives its per-cell timings from lines matching this pattern.
 var progressPattern = regexp.MustCompile(`^figures: \d+/\d+ cells .* last=`)
@@ -309,11 +250,11 @@ func TestSerialFlagsForceSerialUncached(t *testing.T) {
 	}
 }
 
-// -trace and -timeline capture every single-machine cell: each experiment
-// but fig4 and msfse (the MSF runner) and fleet (many machines per cell),
-// plus the attrib report, deposits one event trace and one window series
+// -trace and -timeline capture every single-machine cell: each catalogue
+// row but fig4 and msfse (the MSF runner), fleet (many machines per cell)
+// and profile (no cells) deposits one event trace and one window series
 // per cell, labelled with the cell's name, experiment/curve@NT. The test
-// walks the real catalogue, so a new experiment is covered without being
+// walks the catalogue, so a new experiment is covered without being
 // listed here.
 func TestCaptureCoversEveryCell(t *testing.T) {
 	const ops = 10
@@ -329,26 +270,29 @@ func TestCaptureCoversEveryCell(t *testing.T) {
 		want = append(want, label)
 		threads[label] = th
 	}
-	for _, e := range buildExperiments(o, bench.MSFOptions{}) {
-		if e.name == "fig4" || e.name == "msfse" || e.name == "fleet" {
+	uncaptured := map[string]bool{"fig4": true, "msfse": true, "fleet": true, "profile": true}
+	for _, e := range bench.Catalogue {
+		if uncaptured[e.Name] {
 			continue
 		}
-		fig, err := e.run()
+		rep, err := e.Run(o, bench.MSFOptions{}, ops)
 		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
-		for _, c := range fig.Curves {
-			for _, p := range c.Points {
-				cell(e.name, c.Name, p.Threads)
+		switch rep := rep.(type) {
+		case *bench.Figure:
+			for _, c := range rep.Curves {
+				for _, p := range c.Points {
+					cell(e.Name, c.Name, p.Threads)
+				}
 			}
+		case *bench.AttribReport:
+			for _, row := range rep.Rows {
+				cell(e.Name, row.System, row.Threads)
+			}
+		default:
+			t.Fatalf("%s: no cells known for a %T", e.Name, rep)
 		}
-	}
-	rep, err := bench.AttributionReport(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range rep.Rows {
-		cell("attrib", row.System, row.Threads)
 	}
 
 	var got []string
@@ -411,25 +355,16 @@ func TestWarmCacheServesEveryCell(t *testing.T) {
 		o := bench.Options{Threads: threads, OpsPerThread: 20, Seed: 1, Runner: pool}
 		mo := bench.MSFOptions{Width: 32, Height: 32, Threads: threads, Seed: 1, Runner: pool}
 		var buf bytes.Buffer
-		for _, e := range buildExperiments(o, mo) {
-			fig, err := e.run()
+		for _, e := range bench.Catalogue {
+			rep, err := e.Run(o, mo, 20)
 			if err != nil {
-				t.Fatalf("%s: %v", e.name, err)
+				t.Fatalf("%s: %v", e.Name, err)
 			}
-			fig.Render(&buf)
-			fig.CSV(&buf)
-			if err := fig.JSON(&buf); err != nil {
-				t.Fatalf("%s: %v", e.name, err)
+			rep.Render(&buf)
+			rep.CSV(&buf)
+			if err := rep.JSON(&buf); err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
 			}
-		}
-		rep, err := bench.AttributionReport(o)
-		if err != nil {
-			t.Fatalf("attrib: %v", err)
-		}
-		rep.Render(&buf)
-		rep.CSV(&buf)
-		if err := rep.JSON(&buf); err != nil {
-			t.Fatalf("attrib: %v", err)
 		}
 		return buf.Bytes(), last, cache.Warnings()
 	}

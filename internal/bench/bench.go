@@ -48,10 +48,9 @@ type Options struct {
 
 	// Trace, when non-nil, receives one cycle-timestamped event trace per
 	// single-machine cell, exportable as Chrome trace_event JSON via
-	// TraceSink.WriteChrome. Every figure but fig4, msfse and fleet
-	// deposits one run per cell, as does the attribution report, each
-	// labelled with the cell's name, experiment/curve@NT (the name
-	// -progress prints after "last=").
+	// TraceSink.WriteChrome. Catalogue's doc names the experiments that
+	// deposit one run per cell, each labelled with the cell's name,
+	// experiment/curve@NT (the name -progress prints after "last=").
 	Trace *obs.TraceSink
 
 	// Timeline, when non-nil, receives one windowed timeseries per cell of

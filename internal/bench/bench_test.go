@@ -163,16 +163,25 @@ func TestCheckMSFGrid(t *testing.T) {
 	}
 }
 
-// TestProfileReportLines sanity-checks the Section 6.1 report text.
+// TestProfileReportLines sanity-checks the Section 6.1 report: one row
+// per tree size, each with both budgets' summaries, rendered under its
+// header, and no CSV or JSON form.
 func TestProfileReportLines(t *testing.T) {
-	lines := ProfileReport(150, []int{256})
-	if len(lines) < 5 {
-		t.Fatalf("only %d lines", len(lines))
+	rep := ProfileReport(150, []int{256})
+	if len(rep.Rows) != 1 || rep.Rows[0].TreeKeys != 256 || rep.Rows[0].Tight.Ops != 150 || rep.Rows[0].Default.Ops != 150 {
+		t.Fatalf("rows = %+v, want one 256-key row of 150 ops per budget", rep.Rows)
 	}
-	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"failed to software", "read-set lines", "stack writes: 0"} {
-		if !strings.Contains(joined, want) {
+	var buf bytes.Buffer
+	rep.Render(&buf)
+	out := buf.String()
+	for _, want := range []string{"== Section 6.1", "failed to software", "read-set lines", "stack writes: 0"} {
+		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}
+	}
+	buf.Reset()
+	rep.CSV(&buf)
+	if err := rep.JSON(&buf); err != nil || buf.Len() != 0 {
+		t.Errorf("CSV and JSON wrote %q (err %v), want nothing", buf.String(), err)
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"rocktm/internal/workload"
 )
 
-// The one cell path. Every single-machine workload cell (every figure but
-// fig4, msfse and fleet, and the attribution report) is a recipe: the
+// The one cell path. Every single-machine workload cell (of each
+// experiment that Catalogue's doc says captures) is a recipe: the
 // runner spec that names and keys it, the exact machine configuration it
 // runs on, its workload, and a build step that constructs the structure
 // and the system on the fresh machine. Options.run alone turns a recipe

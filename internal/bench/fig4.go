@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"rocktm/internal/core"
@@ -354,16 +355,28 @@ func MSFSweepFigure(o MSFOptions, variants []string) (*Figure, error) {
 	}, sel)
 }
 
-// ProfileReport renders the Section 6.1 failure analysis for a set of tree
-// sizes. Each size is profiled twice: with a tight hardware-retry budget
-// (2 tries) and with the default (8) — the paper's own experiment, which
-// showed that additional retries bring the needed data into the cache and
-// rescue transactions that would otherwise fail.
-func ProfileReport(ops int, sizes []int) []string {
+// Profile is the Section 6.1 failure analysis: one row per tree size.
+type Profile struct {
+	Rows []ProfileRow
+}
+
+// ProfileRow is one tree size profiled twice: with a tight hardware-retry
+// budget (2 tries) and with the default (8) — the paper's own experiment,
+// which showed that additional retries bring the needed data into the
+// cache and rescue transactions that would otherwise fail.
+type ProfileRow struct {
+	TreeKeys int
+	Tight    profile.Summary // 2 tries
+	Default  profile.Summary // 8 tries
+}
+
+// ProfileReport runs the Section 6.1 failure analysis with ops operations
+// per tree size (1024, 4096 and 24000 keys when sizes is empty).
+func ProfileReport(ops int, sizes []int) *Profile {
 	if len(sizes) == 0 {
 		sizes = []int{1024, 4096, 24000}
 	}
-	var lines []string
+	p := &Profile{}
 	for _, size := range sizes {
 		cfg := profile.Config{
 			TreeKeys:   size,
@@ -373,13 +386,22 @@ func ProfileReport(ops int, sizes []int) []string {
 			Seed:       42,
 			MaxHWTries: 2,
 		}
-		sum := profile.Summarize(profile.Run(cfg))
-		cfg8 := cfg
-		cfg8.MaxHWTries = 8
-		sum8 := profile.Summarize(profile.Run(cfg8))
+		row := ProfileRow{TreeKeys: size, Tight: profile.Summarize(profile.Run(cfg))}
+		cfg.MaxHWTries = 8
+		row.Default = profile.Summarize(profile.Run(cfg))
+		p.Rows = append(p.Rows, row)
+	}
+	return p
+}
+
+// lines renders the rows, six lines per tree size.
+func (p *Profile) lines() []string {
+	var lines []string
+	for _, r := range p.Rows {
+		sum, sum8 := r.Tight, r.Default
 		lines = append(lines,
 			fmt.Sprintf("tree=%d ops=%d: %d/%d failed to software with a 2-try budget; %d/%d with 8 tries (retries warm the cache)",
-				size, sum.Ops, sum.Failed, sum.Ops, sum8.Failed, sum8.Ops),
+				r.TreeKeys, sum.Ops, sum.Failed, sum.Ops, sum8.Failed, sum8.Ops),
 			fmt.Sprintf("  read-set lines   succeeded max=%d mean=%.1f | failed max=%d mean=%.1f",
 				sum.MaxReadLines[0], sum.MeanReadLines[0], sum.MaxReadLines[1], sum.MeanReadLines[1]),
 			fmt.Sprintf("  max lines/L1 set succeeded=%d failed=%d (set overflows: %d vs %d)",
@@ -392,3 +414,18 @@ func ProfileReport(ops int, sizes []int) []string {
 	}
 	return lines
 }
+
+// Render writes the report under its header, then a blank line.
+func (p *Profile) Render(w io.Writer) {
+	fmt.Fprintln(w, "== Section 6.1 transaction-failure analysis (single-thread PhTM vs STM replay) ==")
+	for _, line := range p.lines() {
+		fmt.Fprintln(w, line)
+	}
+	fmt.Fprintln(w)
+}
+
+// CSV writes nothing: the profile has no machine-readable form.
+func (p *Profile) CSV(io.Writer) {}
+
+// JSON writes nothing: the profile has no machine-readable form.
+func (p *Profile) JSON(io.Writer) error { return nil }

@@ -18,38 +18,28 @@ import (
 // byte. Regenerate (only for an intended modelling change) with:
 //
 //	BENCH_GOLDEN_REGEN=1 go test ./internal/bench -run TestGoldenFigureBytes
+//
+// Every entry but the profile runs its catalogue row, so a digest pins
+// exactly what `figures -exp NAME` prints (table and CSV) at the entry's
+// options.
 var goldenFigures = []struct {
 	name   string
 	render func() ([]byte, error)
 	digest string
 }{
 	{
-		name: "fig2a",
-		render: func() ([]byte, error) {
-			return figureBytes(Fig2a(Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}))
-		},
+		name:   "fig2a",
+		render: catalogued("fig2a", Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}, MSFOptions{}),
 		digest: "4e173ac43af293cdf96467191d33efa7",
 	},
 	{
-		name: "attrib",
-		render: func() ([]byte, error) {
-			o := Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}
-			r, err := AttributionReport(o)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			r.Render(&buf)
-			r.CSV(&buf)
-			return buf.Bytes(), nil
-		},
+		name:   "attrib",
+		render: catalogued("attrib", Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}, MSFOptions{}),
 		digest: "d58d233434a00d471aa7fccef7e07c16",
 	},
 	{
-		name: "fig4-msf",
-		render: func() ([]byte, error) {
-			return figureBytes(Fig4(MSFOptions{Width: 16, Height: 16, Threads: []int{1, 2}, Seed: 1}))
-		},
+		name:   "fig4",
+		render: catalogued("fig4", Options{}, MSFOptions{Width: 16, Height: 16, Threads: []int{1, 2}, Seed: 1}),
 		digest: "2bad19ae47781ac3fa00df620f477234",
 	},
 	{
@@ -58,10 +48,8 @@ var goldenFigures = []struct {
 		// the skew-inflation notes — pinned end to end: any drift in the
 		// zipfian generator, the latency histogram's bucketing or the
 		// driver's RNG sequencing shows up here.
-		name: "tail",
-		render: func() ([]byte, error) {
-			return figureBytes(TailFigure(Options{Threads: []int{1, 2}, OpsPerThread: 200, Seed: 1}))
-		},
+		name:   "tail",
+		render: catalogued("tail", Options{Threads: []int{1, 2}, OpsPerThread: 200, Seed: 1}, MSFOptions{}),
 		digest: "b27cc7ec29aab6888fd6311100803969",
 	},
 	{
@@ -69,10 +57,8 @@ var goldenFigures = []struct {
 		// consumer of an arrival process — pinned end to end: the diurnal
 		// arrival stream, routing, batching, 2PC and the per-shard window
 		// verdicts in its notes.
-		name: "fleet",
-		render: func() ([]byte, error) {
-			return figureBytes(FleetFigure(Options{OpsPerThread: 60, Seed: 1}))
-		},
+		name:   "fleet",
+		render: catalogued("fleet", Options{OpsPerThread: 60, Seed: 1}, MSFOptions{}),
 		digest: "d878f8e3b40e834d94a3a9a67589ad46",
 	},
 	// The retry configurations that no other digest reaches: TLE's
@@ -80,51 +66,57 @@ var goldenFigures = []struct {
 	// PhTM's per-design tunings under paper and adaptive, and the
 	// Section 6.1 profile's 2- and 8-try budgets.
 	{
-		name: "fig3a",
-		render: func() ([]byte, error) {
-			return figureBytes(Fig3a(Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}))
-		},
+		name:   "fig3a",
+		render: catalogued("fig3a", Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}, MSFOptions{}),
 		digest: "32c8bfd623897df43da3fe7c50850283",
 	},
 	{
-		name: "ablate-retry",
-		render: func() ([]byte, error) {
-			return figureBytes(AblationRetryBudget(Options{Threads: []int{1, 2, 4}, OpsPerThread: 200, Seed: 1}))
-		},
+		name:   "ablate-retry",
+		render: catalogued("ablate-retry", Options{Threads: []int{1, 2, 4}, OpsPerThread: 200, Seed: 1}, MSFOptions{}),
 		digest: "36637878d56f0116ad3c25ed825a1a7d",
 	},
 	{
 		// At one or two threads the three weights render identically; at
 		// 16 the ucti=2 curve departs.
-		name: "ablate-ucti",
-		render: func() ([]byte, error) {
-			return figureBytes(AblationUCTIWeight(Options{Threads: []int{16}, OpsPerThread: 300, Seed: 1}))
-		},
+		name:   "ablate-ucti",
+		render: catalogued("ablate-ucti", Options{Threads: []int{16}, OpsPerThread: 300, Seed: 1}, MSFOptions{}),
 		digest: "346eef6a39bb3c711e7c4f45aa28c59d",
 	},
 	{
 		name:   "htmdesign",
-		render: func() ([]byte, error) { return figureBytes(HTMDesignFigure(htmTestOptions())) },
+		render: catalogued("htmdesign", htmTestOptions(), MSFOptions{}),
 		digest: "28d6444698d8d32bf9b46e0d68ff7771",
 	},
 	{
+		// The profile row always runs three tree sizes and prints a header;
+		// this digest pins the report's lines for two sizes, joined.
 		name: "profile",
 		render: func() ([]byte, error) {
-			return []byte(strings.Join(ProfileReport(150, []int{1024, 4096}), "\n")), nil
+			return []byte(strings.Join(ProfileReport(150, []int{1024, 4096}).lines(), "\n")), nil
 		},
 		digest: "dbe8d24e486f08b0a1a1f476988a9e2b",
 	},
 }
 
-// figureBytes renders a figure's table and CSV, the bytes a digest pins.
-func figureBytes(f *Figure, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
+// catalogued runs catalogue row name at o and mo and renders its table and
+// CSV, the bytes a digest pins.
+func catalogued(name string, o Options, mo MSFOptions) func() ([]byte, error) {
+	return func() ([]byte, error) {
+		for _, e := range Catalogue {
+			if e.Name != name {
+				continue
+			}
+			rep, err := e.Run(o, mo, 0)
+			if err != nil {
+				return nil, err
+			}
+			var buf bytes.Buffer
+			rep.Render(&buf)
+			rep.CSV(&buf)
+			return buf.Bytes(), nil
+		}
+		return nil, fmt.Errorf("no catalogue row %q", name)
 	}
-	var buf bytes.Buffer
-	f.Render(&buf)
-	f.CSV(&buf)
-	return buf.Bytes(), nil
 }
 
 func TestGoldenFigureBytes(t *testing.T) {

@@ -58,64 +58,42 @@ func (f Finding) String() string {
 		f.Kind, f.FirstWindow, f.LastWindow, f.StartCycle, f.EndCycle, f.Severity, f.Evidence)
 }
 
-// Detector thresholds. They are exported as a config struct so tests and
-// experiments can tighten or relax them; DefaultDetectConfig matches the
-// scales E23 measured.
-type DetectConfig struct {
-	// PhaseFlip: fallback fraction must exceed the series baseline by
-	// FallbackJump AND the window p99.9 must exceed PhaseFlipLatFactor ×
-	// the series' median ops-bearing-window p99.9.
-	FallbackJump       float64
-	PhaseFlipLatFactor float64
-	// Lemming: at least LemmingRun consecutive windows with fallback
-	// fraction ≥ LemmingFrac while the hardware abort picture has cleared
-	// (abort rate ≤ LemmingAbortCeiling).
-	LemmingFrac         float64
-	LemmingRun          int
-	LemmingAbortCeiling float64
-	// Hot-key storm: abort rate ≥ StormAbortRate with coherence-bit share
-	// ≥ StormCohShare.
-	StormAbortRate float64
-	StormCohShare  float64
-	// Capacity-hopeless: abort rate ≥ CapAbortRate with capacity-bit share
-	// ≥ CapShare over at least CapRun consecutive windows.
-	CapAbortRate float64
-	CapShare     float64
-	CapRun       int
-	// MinOps gates latency-based detectors: windows with fewer completed
-	// ops than this have meaningless percentiles and are skipped.
-	MinOps uint64
-}
+// Detector thresholds, calibrated against the E23/E24 sweeps (see
+// docs/OBSERVABILITY.md for the calibration notes).
+const (
+	// Phase flip: the fallback fraction exceeds the series baseline by
+	// fallbackJump and the window p99.9 exceeds phaseFlipLatFactor × the
+	// series' median ops-bearing-window p99.9.
+	fallbackJump       = 0.10
+	phaseFlipLatFactor = 2.0
+	// Lemming: at least lemmingRun consecutive windows with fallback
+	// fraction ≥ lemmingFrac while the hardware abort picture has cleared
+	// (abort rate ≤ lemmingAbortCeiling).
+	lemmingFrac         = 0.50
+	lemmingRun          = 3
+	lemmingAbortCeiling = 0.10
+	// Hot-key storm: abort rate ≥ stormAbortRate with coherence-bit share
+	// ≥ stormCohShare.
+	stormAbortRate = 0.50
+	stormCohShare  = 0.60
+	// Capacity-hopeless: abort rate ≥ capAbortRate with capacity-bit share
+	// ≥ capShare over at least capRun consecutive windows.
+	capAbortRate = 0.50
+	capShare     = 0.60
+	capRun       = 2
+	// detectMinOps gates the latency-based detector: windows with fewer
+	// completed ops than this have meaningless percentiles and are skipped.
+	detectMinOps = 8
+)
 
-// DefaultDetectConfig returns the thresholds tuned against the E23/E24
-// sweeps (see docs/OBSERVABILITY.md for the calibration notes).
-func DefaultDetectConfig() DetectConfig {
-	return DetectConfig{
-		FallbackJump:        0.10,
-		PhaseFlipLatFactor:  2.0,
-		LemmingFrac:         0.50,
-		LemmingRun:          3,
-		LemmingAbortCeiling: 0.10,
-		StormAbortRate:      0.50,
-		StormCohShare:       0.60,
-		CapAbortRate:        0.50,
-		CapShare:            0.60,
-		CapRun:              2,
-		MinOps:              8,
-	}
-}
-
-// Detect runs every detector over the series with default thresholds.
-func Detect(s Series) []Finding { return DetectWith(s, DefaultDetectConfig()) }
-
-// DetectWith runs every detector with explicit thresholds. Findings are
-// ordered by (first window, kind) for deterministic output.
-func DetectWith(s Series, cfg DetectConfig) []Finding {
+// Detect runs every detector over the series. Findings are ordered by
+// (first window, kind) for deterministic output.
+func Detect(s Series) []Finding {
 	var out []Finding
-	out = append(out, detectPhaseFlip(s, cfg)...)
-	out = append(out, detectLemming(s, cfg)...)
-	out = append(out, detectStorm(s, cfg)...)
-	out = append(out, detectCapacity(s, cfg)...)
+	out = append(out, detectPhaseFlip(s)...)
+	out = append(out, detectLemming(s)...)
+	out = append(out, detectStorm(s)...)
+	out = append(out, detectCapacity(s)...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].FirstWindow != out[j].FirstWindow {
 			return out[i].FirstWindow < out[j].FirstWindow
@@ -127,12 +105,12 @@ func DetectWith(s Series, cfg DetectConfig) []Finding {
 
 // baselines computes the series-wide reference levels the relative
 // detectors compare against: the median fallback fraction and median
-// p99.9 over windows that completed at least minOps operations.
-func baselines(s Series, minOps uint64) (fbBase float64, latBase int64, ok bool) {
+// p99.9 over windows that completed at least detectMinOps operations.
+func baselines(s Series) (fbBase float64, latBase int64, ok bool) {
 	var fbs []float64
 	var lats []int64
 	for _, w := range s.Windows {
-		if w.Ops < minOps {
+		if w.Ops < detectMinOps {
 			continue
 		}
 		fbs = append(fbs, w.FallbackFrac)
@@ -177,23 +155,23 @@ func group(s Series, kind string, flagged []int, sev func(i int) float64, evid f
 	return out
 }
 
-func detectPhaseFlip(s Series, cfg DetectConfig) []Finding {
-	fbBase, latBase, ok := baselines(s, cfg.MinOps)
+func detectPhaseFlip(s Series) []Finding {
+	fbBase, latBase, ok := baselines(s)
 	if !ok || latBase == 0 {
 		return nil
 	}
 	var flagged []int
 	for i, w := range s.Windows {
-		if w.Ops < cfg.MinOps {
+		if w.Ops < detectMinOps {
 			continue
 		}
-		if w.FallbackFrac >= fbBase+cfg.FallbackJump &&
-			float64(w.P999) >= cfg.PhaseFlipLatFactor*float64(latBase) {
+		if w.FallbackFrac >= fbBase+fallbackJump &&
+			float64(w.P999) >= phaseFlipLatFactor*float64(latBase) {
 			flagged = append(flagged, i)
 		}
 	}
 	sev := func(i int) float64 {
-		return float64(s.Windows[i].P999) / (cfg.PhaseFlipLatFactor * float64(latBase))
+		return float64(s.Windows[i].P999) / (phaseFlipLatFactor * float64(latBase))
 	}
 	evid := func(i int) string {
 		w := s.Windows[i]
@@ -207,7 +185,7 @@ func detectPhaseFlip(s Series, cfg DetectConfig) []Finding {
 	return group(s, KindPhaseFlipDrain, flagged, sev, evid)
 }
 
-func detectLemming(s Series, cfg DetectConfig) []Finding {
+func detectLemming(s Series) []Finding {
 	// A convoy is a hardware path abandoned, not a system that never had
 	// one: pure-software systems run at fallback fraction 1.0 by
 	// construction and must not flag.
@@ -223,11 +201,11 @@ func detectLemming(s Series, cfg DetectConfig) []Finding {
 		if w.Commits+w.SWCommits+w.Fallbacks == 0 {
 			continue
 		}
-		if w.FallbackFrac >= cfg.LemmingFrac && w.AbortRate <= cfg.LemmingAbortCeiling {
+		if w.FallbackFrac >= lemmingFrac && w.AbortRate <= lemmingAbortCeiling {
 			flagged = append(flagged, i)
 		}
 	}
-	sev := func(i int) float64 { return s.Windows[i].FallbackFrac / cfg.LemmingFrac }
+	sev := func(i int) float64 { return s.Windows[i].FallbackFrac / lemmingFrac }
 	evid := func(i int) string {
 		w := s.Windows[i]
 		return fmt.Sprintf("fallback frac %.2f with abort rate %.2f — fallback path outliving its trigger",
@@ -237,25 +215,25 @@ func detectLemming(s Series, cfg DetectConfig) []Finding {
 	// Only runs long enough to be a convoy, not a single flip window.
 	var out []Finding
 	for _, f := range fs {
-		if f.LastWindow-f.FirstWindow+1 >= cfg.LemmingRun {
+		if f.LastWindow-f.FirstWindow+1 >= lemmingRun {
 			out = append(out, f)
 		}
 	}
 	return out
 }
 
-func detectStorm(s Series, cfg DetectConfig) []Finding {
+func detectStorm(s Series) []Finding {
 	coh := cps.COH
 	var flagged []int
 	for i, w := range s.Windows {
 		if w.Aborts+w.Commits == 0 {
 			continue
 		}
-		if w.AbortRate >= cfg.StormAbortRate && w.CPSShare(coh) >= cfg.StormCohShare {
+		if w.AbortRate >= stormAbortRate && w.CPSShare(coh) >= stormCohShare {
 			flagged = append(flagged, i)
 		}
 	}
-	sev := func(i int) float64 { return s.Windows[i].AbortRate / cfg.StormAbortRate }
+	sev := func(i int) float64 { return s.Windows[i].AbortRate / stormAbortRate }
 	evid := func(i int) string {
 		w := s.Windows[i]
 		return fmt.Sprintf("abort rate %.2f, coherence (COH) share %.2f of %d aborts",
@@ -264,18 +242,18 @@ func detectStorm(s Series, cfg DetectConfig) []Finding {
 	return group(s, KindHotKeyAbortStorm, flagged, sev, evid)
 }
 
-func detectCapacity(s Series, cfg DetectConfig) []Finding {
+func detectCapacity(s Series) []Finding {
 	capBits := cps.SIZ | cps.ST
 	var flagged []int
 	for i, w := range s.Windows {
 		if w.Aborts+w.Commits == 0 {
 			continue
 		}
-		if w.AbortRate >= cfg.CapAbortRate && w.CPSShare(capBits) >= cfg.CapShare {
+		if w.AbortRate >= capAbortRate && w.CPSShare(capBits) >= capShare {
 			flagged = append(flagged, i)
 		}
 	}
-	sev := func(i int) float64 { return s.Windows[i].AbortRate / cfg.CapAbortRate }
+	sev := func(i int) float64 { return s.Windows[i].AbortRate / capAbortRate }
 	evid := func(i int) string {
 		w := s.Windows[i]
 		return fmt.Sprintf("abort rate %.2f with capacity (SIZ|ST) share %.2f — footprint exceeds hardware",
@@ -284,7 +262,7 @@ func detectCapacity(s Series, cfg DetectConfig) []Finding {
 	fs := group(s, KindCapacityHopeless, flagged, sev, evid)
 	var out []Finding
 	for _, f := range fs {
-		if f.LastWindow-f.FirstWindow+1 >= cfg.CapRun {
+		if f.LastWindow-f.FirstWindow+1 >= capRun {
 			out = append(out, f)
 		}
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 
@@ -155,16 +156,25 @@ func TestSameShardTwiceCollapses(t *testing.T) {
 	}
 }
 
-// Property: after ANY aborted transaction — whatever the op mix, crash
-// point, router or injected machine faults — fleet state equals the
-// pre-transaction state exactly. Exercised across routers, TM systems
-// (plain lock and PhTM) and an adversarial fault profile.
+// twoPCSystems are the TM systems the 2PC properties run each shard on:
+// a plain lock, and PhTM, whose hardware attempts can abort and retry a
+// prepare or commit body.
+var twoPCSystems = map[string]SystemBuilder{
+	"one-lock": func(m *sim.Machine) core.System { return locktm.NewOneLock(m) },
+	"phtm":     func(m *sim.Machine) core.System { return phtm.New(m, sky.New(m), phtm.DefaultConfig()) },
+}
+
+// Property: after ANY transaction — whatever the op mix, crash point,
+// router or injected machine faults — each shard's table is exactly what a
+// map model of the shard says, and no lock owner is left behind. A
+// committed transaction applies every op in order; an aborted one leaves
+// the pre-transaction state exactly. Random lookups, inserts and deletes
+// over the whole keyspace run back to back, so each commit reuses the
+// storage of earlier, larger legs; about one in four crashes the
+// coordinator after a prefix of prepares. Exercised across routers, TM
+// systems (plain lock and PhTM) and an adversarial fault profile.
 func TestAbortRestoresStateProperty(t *testing.T) {
-	systems := map[string]SystemBuilder{
-		"one-lock": func(m *sim.Machine) core.System { return locktm.NewOneLock(m) },
-		"phtm":     func(m *sim.Machine) core.System { return phtm.New(m, sky.New(m), phtm.DefaultConfig()) },
-	}
-	for sysName, sys := range systems {
+	for sysName, sys := range twoPCSystems {
 		for _, routerName := range RouterNames() {
 			for _, profile := range []string{"none", "inval"} {
 				router, err := NewRouter(routerName, 3, 128)
@@ -172,30 +182,48 @@ func TestAbortRestoresStateProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				f := testFleet(t, 3, router, sim.FaultProfile(profile), sys)
-				rng := uint64(12345)
+				model := make([]map[uint64]sim.Word, f.Shards())
+				for i := range model {
+					model[i] = f.ShardState(i)
+				}
+				rng := uint64(54321)
 				next := func(n int) int {
 					rng = rng*6364136223846793005 + 1442695040888963407
 					return int((rng >> 33) % uint64(n))
 				}
 				at := int64(0)
-				for trial := 0; trial < 25; trial++ {
-					nops := 1 + next(3)
-					var ops []Op
-					for j := 0; j < nops; j++ {
-						ops = append(ops, Op{
-							Kind: OpKind(next(3)),
-							Key:  uint64(next(128)),
-							Val:  sim.Word(1000 + trial),
-						})
+				for trial := 0; trial < 60; trial++ {
+					ops := make([]Op, 1+next(4))
+					for j := range ops {
+						ops[j] = Op{Kind: OpKind(next(3)), Key: uint64(next(128)), Val: sim.Word(1000 + trial)}
 					}
-					failAfter := next(nops+2) - 1 // -1 (no crash) .. nops
-					before := snapshot(f)
+					failAfter := -1
+					if next(4) == 0 {
+						failAfter = next(len(ops) + 1)
+					}
 					out := f.RunTxn(at, ops, failAfter)
 					at = out.Completed
-					if !out.Committed {
-						if got := snapshot(f); !reflect.DeepEqual(got, before) {
-							t.Fatalf("%s/%s/%s trial %d: aborted txn (failAfter=%d, ops=%v) changed state",
-								sysName, routerName, profile, trial, failAfter, ops)
+					if out.Committed != (failAfter < 0) {
+						t.Fatalf("%s/%s/%s trial %d: committed=%v with failAfter=%d", sysName, routerName, profile, trial, out.Committed, failAfter)
+					}
+					if out.Committed {
+						for _, op := range ops {
+							st := model[router.Shard(op.Key)]
+							switch _, present := st[op.Key]; {
+							case op.Kind == Insert && !present:
+								st[op.Key] = op.Val
+							case op.Kind == Delete:
+								delete(st, op.Key)
+							}
+						}
+					}
+					for i := range model {
+						if got := f.ShardState(i); !maps.Equal(got, model[i]) {
+							t.Fatalf("%s/%s/%s trial %d: shard %d after ops %v (failAfter=%d) holds %v, model %v",
+								sysName, routerName, profile, trial, i, ops, failAfter, got, model[i])
+						}
+						if owners := f.LockOwners(i); len(owners) != 0 {
+							t.Fatalf("%s/%s/%s trial %d: shard %d holds owners %v", sysName, routerName, profile, trial, i, owners)
 						}
 					}
 				}
