@@ -6,7 +6,8 @@
 //	figures -exp all                 # everything (parallel across host cores)
 //	figures -exp list                # list valid experiment names
 //	figures -exp fig1a,fig2b         # selected experiments
-//	figures -exp fig4 -msf-dim 96    # a bigger roadmap
+//	figures -exp table1 -ops 200     # Section 3's CPS tests, 200 attempts each
+//	figures -exp fig4 -msf-dim 128   # a bigger roadmap
 //	figures -ops 20000               # more operations per thread
 //	figures -csv                     # machine-readable output too
 //	figures -json                    # one JSON document per figure
@@ -33,6 +34,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -112,21 +114,27 @@ type cliFlags struct {
 	progress *bool
 }
 
-// registerFlags declares the full flag surface on fs.
+// registerFlags declares the full flag surface on fs. The experiment
+// flags' defaults are bench.Options' defaults.
 func registerFlags(fs *flag.FlagSet) *cliFlags {
+	d := bench.Options{}.Defaults()
+	threads := make([]string, len(d.Threads))
+	for i, n := range d.Threads {
+		threads[i] = strconv.Itoa(n)
+	}
 	return &cliFlags{
 		exp:      fs.String("exp", "all", "comma-separated experiment names, 'all', or 'list'"),
-		ops:      fs.Int("ops", 4000, "operations per thread"),
-		threads:  fs.String("threads", "1,2,3,4,6,8,12,16", "thread counts"),
-		seed:     fs.Uint64("seed", 1, "experiment seed"),
+		ops:      fs.Int("ops", d.OpsPerThread, "operations per thread (table1: attempts per scenario)"),
+		threads:  fs.String("threads", strings.Join(threads, ","), "thread counts"),
+		seed:     fs.Uint64("seed", d.Seed, "experiment seed"),
 		csv:      fs.Bool("csv", false, "also emit CSV rows"),
 		latency:  fs.Bool("latency", false, "record per-operation latency and add p50/p90/p99/p99.9 columns to every workload-driven figure"),
 		json:     fs.Bool("json", false, "also emit one JSON document per figure/report"),
 		trace:    fs.String("trace", "", "write a Chrome trace_event JSON file with one run per cell of each experiment that captures (see bench.Catalogue), labelled experiment/curve@NT (forces serial, uncached cells)"),
 		timeline: fs.String("timeline", "", "write the windowed timeseries of the same cells, under the same labels, to this file (.csv for CSV, else JSON; forces serial, uncached cells)"),
 		tlWindow: fs.Int64("timeline-window", 0, "timeseries window width in simulated cycles (0 = default, else at least 256)"),
-		msfDim:   fs.Int("msf-dim", 96, "roadmap grid dimension (msf-dim x msf-dim vertices)"),
-		profOps:  fs.Int("profile-ops", 1500, "operations for the Section 6.1 profile"),
+		msfDim:   fs.Int("msf-dim", d.MSFDim, "roadmap grid dimension (msf-dim x msf-dim vertices)"),
+		profOps:  fs.Int("profile-ops", d.ProfileOps, "operations for the Section 6.1 profile"),
 		cpuProf:  fs.String("cpuprofile", "", "write a pprof CPU profile to this file (forces serial, uncached cells)"),
 		memProf:  fs.String("memprofile", "", "write a pprof allocation profile to this file (forces serial, uncached cells)"),
 		parallel: fs.Int("parallel", 0, "experiment-cell workers (0 = GOMAXPROCS, 1 = serial)"),
@@ -136,56 +144,65 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 	}
 }
 
-func main() {
-	fl := registerFlags(flag.CommandLine)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes the selected experiments'
+// reports to stdout and diagnostics to stderr, and returns the exit
+// status — 2 for a usage error, 1 for a failed experiment or output file.
+// It opens the result cache only once the selection is valid and names
+// at least one experiment, so -exp list and rejected input leave no
+// cache directory behind.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fl := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	threads, err := validate(fl)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "figures:", err)
+		return 2
+	}
+	valid := experimentNames()
+	if *fl.exp == "list" {
+		for _, n := range valid {
+			fmt.Fprintln(stdout, n)
+		}
+		return 0
+	}
+	selected, err := parseExpFlag(*fl.exp, valid)
+	if err != nil {
+		fmt.Fprintln(stderr, "figures:", err)
+		return 2
 	}
 
 	if forceSerial(fl) {
-		fmt.Fprintln(os.Stderr, "figures: -cpuprofile, -memprofile, -trace and -timeline force serial, uncached cell execution")
+		fmt.Fprintln(stderr, "figures: -cpuprofile, -memprofile, -trace and -timeline force serial, uncached cell execution")
 	}
-
-	// stopProfiles is invoked explicitly on the exit path (main exits via
-	// os.Exit inside a defer, which would skip ordinary deferred profile
-	// flushes).
-	stopProfiles := func() {}
-	if *fl.cpuProf != "" || *fl.memProf != "" {
-		cpuPath, memPath := *fl.cpuProf, *fl.memProf
-		if cpuPath != "" {
-			f, err := os.Create(cpuPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				os.Exit(2)
-			}
-			if err := pprof.StartCPUProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				os.Exit(2)
-			}
+	// Deferred calls run last first: the CPU profile stops before the
+	// final heap is written.
+	if *fl.memProf != "" {
+		defer writeHeapProfile(*fl.memProf, stderr)
+	}
+	if *fl.cpuProf != "" {
+		f, err := os.Create(*fl.cpuProf)
+		if err != nil {
+			fmt.Fprintln(stderr, "figures:", err)
+			return 2
 		}
-		stopProfiles = func() {
-			if cpuPath != "" {
-				pprof.StopCPUProfile()
-				fmt.Fprintf(os.Stderr, "figures: wrote CPU profile to %s (go tool pprof %s)\n", cpuPath, cpuPath)
-			}
-			if memPath != "" {
-				f, err := os.Create(memPath)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "figures:", err)
-					return
-				}
-				runtime.GC() // flush the final heap state into the profile
-				if err := pprof.WriteHeapProfile(f); err != nil {
-					fmt.Fprintln(os.Stderr, "figures:", err)
-				}
-				f.Close()
-				fmt.Fprintf(os.Stderr, "figures: wrote allocation profile to %s\n", memPath)
-			}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintln(stderr, "figures:", err)
+			return 2
 		}
+		defer func() {
+			pprof.StopCPUProfile()
+			fmt.Fprintf(stderr, "figures: wrote CPU profile to %s (go tool pprof %s)\n", *fl.cpuProf, *fl.cpuProf)
+		}()
 	}
 
 	// The orchestrator: worker pool + result cache.
@@ -193,16 +210,25 @@ func main() {
 	if !*fl.noCache {
 		cache, err := runner.OpenCache(*fl.cacheDir, runner.CacheVersion)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v (continuing uncached)\n", err)
+			fmt.Fprintf(stderr, "figures: %v (continuing uncached)\n", err)
 		} else {
 			pool.Cache = cache
+			// Corrupted entries fell back to recompute; say which.
+			defer func() {
+				for _, w := range cache.Warnings() {
+					fmt.Fprintf(stderr, "figures: %s\n", w)
+				}
+			}()
 		}
 	}
 	if *fl.progress {
-		pool.OnProgress = func(pr runner.Progress) { fmt.Fprintln(os.Stderr, progressLine(pr)) }
+		pool.OnProgress = func(pr runner.Progress) { fmt.Fprintln(stderr, progressLine(pr)) }
 	}
 
-	o := bench.Options{Threads: threads, OpsPerThread: *fl.ops, Seed: *fl.seed, Runner: pool, Latency: *fl.latency, TimelineWindow: *fl.tlWindow}
+	o := bench.Options{
+		Threads: threads, OpsPerThread: *fl.ops, Seed: *fl.seed, MSFDim: *fl.msfDim, ProfileOps: *fl.profOps,
+		Runner: pool, Latency: *fl.latency, TimelineWindow: *fl.tlWindow,
+	}
 	var sink *obs.TraceSink
 	if *fl.trace != "" {
 		sink = &obs.TraceSink{}
@@ -213,56 +239,24 @@ func main() {
 		tlSink = &timeseries.Sink{}
 		o.Timeline = tlSink
 	}
-	mo := bench.MSFOptions{Width: *fl.msfDim, Height: *fl.msfDim, Threads: threads, Seed: *fl.seed, Runner: pool}
-
-	valid := experimentNames()
-
-	if *fl.exp == "list" {
-		for _, n := range valid {
-			fmt.Println(n)
-		}
-		return
-	}
-	selected, err := parseExpFlag(*fl.exp, valid)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(2)
-	}
-	all := selected == nil
-
-	exitCode := 0
-	defer func() {
-		if pool.Cache != nil {
-			// Corrupted entries fell back to recompute; say which.
-			for _, w := range pool.Cache.Warnings() {
-				fmt.Fprintf(os.Stderr, "figures: %s\n", w)
-			}
-		}
-		stopProfiles()
-		os.Exit(exitCode)
-	}()
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format, args...)
-		exitCode = 1
-	}
 
 	for _, e := range bench.Catalogue {
-		if !all && !selected[e.Name] {
+		if selected != nil && !selected[e.Name] {
 			continue
 		}
-		rep, err := e.Run(o, mo, *fl.profOps)
+		rep, err := e.Run(o)
 		if err != nil {
-			fail("figures: %s: %v\n", e.Name, err)
-			return
+			fmt.Fprintf(stderr, "figures: %s: %v\n", e.Name, err)
+			return 1
 		}
-		rep.Render(os.Stdout)
+		rep.Render(stdout)
 		if *fl.csv {
-			rep.CSV(os.Stdout)
+			rep.CSV(stdout)
 		}
 		if *fl.json {
-			if err := rep.JSON(os.Stdout); err != nil {
-				fail("figures: %s: json: %v\n", e.Name, err)
-				return
+			if err := rep.JSON(stdout); err != nil {
+				fmt.Fprintf(stderr, "figures: %s: json: %v\n", e.Name, err)
+				return 1
 			}
 		}
 	}
@@ -275,42 +269,49 @@ func main() {
 				sink.AddCounters(label, s.FreqGHz, s.CounterTracks())
 			})
 		}
-		f, err := os.Create(*fl.trace)
-		if err != nil {
-			fail("figures: %v\n", err)
-			return
+		if err := writeFile(*fl.trace, sink.WriteChrome); err != nil {
+			fmt.Fprintf(stderr, "figures: trace: %v\n", err)
+			return 1
 		}
-		if err := sink.WriteChrome(f); err != nil {
-			fail("figures: trace: %v\n", err)
-			return
-		}
-		if err := f.Close(); err != nil {
-			fail("figures: trace: %v\n", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "figures: wrote %d events from %d runs to %s (load in Perfetto / chrome://tracing)\n",
+		fmt.Fprintf(stderr, "figures: wrote %d events from %d runs to %s (load in Perfetto / chrome://tracing)\n",
 			sink.Events(), sink.Runs(), *fl.trace)
 	}
 	if tlSink != nil {
-		f, err := os.Create(*fl.timeline)
-		if err != nil {
-			fail("figures: %v\n", err)
-			return
-		}
 		write := tlSink.WriteJSON
 		if strings.HasSuffix(*fl.timeline, ".csv") {
 			write = tlSink.WriteCSV
 		}
-		if werr := write(f); werr != nil {
-			fail("figures: timeline: %v\n", werr)
-			return
+		if err := writeFile(*fl.timeline, write); err != nil {
+			fmt.Fprintf(stderr, "figures: timeline: %v\n", err)
+			return 1
 		}
-		if err := f.Close(); err != nil {
-			fail("figures: timeline: %v\n", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "figures: wrote window series of %d runs to %s\n", tlSink.Runs(), *fl.timeline)
+		fmt.Fprintf(stderr, "figures: wrote window series of %d runs to %s\n", tlSink.Runs(), *fl.timeline)
 	}
+	return 0
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeHeapProfile writes a pprof allocation profile of the final heap to
+// path.
+func writeHeapProfile(path string, stderr io.Writer) {
+	runtime.GC() // flush the final heap state into the profile
+	if err := writeFile(path, pprof.WriteHeapProfile); err != nil {
+		fmt.Fprintln(stderr, "figures:", err)
+		return
+	}
+	fmt.Fprintf(stderr, "figures: wrote allocation profile to %s\n", path)
 }
 
 // progressLine formats one -progress report. The benchmark harness
@@ -349,7 +350,7 @@ func validate(fl *cliFlags) ([]int, error) {
 			return nil, fmt.Errorf("-%s must be positive, got %d", f.name, f.v)
 		}
 	}
-	if err := bench.CheckMSFGrid(*fl.msfDim, *fl.msfDim, bench.MSFOptions{}.Defaults().Extra); err != nil {
+	if err := bench.CheckMSFGrid(*fl.msfDim, *fl.msfDim, bench.MSFExtra); err != nil {
 		return nil, fmt.Errorf("-msf-dim %d: %w", *fl.msfDim, err)
 	}
 	// The experiments read seed 0 as "use seed 1", so it would silently

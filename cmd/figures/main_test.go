@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"regexp"
 	"slices"
 	"sort"
@@ -56,13 +57,13 @@ func TestParseExpFlagSelection(t *testing.T) {
 }
 
 // documentedNames is what -exp list prints: every experiment the paper
-// reproduction and its extensions document, the attribution report and
-// the profile among them, each once and sorted.
+// reproduction and its extensions document, Table 1, the attribution
+// report and the profile among them, each once and sorted.
 var documentedNames = []string{
 	"ablate-retry", "ablate-throttle", "ablate-ucti", "attrib", "counter",
 	"dcas", "divide", "fig1a", "fig1b", "fig1ro", "fig2a", "fig2b", "fig3a",
 	"fig3b", "fig4", "fleet", "htmdesign", "inline", "msfse", "policy",
-	"profile", "tail", "timeline", "treemap", "volano",
+	"profile", "table1", "tail", "timeline", "treemap", "volano",
 }
 
 // -exp list is exactly the documented names: a catalogue row dropped,
@@ -189,6 +190,53 @@ func TestInvalidFlagsRejected(t *testing.T) {
 	}
 }
 
+// Listing the experiments and rejected input write nothing to the working
+// directory: the result cache, which creates -cache-dir, used to be opened
+// before -exp was read, so -exp list and an unknown name each left an
+// empty .rockcache/ behind. The command's exit status and output are
+// checked too.
+func TestListAndRejectedInputLeaveNoFiles(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	for _, c := range []struct {
+		args   []string
+		status int
+		stdout string
+		stderr string
+	}{
+		{[]string{"-exp", "list"}, 0, strings.Join(documentedNames, "\n") + "\n", ""},
+		{[]string{"-exp", "no-such-experiment"}, 2, "", `unknown experiment "no-such-experiment"`},
+		{[]string{"-exp", ","}, 2, "", "no experiments selected"},
+		{[]string{"-exp", "fig1a", "-ops", "0", "-cpuprofile", "c.pprof"}, 2, "", "-ops"},
+		{[]string{"-no-such-flag"}, 2, "", "-no-such-flag"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := run(c.args, &stdout, &stderr); got != c.status {
+			t.Errorf("%v: exit status %d, want %d (stderr %q)", c.args, got, c.status, stderr.String())
+		}
+		if stdout.String() != c.stdout {
+			t.Errorf("%v: stdout %q, want %q", c.args, stdout.String(), c.stdout)
+		}
+		if !strings.Contains(stderr.String(), c.stderr) {
+			t.Errorf("%v: stderr %q does not name %s", c.args, stderr.String(), c.stderr)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			t.Errorf("%v left %s in the working directory", c.args, e.Name())
+		}
+	}
+}
+
 // The -progress line layout is an interface: the repository benchmark
 // derives its per-cell timings from lines matching this pattern.
 var progressPattern = regexp.MustCompile(`^figures: \d+/\d+ cells .* last=`)
@@ -251,15 +299,16 @@ func TestSerialFlagsForceSerialUncached(t *testing.T) {
 }
 
 // -trace and -timeline capture every single-machine cell: each catalogue
-// row but fig4 and msfse (the MSF runner), fleet (many machines per cell)
-// and profile (no cells) deposits one event trace and one window series
-// per cell, labelled with the cell's name, experiment/curve@NT. The test
-// walks the catalogue, so a new experiment is covered without being
-// listed here.
+// row but table1 and profile (no cells), fig4 and msfse (the MSF runner)
+// and fleet (many machines per cell) deposits one event trace and one
+// window series per cell, labelled with the cell's name,
+// experiment/curve@NT, and those five deposit nothing. The test runs the
+// whole catalogue, so a new experiment is covered without being listed
+// here.
 func TestCaptureCoversEveryCell(t *testing.T) {
 	const ops = 10
 	trace, windows := &obs.TraceSink{}, &timeseries.Sink{}
-	o := bench.Options{Threads: []int{1, 2}, OpsPerThread: ops, Seed: 1, Trace: trace, Timeline: windows}
+	o := bench.Options{Threads: []int{1, 2}, OpsPerThread: ops, Seed: 1, MSFDim: 12, ProfileOps: ops, Trace: trace, Timeline: windows}
 	var want []string
 	threads := map[string]int{}
 	cell := func(exp, curve string, th int) {
@@ -270,14 +319,14 @@ func TestCaptureCoversEveryCell(t *testing.T) {
 		want = append(want, label)
 		threads[label] = th
 	}
-	uncaptured := map[string]bool{"fig4": true, "msfse": true, "fleet": true, "profile": true}
+	uncaptured := map[string]bool{"table1": true, "profile": true, "fig4": true, "msfse": true, "fleet": true}
 	for _, e := range bench.Catalogue {
-		if uncaptured[e.Name] {
-			continue
-		}
-		rep, err := e.Run(o, bench.MSFOptions{}, ops)
+		rep, err := e.Run(o)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if uncaptured[e.Name] {
+			continue
 		}
 		switch rep := rep.(type) {
 		case *bench.Figure:
@@ -334,7 +383,8 @@ func TestCaptureCoversEveryCell(t *testing.T) {
 // It is the one test that sends every payload type (Point, fleetPoint,
 // attribCell, timelinePoint, the MSF sweep's) through the single decode
 // a cache hit makes: the figures, CSV and JSON must match the cold run's
-// byte for byte, with every cell cached and no warning.
+// byte for byte, with every cell cached and no warning. Table 1 and the
+// profile have no cells; they recompute the same bytes.
 func TestWarmCacheServesEveryCell(t *testing.T) {
 	dir := t.TempDir()
 	threads := []int{1, 2}
@@ -352,11 +402,10 @@ func TestWarmCacheServesEveryCell(t *testing.T) {
 			}
 			mu.Unlock()
 		}}
-		o := bench.Options{Threads: threads, OpsPerThread: 20, Seed: 1, Runner: pool}
-		mo := bench.MSFOptions{Width: 32, Height: 32, Threads: threads, Seed: 1, Runner: pool}
+		o := bench.Options{Threads: threads, OpsPerThread: 20, Seed: 1, MSFDim: 32, ProfileOps: 20, Runner: pool}
 		var buf bytes.Buffer
 		for _, e := range bench.Catalogue {
-			rep, err := e.Run(o, mo, 20)
+			rep, err := e.Run(o)
 			if err != nil {
 				t.Fatalf("%s: %v", e.Name, err)
 			}

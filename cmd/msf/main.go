@@ -5,7 +5,9 @@
 //	msf -variant opt-le -threads 8 -dim 128
 //	msf -variant orig-sky -threads 4 -dimacs east-usa.gr
 //	msf -variant opt-le -threads 8 -mode se
-//	msf -variant all -threads 8 -parallel 4   # sweep every variant on the worker pool
+//
+// It runs one variant on one graph. The sweep over every variant and
+// thread count is `figures -exp fig4 -msf-dim N -threads T`.
 package main
 
 import (
@@ -17,38 +19,31 @@ import (
 
 	"rocktm/internal/bench"
 	"rocktm/internal/graphgen"
-	"rocktm/internal/runner"
 	"rocktm/internal/sim"
 )
 
 // cliFlags holds every command-line option. Registration happens on an
 // explicit FlagSet so tests can drive validate without a real command line.
 type cliFlags struct {
-	variant  *string
-	threads  *int
-	dim      *int
-	extra    *float64
-	seed     *uint64
-	dimacs   *string
-	mode     *string
-	parallel *int
-	cacheDir *string
-	noCache  *bool
+	variant *string
+	threads *int
+	dim     *int
+	extra   *float64
+	seed    *uint64
+	dimacs  *string
+	mode    *string
 }
 
 // registerFlags declares the full flag surface on fs.
 func registerFlags(fs *flag.FlagSet) *cliFlags {
 	return &cliFlags{
-		variant:  fs.String("variant", "opt-le", "seq | {orig,opt}-{sky,lock,le} | all (pool-parallel sweep)"),
-		threads:  fs.Int("threads", 4, "worker threads"),
-		dim:      fs.Int("dim", 64, "synthetic grid dimension"),
-		extra:    fs.Float64("extra", 0.05, "extra shortcut-edge fraction"),
-		seed:     fs.Uint64("seed", 1, "graph and run seed"),
-		dimacs:   fs.String("dimacs", "", "DIMACS .gr file instead of a synthetic graph"),
-		mode:     fs.String("mode", "sse", "chip mode: sse | se"),
-		parallel: fs.Int("parallel", 0, "sweep workers for -variant all (0 = GOMAXPROCS)"),
-		cacheDir: fs.String("cache-dir", runner.DefaultCacheDir, "result cache directory for -variant all"),
-		noCache:  fs.Bool("no-cache", false, "recompute every sweep cell"),
+		variant: fs.String("variant", "opt-le", "seq | {orig,opt}-{sky,lock,le}"),
+		threads: fs.Int("threads", 4, "worker threads"),
+		dim:     fs.Int("dim", 64, "synthetic grid dimension"),
+		extra:   fs.Float64("extra", bench.MSFExtra, "extra shortcut-edge fraction"),
+		seed:    fs.Uint64("seed", 1, "graph and run seed"),
+		dimacs:  fs.String("dimacs", "", "DIMACS .gr file instead of a synthetic graph"),
+		mode:    fs.String("mode", "sse", "chip mode: sse | se"),
 	}
 }
 
@@ -56,17 +51,13 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 // built, so out-of-range input is a usage error rather than a panic inside
 // the simulated machine or a silently substituted value. It returns the
 // chip mode -mode names.
-//
-// The -variant all sweep reads a zero -extra or -seed as "use the
-// default" (0.05 and 1), so it rejects both rather than build another
-// graph than the single-variant path builds from the same flags.
 func validate(fl *cliFlags) (sim.Mode, error) {
-	if *fl.variant != "all" && !slices.Contains(bench.MSFVariantNames(), "msf-"+*fl.variant) {
+	if !slices.Contains(bench.MSFVariantNames(), "msf-"+*fl.variant) {
 		var names []string
 		for _, name := range bench.MSFVariantNames() {
 			names = append(names, strings.TrimPrefix(name, "msf-"))
 		}
-		return 0, fmt.Errorf("-variant must be all or one of %s, got %q", strings.Join(names, ", "), *fl.variant)
+		return 0, fmt.Errorf("-variant must be one of %s, got %q", strings.Join(names, ", "), *fl.variant)
 	}
 	if *fl.threads < 1 || *fl.threads > sim.MaxStrands {
 		return 0, fmt.Errorf("-threads must be in [1,%d], got %d", sim.MaxStrands, *fl.threads)
@@ -85,15 +76,6 @@ func validate(fl *cliFlags) (sim.Mode, error) {
 			return 0, fmt.Errorf("-dim %d with -extra %g: %w", *fl.dim, *fl.extra, err)
 		}
 	}
-	if *fl.parallel < 0 {
-		return 0, fmt.Errorf("-parallel must not be negative, got %d (0 = GOMAXPROCS)", *fl.parallel)
-	}
-	if *fl.variant == "all" && *fl.extra == 0 {
-		return 0, fmt.Errorf("-extra 0 is not supported with -variant all (the sweep would run -extra 0.05); run one variant at a time")
-	}
-	if *fl.variant == "all" && *fl.seed == 0 {
-		return 0, fmt.Errorf("-seed 0 is not supported with -variant all (the sweep would run -seed 1); run one variant at a time")
-	}
 	switch *fl.mode {
 	case "sse":
 		return sim.SSE, nil
@@ -110,36 +92,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "msf:", err)
 		os.Exit(2)
-	}
-
-	if *fl.variant == "all" {
-		if *fl.dimacs != "" {
-			fatal(fmt.Errorf("-variant all supports synthetic graphs only"))
-		}
-		pool := &runner.Pool{Workers: *fl.parallel}
-		if !*fl.noCache {
-			cache, err := runner.OpenCache(*fl.cacheDir, runner.CacheVersion)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "msf: %v (continuing uncached)\n", err)
-			} else {
-				pool.Cache = cache
-			}
-		}
-		mo := bench.MSFOptions{
-			Width: *fl.dim, Height: *fl.dim, Extra: *fl.extra, Seed: *fl.seed,
-			Threads: []int{*fl.threads}, Mode: mode, Runner: pool,
-		}
-		fig, err := bench.MSFSweepFigure(mo, nil)
-		if err != nil {
-			fatal(err)
-		}
-		fig.Render(os.Stdout)
-		if pool.Cache != nil {
-			for _, w := range pool.Cache.Warnings() {
-				fmt.Fprintf(os.Stderr, "msf: %s\n", w)
-			}
-		}
-		return
 	}
 
 	var n int

@@ -31,11 +31,19 @@ var DefaultThreads = []int{1, 2, 3, 4, 6, 8, 12, 16}
 
 // Options scales experiments; the defaults run every figure in a few
 // minutes on a laptop. The paper ran 1,000,000 operations per thread;
-// OpsPerThread scales that down (cmd/figures' -ops flag).
+// OpsPerThread scales that down (cmd/figures' -ops flag). Defaults states
+// every default, and cmd/figures' flags read them from it.
 type Options struct {
 	Threads      []int
 	OpsPerThread int
 	Seed         uint64
+
+	// MSFDim sizes the Figure 4 and Section 8.1 roadmap: a synthetic road
+	// grid of MSFDim×MSFDim vertices with MSFExtra shortcut edges. The
+	// paper's Eastern-USA roadmap has 3,598,623 nodes.
+	MSFDim int
+	// ProfileOps is the Section 6.1 profile's operations per tree size.
+	ProfileOps int
 
 	// Latency enables per-operation simulated-cycle latency capture on
 	// every workload-driven figure: each point then carries a
@@ -124,6 +132,12 @@ func (o Options) Defaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
+	}
+	if o.MSFDim == 0 {
+		o.MSFDim = 96
+	}
+	if o.ProfileOps == 0 {
+		o.ProfileOps = 1500
 	}
 	return o
 }

@@ -2,8 +2,8 @@ package bench
 
 import "io"
 
-// Report is what one catalogue row produces: a Figure, the AttribReport or
-// the Section 6.1 Profile.
+// Report is what one catalogue row produces: a Figure, the CPSTable, the
+// AttribReport or the Section 6.1 Profile.
 type Report interface {
 	Render(w io.Writer)
 	CSV(w io.Writer)
@@ -11,12 +11,10 @@ type Report interface {
 }
 
 // Experiment is one row of the catalogue: a `figures -exp` name and the
-// run that produces its report. Run takes every option a row may read:
-// the single-machine experiments and fleet read o, fig4 and msfse read mo,
-// and profile reads profileOps.
+// run that produces its report at the given options.
 type Experiment struct {
 	Name string
-	Run  func(o Options, mo MSFOptions, profileOps int) (Report, error)
+	Run  func(Options) (Report, error)
 }
 
 // Catalogue is every experiment, in the order `figures -exp all` prints
@@ -34,52 +32,49 @@ type Experiment struct {
 //
 // Options.Trace and Options.Timeline (figures -trace and -timeline)
 // capture one event trace and one window series per cell of every row but
-// fig4 and msfse (the MSF runner), fleet (many machines per cell) and
-// profile (no cells), each labelled with the cell's name,
-// experiment/curve@NT — the name -progress prints after "last=".
+// table1 and profile (no cells), fig4 and msfse (the MSF runner) and
+// fleet (many machines per cell), each labelled with the cell's name,
+// experiment/curve@NT — the name -progress prints after "last=". Having
+// no cells, table1 and profile are never cached either: they recompute on
+// every run.
 var Catalogue = []Experiment{
-	{"counter", withOptions(CounterFigure)},
-	{"dcas", withOptions(DCASFigure)},
-	{"fig1a", withOptions(Fig1a)},
-	{"fig1b", withOptions(Fig1b)},
-	{"fig1ro", withOptions(Fig1ReadOnly)},
-	{"fig2a", withOptions(Fig2a)},
-	{"fig2b", withOptions(Fig2b)},
-	{"fig3a", withOptions(Fig3a)},
-	{"fig3b", withOptions(Fig3b)},
-	{"divide", withOptions(DivideHashDemo)},
-	{"inline", withOptions(InlineDemo)},
-	{"treemap", withOptions(TreeMapDemo)},
-	{"volano", withOptions(VolanoFigure)},
-	{"tail", withOptions(TailFigure)},
-	{"timeline", withOptions(TimelineFigure)},
-	{"fleet", withOptions(FleetFigure)},
-	{"fig4", withMSF(Fig4)},
-	{"msfse", withMSF(SEModeMSF)},
-	{"ablate-retry", withOptions(AblationRetryBudget)},
-	{"ablate-ucti", withOptions(AblationUCTIWeight)},
-	{"ablate-throttle", withOptions(AblationThrottle)},
-	{"policy", withOptions(PolicyFigure)},
-	{"htmdesign", withOptions(HTMDesignFigure)},
-	{"attrib", withOptions(AttributionReport)},
-	{"profile", func(_ Options, _ MSFOptions, ops int) (Report, error) { return ProfileReport(ops, nil), nil }},
+	row("table1", Table1),
+	row("counter", CounterFigure),
+	row("dcas", DCASFigure),
+	row("fig1a", Fig1a),
+	row("fig1b", Fig1b),
+	row("fig1ro", Fig1ReadOnly),
+	row("fig2a", Fig2a),
+	row("fig2b", Fig2b),
+	row("fig3a", Fig3a),
+	row("fig3b", Fig3b),
+	row("divide", DivideHashDemo),
+	row("inline", InlineDemo),
+	row("treemap", TreeMapDemo),
+	row("volano", VolanoFigure),
+	row("tail", TailFigure),
+	row("timeline", TimelineFigure),
+	row("fleet", FleetFigure),
+	row("fig4", Fig4),
+	row("msfse", SEModeMSF),
+	row("ablate-retry", AblationRetryBudget),
+	row("ablate-ucti", AblationUCTIWeight),
+	row("ablate-throttle", AblationThrottle),
+	row("policy", PolicyFigure),
+	row("htmdesign", HTMDesignFigure),
+	row("attrib", AttributionReport),
+	row("profile", func(o Options) (*Profile, error) { return ProfileReport(o.Defaults().ProfileOps, nil), nil }),
 }
 
-// withOptions adapts an experiment that reads only Options to a Run.
-func withOptions[R Report](run func(Options) (R, error)) func(Options, MSFOptions, int) (Report, error) {
-	return func(o Options, _ MSFOptions, _ int) (Report, error) { return report(run(o)) }
-}
-
-// withMSF adapts an experiment that reads only MSFOptions to a Run.
-func withMSF(run func(MSFOptions) (*Figure, error)) func(Options, MSFOptions, int) (Report, error) {
-	return func(_ Options, mo MSFOptions, _ int) (Report, error) { return report(run(mo)) }
-}
-
-// report returns a run's result as a Report, and a failed run's as nil
-// rather than as a Report holding a nil pointer.
-func report[R Report](r R, err error) (Report, error) {
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+// row makes the catalogue row name from an experiment's run, returning a
+// failed run's report as nil rather than as a Report holding a nil
+// pointer.
+func row[R Report](name string, run func(Options) (R, error)) Experiment {
+	return Experiment{Name: name, Run: func(o Options) (Report, error) {
+		r, err := run(o)
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
+	}}
 }

@@ -17,60 +17,28 @@ import (
 	"rocktm/internal/workload"
 )
 
-// MSFOptions sizes the Figure 4 experiment. The paper's Eastern-USA
-// roadmap has 3,598,623 nodes; the default here is a synthetic road grid
-// that runs in minutes, and Width/Height scale it up to taste.
-type MSFOptions struct {
-	Width, Height int
-	Extra         float64
-	Seed          uint64
-	Threads       []int
-	Mode          sim.Mode
+// MSFExtra is the fraction of extra shortcut edges in the Figure 4 and
+// Section 8.1 roadmaps (graphgen.RoadmapEdges), and cmd/msf's default.
+const MSFExtra = 0.05
 
-	// Runner, when non-nil, executes MSF cells through the host-parallel
-	// orchestrator (worker pool + result cache), exactly like
-	// Options.Runner does for the other figures.
-	Runner *runner.Pool
-}
-
-// Defaults fills unset fields.
-func (o MSFOptions) Defaults() MSFOptions {
-	if o.Width == 0 {
-		o.Width = 64
-	}
-	if o.Height == 0 {
-		o.Height = 64
-	}
-	if o.Extra == 0 {
-		o.Extra = 0.05
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if len(o.Threads) == 0 {
-		o.Threads = DefaultThreads
-	}
-	return o
-}
-
-// spec canonically identifies one MSF cell for the runner's scheduler
+// msfSpec canonically identifies one MSF cell for the runner's scheduler
 // and cache. The machine's memory size is derived from the graph (too
 // expensive to regenerate just for a key), so the digest is taken over
 // the pre-sizing configuration; the graph parameters that drive the
 // sizing are all in Params, and sizing-code changes are covered by the
 // cache-version salt like any other code change.
-func (o MSFOptions) spec(experiment, variant string, threads int) runner.Spec {
+func msfSpec(o Options, experiment, variant string, threads int, mode sim.Mode) runner.Spec {
 	return runner.Spec{
 		Experiment: experiment,
 		System:     variant,
 		Threads:    threads,
 		Seed:       o.Seed,
-		SimDigest:  msfConfig(threads, o.Seed, o.Mode).Digest(),
+		SimDigest:  msfConfig(threads, o.Seed, mode).Digest(),
 		Params: map[string]string{
-			"width":  itoa(o.Width),
-			"height": itoa(o.Height),
-			"extra":  fmt.Sprintf("%g", o.Extra),
-			"mode":   itoa(int(o.Mode)),
+			"width":  itoa(o.MSFDim),
+			"height": itoa(o.MSFDim),
+			"extra":  fmt.Sprintf("%g", MSFExtra),
+			"mode":   itoa(int(mode)),
 		},
 	}
 }
@@ -196,12 +164,12 @@ func RunMSFGraph(name string, n int, edges []graphgen.Edge, threads int, seed ui
 	return MSFRun{Result: res, Stats: sys.Stats(), Cycles: m.MaxClock(), Seconds: m.ElapsedSeconds()}, nil
 }
 
-// runMSF measures variant name at one thread count on o's synthetic
-// roadmap, returning the running time in simulated seconds plus fallback
-// statistics.
-func runMSF(o MSFOptions, name string, threads int) (float64, string, error) {
-	n, edges := graphgen.RoadmapEdges(o.Width, o.Height, o.Extra, 1<<20, o.Seed)
-	run, err := RunMSFGraph(name, n, edges, threads, o.Seed, o.Mode)
+// runMSF measures variant name at one thread count and chip mode on o's
+// synthetic roadmap, returning the running time in simulated seconds plus
+// fallback statistics.
+func runMSF(o Options, name string, threads int, mode sim.Mode) (float64, string, error) {
+	n, edges := graphgen.RoadmapEdges(o.MSFDim, o.MSFDim, MSFExtra, 1<<20, o.Seed)
+	run, err := RunMSFGraph(name, n, edges, threads, o.Seed, mode)
 	if err != nil {
 		return 0, "", err
 	}
@@ -211,12 +179,12 @@ func runMSF(o MSFOptions, name string, threads int) (float64, string, error) {
 // pointCell is one MSF measurement as a runner cell.
 type pointCell = runner.Cell[Point]
 
-// msfCell wraps one (variant, threads) measurement as a runner cell.
-func msfCell(o MSFOptions, experiment string, v msfVariant, threads int) pointCell {
+// msfCell wraps one (variant, threads, mode) measurement as a runner cell.
+func msfCell(o Options, experiment string, v msfVariant, threads int, mode sim.Mode) pointCell {
 	return pointCell{
-		Spec: o.spec(experiment, v.name, threads),
+		Spec: msfSpec(o, experiment, v.name, threads, mode),
 		Compute: func() (Point, error) {
-			secs, extra, err := runMSF(o, v.name, threads)
+			secs, extra, err := runMSF(o, v.name, threads, mode)
 			if err != nil {
 				return Point{}, err
 			}
@@ -252,42 +220,34 @@ func msfCurves(pool *runner.Pool, curves []msfCurve) ([]Curve, error) {
 	return out, nil
 }
 
-// msfSweep runs each variant at every thread count in o.Threads (msf-seq
-// at one thread) as experiment exp, one curve per variant, and notes each
-// curve's last point.
-func msfSweep(o MSFOptions, exp string, fig *Figure, variants []msfVariant) (*Figure, error) {
+// Fig4 reconstructs Figure 4: MSF running time (simulated seconds — the
+// paper's y axis is also running time, log scale) for the seven variants,
+// each at every thread count in o.Threads (msf-seq at one thread) on an
+// o.MSFDim×o.MSFDim roadmap.
+func Fig4(o Options) (*Figure, error) {
+	o = o.Defaults()
 	var curves []msfCurve
-	for _, v := range variants {
+	for _, v := range msfVariants() {
 		threads := o.Threads
 		if v.seqOnly {
 			threads = []int{1}
 		}
 		c := msfCurve{name: v.name}
 		for _, th := range threads {
-			c.cells = append(c.cells, msfCell(o, exp, v, th))
+			c.cells = append(c.cells, msfCell(o, "fig4", v, th, sim.SSE))
 		}
 		curves = append(curves, c)
+	}
+	fig := &Figure{
+		Title: fmt.Sprintf("Figure 4 MSF, synthetic roadmap %dx%d grid (+%.0f%% shortcuts)",
+			o.MSFDim, o.MSFDim, MSFExtra*100),
+		YLabel: "running time (simulated seconds; lower is better)",
 	}
 	var err error
 	if fig.Curves, err = msfCurves(o.Runner, curves); err != nil {
 		return nil, err
 	}
 	fig.noteLast(nil)
-	return fig, nil
-}
-
-// Fig4 reconstructs Figure 4: MSF running time (simulated seconds — the
-// paper's y axis is also running time, log scale) for the seven variants.
-func Fig4(o MSFOptions) (*Figure, error) {
-	o = o.Defaults()
-	fig, err := msfSweep(o, "fig4", &Figure{
-		Title: fmt.Sprintf("Figure 4 MSF, synthetic roadmap %dx%d grid (+%.0f%% shortcuts)",
-			o.Width, o.Height, o.Extra*100),
-		YLabel: "running time (simulated seconds; lower is better)",
-	}, msfVariants())
-	if err != nil {
-		return nil, err
-	}
 	fig.Notes = append(fig.Notes, "values are RUNNING TIME in simulated seconds, not throughput")
 	return fig, nil
 }
@@ -295,7 +255,7 @@ func Fig4(o MSFOptions) (*Figure, error) {
 // SEModeMSF reconstructs the Section 8.1 SE-mode observation: with the
 // 16-entry store queue, msf-opt-le's transactions overflow (ST|SIZ) and
 // the lock-fallback fraction rises by orders of magnitude.
-func SEModeMSF(o MSFOptions) (*Figure, error) {
+func SEModeMSF(o Options) (*Figure, error) {
 	o = o.Defaults()
 	fig := &Figure{
 		Title:  "Section 8.1 msf-opt-le in SSE vs SE mode",
@@ -311,11 +271,9 @@ func SEModeMSF(o MSFOptions) (*Figure, error) {
 		if mode == sim.SE {
 			name = "SE"
 		}
-		oo := o
-		oo.Mode = mode
 		c := msfCurve{name: "msf-opt-le-" + name}
 		for _, th := range o.Threads {
-			c.cells = append(c.cells, msfCell(oo, "msfse", leVariant, th))
+			c.cells = append(c.cells, msfCell(o, "msfse", leVariant, th, mode))
 		}
 		curves = append(curves, c)
 	}
@@ -330,29 +288,6 @@ func SEModeMSF(o MSFOptions) (*Figure, error) {
 		}
 	}
 	return fig, nil
-}
-
-// MSFSweepFigure runs the named variants (all seven when variants is
-// empty) at every thread count in o.Threads through the orchestrator —
-// this is `cmd/msf -variant all`. msf-seq is pinned to one thread.
-func MSFSweepFigure(o MSFOptions, variants []string) (*Figure, error) {
-	o = o.Defaults()
-	if len(variants) == 0 {
-		variants = MSFVariantNames()
-	}
-	var sel []msfVariant
-	for _, name := range variants {
-		v, err := msfVariantNamed(name)
-		if err != nil {
-			return nil, err
-		}
-		sel = append(sel, v)
-	}
-	return msfSweep(o, "msf-sweep", &Figure{
-		Title: fmt.Sprintf("MSF variant sweep, synthetic roadmap %dx%d grid (+%.0f%% shortcuts)",
-			o.Width, o.Height, o.Extra*100),
-		YLabel: "running time (simulated seconds; lower is better)",
-	}, sel)
 }
 
 // Profile is the Section 6.1 failure analysis: one row per tree size.

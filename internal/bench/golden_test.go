@@ -28,18 +28,25 @@ var goldenFigures = []struct {
 	digest string
 }{
 	{
+		// Section 3's directed CPS tests: every scenario's histogram and
+		// comment on Rock's design.
+		name:   "table1",
+		render: catalogued("table1", Options{OpsPerThread: 50, Seed: 1}),
+		digest: "72c4e387d346a52e07d0081afffcdb61",
+	},
+	{
 		name:   "fig2a",
-		render: catalogued("fig2a", Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}, MSFOptions{}),
+		render: catalogued("fig2a", Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}),
 		digest: "4e173ac43af293cdf96467191d33efa7",
 	},
 	{
 		name:   "attrib",
-		render: catalogued("attrib", Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}, MSFOptions{}),
+		render: catalogued("attrib", Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}),
 		digest: "d58d233434a00d471aa7fccef7e07c16",
 	},
 	{
 		name:   "fig4",
-		render: catalogued("fig4", Options{}, MSFOptions{Width: 16, Height: 16, Threads: []int{1, 2}, Seed: 1}),
+		render: catalogued("fig4", Options{MSFDim: 16, Threads: []int{1, 2}, Seed: 1}),
 		digest: "2bad19ae47781ac3fa00df620f477234",
 	},
 	{
@@ -49,7 +56,7 @@ var goldenFigures = []struct {
 		// zipfian generator, the latency histogram's bucketing or the
 		// driver's RNG sequencing shows up here.
 		name:   "tail",
-		render: catalogued("tail", Options{Threads: []int{1, 2}, OpsPerThread: 200, Seed: 1}, MSFOptions{}),
+		render: catalogued("tail", Options{Threads: []int{1, 2}, OpsPerThread: 200, Seed: 1}),
 		digest: "b27cc7ec29aab6888fd6311100803969",
 	},
 	{
@@ -58,8 +65,8 @@ var goldenFigures = []struct {
 		// arrival stream, routing, batching, 2PC and the per-shard window
 		// verdicts in its notes.
 		name:   "fleet",
-		render: catalogued("fleet", Options{OpsPerThread: 60, Seed: 1}, MSFOptions{}),
-		digest: "d878f8e3b40e834d94a3a9a67589ad46",
+		render: catalogued("fleet", Options{OpsPerThread: 60, Seed: 1}),
+		digest: "78cd6c797b91190b053a1bfeb2ec62f7",
 	},
 	// The retry configurations that no other digest reaches: TLE's
 	// fixed-count naive policy, PhTM's budget sweep, TLE's UCTI weight,
@@ -67,25 +74,25 @@ var goldenFigures = []struct {
 	// Section 6.1 profile's 2- and 8-try budgets.
 	{
 		name:   "fig3a",
-		render: catalogued("fig3a", Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}, MSFOptions{}),
+		render: catalogued("fig3a", Options{Threads: []int{1, 2, 4, 8}, OpsPerThread: 300, Seed: 1}),
 		digest: "32c8bfd623897df43da3fe7c50850283",
 	},
 	{
 		name:   "ablate-retry",
-		render: catalogued("ablate-retry", Options{Threads: []int{1, 2, 4}, OpsPerThread: 200, Seed: 1}, MSFOptions{}),
+		render: catalogued("ablate-retry", Options{Threads: []int{1, 2, 4}, OpsPerThread: 200, Seed: 1}),
 		digest: "36637878d56f0116ad3c25ed825a1a7d",
 	},
 	{
 		// At one or two threads the three weights render identically; at
 		// 16 the ucti=2 curve departs.
 		name:   "ablate-ucti",
-		render: catalogued("ablate-ucti", Options{Threads: []int{16}, OpsPerThread: 300, Seed: 1}, MSFOptions{}),
+		render: catalogued("ablate-ucti", Options{Threads: []int{16}, OpsPerThread: 300, Seed: 1}),
 		digest: "346eef6a39bb3c711e7c4f45aa28c59d",
 	},
 	{
 		name:   "htmdesign",
-		render: catalogued("htmdesign", htmTestOptions(), MSFOptions{}),
-		digest: "28d6444698d8d32bf9b46e0d68ff7771",
+		render: catalogued("htmdesign", htmTestOptions()),
+		digest: "b53d859c20605bb4c17c623c7299c031",
 	},
 	{
 		// The profile row always runs three tree sizes and prints a header;
@@ -98,15 +105,15 @@ var goldenFigures = []struct {
 	},
 }
 
-// catalogued runs catalogue row name at o and mo and renders its table and
-// CSV, the bytes a digest pins.
-func catalogued(name string, o Options, mo MSFOptions) func() ([]byte, error) {
+// catalogued runs catalogue row name at o and renders its table and CSV,
+// the bytes a digest pins.
+func catalogued(name string, o Options) func() ([]byte, error) {
 	return func() ([]byte, error) {
 		for _, e := range Catalogue {
 			if e.Name != name {
 				continue
 			}
-			rep, err := e.Run(o, mo, 0)
+			rep, err := e.Run(o)
 			if err != nil {
 				return nil, err
 			}

@@ -24,10 +24,8 @@ import (
 // adaptive policy, with tunings routed through policy.TuningForDesign so
 // retry intelligence reacts to the design (e.g. committer-wins turning
 // COH aborts into already-stalled self-aborts that need no software
-// backoff). That COH rule reaches the paper policy only: adaptive backs
-// off on COH under every design. The design point rides in
-// sim.Config.HTM, so every cell's cache key (Config.Digest)
-// distinguishes designs automatically.
+// backoff). The design point rides in sim.Config.HTM, so every cell's
+// cache key (Config.Digest) distinguishes designs automatically.
 type htmWorkload struct {
 	name string
 	kv   kvConfig

@@ -90,10 +90,10 @@ func TestAttribParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// MSF figures route through the same orchestrator via MSFOptions.Runner.
+// MSF figures route through the same orchestrator via Options.Runner.
 func TestMSFSweepParallelMatchesSerial(t *testing.T) {
-	mo := MSFOptions{Width: 12, Height: 12, Threads: []int{1, 2}, Seed: 1}
-	serialFig, err := MSFSweepFigure(mo, []string{"msf-opt-le", "msf-seq"})
+	o := Options{MSFDim: 12, Threads: []int{1, 2}, Seed: 1}
+	serialFig, err := Fig4(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +103,9 @@ func TestMSFSweepParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mo.Runner = &runner.Pool{Workers: 4, Cache: cache}
+	o.Runner = &runner.Pool{Workers: 4, Cache: cache}
 	for pass := 0; pass < 2; pass++ { // cold parallel, then warm cache
-		fig, err := MSFSweepFigure(mo, []string{"msf-opt-le", "msf-seq"})
+		fig, err := Fig4(o)
 		if err != nil {
 			t.Fatal(err)
 		}

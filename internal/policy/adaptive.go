@@ -35,7 +35,9 @@ const capacityBits = cps.SIZ | cps.LD | cps.ST
 //     genuine many-strand contention the backoff window re-fills with
 //     conflicting retries. When COH dominates the recent window the
 //     policy escalates Backoff to Throttle (a deeper window), the
-//     admission-control stance of Section 7.2's future work.
+//     admission-control stance of Section 7.2's future work. A tuning
+//     whose BackoffOn lacks COH retries a COH failure at once for one
+//     point instead, as the paper policy does.
 //
 // All learning is deterministic: decisions depend only on the history of
 // CPS values observed, never on host state. Instances are NOT safe for
@@ -91,6 +93,11 @@ func (p *Adaptive) Decide(c cps.Bits) Decision {
 		}
 		return Decision{Action: Retry, Score: 1}
 	case c.Has(cps.COH):
+		if !t.BackoffOn.Has(cps.COH) {
+			// The design's hardware already serialized the conflict
+			// (TuningForDesign): retry at once, as the paper policy does.
+			return Decision{Action: Retry, Score: 1}
+		}
 		if p.contended {
 			return Decision{Action: Throttle, Score: 1}
 		}

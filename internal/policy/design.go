@@ -9,9 +9,8 @@ import (
 // (sim.Config.HTM). The paper's Section 6.1 knobs are calibrated against
 // Rock's requester-wins, lazy-write-buffer hardware; two of the four
 // design axes change what a CPS value is telling the retry policy, so the
-// htmdesign sweep routes every policy's tuning through here. The COH rule
-// reaches the paper policy only: the adaptive policy backs off on COH
-// whatever BackoffOn says. The Rock design returns base unchanged.
+// htmdesign sweep routes every policy's tuning through here. The Rock
+// design returns base unchanged.
 func TuningForDesign(base Tuning, d sim.HTMDesign) Tuning {
 	if d.Resolve == sim.ResCommitterWins || d.Resolve == sim.ResTimestamp {
 		// Under requester-wins, COH means "somebody doomed me mid-flight"

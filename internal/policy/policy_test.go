@@ -307,6 +307,28 @@ func TestAdaptiveCOHEscalatesToThrottle(t *testing.T) {
 	}
 }
 
+// TestAdaptiveCOHFollowsBackoffOn: under committer-wins and timestamp
+// resolution, TuningForDesign drops COH from BackoffOn, and the adaptive
+// policy then retries a COH failure at once for one point, as the paper
+// policy does — also after a COH-dominated window, which would otherwise
+// escalate to Throttle. It used to back off on COH whatever BackoffOn
+// said.
+func TestAdaptiveCOHFollowsBackoffOn(t *testing.T) {
+	for _, design := range []string{"committer", "timestamp"} {
+		tun := policy.TuningForDesign(policy.PhTM(), sim.DesignPoint(design))
+		p, paper := policy.NewAdaptive(tun), policy.MustNew("paper", tun)
+		for i := 0; i < 100; i++ {
+			want := policy.Decision{Action: policy.Retry, Score: 1}
+			if d := paper.Decide(cps.COH); d != want {
+				t.Fatalf("%s: paper COH = %+v, want %+v", design, d, want)
+			}
+			if d := p.Decide(cps.COH); d != want {
+				t.Fatalf("%s: adaptive COH failure %d = %+v, want %+v", design, i, d, want)
+			}
+		}
+	}
+}
+
 // TestAdaptiveTCCNotRecorded checks that the system's own explicit aborts
 // are not treated as evidence about the hardware's viability.
 func TestAdaptiveTCCNotRecorded(t *testing.T) {

@@ -159,6 +159,42 @@ func TestBatchDeadlineBoundsLatency(t *testing.T) {
 	}
 }
 
+// Every cross-shard transaction rolls its coordinator crash, whichever
+// way its batch closed: with CoordFailPct 100, sparse arrivals and a tight
+// batch deadline, nearly every batch closes on its deadline, and every
+// transaction must abort. Deadline-flushed batches used to skip the roll,
+// so all but the last batch's transactions committed.
+func TestDeadlineFlushRollsCoordinatorCrash(t *testing.T) {
+	f, err := New(Config{
+		Shards:       2,
+		Strands:      2,
+		KeyRange:     128,
+		Buckets:      1 << 7,
+		MemWords:     1 << 17,
+		Seed:         7,
+		System:       func(m *sim.Machine) core.System { return locktm.NewOneLock(m) },
+		Batch:        BatchConfig{MaxSize: 64, MaxDelay: 1000},
+		CoordFailPct: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run(LoadSpec{
+		Requests:  40,
+		PctLookup: 50,
+		Keys:      workload.Uniform(128),
+		Arrival:   workload.Arrival{MeanGap: 20000, Seed: 5},
+		CrossPct:  100,
+		Seed:      9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Committed2PC != 0 || res.Aborted2PC != 40 {
+		t.Fatalf("2PC commit/abort %d/%d, want 0/40: every coordinator crashes", res.Committed2PC, res.Aborted2PC)
+	}
+}
+
 // Under heavy zipfian skew the plain hash router leaves each hot key
 // wholly on one shard while the hot-aware router spreads the hottest ones:
 // the max/min per-shard op imbalance must be strictly worse for hash than

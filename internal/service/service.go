@@ -433,7 +433,7 @@ func (f *Fleet) Run(load LoadSpec) (Result, error) {
 			r.ops[1] = Op{Kind: kind, Key: src.ExtraKey(), Val: sim.Word(i + 1)}
 			r.n = 2
 		}
-		f.flushBy(at, nil)
+		f.flushBy(at, src)
 		f.enqueue(r, src)
 	}
 	f.flushBy(math.MaxInt64, src)
@@ -518,7 +518,7 @@ func (f *Fleet) flush(sh *Shard, closeTime int64, src *workload.Source) {
 	for i := range multis {
 		r := &multis[i]
 		failAfter := -1
-		if src != nil && f.cfg.CoordFailPct > 0 && src.ExtraRoll(100) < f.cfg.CoordFailPct {
+		if f.cfg.CoordFailPct > 0 && src.ExtraRoll(100) < f.cfg.CoordFailPct {
 			failAfter = src.ExtraRoll(r.n)
 		}
 		out := f.RunTxn(sh.busyUntil, r.ops[:r.n], failAfter)

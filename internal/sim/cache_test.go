@@ -90,7 +90,7 @@ func diffL2(t *testing.T, c *l2Cache, sets, ways int, lines []int32) {
 
 // TestL2MatchesDense drives a fresh touch-backed L2 and the dense
 // reference with the same seeded line streams: at Rock's default geometry,
-// cpstest's 256 × 8, a direct-mapped L2, and a non-default set and way
+// Table 1's idle-loop 256 × 8, a direct-mapped L2, and a non-default set and way
 // count.
 func TestL2MatchesDense(t *testing.T) {
 	for _, g := range []struct{ sets, ways int }{{4096, 8}, {256, 8}, {1024, 1}, {8192, 4}} {

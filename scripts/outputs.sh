@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
 # Usage: scripts/outputs.sh REF
 #
-# Builds cmd/figures, cmd/cpstest and cmd/msf at REF (a commit, branch or
-# tag) in a temporary git worktree and in the working tree, runs both
-# builds on the same inputs and prints the name of every output whose
-# bytes or exit status differ:
+# Builds cmd/figures and cmd/msf at REF (a commit, branch or tag) in a
+# temporary git worktree and in the working tree, runs both builds on the
+# same inputs and prints the name of every output whose bytes or exit
+# status differ:
 #
 #   - list, typo: `figures -exp list`, and the error of an unknown -exp;
 #   - NAME: every experiment in both trees' `figures -exp list`, run alone
 #     as `figures -exp NAME -ops 120 -threads 1,2 -parallel 1 -no-cache
 #     -csv -json` (a name in only one list is printed with the tree that
 #     has it);
-#   - cpstest: `cpstest -iters 50`;
 #   - msf: `msf -variant opt-le -threads 2 -dim 32`;
 #   - all, all/t.json, all/w.json: the standard output and the two capture
 #     files of `figures -exp all -ops 60 -threads 1,2 -parallel 1 -no-cache
@@ -38,7 +37,7 @@ git -C "$root" worktree add --quiet --detach "$tmp/src" "$1"
 build() { # build SRC SIDE
 	local cmd
 	mkdir -p "$tmp/$2/bin" "$tmp/$2/out"
-	for cmd in figures cpstest msf; do
+	for cmd in figures msf; do
 		if ! (cd "$1" && go build -o "$tmp/$2/bin/$cmd" "./cmd/$cmd"); then
 			echo "outputs.sh: building ./cmd/$cmd in $1 failed" >&2
 			return 1
@@ -87,11 +86,9 @@ for name in $(comm -12 "$tmp/ref.names" "$tmp/head.names"); do
 done
 
 for side in ref head; do
-	run "$side" cpstest cpstest -iters 50
 	run "$side" msf msf -variant opt-le -threads 2 -dim 32
 	run "$side" all figures -exp all -ops 60 -threads 1,2 -parallel 1 -no-cache -trace t.json -timeline w.json
 done
-differs cpstest cpstest
 differs msf msf
 differs all all
 differs all/t.json all t.json
